@@ -71,6 +71,14 @@ def _vec(s, dim=None):
     return v
 
 
+def _replace(obj, changes):
+    """``dataclasses.replace`` that reports unknown keys as configuration errors."""
+    unknown = sorted(set(changes) - {f.name for f in dataclasses.fields(obj)})
+    if unknown:
+        raise DescriptorError(f"unknown {type(obj).__name__} key(s): {', '.join(unknown)}")
+    return dataclasses.replace(obj, **changes)
+
+
 def _plan(cfg):
     plan = SamplingPlan(seed=cfg.seed)
     if cfg.plan_file:
@@ -81,12 +89,12 @@ def _plan(cfg):
             data["radii"] = tuple(data["radii"])
         if "segment_scales" in data:
             data["segment_scales"] = tuple(data["segment_scales"])
-        plan = dataclasses.replace(plan, **data)
+        plan = _replace(plan, data)
         if tol:
-            plan = dataclasses.replace(plan, tol=dataclasses.replace(plan.tol, **tol))
+            plan = dataclasses.replace(plan, tol=_replace(plan.tol, tol))
     if cfg.tol_overrides:
         kv = dict(item.split("=", 1) for item in cfg.tol_overrides)
-        plan = dataclasses.replace(plan, tol=dataclasses.replace(plan.tol, **{k: float(v) for k, v in kv.items()}))
+        plan = dataclasses.replace(plan, tol=_replace(plan.tol, {k: float(v) for k, v in kv.items()}))
     return plan
 
 
@@ -298,26 +306,9 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
-    cfg = RunConfig(
-        operation=args.operation,
-        group=args.group,
-        descriptor_file=args.descriptor_file,
-        force=args.force,
-        fn=args.fn,
-        fn_file=args.fn_file,
-        poly=args.poly,
-        point=args.point,
-        x=args.x,
-        y=args.y,
-        h=args.h,
-        count=args.count,
-        seed=args.seed,
-        plan_file=args.plan_file,
-        tol_overrides=tuple(args.tol_overrides),
-        out=args.out,
-    )
-    return run_command(cfg)
+    args = vars(_parser().parse_args(argv))
+    args["tol_overrides"] = tuple(args["tol_overrides"])
+    return run_command(RunConfig(**args))
 
 
 if __name__ == "__main__":

@@ -127,7 +127,8 @@ def hconvexity_check(u, plan=None, base_points=None):
 
     For base points x, horizontal h with x * [0, h] in the domain and a grid
     of lambda in [0, 1], evaluates u(x (lambda h)) - lambda u(xh) -
-    (1 - lambda) u(x) and reports the largest positive value.
+    (1 - lambda) u(x) and reports the largest positive value.  Non-finite
+    values on admissible segments count as violations of +inf.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
@@ -153,7 +154,7 @@ def hconvexity_check(u, plan=None, base_points=None):
         u_base = u.value(xs)[:, None, None]
         u_end = u.value(ends)[:, :, None]
         viol = u_mid - (lams[None, None, :] * u_end + (1 - lams[None, None, :]) * u_base)
-        viol = np.where(ok[:, :, None], viol, -np.inf)
+        viol = np.where(ok[:, :, None], np.where(np.isfinite(viol), viol, np.inf), -np.inf)
         count += int(np.sum(ok)) * len(lams)
         m = float(np.max(viol))
         if m > raw:

@@ -4,66 +4,26 @@ In graded coordinates the field that equals e_j at the origin reads
 
     X_j = d/dx_j + sum_{d_l > d_j} a^l_j(x) d/dx_l
 
-with (d_l - d_j)-homogeneous polynomial coefficients a^l_j.  The a^l_j are
-recovered exactly as the t-linear part of t -> x * (t e_j): the group product
-is evaluated with polynomial-valued coordinates at the nodes t = 1..step+1
-and the linear coefficient is extracted by inverting the Vandermonde system
-over the rationals.
+with (d_l - d_j)-homogeneous polynomial coefficients a^l_j.  They are the
+t-linear part of t -> x * (t e_j).  Through step 4 the BCH formula gives it
+in closed form,
+
+    a^l_j(x) = ([x, e_j] / 2 + [x, [x, e_j]] / 12)_l,
+
+with no cubic term because the Bernoulli number B_3 vanishes.  Its linear
+part gives the rotational constants a^{li}_j = c^l_ij / 2.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DescriptorError
-from .groups import _dynkin_table
 from .polynomials import GradedPolynomial
 
 __all__ = ["FieldCoefficients", "field_coefficients", "apply_field"]
-
-
-def _vandermonde_row(nodes, k):
-    """Row k of the inverse Vandermonde at ``nodes``, computed exactly.
-
-    The returned weights w satisfy sum_j w_j p(t_j) = (coefficient of t^k)
-    for every polynomial p of degree < len(nodes).
-    """
-    m = len(nodes)
-    A = [[Fraction(t) ** a for a in range(m)] for t in nodes]
-    # solve A^T w = e_k by Gauss-Jordan over the rationals
-    M = [list(col) + [Fraction(1 if r == k else 0)] for r, col in enumerate(zip(*A))]
-    for c in range(m):
-        piv = next(r for r in range(c, m) if M[r][c] != 0)
-        M[c], M[piv] = M[piv], M[c]
-        inv = Fraction(1) / M[c][c]
-        M[c] = [v * inv for v in M[c]]
-        for r in range(m):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [v - f * w for v, w in zip(M[r], M[c])]
-    return [float(M[r][m]) for r in range(m)]
-
-
-def _bracket_polys(desc, u, v):
-    out = [GradedPolynomial.zero(desc) for _ in range(desc.dim)]
-    for i, j, k, c in desc.bracket_entries:
-        out[k] = out[k] + (u[i] * v[j]) * c
-    return out
-
-
-def _bch_polys(desc, xs, ys):
-    """BCH product where both arguments are vectors of polynomials."""
-    letters = (xs, ys)
-    out = [a + b for a, b in zip(xs, ys)]
-    for word, coeff in _dynkin_table(desc.step):
-        v = letters[word[-1]]
-        for idx in word[-2::-1]:
-            v = _bracket_polys(desc, letters[idx], v)
-        out = [o + p * coeff for o, p in zip(out, v)]
-    return out
 
 
 class FieldCoefficients:
@@ -96,42 +56,33 @@ class FieldCoefficients:
 
 @lru_cache(maxsize=None)
 def field_coefficients(desc):
-    """Compute all a^l_j (and the a^{li}_j constants) for a descriptor."""
+    """Compute all a^l_j (and the a^{li}_j constants) for a descriptor.
+
+    Raises ``DescriptorError`` when a bracket breaks the grading, since the
+    a^l_j are then not homogeneous.
+    """
     n = desc.dim
     d = desc.dilation_exponents
-    coords = [GradedPolynomial.coordinate(desc, i) for i in range(n)]
-    nodes = list(range(1, desc.step + 2))
-    weights = _vandermonde_row(nodes, 1)
+    C = desc.structure
+    for i, j, k, _ in desc.bracket_entries:
+        if d[k] != d[i] + d[j]:
+            raise DescriptorError(f"bracket [e{i + 1}, e{j + 1}] -> e{k + 1} breaks the grading")
+    eye = np.eye(n, dtype=np.int64)
 
     table = {}
     for j in range(n):
-        evals = []
-        for t in nodes:
-            ej = [GradedPolynomial.constant(desc, float(t) if i == j else 0.0) for i in range(n)]
-            evals.append(_bch_polys(desc, coords, ej))
+        # lin[i, l] multiplies x_i and quad[m, i, l] multiplies x_m x_i
+        lin = 0.5 * C[:, j, :]
+        quad = np.einsum("mk,ikl->mil", C[:, j, :], C) / 12.0
         for l in range(n):
-            if d[l] <= d[j]:
-                continue
-            a = GradedPolynomial.zero(desc)
-            for w, z in zip(weights, evals):
-                a = a + z[l] * w
-            a = a.prune(1e-12)
+            terms = [(eye[i], c) for i, c in enumerate(lin[:, l]) if c]
+            terms += [(eye[m] + eye[i], c) for (m, i), c in np.ndenumerate(quad[:, :, l]) if c]
+            a = GradedPolynomial.from_terms(desc, terms)
             if a.coeffs:
-                if a.hdeg != int(d[l] - d[j]) or a.homogeneous_part(int(d[l] - d[j])).coeff_distance(a) > 1e-12:
-                    raise DescriptorError(
-                        f"field coefficient a^{l + 1}_{j + 1} is not {int(d[l] - d[j])}-homogeneous"
-                    )
                 table[(j, l)] = a
 
     m1, m2 = desc.m1, desc.m2
-    alij = np.zeros((m2 - m1, m1, m1))
-    for j in range(m1):
-        for l in range(m1, m2):
-            a = table.get((j, l))
-            if a is None:
-                continue
-            for i in range(m1):
-                alij[l - m1, i, j] = a.evaluate(desc.basis_vector(i))
+    alij = 0.5 * np.moveaxis(C[:m1, :m1, m1:m2], 2, 0)
     return FieldCoefficients(desc, table, alij)
 
 

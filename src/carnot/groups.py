@@ -2,9 +2,10 @@
 
 A group is described by its graded Lie algebra: the layer dimensions and a
 sparse bracket table [e_i, e_j] = sum_k c^k_ij e_k.  Exponential coordinates
-of the first kind identify the group with R^n; the product is the finite
-BCH (Dynkin) series, which terminates at nested depth equal to the step, and
-dilations scale layer-s coordinates by r^s.
+of the first kind identify the group with R^n; the product is the BCH
+formula written out in closed form through four letters, which is exact for
+every step up to ``MAX_STEP`` = 4, and dilations scale layer-s coordinates
+by r^s.
 
 All point operations accept numpy arrays with an arbitrary batch shape and a
 trailing axis of length ``dim``.
@@ -12,11 +13,7 @@ trailing axis of length ``dim``.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,43 +31,8 @@ __all__ = [
     "project_layer",
 ]
 
-# Groups beyond step 4 would need more Dynkin terms than we enumerate.
+# The closed-form BCH product below is exact through step 4.
 MAX_STEP = 4
-
-
-def _dynkin_terms(depth):
-    """Words and coefficients of the Dynkin series up to ``depth`` letters.
-
-    Returns a tuple of ``(word, coeff)`` pairs where ``word`` is a tuple over
-    {0, 1} (0 = first argument, 1 = second) evaluated as the right-nested
-    bracket [w_0, [w_1, [... [w_{m-2}, w_{m-1}]]]].  Words of length one
-    (the plain x + y part) are excluded; words whose innermost bracket is
-    [a, a] are dropped since they vanish identically.  Coefficients of equal
-    words are merged exactly over the rationals.
-    """
-    acc = {}
-    for n in range(1, depth + 1):
-        blocks = [(r, s) for r in range(depth + 1) for s in range(depth + 1) if 1 <= r + s <= depth]
-        for combo in itertools.product(blocks, repeat=n):
-            m = sum(r + s for r, s in combo)
-            if m > depth or m < 2:
-                continue
-            word = []
-            denom = n * m
-            for r, s in combo:
-                word.extend([0] * r + [1] * s)
-                denom *= math.factorial(r) * math.factorial(s)
-            if word[-1] == word[-2]:
-                continue
-            key = tuple(word)
-            acc[key] = acc.get(key, Fraction(0)) + Fraction((-1) ** (n - 1), denom)
-    terms = [(w, c) for w, c in sorted(acc.items()) if c != 0]
-    return tuple((w, float(c)) for w, c in terms)
-
-
-@lru_cache(maxsize=None)
-def _dynkin_table(depth):
-    return _dynkin_terms(depth)
 
 
 @dataclass(frozen=True)
@@ -194,17 +156,26 @@ class GroupDescriptor:
         return np.einsum("...i,...j,ijk->...k", u, v, self.structure)
 
     def product(self, x, y):
-        """Group product in exponential coordinates (finite BCH series)."""
+        """Group product in exponential coordinates (closed-form BCH).
+
+        x + y + [x,y]/2 + ([x,[x,y]] - [y,[x,y]])/12 - [y,[x,[x,y]]]/24,
+        truncated at the step, since brackets of more than ``step`` letters
+        vanish.
+        """
         x = self._check_point(x)
         y = self._check_point(y)
-        letters = (x, y)
         out = x + y
-        for word, coeff in _dynkin_table(self.step):
-            v = letters[word[-1]]
-            for idx in word[-2::-1]:
-                v = self.bracket(letters[idx], v)
-            out = out + coeff * v
-        return out
+        if self.step < 2:
+            return out
+        xy = self.bracket(x, y)
+        out = out + 0.5 * xy
+        if self.step < 3:
+            return out
+        xxy = self.bracket(x, xy)
+        out = out + (xxy - self.bracket(y, xy)) / 12.0
+        if self.step < 4:
+            return out
+        return out - self.bracket(y, xxy) / 24.0
 
     def inverse(self, x):
         """Group inverse; in exponential coordinates this is negation."""

@@ -236,13 +236,6 @@ def euclidean_quadratic(desc, S=None):
     return ScalarField(desc, fn, label="euclidean_quadratic", grad_h=grad_h)
 
 
-def euclidean_wrapper(desc, fn, grad=None, label="wrapped"):
-    """Expose a classical convex function on R^n as a step-1 field."""
-    if desc.step != 1:
-        raise DescriptorError("euclidean_wrapper is a step-1 wrapper")
-    return ScalarField(desc, fn, label=label, grad_h=grad)
-
-
 FUNCTIONS = {
     "affine": horizontal_affine,
     "quadratic": horizontal_quadratic,

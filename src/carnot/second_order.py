@@ -426,7 +426,7 @@ def characterize_second_order(u, x, plan=None):
 
 
 def psd_check(H, skew_tol=1e-12):
-    """Minimum eigenvalue of a symmetric matrix by cyclic Jacobi rotations.
+    """Minimum eigenvalue of a symmetric matrix (numpy's ``eigvalsh``).
 
     Raises on input whose skew part exceeds ``skew_tol`` (relative).  The
     caller's positive-semidefiniteness criterion is min_eig >= -tol.
@@ -435,26 +435,7 @@ def psd_check(H, skew_tol=1e-12):
     scale = max(1.0, float(np.max(np.abs(H))))
     if float(np.max(np.abs(H - H.T))) > skew_tol * scale:
         raise ValueError("matrix is not symmetric")
-    A = 0.5 * (H + H.T)
-    n = A.shape[0]
-    for _ in range(100):
-        off = np.sqrt(np.sum(np.tril(A, -1) ** 2))
-        if off <= 1e-14 * scale:
-            break
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                if abs(A[i, j]) <= 1e-300:
-                    continue
-                theta = (A[j, j] - A[i, i]) / (2 * A[i, j])
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1)) if theta != 0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1)
-                s = t * c
-                rot = np.eye(n)
-                rot[i, i] = rot[j, j] = c
-                rot[i, j] = s
-                rot[j, i] = -s
-                A = rot.T @ A @ rot
-    return float(np.min(np.diag(A)))
+    return float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
 
 
 def quotient_convexity_violation(u, x, tau, plan=None):

@@ -60,6 +60,12 @@ class TestHConvexity:
         assert rep.max_violation >= 0.1
         assert rep.worst is not None
 
+    def test_nan_does_not_mask_violation(self, h1, plan):
+        fn = lambda p: np.where(p[..., 0] > 0.5, np.nan, -p[..., 0] ** 2)
+        rep = hconvexity_check(ScalarField(h1, fn, label="-x1^2 with NaN"), plan)
+        assert rep.max_violation == np.inf
+        assert rep.worst is not None
+
     def test_restricted_domain_segments(self, h1, plan):
         inside = lambda p: h1.norm(p) < 0.5
         u = ScalarField(h1, lambda p: np.sum(p[..., :2] ** 2, axis=-1), label="ball", domain=inside)

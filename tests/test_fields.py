@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carnot import GradedPolynomial, apply_field, field_coefficients
+from carnot import DescriptorError, GradedPolynomial, GroupDescriptor, apply_field, field_coefficients
 
 
 class TestFieldCoefficients:
@@ -33,20 +33,29 @@ class TestFieldCoefficients:
             lhs = a.evaluate(eng.dilate(r, pts))
             assert np.max(np.abs(lhs - r**2 * a.evaluate(pts))) < 1e-12
 
-    def test_coefficients_match_t_derivative(self, eng):
-        # a^l_j(x) is the derivative of t -> (x * t e_j)_l at t = 0
-        fc = field_coefficients(eng)
+    @pytest.mark.parametrize("fixture", ["fs3", "eng", "filiform4"])
+    def test_coefficients_match_t_derivative(self, fixture, request):
+        # a^l_j(x) is the derivative of t -> (x * t e_j)_l at t = 0; at step 4
+        # (filiform4) this also pins the absence of a cubic term
+        desc = request.getfixturevalue(fixture)
+        fc = field_coefficients(desc)
         rng = np.random.default_rng(1)
-        x = rng.uniform(-1, 1, eng.dim)
+        x = rng.uniform(-1, 1, desc.dim)
         eps = 1e-6
-        for j in range(eng.dim):
-            plus = eng.product(x, eps * eng.basis_vector(j))
-            minus = eng.product(x, -eps * eng.basis_vector(j))
+        for j in range(desc.dim):
+            plus = desc.product(x, eps * desc.basis_vector(j))
+            minus = desc.product(x, -eps * desc.basis_vector(j))
             fd = (plus - minus) / (2 * eps)
-            for l in range(eng.dim):
-                if eng.dilation_exponents[l] <= eng.dilation_exponents[j]:
+            for l in range(desc.dim):
+                if desc.dilation_exponents[l] <= desc.dilation_exponents[j]:
                     continue
                 assert abs(fd[l] - fc.poly(j, l).evaluate(x)) < 1e-8
+
+    def test_broken_grading_rejected(self):
+        # [e1, e3] = e2 maps weights 1 + 2 to weight 1
+        desc = GroupDescriptor("graded", (2, 1), {(0, 1, 2): 1.0, (1, 0, 2): -1.0, (0, 2, 1): 1.0, (2, 0, 1): -1.0})
+        with pytest.raises(DescriptorError, match="grading"):
+            field_coefficients(desc)
 
 
 class TestApplyField:

@@ -57,20 +57,6 @@ class TestFunctionRegistry:
         with pytest.raises(DescriptorError):
             build_function(r3, "quad_vertical")
 
-    def test_euclidean_wrapper(self, r3, h1):
-        from carnot.registry import euclidean_wrapper
-
-        u = euclidean_wrapper(
-            r3,
-            lambda p: np.sum(np.abs(p), axis=-1),
-            grad=lambda p: np.sign(p),
-            label="l1",
-        )
-        assert u.value(np.array([[1.0, -2.0, 0.5]]))[0] == pytest.approx(3.5)
-        assert np.allclose(u.gradient(np.array([[1.0, -2.0, 0.5]])), [[1, -1, 1]])
-        with pytest.raises(DescriptorError):
-            euclidean_wrapper(h1, lambda p: p[..., 0])
-
     def test_unknown_function(self, h1):
         with pytest.raises(KeyError):
             build_function(h1, "nope")
@@ -318,6 +304,23 @@ class TestCli:
             ]
         )
         assert code == 0
+
+    def test_unknown_tol_key_exit_2(self, capsys):
+        assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", "one_norm", "--tol", "bogus=1"]) == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_unknown_plan_file_key_exit_2(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"directions": 16, "bogus": 1}))
+        assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", "one_norm", "--plan-file", str(plan)]) == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_ungraded_forced_descriptor_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ungraded.json"
+        brackets = [{"i": 1, "j": 2, "k": 3, "c": 1.0}, {"i": 1, "j": 3, "k": 2, "c": 1.0}]
+        path.write_text(json.dumps({"name": "ungraded", "layers": [2, 1], "brackets": brackets}))
+        assert main(["poly-alij", "--descriptor", str(path), "--force", "--count", "1"]) == 2
+        assert "grading" in capsys.readouterr().err
 
     def test_fn_file(self, tmp_path):
         fn = tmp_path / "fn.json"

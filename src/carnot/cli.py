@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import suite as suite_mod
-from .convexity import dermax_check, hconvexity_check, mean_value_witness, subdifferential_hull
+from .convexity import dermax_check, hconvexity_check, mean_value_witness, subdiff_membership, subdifferential_hull
 from .errors import CarnotError, DescriptorError
 from .groups import validate_descriptor
 from .jets import check_alij, sym_hessian
@@ -84,14 +84,18 @@ def _plan(cfg):
     if cfg.plan_file:
         with open(cfg.plan_file) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise DescriptorError(f"plan file {cfg.plan_file} must hold a JSON object, got {type(data).__name__}")
         tol = data.pop("tol", None)
-        if "radii" in data:
-            data["radii"] = tuple(data["radii"])
-        if "segment_scales" in data:
-            data["segment_scales"] = tuple(data["segment_scales"])
-        plan = _replace(plan, data)
-        if tol:
-            plan = dataclasses.replace(plan, tol=_replace(plan.tol, tol))
+        try:
+            for key in ("radii", "segment_scales"):
+                if key in data:
+                    data[key] = tuple(data[key])
+            plan = _replace(plan, data)
+            if tol:
+                plan = dataclasses.replace(plan, tol=_replace(plan.tol, tol))
+        except TypeError as exc:  # a value of the wrong JSON type
+            raise DescriptorError(f"malformed plan file {cfg.plan_file}: {exc}") from exc
     if cfg.tol_overrides:
         kv = dict(item.split("=", 1) for item in cfg.tol_overrides)
         plan = dataclasses.replace(plan, tol=_replace(plan.tol, {k: float(v) for k, v in kv.items()}))
@@ -177,10 +181,10 @@ def run_command(cfg):
             u = _function(cfg, desc)
             x = _vec(cfg.point, desc.dim)
             hull = subdifferential_hull(u, x, plan)
-            print("vertices:")
+            print(f"{len(hull)} distinct sampled gradients generating the hull:")
             print(np.array2string(hull.vertices, precision=6))
             print(f"diameter: {hull.diameter():.6g}")
-            worst = float(np.max(hull.vertex_violations))
+            worst = subdiff_membership(u, x, hull.vertices, plan)
             records.append(
                 CheckRecord(
                     "subdiff/vertex-membership",

@@ -292,12 +292,17 @@ def _membership_core(u, x, P, lam, plan, offsets=None):
 
 
 def lambda_subdiff_membership(u, x, p, lam, plan=None):
-    """Max violation of u(xh) >= u(x) + <p, h> - lam |h|^2 over sampled h."""
+    """Max violation of u(xh) >= u(x) + <p, h> - lam |h|^2 over sampled h.
+
+    ``p`` is one subgradient or a (k, m1) matrix of them; the result is the
+    largest violation over its rows.  The violation is convex in p, so over
+    the generating points of a hull it equals the maximum over the hull.
+    """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     plan = plan or SamplingPlan()
     P = np.atleast_2d(np.asarray(p, dtype=float))
-    return float(_membership_core(u, x, P, float(lam), plan)[0])
+    return float(np.max(_membership_core(u, x, P, float(lam), plan)))
 
 
 def subdiff_membership(u, x, p, plan=None):
@@ -305,20 +310,15 @@ def subdiff_membership(u, x, p, plan=None):
     return lambda_subdiff_membership(u, x, p, 0.0, plan)
 
 
-def subdifferential_hull(u, x, plan=None, flag_vertices=True):
+def subdifferential_hull(u, x, plan=None):
     """Convex hull of the finest-shell reachable-gradient sample at x.
 
-    Vertices individually failing the subgradient inequality beyond the
-    vertex tolerance are flagged in ``vertex_violations`` (they are kept:
-    flagging is diagnostic, not pruning).
+    The hull is kept as the distinct sampled gradients that generate it.
     """
     plan = plan or SamplingPlan()
     x = np.asarray(x, dtype=float)
     grads = _shell_gradients(u, x, plan.radii[-1], plan, plan.rng("subdiff-hull"), plan.shell_samples)
-    poly = ConvexPolytope.from_points(grads)
-    if flag_vertices:
-        poly.vertex_violations = _membership_core(u, x, poly.vertices, 0.0, plan)
-    return poly
+    return ConvexPolytope.from_points(grads)
 
 
 # -- directional derivatives -----------------------------------------------------
@@ -392,7 +392,7 @@ def dermax_check(u, x, plan=None, directions=None):
     m1 = u.desc.m1
     count = directions or plan.directions
     dirs = unit_directions(m1, count)
-    hull = subdifferential_hull(u, x, plan, flag_vertices=False)
+    hull = subdifferential_hull(u, x, plan)
     dd = _directional_derivatives(u, x, dirs, plan)
     gap = float(np.max(np.abs(dd - hull.support(dirs))))
     pair_sum = dirs + np.roll(dirs, 1, axis=0)
@@ -446,7 +446,7 @@ def mean_value_witness(u, x, h, plan=None):
         t_star = 0.5 * (lo + hi)
 
     y = desc.product(x, t_star * hfull)
-    hull = subdifferential_hull(u, y, plan, flag_vertices=False)
+    hull = subdifferential_hull(u, y, plan)
     support_vals = hull.vertices @ h
     smin, smax = float(np.min(support_vals)), float(np.max(support_vals))
     if sigma < smin - plan.tol.support_gap or sigma > smax + plan.tol.support_gap:
@@ -496,7 +496,7 @@ def closed_graph_diagnostic(u, plan=None, points=None):
             xk = desc.product(x, desc.dilate(r, w))
             if not bool(np.all(u.inside(xk[None]))):
                 continue
-            hull_k = subdifferential_hull(u, xk, plan, flag_vertices=False)
+            hull_k = subdifferential_hull(u, xk, plan)
             ps.append(hull_k.argsupport(nu))
         if len(ps) < 2:
             raise SamplingError("approach sequence left the domain")
@@ -547,7 +547,7 @@ def first_order_characterization(u, x, plan=None):
     against a relative-drop criterion.
     """
     plan = plan or SamplingPlan()
-    hull = subdifferential_hull(u, x, plan, flag_vertices=False)
+    hull = subdifferential_hull(u, x, plan)
     diam = hull.diameter()
     ladder = first_order_residual_ladder(u, x, hull.centroid(), plan)
     first, last = float(ladder[0]), float(ladder[-1])

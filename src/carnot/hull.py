@@ -1,10 +1,10 @@
-"""Finite-vertex convex sets in the horizontal layer.
+"""Convex sets in the horizontal layer, kept as their distinct generating points.
 
-Vertex reduction uses a monotone-chain hull in the plane and an incremental
-face hull in dimension three; in higher dimension the point cloud is kept and
-only support-function queries are exact.  Hausdorff distances between convex
-sets are evaluated through the support-function identity
-d_H(A, B) = max_u |h_A(u) - h_B(u)| over a dense set of directions.
+Every query is a support value or the maximum of a convex function over the
+set (diameter, subgradient violation, distance to a target), which a convex
+hull attains at a generating point, so no extreme-point reduction is needed.
+Hausdorff distances use d_H(A, B) = max_u |h_A(u) - h_B(u)| over a dense set
+of directions.
 """
 
 from __future__ import annotations
@@ -15,157 +15,32 @@ import numpy as np
 
 from .sampling import unit_directions
 
-__all__ = ["ConvexPolytope", "monotone_chain", "incremental_hull_3d", "hausdorff_distance"]
-
-
-def monotone_chain(points):
-    """Indices of the convex hull of 2-D points, counterclockwise."""
-    pts = [(float(p[0]), float(p[1]), i) for i, p in enumerate(points)]
-    pts = sorted(set(pts))
-    if len(pts) <= 2:
-        return [p[2] for p in pts]
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) > 1 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) > 1 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return [p[2] for p in lower[:-1] + upper[:-1]]
-
-
-def _initial_simplex(pts, eps):
-    i0 = 0
-    d = np.linalg.norm(pts - pts[i0], axis=1)
-    i1 = int(np.argmax(d))
-    if d[i1] < eps:
-        return None
-    ab = pts[i1] - pts[i0]
-    area = np.linalg.norm(np.cross(ab, pts - pts[i0]), axis=1)
-    i2 = int(np.argmax(area))
-    if area[i2] < eps * np.linalg.norm(ab):
-        return None
-    nrm = np.cross(ab, pts[i2] - pts[i0])
-    vol = np.abs((pts - pts[i0]) @ nrm)
-    i3 = int(np.argmax(vol))
-    if vol[i3] < eps * np.linalg.norm(nrm):
-        return None
-    return i0, i1, i2, i3
-
-
-def incremental_hull_3d(points, eps=1e-12):
-    """Vertex indices of the convex hull of 3-D points.
-
-    The cloud is centered and rescaled to unit spread first, so that the
-    degeneracy thresholds are relative to the cloud diameter rather than to
-    its distance from the origin (gradient clusters are tiny blobs far from
-    zero).  Degenerate clouds (rank < 3) fall back to a planar or segment
-    hull.  Returns indices into ``points``.
-    """
-    pts = np.asarray(points, dtype=float)
-    center = pts.mean(axis=0)
-    spread = float(np.max(np.linalg.norm(pts - center, axis=1)))
-    if spread == 0.0:
-        return [0]
-    pts = (pts - center) / spread
-    simplex = _initial_simplex(pts, eps)
-    if simplex is None:
-        # rank-deficient: project onto a best-fit affine subspace
-        _, sing, vt = np.linalg.svd(pts, full_matrices=False)
-        rank = int(np.sum(sing > 1e-9 * max(1.0, sing[0] if sing.size else 1.0)))
-        if rank <= 0:
-            return [0]
-        if rank == 1:
-            t = pts @ vt[0]
-            return sorted({int(np.argmin(t)), int(np.argmax(t))})
-        plane = pts @ vt[:2].T
-        return monotone_chain(plane)
-
-    i0, i1, i2, i3 = simplex
-    interior = pts[[i0, i1, i2, i3]].mean(axis=0)
-
-    def oriented(a, b, c):
-        n = np.cross(pts[b] - pts[a], pts[c] - pts[a])
-        if n @ (interior - pts[a]) > 0:
-            return (a, c, b)
-        return (a, b, c)
-
-    faces = {oriented(i0, i1, i2), oriented(i0, i1, i3), oriented(i0, i2, i3), oriented(i1, i2, i3)}
-
-    def outward_normal(f):
-        a, b, c = f
-        return np.cross(pts[b] - pts[a], pts[c] - pts[a])
-
-    order = [i for i in range(len(pts)) if i not in {i0, i1, i2, i3}]
-    for idx in order:
-        p = pts[idx]
-        visible = [f for f in faces if outward_normal(f) @ (p - pts[f[0]]) > eps]
-        if not visible:
-            continue
-        horizon = {}
-        for f in visible:
-            a, b, c = f
-            for e in ((a, b), (b, c), (c, a)):
-                key = (min(e), max(e))
-                if key in horizon:
-                    del horizon[key]
-                else:
-                    horizon[key] = e
-        faces.difference_update(visible)
-        for e in horizon.values():
-            faces.add(oriented(e[0], e[1], idx))
-
-    verts = sorted({v for f in faces for v in f})
-    return verts
+__all__ = ["ConvexPolytope", "hausdorff_distance"]
 
 
 @dataclass
 class ConvexPolytope:
-    """Convex subset of the horizontal layer given by its vertex list.
+    """Convex hull of the rows of ``vertices``.
 
-    For dimension <= 3 the vertices are reduced to extreme points; in higher
-    dimension the cloud is stored as-is and only support queries (which are
-    exact either way) should be relied upon.
+    The rows are the distinct generating points, not necessarily extreme
+    points; support values, the diameter and any maximum of a convex
+    function over the hull are read off them exactly.  ``centroid`` is the
+    mean of the generating points, a point of the hull.
     """
 
     vertices: np.ndarray
     dim: int
-    reduced: bool = False
-    vertex_violations: np.ndarray | None = None
 
     @classmethod
-    def from_points(cls, points, reduce=True):
+    def from_points(cls, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dim = pts.shape[1]
-        if not reduce or len(pts) <= 1:
-            return cls(pts.copy(), dim, reduced=False)
-        if dim == 1:
-            verts = np.array([[pts[:, 0].min()], [pts[:, 0].max()]])
-            if np.isclose(verts[0, 0], verts[1, 0]):
-                verts = verts[:1]
-            return cls(verts, dim, reduced=True)
-        if dim == 2:
-            idx = monotone_chain(pts)
-            return cls(pts[idx], dim, reduced=True)
-        if dim == 3:
-            idx = incremental_hull_3d(pts)
-            return cls(pts[idx], dim, reduced=True)
-        # vertex cloud: deduplicate only
-        uniq = np.unique(np.round(pts, 12), axis=0)
-        return cls(uniq, dim, reduced=False)
+        return cls(np.unique(pts, axis=0), pts.shape[1])
 
     def __len__(self):
         return len(self.vertices)
 
     def support(self, h):
-        """max over vertices of <v, h>; h may be a batch of directions."""
+        """max over generating points of <v, h>; h may be a batch of directions."""
         h = np.asarray(h, dtype=float)
         return np.max(self.vertices @ np.swapaxes(np.atleast_2d(h), -1, -2), axis=0).reshape(h.shape[:-1])
 
@@ -188,10 +63,10 @@ class ConvexPolytope:
         return bool(np.max(gap) <= tol)
 
     def translate(self, v):
-        return ConvexPolytope(self.vertices + np.asarray(v, dtype=float), self.dim, self.reduced)
+        return ConvexPolytope(self.vertices + np.asarray(v, dtype=float), self.dim)
 
     def scale(self, c):
-        return ConvexPolytope(self.vertices * float(c), self.dim, self.reduced)
+        return ConvexPolytope(self.vertices * float(c), self.dim)
 
 
 def hausdorff_distance(A, B, directions=1024):

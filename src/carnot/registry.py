@@ -107,9 +107,12 @@ def load_descriptor(path, force=False):
         name = data.get("name", "descriptor")
     except (KeyError, TypeError) as exc:
         raise DescriptorError(f"malformed descriptor file {path}: {exc}") from exc
+    try:
+        entries = [(int(r["i"]) - 1, int(r["j"]) - 1, int(r["k"]) - 1, float(r["c"])) for r in records]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DescriptorError(f"malformed bracket record in {path} (expected objects with keys i, j, k, c): {exc}") from exc
     brackets = {}
-    for rec in records:
-        i, j, k, c = int(rec["i"]) - 1, int(rec["j"]) - 1, int(rec["k"]) - 1, float(rec["c"])
+    for i, j, k, c in entries:
         if (i, j, k) in brackets and brackets[(i, j, k)] != c:
             raise DescriptorError(f"conflicting bracket entries for ({i + 1},{j + 1},{k + 1})")
         brackets[(i, j, k)] = c

@@ -9,7 +9,7 @@ the same plan are bit-identical.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -119,6 +119,11 @@ class Tolerances:
     support_gap: float = 1e-2
     monotone_slack: float = 1e-9
 
+    def __post_init__(self):
+        for f in fields(self):
+            if not 0 < getattr(self, f.name) < np.inf:
+                raise ValueError(f"tolerance {f.name} must be a positive finite real")
+
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -147,9 +152,12 @@ class SamplingPlan:
         r = np.asarray(self.radii)
         if r.size == 0 or np.any(r <= 0) or np.any(np.diff(r) >= 0):
             raise ValueError("radii must be strictly decreasing positive reals")
-        for name in ("shell_samples", "directions", "base_count", "lambda_grid", "segment_checks"):
-            if getattr(self, name) <= 0:
+        positive = ("shell_samples", "directions", "base_count", "lambda_grid", "segment_checks", "tau_count")
+        for name in positive + ("so_directions", "fd_step", "dd_lambda0", "tau0"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if self.dd_steps < 2:
+            raise ValueError("dd_steps must be at least 2: derivatives extrapolate from the two finest quotients")
 
     def rng(self, tag):
         """Deterministic per-task generator derived from the plan seed."""

@@ -58,7 +58,7 @@ def gradient_with_certificate(u, x, plan=None):
     """
     plan = plan or SamplingPlan()
     x = np.asarray(x, dtype=float)
-    hull = subdifferential_hull(u, x, plan, flag_vertices=False)
+    hull = subdifferential_hull(u, x, plan)
     diam = hull.diameter()
     if diam > plan.tol.singleton_diameter:
         raise NonSingletonSubdifferential(diam)
@@ -118,7 +118,7 @@ def subdiff_quotient(u, x, tau, w, plan=None, grad=None):
     if grad is None:
         grad, _ = gradient_with_certificate(u, x, plan)
     y = desc.product(x, desc.dilate(tau, np.asarray(w, dtype=float)))
-    hull = subdifferential_hull(u, y, plan.scaled(tau), flag_vertices=False)
+    hull = subdifferential_hull(u, y, plan.scaled(tau))
     return hull.translate(-np.asarray(grad)).scale(1.0 / tau)
 
 
@@ -147,12 +147,13 @@ def _direction_set(desc, count):
     return np.concatenate(base)
 
 
-def build_quotient_grid(u, x, plan=None, radius=1.0):
+def build_quotient_grid(u, x, plan=None, radius=1.0, grad=None):
     """Tabulate the second difference quotients over scales and directions."""
     plan = plan or SamplingPlan()
     desc = u.desc
     x = np.asarray(x, dtype=float)
-    grad, _ = gradient_with_certificate(u, x, plan)
+    if grad is None:
+        grad, _ = gradient_with_certificate(u, x, plan)
     W = desc.dilate(radius, _direction_set(desc, plan.so_directions))
     taus = np.asarray(plan.taus())
     for _ in range(30):
@@ -214,7 +215,7 @@ def _curve_converged(res, tol, slack=1.1):
     return decreasing or bool(np.all(tail < tol))
 
 
-def fit_expansion(u, x, plan=None, grid=None):
+def fit_expansion(u, x, plan=None, grid=None, grad=None):
     """Least-squares fit of the second quotients against the degree <= 2 model.
 
     The model <v2, pi_2 w> + (1/2) <H pi_1 w, pi_1 w> is fitted at the finest
@@ -223,7 +224,7 @@ def fit_expansion(u, x, plan=None, grid=None):
     """
     plan = plan or SamplingPlan()
     if grid is None:
-        grid = build_quotient_grid(u, x, plan)
+        grid = build_quotient_grid(u, x, plan, grad=grad)
     desc = u.desc
     Phi = _design_matrix(desc, grid.W)
     p = Phi.shape[1]
@@ -255,7 +256,7 @@ class ExtendedDiffFit:
     mignot_ok: bool
 
 
-def fit_extended_differential(u, x, plan=None, mignot=True):
+def fit_extended_differential(u, x, plan=None, mignot=True, grad=None):
     """Fit the h-linear expansion of the horizontal gradient at x.
 
     Minimizes |grad u(xw) - grad u(x) - A pi_1 w| over samples in shrinking
@@ -267,7 +268,8 @@ def fit_extended_differential(u, x, plan=None, mignot=True):
     plan = plan or SamplingPlan()
     desc = u.desc
     x = np.asarray(x, dtype=float)
-    grad, _ = gradient_with_certificate(u, x, plan)
+    if grad is None:
+        grad, _ = gradient_with_certificate(u, x, plan)
     use_analytic = plan.use_analytic_gradient and u.grad_h is not None
 
     ws_all, dg_all, shell_of = [], [], []
@@ -363,20 +365,26 @@ def characterize_second_order(u, x, plan=None):
     neither"); when both converge, the fitted second-layer gradient must be
     scale-stable, the expansion must reproduce the quotients, the Hessian
     must match the skew-corrected extended differential entrywise, and it
-    must be positive semidefinite.
+    must be positive semidefinite.  The horizontal gradient is certified
+    once and shared by both estimators; a failed certification fails both.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
     expansion = extended = None
     err_e = err_g = None
     try:
-        expansion = fit_expansion(u, x, plan)
+        grad, _ = gradient_with_certificate(u, x, plan)
     except (CarnotError, np.linalg.LinAlgError) as exc:
-        err_e = f"{type(exc).__name__}: {exc}"
-    try:
-        extended = fit_extended_differential(u, x, plan)
-    except (CarnotError, np.linalg.LinAlgError) as exc:
-        err_g = f"{type(exc).__name__}: {exc}"
+        err_e = err_g = f"{type(exc).__name__}: {exc}"
+    else:
+        try:
+            expansion = fit_expansion(u, x, plan, grad=grad)
+        except (CarnotError, np.linalg.LinAlgError) as exc:
+            err_e = f"{type(exc).__name__}: {exc}"
+        try:
+            extended = fit_extended_differential(u, x, plan, grad=grad)
+        except (CarnotError, np.linalg.LinAlgError) as exc:
+            err_g = f"{type(exc).__name__}: {exc}"
 
     ok_e = expansion is not None and expansion.converged
     ok_g = extended is not None and extended.converged

@@ -135,7 +135,7 @@ def hull_records(seed=0, plan=None):
     worst = 0.0
     for u in smooth_suite(desc):
         for x in pts:
-            worst = max(worst, subdifferential_hull(u, x, plan, flag_vertices=False).diameter())
+            worst = max(worst, subdifferential_hull(u, x, plan).diameter())
     records.append(CheckRecord("hull/smooth-singleton", {"seed": seed, "points": 20}, worst, 1e-3, worst < 1e-3))
     return records, []
 

@@ -135,8 +135,8 @@ class TestReachableGradients:
         plan_fd = SamplingPlan(seed=0, use_analytic_gradient=False)
         plan_an = SamplingPlan(seed=0)
         x = np.array([0.1, -0.2, 0.3])
-        h_fd = subdifferential_hull(quad_vert, x, plan_fd, flag_vertices=False)
-        h_an = subdifferential_hull(quad_vert, x, plan_an, flag_vertices=False)
+        h_fd = subdifferential_hull(quad_vert, x, plan_fd)
+        h_an = subdifferential_hull(quad_vert, x, plan_an)
         assert np.max(np.abs(h_fd.centroid() - h_an.centroid())) < 1e-6
 
 
@@ -147,12 +147,12 @@ class TestSubdifferentialHull:
         hull = subdifferential_hull(one_norm_f, h1.identity(), plan)
         square = ConvexPolytope.from_points([[1, 1], [1, -1], [-1, 1], [-1, -1]])
         assert hausdorff_distance(hull, square) < 0.05
-        assert np.all(hull.vertex_violations <= plan.tol.hull_vertex)
+        assert subdiff_membership(one_norm_f, h1.identity(), hull.vertices, plan) <= plan.tol.hull_vertex
 
     def test_smooth_singleton(self, quad_vert, plan):
         rng = np.random.default_rng(1)
         for x in rng.uniform(-0.8, 0.8, (5, 3)):
-            assert subdifferential_hull(quad_vert, x, plan, flag_vertices=False).diameter() < 1e-3
+            assert subdifferential_hull(quad_vert, x, plan).diameter() < 1e-3
 
     def test_affine_singleton_at_q(self, affine_f, h1, plan):
         hull = subdifferential_hull(affine_f, h1.identity(), plan)
@@ -161,19 +161,19 @@ class TestSubdifferentialHull:
         assert np.max(np.abs(hull.centroid() - q)) < 1e-12
 
     def test_one_norm_cube_in_3d(self, fs3, plan):
-        # m1 = 3 exercises the incremental hull: the subdifferential of the
-        # horizontal 1-norm at 0 is the cube [-1, 1]^3
+        # the subdifferential of the horizontal 1-norm at 0 is the cube
+        # [-1, 1]^3; the sampled gradients are exactly its 8 corners
         u = build_function(fs3, "one_norm", certify=False)
-        hull = subdifferential_hull(u, fs3.identity(), plan, flag_vertices=False)
+        hull = subdifferential_hull(u, fs3.identity(), plan)
         assert len(hull.vertices) == 8
         assert np.allclose(np.sort(np.abs(hull.vertices), axis=None), 1.0)
         for e in np.eye(3):
             assert hull.support(e) == pytest.approx(1.0)
 
     def test_support_cloud_in_4d(self, h2, plan):
-        # m1 = 4 keeps the raw gradient cloud; support queries stay exact
+        # the hull keeps the sampled gradient cloud; support queries are exact
         u = build_function(h2, "one_norm", certify=False)
-        hull = subdifferential_hull(u, h2.identity(), plan, flag_vertices=False)
+        hull = subdifferential_hull(u, h2.identity(), plan)
         for e in np.eye(4):
             assert hull.support(e) == pytest.approx(1.0)
         assert hull.diameter() == pytest.approx(4.0, abs=1e-12)
@@ -182,7 +182,7 @@ class TestSubdifferentialHull:
         for desc in (fs3, eng):
             u = build_function(desc, "quad_vertical", certify=False)
             x = 0.3 * np.arange(1, desc.dim + 1) / desc.dim
-            assert subdifferential_hull(u, x, plan, flag_vertices=False).diameter() < 1e-3
+            assert subdifferential_hull(u, x, plan).diameter() < 1e-3
 
 
 class TestMembership:
@@ -195,6 +195,14 @@ class TestMembership:
         x = np.array([0.2, 0.3, -0.1])
         p = quad_vert.gradient(x[None])[0] + np.array([0.3, 0.0])
         assert subdiff_membership(quad_vert, x, p, plan) > 1e-3
+
+    def test_rows_give_the_largest_violation(self, quad_vert, plan):
+        x = np.array([0.2, 0.3, -0.1])
+        g = quad_vert.gradient(x[None])[0]
+        inside, outside = g, g + np.array([0.3, 0.0])
+        both = lambda_subdiff_membership(quad_vert, x, np.stack([inside, outside]), 0.0, plan)
+        assert both == lambda_subdiff_membership(quad_vert, x, outside, 0.0, plan)
+        assert both > lambda_subdiff_membership(quad_vert, x, inside, 0.0, plan)
 
     def test_affine_exact_zero(self, affine_f, h1, plan):
         q = affine_f.gradient(h1.identity()[None])[0]
@@ -364,7 +372,7 @@ class TestFirstOrderCharacterization:
     def test_subjet_equivalence_at_kink(self, one_norm_f, h1, plan):
         # a vertex passing the o(|h|)-relaxed inequality also passes the
         # strict one; a point outside fails the relaxed ladder
-        hull = subdifferential_hull(one_norm_f, h1.identity(), plan, flag_vertices=False)
+        hull = subdifferential_hull(one_norm_f, h1.identity(), plan)
         for v in hull.vertices:
             ladder = first_order_residual_ladder(one_norm_f, h1.identity(), v, plan)
             # relaxed: sup (u(x) + <p,h> - u(xh)) / |h| bounded by the ladder
@@ -386,7 +394,7 @@ class TestScaleDiagnostics:
         L = horizontal_lipschitz_estimate(one_norm_f, h1.identity(), 0.5, plan)
         rng = np.random.default_rng(5)
         for x in ball(h1, 0.3, 5, rng):
-            hull = subdifferential_hull(one_norm_f, x, plan, flag_vertices=False)
+            hull = subdifferential_hull(one_norm_f, x, plan)
             assert np.max(np.linalg.norm(hull.vertices, axis=1)) <= 1.1 * L
 
     def test_growth_ratio_stable(self, quad_vert, plan, h1):
@@ -399,7 +407,7 @@ class TestScaleDiagnostics:
         for r in (0.02, 0.04, 0.08):
             sup_p = 0.0
             for y in ball(h1, r, 4, rng):
-                hull = subdifferential_hull(quad_vert, h1.product(x, y), plan, flag_vertices=False)
+                hull = subdifferential_hull(quad_vert, h1.product(x, y), plan)
                 sup_p = max(sup_p, float(np.max(np.linalg.norm(hull.vertices, axis=1))))
             pts = h1.translate_points(x, ball(h1, 15 * r, 200, rng))
             mean_u = float(np.mean(np.abs(quad_vert.value(pts))))

@@ -2,56 +2,6 @@ import numpy as np
 import pytest
 
 from carnot import ConvexPolytope, hausdorff_distance
-from carnot.hull import incremental_hull_3d, monotone_chain
-
-
-class TestMonotoneChain:
-    def test_square_with_interior(self):
-        pts = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1], [0, 0], [0.5, 0.2]])
-        idx = monotone_chain(pts)
-        assert sorted(idx) == [0, 1, 2, 3]
-
-    def test_collinear_dropped(self):
-        pts = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [0, 1]])
-        idx = monotone_chain(pts)
-        assert 1 not in idx
-        assert sorted(idx) == [0, 2, 3, 4]
-
-    def test_two_points(self):
-        assert len(monotone_chain(np.array([[0.0, 0], [1, 1]]))) == 2
-
-
-class TestIncrementalHull3d:
-    def test_cube(self):
-        corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=float)
-        rng = np.random.default_rng(0)
-        interior = rng.uniform(0.2, 0.8, (30, 3))
-        pts = np.concatenate([corners, interior])
-        idx = incremental_hull_3d(pts)
-        assert sorted(idx) == list(range(8))
-
-    def test_random_vertices_are_extreme(self):
-        rng = np.random.default_rng(1)
-        pts = rng.standard_normal((60, 3))
-        idx = incremental_hull_3d(pts)
-        hull = ConvexPolytope(pts[idx], 3, reduced=True)
-        # every input point is inside the reduced hull
-        dirs = rng.standard_normal((200, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        sup = hull.support(dirs)
-        assert np.all(pts @ dirs.T <= sup[None, :] + 1e-9)
-
-    def test_planar_degenerate(self):
-        rng = np.random.default_rng(2)
-        flat = np.concatenate([rng.uniform(-1, 1, (20, 2)), np.zeros((20, 1))], axis=1)
-        idx = incremental_hull_3d(flat)
-        planar = monotone_chain(flat[:, :2])
-        assert sorted(idx) == sorted(planar)
-
-    def test_segment_degenerate(self):
-        t = np.linspace(0, 1, 9)[:, None]
-        pts = t * np.array([[1.0, 2.0, -1.0]])
-        assert sorted(incremental_hull_3d(pts)) == [0, 8]
 
 
 class TestPolytope:
@@ -79,9 +29,19 @@ class TestPolytope:
         # scaled square: support gap is 0.1 * max |support| over directions
         assert abs(d - 0.1 * np.sqrt(2)) < 1e-3
 
-    def test_high_dim_cloud_support(self):
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_high_dim_cloud_support(self, dim):
         rng = np.random.default_rng(3)
-        pts = rng.standard_normal((40, 4))
+        pts = rng.standard_normal((40, dim))
         cloud = ConvexPolytope.from_points(pts)
-        h = rng.standard_normal(4)
-        assert cloud.support(h) == pytest.approx(float(np.max(pts @ h)))
+        h = rng.standard_normal(dim)
+        assert cloud.support(h) == float(np.max(pts @ h))
+        pairwise = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        assert cloud.diameter() == float(np.max(pairwise))
+
+    def test_duplicates_dropped_exactly(self):
+        # no rounding: quotient hulls divide the points by tau, which would
+        # magnify a rounding error
+        a, b = [0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4 + 1e-15]
+        cloud = ConvexPolytope.from_points([a, b, a])
+        assert len(cloud) == 2

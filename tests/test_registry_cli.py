@@ -315,6 +315,49 @@ class TestCli:
         assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", "one_norm", "--plan-file", str(plan)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_plan_file_not_an_object_exit_2(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps([1, 2]))
+        assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", "one_norm", "--plan-file", str(plan)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, overrides, field",
+        [
+            (["dermax", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"dd_steps": 1}, "dd_steps"),
+            (["second-order-check", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"tau_count": 0}, "tau_count"),
+            (
+                ["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"],
+                {"fd_step": -1e-6, "use_analytic_gradient": False},
+                "fd_step",
+            ),
+        ],
+        ids=["dd_steps", "tau_count", "fd_step"],
+    )
+    def test_degenerate_plan_exit_2(self, tmp_path, capsys, args, overrides, field):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(overrides))
+        assert main(args + ["--group", "heisenberg:1", "--plan-file", str(plan)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_plan_file_value_of_wrong_type_exit_2(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"radii": 5}))
+        assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", "one_norm", "--plan-file", str(plan)]) == 2
+        assert "malformed plan file" in capsys.readouterr().err
+
+    def test_negative_tolerance_exit_2(self, capsys):
+        # a negative fit tolerance would turn a smooth point into "consistent: neither"
+        args = ["second-order-check", "--group", "heisenberg:1", "--fn", "quadratic", "--point", "0.1,0.1,0"]
+        assert main(args + ["--tol", "fit=-1"]) == 2
+        assert "fit" in capsys.readouterr().err
+
+    def test_list_form_bracket_record_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "listform.json"
+        path.write_text(json.dumps({"layers": [2, 1], "brackets": [[1, 2, 3, 1.0]]}))
+        assert main(["group-validate", "--descriptor", str(path)]) == 2
+        assert "malformed bracket record" in capsys.readouterr().err
+
     def test_ungraded_forced_descriptor_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ungraded.json"
         brackets = [{"i": 1, "j": 2, "k": 3, "c": 1.0}, {"i": 1, "j": 3, "k": 2, "c": 1.0}]

@@ -191,6 +191,23 @@ class TestCharacterization:
         rep = characterize_second_order(u, h1.identity(), plan)
         assert rep.equivalence == "consistent: neither"
         assert rep.passed()
+        # the failed certification is reported by both estimators
+        assert rep.expansion_error == rep.extended_error
+        assert rep.expansion_error.startswith("NonSingletonSubdifferential")
+
+    def test_gradient_certified_once(self, quad_vert, h1, plan, monkeypatch):
+        import carnot.second_order as so
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return gradient_with_certificate(*args, **kwargs)
+
+        monkeypatch.setattr(so, "gradient_with_certificate", counting)
+        rep = characterize_second_order(quad_vert, h1.identity(), plan)
+        assert rep.equivalence == "both converge"
+        assert len(calls) == 1
 
     def test_engel_smooth_point(self, eng, plan):
         u = build_function(eng, "quad_vertical", certify=False)

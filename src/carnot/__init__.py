@@ -20,6 +20,7 @@ from .convexity import (
     horizontal_fd_gradient,
     lambda_subdiff_membership,
     mean_value_witness,
+    mean_value_witnesses,
     reachable_gradient_sample,
     subdiff_membership,
     subdifferential_hull,

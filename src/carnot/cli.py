@@ -64,11 +64,23 @@ class RunConfig:
     out: str | None = None
 
 
-def _vec(s, dim=None):
+def _vec(s, dim, flag):
+    if s is None:
+        raise DescriptorError(f"{flag} is required (comma-separated coordinates)")
     v = np.array([float(t) for t in s.split(",")])
-    if dim is not None and len(v) != dim:
+    if len(v) != dim:
         raise DescriptorError(f"expected {dim} coordinates, got {len(v)}")
     return v
+
+
+def _out(*args):
+    """``print`` to stdout that survives a reader closing it early
+    (``carnot ... | head``): the rest of the output goes to the null device
+    and the command still ends with its own exit status."""
+    try:
+        print(*args, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _replace(obj, changes):
@@ -142,19 +154,19 @@ def run_command(cfg):
         elif cfg.operation == "group-validate":
             desc = load_descriptor(cfg.descriptor_file, force=True) if cfg.descriptor_file else build_group(cfg.group)
             report = validate_descriptor(desc)
-            print(report)
+            _out(report)
             records.append(
                 CheckRecord("group-validate", {"group": desc.name}, float(len(report.violations)), 0.0, report.ok)
             )
         elif cfg.operation == "group-product":
             desc = _group(cfg)
-            z = desc.product(_vec(cfg.x, desc.dim), _vec(cfg.y, desc.dim))
-            print(np.array2string(z, precision=15))
+            z = desc.product(_vec(cfg.x, desc.dim, "--x"), _vec(cfg.y, desc.dim, "--y"))
+            _out(np.array2string(z, precision=15))
         elif cfg.operation == "poly-hess":
             desc = _group(cfg)
             H, v2 = sym_hessian(_poly(cfg, desc))
-            print("hessian:", np.array2string(H, precision=12))
-            print("v2 gradient:", np.array2string(v2, precision=12))
+            _out("hessian:", np.array2string(H, precision=12))
+            _out("v2 gradient:", np.array2string(v2, precision=12))
         elif cfg.operation == "poly-alij":
             desc = _group(cfg)
             rng = np.random.default_rng(cfg.seed)
@@ -179,11 +191,11 @@ def run_command(cfg):
         elif cfg.operation == "subdiff":
             desc = _group(cfg)
             u = _function(cfg, desc)
-            x = _vec(cfg.point, desc.dim)
+            x = _vec(cfg.point, desc.dim, "--point")
             hull = subdifferential_hull(u, x, plan)
-            print(f"{len(hull)} distinct sampled gradients generating the hull:")
-            print(np.array2string(hull.vertices, precision=6))
-            print(f"diameter: {hull.diameter():.6g}")
+            _out(f"{len(hull)} distinct sampled gradients generating the hull:")
+            _out(np.array2string(hull.vertices, precision=6))
+            _out(f"diameter: {hull.diameter():.6g}")
             worst = subdiff_membership(u, x, hull.vertices, plan)
             records.append(
                 CheckRecord(
@@ -197,7 +209,7 @@ def run_command(cfg):
         elif cfg.operation == "dermax":
             desc = _group(cfg)
             u = _function(cfg, desc)
-            rep = dermax_check(u, _vec(cfg.point, desc.dim), plan)
+            rep = dermax_check(u, _vec(cfg.point, desc.dim, "--point"), plan)
             metric = max(rep.max_gap, rep.max_subadd_violation)
             records.append(
                 CheckRecord(
@@ -211,9 +223,9 @@ def run_command(cfg):
         elif cfg.operation == "mvt":
             desc = _group(cfg)
             u = _function(cfg, desc)
-            w = mean_value_witness(u, _vec(cfg.point, desc.dim), _vec(cfg.h, desc.m1), plan)
-            print(f"t = {w.t:.6g}")
-            print("p =", np.array2string(w.p, precision=10))
+            w = mean_value_witness(u, _vec(cfg.point, desc.dim, "--point"), _vec(cfg.h, desc.m1, "--h"), plan)
+            _out(f"t = {w.t:.6g}")
+            _out("p =", np.array2string(w.p, precision=10))
             records.append(
                 CheckRecord(
                     "mvt",
@@ -226,9 +238,9 @@ def run_command(cfg):
         elif cfg.operation == "second-fit":
             desc = _group(cfg)
             u = _function(cfg, desc)
-            fit = fit_expansion(u, _vec(cfg.point, desc.dim), plan)
-            print("hessian:", np.array2string(fit.jet.hessian, precision=8))
-            print("v2:", np.array2string(fit.jet.v2, precision=8))
+            fit = fit_expansion(u, _vec(cfg.point, desc.dim, "--point"), plan)
+            _out("hessian:", np.array2string(fit.jet.hessian, precision=8))
+            _out("v2:", np.array2string(fit.jet.v2, precision=8))
             records.append(
                 CheckRecord(
                     "second-fit",
@@ -242,7 +254,7 @@ def run_command(cfg):
         elif cfg.operation == "second-order-check":
             desc = _group(cfg)
             u = _function(cfg, desc)
-            rep = characterize_second_order(u, _vec(cfg.point, desc.dim), plan)
+            rep = characterize_second_order(u, _vec(cfg.point, desc.dim, "--point"), plan)
             base = {"group": desc.name, "fn": u.label, "point": cfg.point}
             records.append(
                 CheckRecord("second-order/equivalence", base, None, None, rep.claims["equivalence"], detail=rep.equivalence)
@@ -276,7 +288,7 @@ def run_command(cfg):
             csv_path = os.path.join(cfg.out, "curves.csv")
         summary = emit_report(records, curves, json_path, csv_path, meta={"operation": cfg.operation, "seed": cfg.seed})
         if records:
-            print(summary)
+            _out(summary)
         return 0 if all(r.passed for r in records) else 1
     except (CarnotError, FileNotFoundError, KeyError, json.JSONDecodeError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

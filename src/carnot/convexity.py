@@ -28,7 +28,6 @@ from .sampling import (
     ball,
     quasi_sphere,
     require_inside,
-    segment_inside,
     unit_directions,
 )
 
@@ -44,6 +43,7 @@ __all__ = [
     "directional_derivative",
     "dermax_check",
     "mean_value_witness",
+    "mean_value_witnesses",
     "closed_graph_diagnostic",
     "first_order_residual_ladder",
     "first_order_characterization",
@@ -203,30 +203,42 @@ def _fd_gradients_batch(u, pts, step, rtol):
     return g_half, stable
 
 
-def _shell_gradients(u, x, radius, plan, rng, count):
-    """Horizontal gradients at sampled differentiability points of B(x, r)."""
+def _shell_gradients(u, xs, radius, plan, rng, count):
+    """Horizontal gradients at sampled differentiability points of B(x, r),
+    one array per row x of ``xs``.
+
+    Every centre sees the same draws of ``rng``: each retry round draws one
+    ball sample and evaluates it only around the centres that still lack
+    ``count`` gradients, so a centre's gradients do not depend on the other
+    rows of the batch.
+    """
     desc = u.desc
-    x = np.asarray(x, dtype=float)
+    xs = np.asarray(xs, dtype=float)
     use_analytic = plan.use_analytic_gradient and u.grad_h is not None
-    collected = []
+    step = min(plan.fd_step, radius / 10.0)
+    collected = [[] for _ in xs]
+    have = np.zeros(len(xs), dtype=int)
     for _ in range(4):
+        todo = np.flatnonzero(have < count)
+        if len(todo) == 0:
+            break
         ws = ball(desc, radius, count, rng)
-        pts = desc.translate_points(x, ws)
+        pts = desc.product(xs[todo, None, :], ws[None, :, :])  # (T, count, n)
         keep = u.inside(pts)
         pts = pts[keep]
         if len(pts) == 0:
             continue
         if use_analytic:
-            collected.append(u.gradient(pts))
+            grads, stable = u.gradient(pts), np.ones(len(pts), dtype=bool)
         else:
-            step = min(plan.fd_step, radius / 10.0)
             grads, stable = _fd_gradients_batch(u, pts, step, plan.fd_stability_rtol)
-            collected.append(grads[stable])
-        if sum(len(c) for c in collected) >= count:
-            break
-    if not collected or sum(len(c) for c in collected) == 0:
+        bounds = np.cumsum(np.sum(keep, axis=-1))[:-1]
+        for c, g, ok in zip(todo, np.split(grads, bounds), np.split(stable, bounds)):
+            collected[c].append(g[ok])
+            have[c] += int(np.sum(ok))
+    if np.any(have == 0):
         raise SamplingError(f"no stable gradient samples near the given point of {u.label!r}")
-    return np.concatenate(collected)[:count]
+    return [np.concatenate(c)[:count] for c in collected]
 
 
 @dataclass(frozen=True)
@@ -238,9 +250,10 @@ class ShellSample:
 def reachable_gradient_sample(u, x, plan=None):
     """Gradients at sampled points of shrinking balls around x, per shell."""
     plan = plan or SamplingPlan()
+    x = np.asarray(x, dtype=float)
     out = []
     for k, r in enumerate(plan.radii):
-        grads = _shell_gradients(u, x, r, plan, plan.rng(f"shell-{k}"), plan.shell_samples)
+        (grads,) = _shell_gradients(u, x[None], r, plan, plan.rng(f"shell-{k}"), plan.shell_samples)
         out.append(ShellSample(r, grads))
     return out
 
@@ -310,15 +323,19 @@ def subdiff_membership(u, x, p, plan=None):
     return lambda_subdiff_membership(u, x, p, 0.0, plan)
 
 
+def _subdifferential_hulls(u, xs, plan):
+    """``subdifferential_hull`` at every row of ``xs``, from one shared sample."""
+    grads = _shell_gradients(u, xs, plan.radii[-1], plan, plan.rng("subdiff-hull"), plan.shell_samples)
+    return [ConvexPolytope.from_points(g) for g in grads]
+
+
 def subdifferential_hull(u, x, plan=None):
     """Convex hull of the finest-shell reachable-gradient sample at x.
 
     The hull is kept as the distinct sampled gradients that generate it.
     """
     plan = plan or SamplingPlan()
-    x = np.asarray(x, dtype=float)
-    grads = _shell_gradients(u, x, plan.radii[-1], plan, plan.rng("subdiff-hull"), plan.shell_samples)
-    return ConvexPolytope.from_points(grads)
+    return _subdifferential_hulls(u, np.asarray(x, dtype=float)[None], plan)[0]
 
 
 # -- directional derivatives -----------------------------------------------------
@@ -404,66 +421,106 @@ def dermax_check(u, x, plan=None, directions=None):
 # -- mean value witnesses ----------------------------------------------------------
 
 
-def mean_value_witness(u, x, h, plan=None):
-    """A parameter t* in [0, 1] and p in the subdifferential hull at
-    x * delta_{t*} h with <p, h> equal to the secant slope u(xh) - u(x).
+_PSI_GRID = 257  # points of the psi grid that brackets the extremum
+_PSI_BLOCK = 16  # rows per psi-grid evaluation, to bound the (rows, grid, n) temporaries
 
-    The deviation psi(t) = u(x (t h)) - u(x) - t sigma vanishes at both ends,
-    so it has an interior extremum; there the one-sided derivatives bracket
-    sigma.  The hull at that point is intersected with the hyperplane
-    <., h> = sigma (nearest vertex if sigma falls just outside the sampled
-    support range).
+
+def mean_value_witnesses(u, xs, hs, plan=None):
+    """Mean-value witnesses for the segments x * [0, h] of the rows of
+    ``xs`` (K, n) and ``hs`` (K, m1), computed together.
+
+    For each row: a parameter t* in [0, 1] and p in the subdifferential hull
+    at x * delta_{t*} h with <p, h> equal to the secant slope
+    sigma = u(xh) - u(x).  The deviation psi(t) = u(x (t h)) - u(x) - t sigma
+    vanishes at both ends, so it has an interior extremum; there the
+    one-sided derivatives bracket sigma.  The extremum is located on a grid
+    and refined by a ternary search that runs for all rows in lockstep (a
+    flat psi keeps t* = 1/2).  The hull at x * delta_{t*} h is intersected
+    with the hyperplane <., h> = sigma (nearest vertex if sigma falls just
+    outside the sampled support range).
+
+    A non-finite secant slope, psi value or hull gradient gives residual
+    +inf (and p = NaN) instead of an error.  The batch raises the first
+    error it meets for the whole batch: ``DomainError`` if a segment leaves
+    the domain, ``SamplingError`` if a hull gets no gradient samples, and
+    ``BracketingError`` at the first row whose secant slope falls outside
+    its hull's support range.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    hfull = desc.embed_horizontal(h)
-    if not segment_inside(u, x, h, plan.segment_checks):
-        raise DomainError("the horizontal segment leaves the domain")
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    hs = np.atleast_2d(np.asarray(hs, dtype=float))
+    hfull = desc.embed_horizontal(hs)  # (K, n)
+    if u.domain is not None:
+        checks = np.linspace(0.0, 1.0, plan.segment_checks)
+        seg = desc.product(xs[:, None, :], checks[None, :, None] * hfull[:, None, :])
+        if not bool(np.all(u.inside(seg))):
+            raise DomainError("the horizontal segment leaves the domain")
 
-    ux = float(u.value(x[None])[0])
-    sigma = float(u.value(desc.product(x, hfull)[None])[0]) - ux
+    ux = u.value(xs)
+    sigma = u.value(desc.product(xs, hfull)) - ux
 
-    ts = np.linspace(0.0, 1.0, 257)
-    psi_pts = desc.product(x[None, :], ts[:, None] * hfull[None, :])
-    psi = u.value(psi_pts) - ux - sigma * ts
-    scale = 1.0 + abs(ux) + abs(sigma)
-    i = int(np.argmax(np.abs(psi)))
-    if abs(psi[i]) < 1e-13 * scale:
-        t_star = 0.5
-    else:
-        sign = 1.0 if psi[i] > 0 else -1.0
-        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+    ts = np.linspace(0.0, 1.0, _PSI_GRID)
+    psi = np.empty((len(xs), _PSI_GRID))
+    for b in range(0, len(xs), _PSI_BLOCK):
+        rows = slice(b, b + _PSI_BLOCK)
+        pts = desc.product(xs[rows, None, :], ts[None, :, None] * hfull[rows, None, :])
+        psi[rows] = u.value(pts) - ux[rows, None] - sigma[rows, None] * ts[None, :]
+    bad = ~np.isfinite(sigma) | ~np.all(np.isfinite(psi), axis=-1)
+    i = np.argmax(np.abs(psi), axis=-1)
+    peak = psi[np.arange(len(xs)), i]
+    flat = np.abs(peak) < 1e-13 * (1.0 + np.abs(ux) + np.abs(sigma))
+    t_star = np.full(len(xs), 0.5)
+    search = np.flatnonzero(~flat & ~bad)
+    if len(search):
+        sign = np.where(peak[search] > 0, 1.0, -1.0)[:, None]
+        lo, hi = ts[np.maximum(i[search] - 1, 0)], ts[np.minimum(i[search] + 1, _PSI_GRID - 1)]
+        x_s, h_s = xs[search, None, :], hfull[search, None, :]
+        ux_s, sigma_s = ux[search, None], sigma[search, None]
+        m = np.empty((len(search), 2))  # the two interior probes of each bracket
         for _ in range(70):
-            m1_, m2_ = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-            pts = desc.product(x[None, :], np.array([m1_, m2_])[:, None] * hfull[None, :])
-            v1, v2 = (u.value(pts) - ux - sigma * np.array([m1_, m2_])) * sign
-            if v1 < v2:
-                lo = m1_
-            else:
-                hi = m2_
-        t_star = 0.5 * (lo + hi)
+            third = (hi - lo) / 3
+            m[:, 0], m[:, 1] = lo + third, hi - third
+            v = (u.value(desc.product(x_s, m[:, :, None] * h_s)) - ux_s - sigma_s * m) * sign
+            left = v[:, 0] < v[:, 1]
+            lo = np.where(left, m[:, 0], lo)
+            hi = np.where(left, hi, m[:, 1])
+        t_star[search] = 0.5 * (lo + hi)
 
-    y = desc.product(x, t_star * hfull)
-    hull = subdifferential_hull(u, y, plan)
-    support_vals = hull.vertices @ h
-    smin, smax = float(np.min(support_vals)), float(np.max(support_vals))
-    if sigma < smin - plan.tol.support_gap or sigma > smax + plan.tol.support_gap:
-        raise BracketingError(
-            f"secant slope {sigma:.4g} outside sampled support range [{smin:.4g}, {smax:.4g}]"
-        )
-    if sigma <= smin:
-        p = hull.vertices[int(np.argmin(support_vals))]
-    elif sigma >= smax:
-        p = hull.vertices[int(np.argmax(support_vals))]
-    else:
+    ys = desc.product(xs, t_star[:, None] * hfull)
+    good = np.flatnonzero(~bad)
+    hulls = dict(zip(good, _subdifferential_hulls(u, ys[good], plan)))
+    out = []
+    for k, (h, s, y) in enumerate(zip(hs, sigma, ys)):
+        hull = hulls.get(k)
+        if hull is None or not np.all(np.isfinite(hull.vertices)):
+            out.append(MvtWitness(float(t_star[k]), np.full(desc.m1, np.nan), np.inf, y))
+            continue
+        support_vals = hull.vertices @ h
+        smin, smax = float(np.min(support_vals)), float(np.max(support_vals))
+        if s < smin - plan.tol.support_gap or s > smax + plan.tol.support_gap:
+            raise BracketingError(
+                f"secant slope {s:.4g} outside sampled support range [{smin:.4g}, {smax:.4g}]"
+            )
         v_lo = hull.vertices[int(np.argmin(support_vals))]
         v_hi = hull.vertices[int(np.argmax(support_vals))]
-        theta = (sigma - smin) / (smax - smin)
-        p = v_lo + theta * (v_hi - v_lo)
-    residual = abs(sigma - float(p @ h))
-    return MvtWitness(float(t_star), p, residual, y)
+        if s <= smin:
+            p = v_lo
+        elif s >= smax:
+            p = v_hi
+        else:
+            p = v_lo + (s - smin) / (smax - smin) * (v_hi - v_lo)
+        out.append(MvtWitness(float(t_star[k]), p, abs(float(s) - float(p @ h)), y))
+    return out
+
+
+def mean_value_witness(u, x, h, plan=None):
+    """The mean-value witness of the segment x * [0, h]: the one-row call of
+    ``mean_value_witnesses``, which documents the method and its errors.
+    A batch raises its first error for the whole batch, so call this per
+    row where one failing segment must not stop the others.
+    """
+    return mean_value_witnesses(u, np.asarray(x, dtype=float)[None], np.asarray(h, dtype=float)[None], plan)[0]
 
 
 # -- closed graph and first-order characterization ----------------------------------

@@ -16,7 +16,7 @@ part gives the rotational constants a^{li}_j = c^l_ij / 2.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 
@@ -54,7 +54,22 @@ class FieldCoefficients:
         return float(np.max(np.abs(self.alij + np.swapaxes(self.alij, 1, 2)))) if self.alij.size else 0.0
 
 
-@lru_cache(maxsize=None)
+def _per_descriptor(fn):
+    """Cache ``fn(desc)`` on the descriptor itself, so that the result lives
+    as long as the descriptor does.  (A global cache keyed on descriptors,
+    which hash by identity, would keep every descriptor ever built.)"""
+    attr = f"_cached_{fn.__name__}"
+
+    @wraps(fn)
+    def cached(desc):
+        if attr not in desc.__dict__:
+            desc.__dict__[attr] = fn(desc)
+        return desc.__dict__[attr]
+
+    return cached
+
+
+@_per_descriptor
 def field_coefficients(desc):
     """Compute all a^l_j (and the a^{li}_j constants) for a descriptor.
 

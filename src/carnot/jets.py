@@ -12,11 +12,10 @@ a jet, translates polynomials on the left, and bounds the peak of the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .fields import apply_field, field_coefficients
+from .fields import _per_descriptor, apply_field, field_coefficients
 from .polynomials import GradedPolynomial, monomials_up_to
 from .sampling import quasi_sphere
 
@@ -217,7 +216,7 @@ def lambda_max(P, samples=10_000, seed=0, refine=True):
     return best
 
 
-@lru_cache(maxsize=None)
+@_per_descriptor
 def _translation_grid(desc):
     """Unisolvent sample set and basis for interpolation on degree <= 2."""
     basis = monomials_up_to(desc, 2)

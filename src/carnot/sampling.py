@@ -175,17 +175,6 @@ def default_plan(seed=0, **overrides):
     return replace(SamplingPlan(), seed=seed, **overrides) if overrides else SamplingPlan(seed=seed)
 
 
-def segment_inside(field, x, h, checks=32):
-    """Whether the sampled horizontal segment x * [0, h] stays in the domain.
-
-    The domain predicate is black-box, so containment is checked on a finite
-    grid of the segment rather than exactly.
-    """
-    ts = np.linspace(0.0, 1.0, checks)
-    pts = field.desc.translate_points(x, ts[:, None] * field.desc.embed_horizontal(h)[None, :])
-    return bool(np.all(field.inside(pts)))
-
-
 def require_inside(field, pts, what="evaluation point"):
     if not np.all(field.inside(pts)):
         raise DomainError(f"{what} leaves the declared domain of {field.label!r}")

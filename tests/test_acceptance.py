@@ -7,6 +7,11 @@ success).  The checks themselves live in ``carnot.suite`` so the CLI
 
 import time
 
+import numpy as np
+
+from carnot import ScalarField
+from carnot import suite as suite_mod
+from carnot.groups import GroupDescriptor
 from carnot.reports import render_csv, render_json
 from carnot.suite import (
     dermax_records,
@@ -88,6 +93,39 @@ def test_criterion_07_mean_value_witnesses():
     records, _, dt = _run(mean_value_records)
     assert _report("7 (mean value witnesses)", records)
     assert all(r.passed for r in records)
+
+
+def test_criterion_07_product_calls(monkeypatch):
+    # a host-independent work budget: the witnesses of a batch share their
+    # products (38,840 calls when every witness searched alone)
+    calls = []
+    product = GroupDescriptor.product
+
+    def counting(self, x, y):
+        calls.append(1)
+        return product(self, x, y)
+
+    monkeypatch.setattr(GroupDescriptor, "product", counting)
+    mean_value_records(SEED)
+    assert 0 < len(calls) < 4000
+
+
+def test_criterion_07_nan_field_fails(monkeypatch):
+    # a polyhedral field that is NaN where x1 > 0.5 must fail its records
+    polyhedral_suite = suite_mod.polyhedral_suite
+
+    def nan_right(desc):
+        out = []
+        for u in polyhedral_suite(desc):
+            fn = lambda p, u=u: np.where(p[..., 0] > 0.5, np.nan, u.value(p))
+            out.append(ScalarField(desc, fn, label=u.label, grad_h=u.grad_h))
+        return out
+
+    monkeypatch.setattr(suite_mod, "polyhedral_suite", nan_right)
+    records, _, _ = _run(mean_value_records)
+    poly = [r for r in records if r.check_id.endswith("/polyhedral")]
+    assert len(poly) == 4 and not any(r.passed for r in poly)
+    assert all(r.passed for r in records if r not in poly)
 
 
 def test_criterion_08_dermax_and_subadditivity():

@@ -16,18 +16,20 @@ from carnot import (
     horizontal_fd_gradient,
     lambda_subdiff_membership,
     mean_value_witness,
+    mean_value_witnesses,
     reachable_gradient_sample,
     subdiff_membership,
     subdifferential_hull,
 )
 from carnot.convexity import (
+    _shell_gradients,
     horizontal_lipschitz_estimate,
     shell_monotonicity_report,
 )
 from carnot.jets import lambda_max
 from carnot.polynomials import GradedPolynomial
-from carnot.registry import function_from_spec
-from carnot.sampling import ball
+from carnot.registry import function_from_spec, polyhedral_suite, smooth_suite
+from carnot.sampling import ball, unit_directions
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +140,27 @@ class TestReachableGradients:
         h_fd = subdifferential_hull(quad_vert, x, plan_fd)
         h_an = subdifferential_hull(quad_vert, x, plan_an)
         assert np.max(np.abs(h_fd.centroid() - h_an.centroid())) < 1e-6
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    def test_batched_shells_equal_per_centre_calls(self, h1, analytic):
+        # on the half space x1 > 0 a centre on the boundary keeps about half
+        # of each round's draw, so it needs more rounds than the inner centres
+        u = ScalarField(
+            h1,
+            lambda p: np.sum(p[..., :2] ** 2, axis=-1),
+            domain=lambda p: p[..., 0] > 0,
+            grad_h=lambda p: 2.0 * p[..., :2],
+        )
+        plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
+        r, count = plan.radii[-1], plan.shell_samples
+        xs = np.array([[0.3, 0.1, 0.0], [0.0, 0.2, -0.1], [0.2, -0.3, 0.4], [0.0, -0.1, 0.3]])
+        first_round = h1.translate_points(xs[1], ball(h1, r, count, plan.rng("shells")))
+        assert np.sum(u.inside(first_round)) < count
+        batched = _shell_gradients(u, xs, r, plan, plan.rng("shells"), count)
+        for x, grads in zip(xs, batched):
+            (single,) = _shell_gradients(u, x[None], r, plan, plan.rng("shells"), count)
+            assert np.array_equal(grads, single)
+            assert len(grads) == count
 
 
 class TestSubdifferentialHull:
@@ -335,6 +358,40 @@ class TestMeanValue:
             h = rng.uniform(-0.8, 0.8, 2)
             assert mean_value_witness(quad_vert, x, h, plan).residual < 1e-8
             assert mean_value_witness(one_norm_f, x, h, plan).residual < 1e-4
+
+    def test_nan_field_gives_failing_witness(self, h1, plan):
+        # NaN where x1 > 0.5: the secant slope along e1 is NaN, along e2 finite
+        u = ScalarField(
+            h1, lambda p: np.where(p[..., 0] > 0.5, np.nan, np.sum(p[..., :2] ** 2, axis=-1)), label="nan-right"
+        )
+        w = mean_value_witness(u, h1.identity(), np.array([1.0, 0.0]), plan)
+        assert w.residual == np.inf
+        assert not w.residual < plan.tol.mvt_smooth
+        ws = mean_value_witnesses(u, np.zeros((2, 3)), np.array([[1.0, 0.0], [0.0, 1.0]]), plan)
+        assert ws[0].residual == np.inf
+        assert ws[1].residual < plan.tol.mvt_smooth
+
+    def test_nan_gradient_gives_failing_witness(self, h1, plan):
+        u = ScalarField(
+            h1,
+            lambda p: np.sum(p[..., :2] ** 2, axis=-1),
+            grad_h=lambda p: np.where(p[..., :1] > 0.4, np.nan, 2.0 * p[..., :2]),
+        )
+        assert mean_value_witness(u, h1.identity(), np.array([1.0, 0.0]), plan).residual == np.inf
+
+    @pytest.mark.parametrize("spec", ["h1", "h2", "fs3", "eng"])
+    def test_batch_matches_rows(self, request, spec, plan):
+        desc = request.getfixturevalue(spec)
+        rng = np.random.default_rng(7)
+        xs = ball(desc, 0.6, 8, rng)
+        hs = unit_directions(desc.m1, 8, seed=1) * rng.uniform(0.3, 1.0, 8)[:, None]
+        for u in smooth_suite(desc) + polyhedral_suite(desc):
+            batched = mean_value_witnesses(u, xs, hs, plan)
+            for x, h, w in zip(xs, hs, batched):
+                single = mean_value_witness(u, x, h, plan)
+                assert w.t == single.t
+                assert np.max(np.abs(w.p - single.p)) <= 1e-15
+                assert abs(w.residual - single.residual) <= 1e-15
 
 
 class TestClosedGraph:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +368,34 @@ class TestCli:
         path.write_text(json.dumps({"name": "ungraded", "layers": [2, 1], "brackets": brackets}))
         assert main(["poly-alij", "--descriptor", str(path), "--force", "--count", "1"]) == 2
         assert "grading" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["subdiff", "--fn", "quadratic"], "--point"),
+            (["mvt", "--fn", "quadratic", "--point", "0,0,0"], "--h"),
+        ],
+        ids=["subdiff-point", "mvt-h"],
+    )
+    def test_missing_vector_exit_2(self, capsys, args, flag):
+        assert main(args + ["--group", "heisenberg:1"]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_closed_stdout_keeps_exit_status(self):
+        # the reader is gone before the first line is written, as with `| head -1`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cmd = [sys.executable, "-m", "carnot.cli", "subdiff", "--group", "heisenberg:1", "--fn", "quadratic"]
+        try:
+            proc = subprocess.run(
+                cmd + ["--point", "0.1,0.1,0"], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert b"Traceback" not in proc.stderr and b"BrokenPipe" not in proc.stderr
 
     def test_fn_file(self, tmp_path):
         fn = tmp_path / "fn.json"

@@ -11,17 +11,13 @@ gradient.
 from .convexity import (
     MvtWitness,
     ScalarField,
-    closed_graph_diagnostic,
     dermax_check,
-    directional_derivative,
     first_order_characterization,
     first_order_residual_ladder,
     hconvexity_check,
-    horizontal_fd_gradient,
     lambda_subdiff_membership,
     mean_value_witness,
     mean_value_witnesses,
-    reachable_gradient_sample,
     subdiff_membership,
     subdifferential_hull,
 )
@@ -39,11 +35,6 @@ from .fields import FieldCoefficients, apply_field, field_coefficients
 from .groups import (
     GroupDescriptor,
     ValidationReport,
-    bch_product,
-    dilate,
-    homogeneous_norm,
-    inverse,
-    project_layer,
     validate_descriptor,
 )
 from .hull import ConvexPolytope, hausdorff_distance
@@ -52,7 +43,6 @@ from .jets import (
     check_alij,
     jet_coefficients,
     lambda_max,
-    left_translate_poly,
     poly_from_jet2,
     sym_hessian,
 )
@@ -68,7 +58,7 @@ from .registry import (
     load_descriptor,
     load_function,
 )
-from .sampling import SamplingPlan, Tolerances, default_plan
+from .sampling import SamplingPlan, Tolerances
 from .second_order import (
     ExpansionFit,
     ExtendedDiffFit,

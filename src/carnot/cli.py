@@ -170,9 +170,7 @@ def run_command(cfg):
         elif cfg.operation == "poly-alij":
             desc = _group(cfg)
             rng = np.random.default_rng(cfg.seed)
-            worst = 0.0
-            for _ in range(cfg.count):
-                worst = max(worst, float(np.max(check_alij(_random_poly(desc, rng)))))
+            worst = float(np.max([np.max(check_alij(_random_poly(desc, rng))) for _ in range(cfg.count)]))
             records.append(CheckRecord("poly-alij", {"group": desc.name, "count": cfg.count}, worst, 1e-10, worst < 1e-10))
         elif cfg.operation == "hconvex-check":
             desc = _group(cfg)
@@ -210,7 +208,7 @@ def run_command(cfg):
             desc = _group(cfg)
             u = _function(cfg, desc)
             rep = dermax_check(u, _vec(cfg.point, desc.dim, "--point"), plan)
-            metric = max(rep.max_gap, rep.max_subadd_violation)
+            metric = float(np.maximum(rep.max_gap, rep.max_subadd_violation))
             records.append(
                 CheckRecord(
                     "dermax",

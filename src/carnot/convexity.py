@@ -27,7 +27,6 @@ from .sampling import (
     SamplingPlan,
     ball,
     quasi_sphere,
-    require_inside,
     unit_directions,
 )
 
@@ -35,16 +34,12 @@ __all__ = [
     "ScalarField",
     "MvtWitness",
     "hconvexity_check",
-    "horizontal_fd_gradient",
-    "reachable_gradient_sample",
     "subdifferential_hull",
     "subdiff_membership",
     "lambda_subdiff_membership",
-    "directional_derivative",
     "dermax_check",
     "mean_value_witness",
     "mean_value_witnesses",
-    "closed_graph_diagnostic",
     "first_order_residual_ladder",
     "first_order_characterization",
 ]
@@ -108,8 +103,8 @@ class HConvexityReport:
 # -- h-convexity ---------------------------------------------------------------
 
 
-def _base_points(u, plan, tag):
-    rng = plan.rng(tag)
+def _base_points(u, plan):
+    rng = plan.rng("hconvexity-base")
     pts = [u.desc.identity()] if bool(np.all(u.inside(u.desc.identity()[None]))) else []
     for _ in range(6):
         cand = ball(u.desc, plan.base_radius, plan.base_count, rng)
@@ -132,7 +127,7 @@ def hconvexity_check(u, plan=None, base_points=None):
     """
     plan = plan or SamplingPlan()
     desc = u.desc
-    xs = np.asarray(base_points) if base_points is not None else _base_points(u, plan, "hconvexity-base")
+    xs = np.asarray(base_points) if base_points is not None else _base_points(u, plan)
     dirs = unit_directions(desc.m1, plan.directions)
     lams = np.linspace(0.0, 1.0, plan.lambda_grid)
     raw = -np.inf
@@ -167,18 +162,6 @@ def hconvexity_check(u, plan=None, base_points=None):
 
 
 # -- gradients -----------------------------------------------------------------
-
-
-def horizontal_fd_gradient(u, x, step=1e-6):
-    """Central differences of t -> u(x * (t e_i)) over the horizontal basis."""
-    desc = u.desc
-    x = np.asarray(x, dtype=float)
-    eye = np.eye(desc.m1)
-    offs = desc.embed_horizontal(np.concatenate([step * eye, -step * eye]))  # (2 m1, n)
-    pts = desc.translate_points(x, offs)
-    require_inside(u, pts, "finite-difference stencil")
-    vals = u.value(pts)
-    return (vals[: desc.m1] - vals[desc.m1 :]) / (2 * step)
 
 
 def _fd_gradients_batch(u, pts, step, rtol):
@@ -239,23 +222,6 @@ def _shell_gradients(u, xs, radius, plan, rng, count):
     if np.any(have == 0):
         raise SamplingError(f"no stable gradient samples near the given point of {u.label!r}")
     return [np.concatenate(c)[:count] for c in collected]
-
-
-@dataclass(frozen=True)
-class ShellSample:
-    radius: float
-    gradients: np.ndarray
-
-
-def reachable_gradient_sample(u, x, plan=None):
-    """Gradients at sampled points of shrinking balls around x, per shell."""
-    plan = plan or SamplingPlan()
-    x = np.asarray(x, dtype=float)
-    out = []
-    for k, r in enumerate(plan.radii):
-        (grads,) = _shell_gradients(u, x[None], r, plan, plan.rng(f"shell-{k}"), plan.shell_samples)
-        out.append(ShellSample(r, grads))
-    return out
 
 
 # -- subdifferential hulls and membership ---------------------------------------
@@ -364,24 +330,13 @@ def _directional_quotients(u, x, hs, plan):
     return lams, Q
 
 
-def directional_derivative(u, x, h, plan=None):
-    """One-sided derivative of t -> u(x delta_t h) at t = 0+.
-
-    Exploits monotonicity of convex difference quotients: the ladder must be
-    nonincreasing (within slack) as lambda decreases, else the function is
-    flagged as not h-convex along h.  The limit is Richardson-extrapolated
-    from the two finest quotients.
-    """
-    plan = plan or SamplingPlan()
-    _, Q = _directional_quotients(u, x, h, plan)
-    q = Q[:, 0]
-    slack = plan.tol.monotone_slack * (1.0 + float(np.max(np.abs(q))))
-    if np.any(np.diff(q) > slack):
-        raise NonConvexSliceError(f"difference quotients increase along the ladder: not h-convex along {h}")
-    return float(2 * q[-1] - q[-2])
-
-
 def _directional_derivatives(u, x, hs, plan):
+    """One-sided derivatives of t -> u(x delta_t h) at t = 0+, one per row h.
+
+    Convex difference quotients are nonincreasing (within slack) as lambda
+    decreases, else the function is flagged as not h-convex along h.  Each
+    limit is Richardson-extrapolated from the two finest quotients.
+    """
     _, Q = _directional_quotients(u, x, hs, plan)
     slack = plan.tol.monotone_slack * (1.0 + float(np.max(np.abs(Q))))
     if np.any(np.diff(Q, axis=0) > slack):
@@ -415,7 +370,7 @@ def dermax_check(u, x, plan=None, directions=None):
     pair_sum = dirs + np.roll(dirs, 1, axis=0)
     dd_sum = _directional_derivatives(u, x, pair_sum, plan)
     subadd = float(np.max(dd_sum - (dd + np.roll(dd, 1))))
-    return DermaxReport(gap, max(0.0, subadd), count)
+    return DermaxReport(gap, float(np.maximum(0.0, subadd)), count)  # NaN-safe, unlike max(0.0, nan)
 
 
 # -- mean value witnesses ----------------------------------------------------------
@@ -523,44 +478,7 @@ def mean_value_witness(u, x, h, plan=None):
     return mean_value_witnesses(u, np.asarray(x, dtype=float)[None], np.asarray(h, dtype=float)[None], plan)[0]
 
 
-# -- closed graph and first-order characterization ----------------------------------
-
-
-@dataclass(frozen=True)
-class ClosedGraphReport:
-    max_violation: float
-    max_cauchy_gap: float
-    cases: int
-
-
-def closed_graph_diagnostic(u, plan=None, points=None):
-    """Limits of subgradients along shrinking shells stay subgradients.
-
-    For each target x, follows a sequence x_k -> x, selects p_k from the hull
-    at x_k by a fixed support direction, and checks that the limiting p
-    passes the subgradient inequality at x.
-    """
-    plan = plan or SamplingPlan()
-    desc = u.desc
-    xs = np.asarray(points) if points is not None else _base_points(u, plan, "closed-graph-base")
-    approach = quasi_sphere(desc, len(xs), seed=3)
-    select = unit_directions(desc.m1, len(xs), seed=5)
-    worst = -np.inf
-    cauchy = 0.0
-    for x, w, nu in zip(xs, approach, select):
-        ps = []
-        for r in plan.radii:
-            xk = desc.product(x, desc.dilate(r, w))
-            if not bool(np.all(u.inside(xk[None]))):
-                continue
-            hull_k = subdifferential_hull(u, xk, plan)
-            ps.append(hull_k.argsupport(nu))
-        if len(ps) < 2:
-            raise SamplingError("approach sequence left the domain")
-        ps = np.asarray(ps)
-        cauchy = max(cauchy, float(np.max(np.linalg.norm(np.diff(ps[-3:], axis=0), axis=-1))))
-        worst = max(worst, subdiff_membership(u, x, ps[-1], plan))
-    return ClosedGraphReport(float(worst), cauchy, len(xs))
+# -- first-order characterization ---------------------------------------------------
 
 
 def first_order_residual_ladder(u, x, p, plan=None):
@@ -610,38 +528,3 @@ def first_order_characterization(u, x, plan=None):
     first, last = float(ladder[0]), float(ladder[-1])
     converges = last < max(1e-9, 0.05 * first)
     return FirstOrderReport(diam, ladder, diam < plan.tol.singleton_diameter, converges)
-
-
-# -- scale-space diagnostics ---------------------------------------------------------
-
-
-def shell_monotonicity_report(shells, directions=256):
-    """Support excess of finer-shell hulls over coarser ones, per pair.
-
-    Finer hulls should sit inside coarser ones fattened by the observed
-    gradient oscillation; returns (excess, allowance) pairs per transition.
-    """
-    out = []
-    for coarse, fine in zip(shells, shells[1:]):
-        A = ConvexPolytope.from_points(coarse.gradients)
-        B = ConvexPolytope.from_points(fine.gradients)
-        dirs = unit_directions(A.dim, directions)
-        excess = float(np.max(B.support(dirs) - A.support(dirs)))
-        out.append((max(0.0, excess), A.diameter() + 1e-9))
-    return out
-
-
-def horizontal_lipschitz_estimate(u, center, radius, plan=None, pairs=200):
-    """Sampled Lipschitz constant of u along horizontal segments near a point."""
-    plan = plan or SamplingPlan()
-    desc = u.desc
-    rng = plan.rng("lipschitz")
-    ys = ball(desc, radius, pairs, rng)
-    ys = desc.translate_points(np.asarray(center, dtype=float), ys)
-    hs = 0.1 * radius * unit_directions(desc.m1, pairs, seed=13)
-    pts = desc.product(ys, desc.embed_horizontal(hs))
-    keep = u.inside(ys) & u.inside(pts)
-    if not np.any(keep):
-        raise SamplingError("no admissible horizontal pairs")
-    num = np.abs(u.value(pts[keep]) - u.value(ys[keep]))
-    return float(np.max(num / np.linalg.norm(hs[keep], axis=-1)))

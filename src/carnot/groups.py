@@ -24,11 +24,6 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "validate_descriptor",
-    "bch_product",
-    "inverse",
-    "dilate",
-    "homogeneous_norm",
-    "project_layer",
 ]
 
 # The closed-form BCH product below is exact through step 4.
@@ -198,41 +193,9 @@ class GroupDescriptor:
             total = total + (r if s == 1 else r ** (1.0 / s))
         return total
 
-    def distance(self, x, y):
-        """Left-invariant quasi-distance ||x^-1 y||."""
-        return self.norm(self.product(self.inverse(x), y))
-
-    def project_layer(self, x, s):
-        """Slice of the layer-s coordinates (1-based s)."""
-        x = self._check_point(x)
-        return x[..., self.layer_slice(s)]
-
     def translate_points(self, x, ws):
         """Batch of x * w for w rows of ``ws``."""
         return self.product(np.broadcast_to(x, np.shape(ws)), ws)
-
-
-# -- module-level wrappers matching the operation vocabulary ----------------
-
-
-def bch_product(desc, x, y):
-    return desc.product(x, y)
-
-
-def inverse(desc, x):
-    return desc.inverse(x)
-
-
-def dilate(desc, r, x):
-    return desc.dilate(r, x)
-
-
-def homogeneous_norm(desc, x):
-    return desc.norm(x)
-
-
-def project_layer(desc, x, s):
-    return desc.project_layer(x, s)
 
 
 # -- descriptor validation ---------------------------------------------------

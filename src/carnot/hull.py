@@ -44,9 +44,6 @@ class ConvexPolytope:
         h = np.asarray(h, dtype=float)
         return np.max(self.vertices @ np.swapaxes(np.atleast_2d(h), -1, -2), axis=0).reshape(h.shape[:-1])
 
-    def argsupport(self, h):
-        return self.vertices[int(np.argmax(self.vertices @ np.asarray(h, dtype=float)))]
-
     def centroid(self):
         return self.vertices.mean(axis=0)
 
@@ -55,18 +52,6 @@ class ConvexPolytope:
             return 0.0
         diff = self.vertices[:, None, :] - self.vertices[None, :, :]
         return float(np.max(np.linalg.norm(diff, axis=-1)))
-
-    def contains(self, p, tol=1e-9, directions=512):
-        """Support-based membership test against a dense direction set."""
-        dirs = unit_directions(self.dim, directions)
-        gap = dirs @ np.asarray(p, dtype=float) - self.support(dirs)
-        return bool(np.max(gap) <= tol)
-
-    def translate(self, v):
-        return ConvexPolytope(self.vertices + np.asarray(v, dtype=float), self.dim)
-
-    def scale(self, c):
-        return ConvexPolytope(self.vertices * float(c), self.dim)
 
 
 def hausdorff_distance(A, B, directions=1024):

@@ -5,8 +5,8 @@ horizontal coordinates, second-layer coordinates and horizontal quadratics;
 it is parametrized by the jet (value, horizontal gradient, second-layer
 gradient, symmetrized horizontal Hessian).  This module computes jet
 coordinates via iterated left-invariant fields, rebuilds the polynomial from
-a jet, translates polynomials on the left, and bounds the peak of the
-2-homogeneous part over the unit quasi-sphere.
+a jet, and gives the exact peak of the 2-homogeneous part over the unit
+quasi-sphere in closed form.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _per_descriptor, apply_field, field_coefficients
-from .polynomials import GradedPolynomial, monomials_up_to
-from .sampling import quasi_sphere
+from .fields import apply_field, field_coefficients
+from .polynomials import GradedPolynomial
 
 __all__ = [
     "Jet2",
@@ -27,7 +26,6 @@ __all__ = [
     "sym_hessian",
     "check_alij",
     "lambda_max",
-    "left_translate_poly",
 ]
 
 
@@ -178,76 +176,16 @@ def check_alij(P):
     return res
 
 
-def lambda_max(P, samples=10_000, seed=0, refine=True):
-    """Sampled maximum of |P^(2)| over the unit quasi-sphere.
+def lambda_max(P):
+    """Maximum of |P^(2)| over the unit quasi-sphere, in closed form.
 
-    The result is a certified lower bound for the true maximum; callers that
-    need an upper bound apply a safety factor.  Local refinement polishes the
-    best sampled points by perturb-and-renormalize ascent.
+    Write the 2-homogeneous part as P^(2)(x) = x1^T S x1 / 2 + <v, x2>, with
+    (S, v) = ``sym_hessian(P)``.  On the unit sphere of the homogeneous norm
+    sum_s |pi_s x|^(1/s) (``GroupDescriptor.norm``) with r = |x1|, the layers
+    above the second carry no weight at the peak, |x2| = (1 - r)^2, and the
+    largest |P^(2)| is r^2 rho(S)/2 + (1 - r)^2 |v|.  That is convex in r, so
+    the maximum is max(rho(S)/2, |v|_2), attained at r = 1 or r = 0.  The
+    formula depends on that norm; another homogeneous norm gives another peak.
     """
-    _require_deg2(P)
-    desc = P.desc
-    P2 = P.homogeneous_part(2)
-    if not P2.coeffs:
-        return 0.0
-    pts = quasi_sphere(desc, samples, seed=seed)
-    vals = np.abs(P2.evaluate(pts))
-    best = float(np.max(vals))
-    if not refine:
-        return best
-    rng = np.random.default_rng(seed + 97)
-    order = np.argsort(vals)[-5:]
-    for idx in order:
-        w = pts[idx].copy()
-        cur = float(np.abs(P2.evaluate(w)))
-        sigma = 0.1
-        for _ in range(60):
-            cand = w + sigma * rng.standard_normal(desc.dim)
-            nrm = desc.norm(cand)
-            if nrm <= 0:
-                continue
-            cand = desc.dilate(1.0 / nrm, cand)
-            val = float(np.abs(P2.evaluate(cand)))
-            if val > cur:
-                w, cur = cand, val
-            else:
-                sigma *= 0.7
-        best = max(best, cur)
-    return best
-
-
-@_per_descriptor
-def _translation_grid(desc):
-    """Unisolvent sample set and basis for interpolation on degree <= 2."""
-    basis = monomials_up_to(desc, 2)
-    mu = len(basis)
-    for attempt in range(20):
-        rng = np.random.default_rng(1234 + attempt)
-        pts = 0.7 * rng.standard_normal((mu, desc.dim))
-        M = np.empty((mu, mu))
-        for col, alpha in enumerate(basis):
-            v = np.ones(mu)
-            for i, a in enumerate(alpha):
-                if a:
-                    v = v * pts[:, i] ** a
-            M[:, col] = v
-        if np.linalg.cond(M) < 1e8:
-            return basis, pts, M
-    raise RuntimeError("failed to build a well-conditioned interpolation grid")
-
-
-def left_translate_poly(P, x):
-    """The polynomial h -> P(x * h) for a fixed point x.
-
-    Degree <= 2 polynomials are stable under left translation, so P(x * .)
-    is recovered exactly by interpolation on a fixed unisolvent grid.
-    """
-    _require_deg2(P)
-    desc = P.desc
-    x = np.asarray(x, dtype=float)
-    basis, pts, M = _translation_grid(desc)
-    vals = P.evaluate(desc.translate_points(x, pts))
-    coeffs = np.linalg.solve(M, vals)
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    out = {alpha: c for alpha, c in zip(basis, coeffs) if abs(c) > 1e-11 * scale}
-    return GradedPolynomial(desc, out)
+    S, v = sym_hessian(P)
+    return float(np.max([np.max(np.abs(np.linalg.eigvalsh(S))) / 2.0, np.linalg.norm(v)]))

@@ -157,18 +157,11 @@ class GradedPolynomial:
 
     __call__ = evaluate
 
-    def max_coeff(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
     def coeff_distance(self, other):
         """Largest coefficient difference against another polynomial."""
         other = self._coerce(other)
         keys = set(self.coeffs) | set(other.coeffs)
         return max((abs(self.coeffs.get(a, 0.0) - other.coeffs.get(a, 0.0)) for a in keys), default=0.0)
-
-    def prune(self, tol):
-        """Drop coefficients with absolute value below ``tol``."""
-        return GradedPolynomial(self.desc, {a: c for a, c in self.coeffs.items() if abs(c) >= tol})
 
     def __repr__(self):
         if not self.coeffs:

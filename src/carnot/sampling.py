@@ -13,8 +13,6 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import DomainError
-
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -104,7 +102,6 @@ def ball(desc, radius, count, rng):
 class Tolerances:
     """Pinned tolerances used by the verification procedures."""
 
-    membership: float = 1e-8
     hull_vertex: float = 1e-3
     singleton_diameter: float = 1e-3
     fit: float = 1e-3
@@ -115,7 +112,6 @@ class Tolerances:
     mvt_smooth: float = 1e-8
     mvt_polyhedral: float = 1e-4
     mvt_lambda: float = 1e-3
-    closed_graph: float = 1e-3
     support_gap: float = 1e-2
     monotone_slack: float = 1e-9
 
@@ -169,12 +165,3 @@ class SamplingPlan:
 
     def taus(self):
         return tuple(self.tau0 * 2.0**-k for k in range(self.tau_count))
-
-
-def default_plan(seed=0, **overrides):
-    return replace(SamplingPlan(), seed=seed, **overrides) if overrides else SamplingPlan(seed=seed)
-
-
-def require_inside(field, pts, what="evaluation point"):
-    if not np.all(field.inside(pts)):
-        raise DomainError(f"{what} leaves the declared domain of {field.label!r}")

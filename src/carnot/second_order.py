@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import (
-    ScalarField,
-    hconvexity_check,
-    subdifferential_hull,
-    _fd_gradients_batch,
-)
+from .convexity import _fd_gradients_batch, subdifferential_hull
 from .errors import (
     CarnotError,
     DomainError,
@@ -31,6 +26,7 @@ from .errors import (
     SamplingError,
 )
 from .fields import field_coefficients
+from .hull import ConvexPolytope
 from .jets import Jet2, jet_coefficients, jet_from_fit, poly_from_jet2
 from .sampling import SamplingPlan, quasi_sphere, sphere_shell
 
@@ -88,24 +84,6 @@ def second_quotient(u, x, tau, w, grad=None, plan=None):
     return (u.value(pts) - ux - tau * lin) / tau**2
 
 
-def quotient_field(u, x, tau, grad=None, plan=None):
-    """The second difference quotient as a scalar field in w (it is h-convex
-    whenever u is)."""
-    plan = plan or SamplingPlan()
-    x = np.asarray(x, dtype=float)
-    if grad is None:
-        grad, _ = gradient_with_certificate(u, x, plan)
-    desc = u.desc
-
-    def fn(ws):
-        return second_quotient(u, x, tau, ws, grad=grad, plan=plan)
-
-    dom = None
-    if u.domain is not None:
-        dom = lambda ws: u.inside(desc.translate_points(x, desc.dilate(tau, ws)))
-    return ScalarField(desc, fn, label=f"D2[{u.label}]", domain=dom)
-
-
 def subdiff_quotient(u, x, tau, w, plan=None, grad=None):
     """(subdifferential hull at x delta_tau w minus the gradient) / tau.
 
@@ -119,7 +97,7 @@ def subdiff_quotient(u, x, tau, w, plan=None, grad=None):
         grad, _ = gradient_with_certificate(u, x, plan)
     y = desc.product(x, desc.dilate(tau, np.asarray(w, dtype=float)))
     hull = subdifferential_hull(u, y, plan.scaled(tau))
-    return hull.translate(-np.asarray(grad)).scale(1.0 / tau)
+    return ConvexPolytope((hull.vertices - grad) * (1.0 / tau), hull.dim)
 
 
 # -- quotient grids and the expansion fit -----------------------------------------
@@ -320,12 +298,11 @@ def fit_extended_differential(u, x, plan=None, mignot=True, grad=None):
         taus = plan.taus()
         excess = []
         for tau in taus:
-            worst = 0.0
+            dists = []
             for w in dirs:
                 hull_q = subdiff_quotient(u, x, float(tau), w, plan, grad=grad)
-                target = A @ w[: desc.m1]
-                worst = max(worst, float(np.max(np.linalg.norm(hull_q.vertices - target[None, :], axis=-1))))
-            excess.append(worst)
+                dists.append(np.max(np.linalg.norm(hull_q.vertices - A @ w[: desc.m1], axis=-1)))
+            excess.append(float(np.max(dists)))  # NaN-safe, unlike a max() fold
         excess = np.asarray(excess)
         mignot_ok = bool(excess[-1] < plan.tol.mignot and excess[-1] <= excess[0] + 1e-12)
     else:
@@ -444,10 +421,3 @@ def psd_check(H, skew_tol=1e-12):
     if float(np.max(np.abs(H - H.T))) > skew_tol * scale:
         raise ValueError("matrix is not symmetric")
     return float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
-
-
-def quotient_convexity_violation(u, x, tau, plan=None):
-    """Sampled h-convexity violation of the second difference quotient."""
-    plan = plan or SamplingPlan()
-    qf = quotient_field(u, x, tau, plan=plan)
-    return hconvexity_check(qf, plan).max_violation

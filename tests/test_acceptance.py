@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from carnot import ScalarField
+from carnot import ScalarField, build_function
 from carnot import suite as suite_mod
 from carnot.groups import GroupDescriptor
 from carnot.reports import render_csv, render_json
@@ -83,6 +83,19 @@ def test_criterion_05_subdifferential_hulls():
     assert dt < 20.0
 
 
+def test_criterion_05_nan_gradient_fails(monkeypatch):
+    # a quadratic whose analytic gradient is NaN where x1 > 0.3 gives a NaN
+    # hull diameter at some sample points: the smooth-singleton record fails
+    def nan_gradient(desc):
+        u = build_function(desc, "quadratic", certify=False)
+        grad = lambda p: np.where(p[..., :1] > 0.3, np.nan, u.gradient(p))
+        return [ScalarField(desc, u.value, label=u.label, grad_h=grad)]
+
+    monkeypatch.setattr(suite_mod, "smooth_suite", nan_gradient)
+    records, _, _ = _run(hull_records)
+    assert [r.passed for r in records if r.check_id == "hull/smooth-singleton"] == [False]
+
+
 def test_criterion_06_first_order_characterization():
     records, _, dt = _run(first_order_records)
     assert _report("6 (first-order characterization)", records)
@@ -132,6 +145,25 @@ def test_criterion_08_dermax_and_subadditivity():
     records, _, dt = _run(dermax_records)
     assert _report("8 (directional derivative vs support)", records)
     assert all(r.passed for r in records)
+
+
+def test_criterion_08_nan_field_fails(monkeypatch):
+    # every field NaN where x1 > 0: each field has sample points there, whose
+    # directional derivatives are NaN, so each record must fail
+    def nan_right(suite):
+        def patched(desc):
+            out = []
+            for u in suite(desc):
+                fn = lambda p, u=u: np.where(p[..., 0] > 0.0, np.nan, u.value(p))
+                out.append(ScalarField(desc, fn, label=u.label, grad_h=u.grad_h))
+            return out
+
+        return patched
+
+    monkeypatch.setattr(suite_mod, "smooth_suite", nan_right(suite_mod.smooth_suite))
+    monkeypatch.setattr(suite_mod, "polyhedral_suite", nan_right(suite_mod.polyhedral_suite))
+    records, _, _ = _run(dermax_records)
+    assert records and not any(r.passed for r in records)
 
 
 def test_criterion_09_second_order_characterization():

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import carnot
 from carnot import (
     DescriptorError,
     build_function,
@@ -310,8 +313,10 @@ class TestCli:
         assert code == 0
 
     def test_unknown_tol_key_exit_2(self, capsys):
-        assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", "one_norm", "--tol", "bogus=1"]) == 2
-        assert "bogus" in capsys.readouterr().err
+        # an unknown key, and a plausible one that names no tolerance
+        for key in ("bogus", "membership"):
+            assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", "one_norm", "--tol", f"{key}=1"]) == 2
+            assert key in capsys.readouterr().err
 
     def test_unknown_plan_file_key_exit_2(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
@@ -405,3 +410,17 @@ class TestCli:
     def test_run_config_dataclass(self):
         cfg = RunConfig(operation="group-product", group="heisenberg:1", x="1,0,0", y="0,0,0")
         assert run_command(cfg) == 0
+
+
+EXPORTING = sorted(
+    m.name for m in pkgutil.iter_modules(carnot.__path__) if hasattr(importlib.import_module(f"carnot.{m.name}"), "__all__")
+)
+
+
+@pytest.mark.parametrize("name", EXPORTING)
+def test_all_names_resolve(name):
+    # every name a module exports must exist: tools that wrap a module's
+    # public functions look them up by its __all__
+    module = importlib.import_module(f"carnot.{name}")
+    for entry in module.__all__:
+        assert hasattr(module, entry), f"carnot.{name}.__all__ names missing {entry!r}"

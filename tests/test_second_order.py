@@ -16,7 +16,7 @@ from carnot import (
     subdiff_quotient,
 )
 from carnot.registry import euclidean
-from carnot.second_order import gradient_with_certificate, quotient_convexity_violation
+from carnot.second_order import gradient_with_certificate
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,11 @@ class TestSecondQuotient:
             assert np.max(np.abs(q - expect)) < 1e-10
 
     def test_quotient_is_hconvex(self, quad_vert, h1, plan):
-        assert quotient_convexity_violation(quad_vert, h1.identity(), 0.25, plan) <= 1e-10
+        # w -> the second difference quotient at scale 0.25, as a field
+        x = h1.identity()
+        grad, _ = gradient_with_certificate(quad_vert, x, plan)
+        qf = ScalarField(h1, lambda ws: second_quotient(quad_vert, x, 0.25, ws, grad=grad, plan=plan), label="D2[u]")
+        assert hconvexity_check(qf, plan).max_violation <= 1e-10
 
     def test_nonsingleton_hull_rejected(self, h1, plan):
         kink = build_function(h1, "max_affine", certify=False)

@@ -69,7 +69,9 @@ def _vec(s, dim, flag):
         raise DescriptorError(f"{flag} is required (comma-separated coordinates)")
     v = np.array([float(t) for t in s.split(",")])
     if len(v) != dim:
-        raise DescriptorError(f"expected {dim} coordinates, got {len(v)}")
+        raise DescriptorError(f"{flag} expects {dim} coordinates, got {len(v)}")
+    if not np.all(np.isfinite(v)):
+        raise DescriptorError(f"{flag} has a non-finite coordinate: {s}")
     return v
 
 
@@ -169,6 +171,8 @@ def run_command(cfg):
             _out("v2 gradient:", np.array2string(v2, precision=12))
         elif cfg.operation == "poly-alij":
             desc = _group(cfg)
+            if cfg.count < 1:
+                raise DescriptorError(f"--count must be a positive integer, got {cfg.count}")
             rng = np.random.default_rng(cfg.seed)
             worst = float(np.max([np.max(check_alij(_random_poly(desc, rng))) for _ in range(cfg.count)]))
             records.append(CheckRecord("poly-alij", {"group": desc.name, "count": cfg.count}, worst, 1e-10, worst < 1e-10))

@@ -76,28 +76,28 @@ def field_coefficients(desc):
     Raises ``DescriptorError`` when a bracket breaks the grading, since the
     a^l_j are then not homogeneous.
     """
-    n = desc.dim
     d = desc.dilation_exponents
-    C = desc.structure
     for i, j, k, _ in desc.bracket_entries:
         if d[k] != d[i] + d[j]:
             raise DescriptorError(f"bracket [e{i + 1}, e{j + 1}] -> e{k + 1} breaks the grading")
-    eye = np.eye(n, dtype=np.int64)
+    eye = np.eye(desc.dim, dtype=np.int64)
 
+    # a^l_j gets c x_i from [e_i, e_j] = c e_l, and t x_m x_i from
+    # [e_i, [e_m, e_j]] = t e_l; terms in (i) and then (m, i) order
+    lin, quad = {}, {}
+    for i, j, l, c in desc.bracket_entries:
+        lin.setdefault((j, l), []).append((eye[i], 0.5 * c))
+    for (i, m, j, l), t in desc.nested_brackets().items():
+        quad.setdefault((j, l), []).append(((m, i), t / 12.0))
     table = {}
-    for j in range(n):
-        # lin[i, l] multiplies x_i and quad[m, i, l] multiplies x_m x_i
-        lin = 0.5 * C[:, j, :]
-        quad = np.einsum("mk,ikl->mil", C[:, j, :], C) / 12.0
-        for l in range(n):
-            terms = [(eye[i], c) for i, c in enumerate(lin[:, l]) if c]
-            terms += [(eye[m] + eye[i], c) for (m, i), c in np.ndenumerate(quad[:, :, l]) if c]
-            a = GradedPolynomial.from_terms(desc, terms)
-            if a.coeffs:
-                table[(j, l)] = a
+    for key in sorted(lin.keys() | quad.keys()):
+        terms = lin.get(key, []) + [(eye[m] + eye[i], t) for (m, i), t in sorted(quad.get(key, []))]
+        a = GradedPolynomial.from_terms(desc, terms)
+        if a.coeffs:
+            table[key] = a
 
     m1, m2 = desc.m1, desc.m2
-    alij = 0.5 * np.moveaxis(C[:m1, :m1, m1:m2], 2, 0)
+    alij = 0.5 * np.moveaxis(desc.structure[:m1, :m1, m1:m2], 2, 0)
     return FieldCoefficients(desc, table, alij)
 
 

@@ -58,6 +58,21 @@ def test_criterion_01_group_law_exactness():
     assert dt < 5.0
 
 
+def test_criterion_01_nan_product_fails(monkeypatch):
+    # a product with NaN in one output row poisons every residual of the law
+    product = GroupDescriptor.product
+
+    def nan_row(self, x, y):
+        out = product(self, x, y)
+        if out.ndim == 2:
+            out[len(out) // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(GroupDescriptor, "product", nan_row)
+    records, _, _ = _run(group_law_records)
+    assert len(records) == 16 and not any(r.passed for r in records)
+
+
 def test_criterion_02_heisenberg_closed_form():
     records, _, dt = _run(heisenberg_closed_form_records)
     assert _report("2 (Heisenberg closed form)", records)
@@ -100,6 +115,22 @@ def test_criterion_06_first_order_characterization():
     records, _, dt = _run(first_order_records)
     assert _report("6 (first-order characterization)", records)
     assert all(r.passed for r in records)
+
+
+def test_criterion_06_nan_field_fails(monkeypatch):
+    # quad_vertical NaN where x1 > 0: the smooth record must fail
+    build_function = suite_mod.build_function
+
+    def nan_right(desc, name, **kwargs):
+        u = build_function(desc, name, **kwargs)
+        if name != "quad_vertical":
+            return u
+        fn = lambda p: np.where(p[..., 0] > 0.0, np.nan, u.value(p))
+        return ScalarField(desc, fn, label=u.label, grad_h=u.grad_h)
+
+    monkeypatch.setattr(suite_mod, "build_function", nan_right)
+    records, _, _ = _run(first_order_records)
+    assert [r.passed for r in records if r.check_id == "first-order/smooth"] == [False]
 
 
 def test_criterion_07_mean_value_witnesses():

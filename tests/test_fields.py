@@ -1,7 +1,94 @@
 import numpy as np
 import pytest
 
-from carnot import DescriptorError, GradedPolynomial, GroupDescriptor, apply_field, field_coefficients
+from carnot import DescriptorError, GradedPolynomial, GroupDescriptor, apply_field, field_coefficients, validate_descriptor
+
+
+def seeded_filiform4(seed=0):
+    """The step-4 filiform of the benchmark workloads: [e1,e2]=c1 e3,
+    [e1,e3]=c2 e4, [e1,e4]=c3 e5 with seeded constants in [0.5, 1.5)."""
+    c = np.random.default_rng((seed, 4)).uniform(0.5, 1.5, 3)
+    br = {}
+    for (i, j, k), ck in zip(((0, 1, 2), (0, 2, 3), (0, 3, 4)), c):
+        br[(i, j, k)] = float(ck)
+        br[(j, i, k)] = -float(ck)
+    return GroupDescriptor("filiform4", (2, 1, 1, 1), br)
+
+
+def dense_field_table(desc):
+    """{(j, l): a^l_j} from the dense structure tensor."""
+    C = desc.structure
+    eye = np.eye(desc.dim, dtype=np.int64)
+    table = {}
+    for j in range(desc.dim):
+        lin = 0.5 * C[:, j, :]
+        quad = np.einsum("mk,ikl->mil", C[:, j, :], C) / 12.0
+        for l in range(desc.dim):
+            terms = [(eye[i], c) for i, c in enumerate(lin[:, l]) if c]
+            terms += [(eye[m] + eye[i], c) for (m, i), c in np.ndenumerate(quad[:, :, l]) if c]
+            a = GradedPolynomial.from_terms(desc, terms)
+            if a.coeffs:
+                table[(j, l)] = a.coeffs
+    return table
+
+
+def dense_jacobi_violations(desc, tol=1e-10):
+    """{(i, j, k, l): |Jacobi sum|} with i < j < k where it exceeds ``tol``."""
+    C = desc.structure
+    T = np.einsum("jkm,iml->ijkl", C, C)
+    J = np.abs(T + T.transpose(1, 2, 0, 3) + T.transpose(2, 0, 1, 3))
+    return {(int(i), int(j), int(k), int(l)): J[i, j, k, l] for i, j, k, l in zip(*np.nonzero(J > tol)) if i < j < k}
+
+
+# a bracket table that breaks Jacobi at (0, 1, 2): only e1 acts on V2
+BAD_JACOBI = {
+    (0, 1, 3): 1.0, (1, 0, 3): -1.0,
+    (0, 2, 4): 1.0, (2, 0, 4): -1.0,
+    (1, 2, 5): 1.0, (2, 1, 5): -1.0,
+    (0, 5, 6): 1.0, (5, 0, 6): -1.0,
+}
+
+
+class TestSparseStructureConstants:
+    """Field coefficients and Jacobi sums from the nonzero brackets only
+    match the dense-tensor computation."""
+
+    @pytest.fixture(params=["h1", "h2", "fs3", "eng", "filiform4-seeded"])
+    def desc(self, request):
+        if request.param == "filiform4-seeded":
+            return seeded_filiform4()
+        return request.getfixturevalue(request.param)
+
+    def test_field_table_matches_dense(self, desc):
+        fc = field_coefficients(desc)
+        want = dense_field_table(desc)
+        got = {(j, l): fc.poly(j, l).coeffs for j in range(desc.dim) for l in fc.raised_indices(j)}
+        assert want and got.keys() == want.keys()
+        for key, coeffs in want.items():
+            assert got[key].keys() == coeffs.keys()
+            assert max(abs(got[key][a] - c) for a, c in coeffs.items()) <= 1e-15
+
+    def test_jacobi_matches_dense(self, desc):
+        got = {v.indices for v in validate_descriptor(desc).violations if v.kind == "jacobi"}
+        assert got == set(dense_jacobi_violations(desc)) == set()
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_jacobi_violations_match_dense(self, seed):
+        # the corrupted table above, or random antisymmetric brackets on R^5
+        # (ungraded, so most triples break Jacobi)
+        if seed is None:
+            desc = GroupDescriptor("bad-jacobi", (3, 3, 1), BAD_JACOBI)
+        else:
+            rng = np.random.default_rng(seed)
+            br = {}
+            for i, j in [(i, j) for i in range(5) for j in range(i + 1, 5)]:
+                k, c = int(rng.integers(5)), float(rng.uniform(-1, 1))
+                br[(i, j, k)], br[(j, i, k)] = c, -c
+            desc = GroupDescriptor("random", (2, 3), br)
+        got = {v.indices: v.magnitude for v in validate_descriptor(desc).violations if v.kind == "jacobi"}
+        want = dense_jacobi_violations(desc)
+        assert want and got.keys() == want.keys()
+        assert all(abs(got[key] - m) <= 1e-15 for key, m in want.items())
 
 
 class TestFieldCoefficients:

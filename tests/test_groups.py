@@ -2,11 +2,21 @@ import numpy as np
 import pytest
 
 from carnot import DescriptorError, GroupDescriptor, validate_descriptor
+from carnot import groups as groups_mod
+
+GROUPS = ["h1", "h2", "fs3", "eng", "filiform4"]
+BLOCK = groups_mod._ROW_BLOCK
+
+
+def dense_bracket(desc, u, v):
+    """The bracket as a contraction with the dense structure tensor."""
+    return np.einsum("...i,...j,ijk->...k", u, v, desc.structure)
 
 
 def closed_form_product(desc, x, y):
-    """Hand-coded BCH through nested depth 4 (independent of the series code)."""
-    b = desc.bracket
+    """Hand-coded BCH through nested depth 4 on the dense bracket
+    (independent of the sparse, blocked group law)."""
+    b = lambda u, v: dense_bracket(desc, u, v)
     z = x + y + 0.5 * b(x, y)
     z = z + (1.0 / 12.0) * (b(x, b(x, y)) + b(y, b(y, x)))
     return z - (1.0 / 24.0) * b(y, b(x, b(x, y)))
@@ -126,6 +136,74 @@ class TestProduct:
             pred = np.sum(coeffs * t_hold ** np.arange(eng.step + 1)[:, None], axis=0)
             actual = eng.product(x, t_hold * eng.basis_vector(j))
             assert np.max(np.abs(pred - actual)) < 1e-12
+
+
+class TestSparseBlockedLaw:
+    """The sparse, row-blocked product and bracket against the dense law."""
+
+    @pytest.mark.parametrize("rows", [None, 1000, BLOCK, BLOCK + 1, 0], ids=["point", "1000", "block", "block+1", "empty"])
+    @pytest.mark.parametrize("fixture", GROUPS)
+    def test_matches_dense(self, fixture, rows, request):
+        desc = request.getfixturevalue(fixture)
+        shape = (desc.dim,) if rows is None else (rows, desc.dim)
+        x, y = np.random.default_rng(31).uniform(-1, 1, (2,) + shape)
+        for got, want in (
+            (desc.product(x, y), closed_form_product(desc, x, y)),
+            (desc.bracket(x, y), dense_bracket(desc, x, y)),
+        ):
+            assert got.shape == shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+
+    @pytest.mark.parametrize("b, d", [(97, 89), (3, BLOCK + 1)], ids=["slices-per-block", "slice-beyond-block"])
+    @pytest.mark.parametrize("fixture", GROUPS)
+    def test_broadcast_pair_beyond_one_block(self, fixture, b, d, request):
+        desc = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(37)
+        x = rng.uniform(-1, 1, (b, 1, desc.dim))
+        y = rng.uniform(-1, 1, (1, d, desc.dim))
+        assert b * d > BLOCK
+        for got, want in (
+            (desc.product(x, y), closed_form_product(desc, x, y)),
+            (desc.bracket(x, y), dense_bracket(desc, x, y)),
+        ):
+            assert got.shape == (b, d, desc.dim)
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_abelian_bracket_is_zero(self, r3):
+        assert r3.bracket_entries == ()
+        rng = np.random.default_rng(41)
+        x = rng.uniform(-1, 1, (5, 1, 3))
+        y = rng.uniform(-1, 1, (1, 4, 3))
+        assert np.array_equal(r3.bracket(x, y), np.zeros((5, 4, 3)))
+        assert np.array_equal(r3.product(x, y), x + y)
+
+    @pytest.mark.parametrize("fixture", GROUPS)
+    def test_nan_stays_in_its_row(self, fixture, request):
+        desc = request.getfixturevalue(fixture)
+        x, y = np.random.default_rng(43).uniform(-1, 1, (2, 2 * BLOCK + 5, desc.dim))
+        x[-1, 0] = np.nan
+        for out in (desc.product(x, y), desc.bracket(x, y)):
+            assert np.isnan(out[-1]).any()
+            assert np.isfinite(out[:-1]).all()
+
+    @pytest.mark.parametrize(
+        "xshape, yshape", [((100_000, 4), (100_000, 4)), ((300, 1, 4), (1, 333, 4)), ((2, 1, 4), (1, 50_000, 4))]
+    )
+    def test_chain_sees_one_block_at_most(self, monkeypatch, eng, xshape, yshape):
+        seen = []
+        bch = GroupDescriptor._bch
+
+        def spy(self, x, y):
+            seen.append(x.shape)
+            return bch(self, x, y)
+
+        monkeypatch.setattr(GroupDescriptor, "_bch", spy)
+        rng = np.random.default_rng(47)
+        x, y = rng.uniform(-1, 1, xshape), rng.uniform(-1, 1, yshape)
+        out = eng.product(x, y)
+        rows = out.size // eng.dim
+        assert all(len(s) == 2 and s[0] <= BLOCK for s in seen) and sum(s[0] for s in seen) == rows
+        assert np.max(np.abs(out - closed_form_product(eng, x, y))) <= 1e-15
 
 
 class TestDilationsAndNorm:

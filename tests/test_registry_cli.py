@@ -386,6 +386,23 @@ class TestCli:
         assert main(args + ["--group", "heisenberg:1"]) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_poly_alij_nonpositive_count_exit_2(self, capsys, count):
+        assert main(["poly-alij", "--group", "heisenberg:1", "--count", count]) == 2
+        assert "--count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["group-product", "--x", "nan,0,0", "--y", "0,1,0"], "--x"),
+            (["subdiff", "--fn", "one_norm", "--point", "inf,0,0"], "--point"),
+        ],
+        ids=["group-product-nan", "subdiff-inf"],
+    )
+    def test_nonfinite_vector_exit_2(self, capsys, args, flag):
+        assert main(args + ["--group", "heisenberg:1"]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_closed_stdout_keeps_exit_status(self):
         # the reader is gone before the first line is written, as with `| head -1`
         read_end, write_end = os.pipe()

@@ -31,7 +31,7 @@ from .errors import (
     RankDeficientDesign,
     SamplingError,
 )
-from .fields import FieldCoefficients, apply_field, field_coefficients
+from .fields import FieldCoefficients, apply_field, coefficient_vector, field_coefficients, field_matrices
 from .groups import (
     GroupDescriptor,
     ValidationReport,
@@ -57,6 +57,7 @@ from .registry import (
     heisenberg,
     load_descriptor,
     load_function,
+    parse_polynomial,
 )
 from .sampling import SamplingPlan, Tolerances
 from .second_order import (

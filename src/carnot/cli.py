@@ -20,14 +20,14 @@ import numpy as np
 from . import suite as suite_mod
 from .convexity import dermax_check, hconvexity_check, mean_value_witness, subdiff_membership, subdifferential_hull
 from .errors import CarnotError, DescriptorError
+from .fields import coefficient_vector
 from .groups import validate_descriptor
 from .jets import check_alij, sym_hessian
-from .polynomials import GradedPolynomial
-from .registry import build_function, build_group, load_descriptor, load_function
+from .polynomials import monomials_up_to
+from .registry import build_function, build_group, load_descriptor, load_function, parse_polynomial
 from .reports import CheckRecord, curve_points, emit_report
 from .sampling import SamplingPlan
 from .second_order import characterize_second_order, fit_expansion
-from .suite import _random_poly
 
 OP_NAMES = (
     "group-validate",
@@ -143,7 +143,7 @@ def _poly(cfg, desc):
             terms = json.load(fh)
     else:
         terms = json.loads(raw)
-    return GradedPolynomial.from_terms(desc, [(t["exponents"], t["coeff"]) for t in terms])
+    return parse_polynomial(desc, terms)
 
 
 def run_command(cfg):
@@ -166,15 +166,15 @@ def run_command(cfg):
             _out(np.array2string(z, precision=15))
         elif cfg.operation == "poly-hess":
             desc = _group(cfg)
-            H, v2 = sym_hessian(_poly(cfg, desc))
+            H, v2 = sym_hessian(desc, coefficient_vector(_poly(cfg, desc)))
             _out("hessian:", np.array2string(H, precision=12))
             _out("v2 gradient:", np.array2string(v2, precision=12))
         elif cfg.operation == "poly-alij":
             desc = _group(cfg)
             if cfg.count < 1:
                 raise DescriptorError(f"--count must be a positive integer, got {cfg.count}")
-            rng = np.random.default_rng(cfg.seed)
-            worst = float(np.max([np.max(check_alij(_random_poly(desc, rng))) for _ in range(cfg.count)]))
+            C = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, (cfg.count, len(monomials_up_to(desc, 2))))
+            worst = float(np.max(check_alij(desc, C)))
             records.append(CheckRecord("poly-alij", {"group": desc.name, "count": cfg.count}, worst, 1e-10, worst < 1e-10))
         elif cfg.operation == "hconvex-check":
             desc = _group(cfg)

@@ -12,6 +12,11 @@ in closed form,
 
 with no cubic term because the Bernoulli number B_3 vanishes.  Its linear
 part gives the rotational constants a^{li}_j = c^l_ij / 2.
+
+A polynomial of homogeneous degree <= 2 is a coefficient vector over
+``monomials_up_to(desc, 2)`` (``coefficient_vector``).  Fields and partials
+lower the degree, so on that span they are matrices (``field_matrices``),
+built once per descriptor from ``apply_field`` and ``partial``.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from functools import wraps
 import numpy as np
 
 from .errors import DescriptorError
-from .polynomials import GradedPolynomial
+from .polynomials import GradedPolynomial, monomials_up_to
 
-__all__ = ["FieldCoefficients", "field_coefficients", "apply_field"]
+__all__ = ["FieldCoefficients", "field_coefficients", "apply_field", "coefficient_vector", "field_matrices"]
 
 
 class FieldCoefficients:
@@ -109,3 +114,41 @@ def apply_field(fc, j, P):
     for l in fc.raised_indices(j):
         out = out + fc.poly(j, l) * P.partial(l)
     return out
+
+
+@_per_descriptor
+def _degree2_index(desc):
+    return {alpha: k for k, alpha in enumerate(monomials_up_to(desc, 2))}
+
+
+def coefficient_vector(P):
+    """Coefficients of P over ``monomials_up_to(P.desc, 2)``, in that order.
+
+    Raises ``ValueError`` when P has a monomial of homogeneous degree > 2.
+    """
+    index = _degree2_index(P.desc)
+    c = np.zeros(len(index))
+    for alpha, v in P.coeffs.items():
+        if alpha not in index:
+            raise ValueError(f"polynomial has homogeneous degree {P.hdeg} > 2")
+        c[index[alpha]] = v
+    return c
+
+
+@_per_descriptor
+def field_matrices(desc):
+    """``(X, D)``, each ``(m2, n, n)`` over the n monomials of degree <= 2.
+
+    Column k of ``X[j]`` is ``coefficient_vector(apply_field(fc, j, m_k))``
+    for basis monomial m_k, and of ``D[j]`` that of ``m_k.partial(j)``, so X
+    comes from the field table, not from ``alij``.  The fields of layers
+    above the second vanish on this span; only j < m2 are kept.
+    """
+    fc = field_coefficients(desc)
+    monomials = [GradedPolynomial(desc, {alpha: 1.0}) for alpha in _degree2_index(desc)]
+    X = np.array([[coefficient_vector(apply_field(fc, j, m)) for m in monomials] for j in range(desc.m2)])
+    D = np.array([[coefficient_vector(m.partial(j)) for m in monomials] for j in range(desc.m2)])
+    X, D = np.swapaxes(X, 1, 2), np.swapaxes(D, 1, 2)
+    X.setflags(write=False)
+    D.setflags(write=False)
+    return X, D

@@ -1,12 +1,15 @@
-"""Degree-two jets of graded polynomials.
+"""Degree-two jets of polynomials on a stratified group.
 
-The space of polynomials of homogeneous degree <= 2 is spanned by constants,
-horizontal coordinates, second-layer coordinates and horizontal quadratics;
-it is parametrized by the jet (value, horizontal gradient, second-layer
-gradient, symmetrized horizontal Hessian).  This module computes jet
-coordinates via iterated left-invariant fields, rebuilds the polynomial from
-a jet, and gives the exact peak of the 2-homogeneous part over the unit
-quasi-sphere in closed form.
+A polynomial of homogeneous degree <= 2 is its coefficient vector over
+``monomials_up_to(desc, 2)`` (``fields.coefficient_vector``); on that span
+the left-invariant fields X_j and the partials d/dx_j are the matrices of
+``fields.field_matrices``.  Every function here takes the descriptor and
+coefficient rows ``(..., n)`` and reads its answer off those matrices: the
+jet values X^I P(0) over field words I, the symmetrized horizontal Hessian
+and second-layer gradient, the structure identity residual, and the exact
+peak of the 2-homogeneous part over the unit quasi-sphere.  A jet (value,
+horizontal gradient, second-layer gradient, symmetrized horizontal Hessian)
+determines the coefficient vector, which ``poly_from_jet2`` rebuilds.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import apply_field, field_coefficients
-from .polynomials import GradedPolynomial
+from .fields import _degree2_index, field_coefficients, field_matrices
 
 __all__ = [
     "Jet2",
@@ -29,9 +31,14 @@ __all__ = [
 ]
 
 
-def _require_deg2(P):
-    if P.coeffs and P.hdeg > 2:
-        raise ValueError(f"polynomial has homogeneous degree {P.hdeg} > 2")
+def _apply(M, C):
+    """``(..., J, n)``: the matrices ``M`` ``(J, n, n)`` applied to each row of ``C`` ``(..., n)``."""
+    return np.einsum("jab,...b->...ja", M, C)
+
+
+def _rotation(desc, v2):
+    """sum_l a^{li}_j (v2)_l, as an (m1, m1) matrix indexed [i, j]."""
+    return np.tensordot(v2, field_coefficients(desc).alij, axes=1)
 
 
 @dataclass(frozen=True)
@@ -51,23 +58,18 @@ class Jet2:
     hessian: np.ndarray
     A: np.ndarray
 
-    def identity_residual(self):
-        """Entrywise residual of H_ij = A^i_j - sum_l a^{li}_j (v2)_l."""
-        fc = field_coefficients(self.desc)
-        rhs = self.A.T.copy()
-        for l in range(fc.alij.shape[0]):
-            rhs -= fc.alij[l] * self.v2[l]
-        return np.abs(self.hessian - rhs)
+    def identity_residual(self, A=None):
+        """Entrywise residual of H_ij = A^i_j - sum_l a^{li}_j (v2)_l, for an
+        extended differential ``A`` fitted elsewhere (default: the jet's own)."""
+        A = self.A if A is None else A
+        return np.abs(self.hessian - (A.T - _rotation(self.desc, self.v2)))
 
 
 def jet_from_fit(desc, value, grad, v2, hessian):
     """Assemble a Jet2 from fitted parts; A is rebuilt from H and v2."""
-    fc = field_coefficients(desc)
     hessian = np.asarray(hessian, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    A_t = hessian.copy()
-    for l in range(fc.alij.shape[0]):
-        A_t += fc.alij[l] * v2[l]
+    A_t = hessian + _rotation(desc, v2)
     return Jet2(desc, float(value), np.asarray(grad, dtype=float), v2, hessian, A_t.T)
 
 
@@ -84,108 +86,80 @@ def jet_words(desc):
     return words
 
 
-def jet_coefficients(P):
-    """Map word I -> X^I P(0) over the degree <= 2 words."""
-    _require_deg2(P)
-    fc = field_coefficients(P.desc)
-    origin = np.zeros(P.desc.dim)
+def jet_coefficients(desc, c):
+    """Map word I -> X^I P(0) over the degree <= 2 words, for the
+    coefficient vector ``c`` of P.  The constant monomial is basis entry 0."""
+    X, _ = field_matrices(desc)
     out = {}
-    for word in jet_words(P.desc):
-        Q = P
+    for word in jet_words(desc):
+        v = c
         for j in reversed(word):
-            Q = apply_field(fc, j, Q)
-        out[word] = float(Q.evaluate(origin))
+            v = X[j] @ v
+        out[word] = float(v[0])
     return out
 
 
 def poly_from_jet2(jet):
-    """The unique degree <= 2 polynomial with the given jet data.
+    """Coefficient vector of the unique degree <= 2 polynomial with the given jet.
 
     P(w) = value + <grad, pi_1 w> + <v2, pi_2 w> + (1/2) <H pi_1 w, pi_1 w>.
     """
     desc = jet.desc
-    n = desc.dim
-    terms = []
-    if jet.value:
-        terms.append(((0,) * n, jet.value))
+    index = _degree2_index(desc)
+    eye = np.eye(desc.dim, dtype=np.int64)
+    c = np.zeros(len(index))
+    c[0] = jet.value
     for i in range(desc.m1):
-        if jet.grad[i]:
-            alpha = [0] * n
-            alpha[i] = 1
-            terms.append((tuple(alpha), jet.grad[i]))
-    for l in range(desc.m1, desc.m2):
-        c = jet.v2[l - desc.m1]
-        if c:
-            alpha = [0] * n
-            alpha[l] = 1
-            terms.append((tuple(alpha), c))
-    for i in range(desc.m1):
+        c[index[tuple(eye[i])]] = jet.grad[i]
         for j in range(i, desc.m1):
-            c = jet.hessian[i, j] if i == j else jet.hessian[i, j] + jet.hessian[j, i]
-            if c:
-                alpha = [0] * n
-                alpha[i] += 1
-                alpha[j] += 1
-                terms.append((tuple(alpha), 0.5 * c))
-    return GradedPolynomial.from_terms(desc, terms)
+            h = jet.hessian[i, j] if i == j else jet.hessian[i, j] + jet.hessian[j, i]
+            c[index[tuple(eye[i] + eye[j])]] = 0.5 * h
+    for l in range(desc.m1, desc.m2):
+        c[index[tuple(eye[l])]] = jet.v2[l - desc.m1]
+    return c
 
 
-def sym_hessian(P):
-    """Symmetrized horizontal Hessian and second-layer gradient of P.
+def sym_hessian(desc, C):
+    """Symmetrized horizontal Hessian ``(..., m1, m1)`` and second-layer
+    gradient ``(..., m2 - m1)`` of the coefficient rows ``C``.
 
-    Both are constant (0-homogeneous) for degree <= 2 input, so they are
-    returned as plain arrays.
+    Both are constant (0-homogeneous) for degree <= 2 input: H_ij is the
+    value of (X_i X_j + X_j X_i) P / 2 and (v2)_l that of X_l P, at 0.
     """
-    _require_deg2(P)
-    desc = P.desc
-    fc = field_coefficients(desc)
+    X, _ = field_matrices(desc)
     m1 = desc.m1
-    origin = np.zeros(desc.dim)
-    H = np.zeros((m1, m1))
-    first = [apply_field(fc, j, P) for j in range(m1)]
-    for i in range(m1):
-        for j in range(i, m1):
-            xij = apply_field(fc, i, first[j]).evaluate(origin)
-            xji = apply_field(fc, j, first[i]).evaluate(origin)
-            H[i, j] = H[j, i] = 0.5 * float(xij + xji)
-    v2 = np.array([float(apply_field(fc, l, P).evaluate(origin)) for l in range(m1, desc.m2)])
-    return H, v2
+    xx = _apply(X[:m1], _apply(X[:m1], C))[..., 0]  # [..., j, i] = X_i X_j P(0)
+    v2 = _apply(X[m1:], C)[..., 0]
+    return 0.5 * (xx + np.swapaxes(xx, -1, -2)), v2
 
 
-def check_alij(P):
-    """Residual of X_i X_j P = (c_ij + c_ji)/2 + sum_l (X_l P) a^{li}_j.
+def check_alij(desc, C):
+    """Residual of X_i X_j P = (c_ij + c_ji)/2 + sum_l (X_l P) a^{li}_j, per row.
 
-    Both sides are formed with exact polynomial arithmetic; the entry (i, j)
-    of the result is the largest coefficient of the residual polynomial.
+    The left side of each of the K coefficient rows ``C`` comes from the field
+    matrices X, the right from the partials D and the structure constants
+    ``alij``.  Entry (k, i, j) of the ``(K, m1, m1)`` result is the largest
+    coefficient of the residual polynomial of row k.
     """
-    _require_deg2(P)
-    desc = P.desc
-    fc = field_coefficients(desc)
+    X, D = field_matrices(desc)
+    alij = field_coefficients(desc).alij
     m1 = desc.m1
-    res = np.zeros((m1, m1))
-    first = [apply_field(fc, j, P) for j in range(m1)]
-    second_layer = [apply_field(fc, l, P) for l in range(m1, desc.m2)]
-    for i in range(m1):
-        for j in range(m1):
-            lhs = apply_field(fc, i, first[j])
-            sym = P.partial(i).partial(j)  # equals (c_ij + c_ji)/2 for quadratics
-            rhs = GradedPolynomial.constant(desc, 0.0) + sym
-            for l in range(m1, desc.m2):
-                rhs = rhs + second_layer[l - m1] * float(fc.alij[l - m1, i, j])
-            res[i, j] = lhs.coeff_distance(rhs)
-    return res
+    lhs = _apply(X[:m1], _apply(X[:m1], C))  # [k, j, i] = X_i X_j P
+    sym = _apply(D[:m1], _apply(D[:m1], C))  # equals (c_ij + c_ji)/2 for quadratics
+    rot = np.einsum("lij,kln->kjin", alij, _apply(X[m1:], C))
+    return np.swapaxes(np.max(np.abs(lhs - (sym + rot)), axis=-1), -1, -2)
 
 
-def lambda_max(P):
+def lambda_max(desc, c):
     """Maximum of |P^(2)| over the unit quasi-sphere, in closed form.
 
     Write the 2-homogeneous part as P^(2)(x) = x1^T S x1 / 2 + <v, x2>, with
-    (S, v) = ``sym_hessian(P)``.  On the unit sphere of the homogeneous norm
+    (S, v) = ``sym_hessian(desc, c)``.  On the unit sphere of the norm
     sum_s |pi_s x|^(1/s) (``GroupDescriptor.norm``) with r = |x1|, the layers
     above the second carry no weight at the peak, |x2| = (1 - r)^2, and the
     largest |P^(2)| is r^2 rho(S)/2 + (1 - r)^2 |v|.  That is convex in r, so
     the maximum is max(rho(S)/2, |v|_2), attained at r = 1 or r = 0.  The
     formula depends on that norm; another homogeneous norm gives another peak.
     """
-    S, v = sym_hessian(P)
+    S, v = sym_hessian(desc, c)
     return float(np.max([np.max(np.abs(np.linalg.eigvalsh(S))) / 2.0, np.linalg.norm(v)]))

@@ -12,6 +12,7 @@ mirror entries are filled antisymmetrically.  Function specs are either
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "FUNCTIONS",
     "build_function",
     "load_function",
+    "parse_polynomial",
     "smooth_suite",
     "polyhedral_suite",
 ]
@@ -269,9 +271,25 @@ def build_function(desc, name, certify=True, **params):
     return field
 
 
+def parse_polynomial(desc, terms):
+    """The polynomial of JSON terms ``[{"exponents": [...], "coeff": c}, ...]``;
+    ``DescriptorError`` unless exponents are nonnegative integers and each
+    coefficient a finite number."""
+    try:
+        if not isinstance(terms, list):
+            raise TypeError(f"expected a JSON list, got {type(terms).__name__}")
+        out = [(list(t["exponents"]), float(t["coeff"])) for t in terms]
+        for alpha, c in out:
+            if not (all(a >= 0 and a == int(a) for a in alpha) and math.isfinite(c)):
+                raise ValueError(f"exponents {alpha} with coeff {c}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DescriptorError(f"malformed polynomial terms: {exc}") from exc
+    return GradedPolynomial.from_terms(desc, out)
+
+
 def polynomial_field(desc, terms, label="polynomial", certify=True):
     """Field backed by a graded polynomial literal, with exact gradient."""
-    P = GradedPolynomial.from_terms(desc, [(t["exponents"], t["coeff"]) for t in terms])
+    P = parse_polynomial(desc, terms)
     field = _poly_field(desc, P, label)
     if certify:
         field.certificate = hconvexity_check(field, _CERT_PLAN).max_violation

@@ -2,8 +2,9 @@
 equivalence between second-order expansions and gradient differentiability.
 
 Two independent estimators are run at a point: a least-squares fit of the
-second difference quotients against a degree <= 2 model (yielding the
-second-layer gradient and the symmetrized horizontal Hessian), and a fit of
+second difference quotients over the basis monomials of degree 2 (read as
+the second-layer gradient and the symmetrized horizontal Hessian through
+``jets.sym_hessian``), and a fit of
 the extended differential A from first-order expansions of the horizontal
 gradient.  The characterization report checks that both converge or both
 fail, that the fitted pieces satisfy the structure-constant identity
@@ -25,9 +26,9 @@ from .errors import (
     RankDeficientDesign,
     SamplingError,
 )
-from .fields import field_coefficients
 from .hull import ConvexPolytope
-from .jets import Jet2, jet_coefficients, jet_from_fit, poly_from_jet2
+from .jets import Jet2, jet_coefficients, jet_from_fit, poly_from_jet2, sym_hessian
+from .polynomials import monomials_up_to
 from .sampling import SamplingPlan, quasi_sphere, sphere_shell
 
 __all__ = [
@@ -155,35 +156,6 @@ class ExpansionFit:
     grid: QuotientGrid
 
 
-def _design_matrix(desc, W):
-    cols = []
-    for l in range(desc.m1, desc.m2):
-        cols.append(W[:, l])
-    m1 = desc.m1
-    for i in range(m1):
-        for j in range(i + 1, m1):
-            cols.append(W[:, i] * W[:, j])
-    for i in range(m1):
-        cols.append(0.5 * W[:, i] ** 2)
-    return np.stack(cols, axis=-1)
-
-
-def _unpack_theta(desc, theta):
-    m1 = desc.m1
-    nv = desc.m2 - desc.m1
-    v2 = theta[:nv]
-    H = np.zeros((m1, m1))
-    k = nv
-    for i in range(m1):
-        for j in range(i + 1, m1):
-            H[i, j] = H[j, i] = theta[k]
-            k += 1
-    for i in range(m1):
-        H[i, i] = theta[k]
-        k += 1
-    return v2, H
-
-
 def _curve_converged(res, tol, slack=1.1):
     res = np.asarray(res)
     if res[-1] >= tol:
@@ -196,27 +168,28 @@ def _curve_converged(res, tol, slack=1.1):
 def fit_expansion(u, x, plan=None, grid=None, grad=None):
     """Least-squares fit of the second quotients against the degree <= 2 model.
 
-    The model <v2, pi_2 w> + (1/2) <H pi_1 w, pi_1 w> is fitted at the finest
-    scale; the residual curve tracks sup-norm misfit per scale and must
-    decrease below the fit tolerance for a "converged" verdict.
+    The model <v2, pi_2 w> + (1/2) <H pi_1 w, pi_1 w> spans the basis monomials
+    of degree exactly 2; their coefficients, fitted per scale, give (H, v2)
+    through ``sym_hessian``, and the finest scale gives the jet.  The residual
+    curve tracks that fit's sup-norm misfit per scale and must decrease below
+    the fit tolerance for a "converged" verdict.
     """
     plan = plan or SamplingPlan()
     if grid is None:
         grid = build_quotient_grid(u, x, plan, grad=grad)
     desc = u.desc
-    Phi = _design_matrix(desc, grid.W)
-    p = Phi.shape[1]
-    if np.linalg.matrix_rank(Phi) < p:
+    E = np.array(monomials_up_to(desc, 2))
+    top = E @ desc.dilation_exponents == 2
+    Phi = np.prod(grid.W[:, None, :] ** E[top], axis=-1)
+    if np.linalg.matrix_rank(Phi) < Phi.shape[1]:
         raise RankDeficientDesign("direction set does not span the degree-2 model")
-    thetas = np.stack([np.linalg.lstsq(Phi, grid.values[k], rcond=None)[0] for k in range(len(grid.taus))])
-    v2_per_scale = thetas[:, : desc.m2 - desc.m1]
-    theta = thetas[-1]
-    v2, H = _unpack_theta(desc, theta)
-    preds = Phi @ theta
-    residuals = np.max(np.abs(grid.values - preds[None, :]), axis=1)
+    C = np.zeros((len(grid.taus), len(E)))
+    C[:, top] = np.linalg.lstsq(Phi, grid.values.T, rcond=None)[0].T
+    H, v2 = sym_hessian(desc, C)
+    residuals = np.max(np.abs(grid.values - Phi @ C[-1, top]), axis=1)
     ux = float(u.value(np.asarray(x, dtype=float)[None])[0])
-    jet = jet_from_fit(desc, ux, grid.grad, v2, H)
-    return ExpansionFit(jet, grid.taus, residuals, v2_per_scale, _curve_converged(residuals, plan.tol.fit), grid)
+    jet = jet_from_fit(desc, ux, grid.grad, v2[-1], H[-1])
+    return ExpansionFit(jet, grid.taus, residuals, v2, _curve_converged(residuals, plan.tol.fit), grid)
 
 
 # -- extended differential ----------------------------------------------------------
@@ -378,12 +351,8 @@ def characterize_second_order(u, x, plan=None):
     metrics = {"equivalence": equivalence}
     if ok_e and ok_g:
         jet = expansion.jet
-        fc = field_coefficients(desc)
-        rhs = extended.A.T.copy()
-        for l in range(fc.alij.shape[0]):
-            rhs -= fc.alij[l] * jet.v2[l]
-        res3 = float(np.max(np.abs(jet.hessian - rhs)))
-        words = jet_coefficients(poly_from_jet2(jet))
+        res3 = float(np.max(jet.identity_residual(extended.A)))
+        words = jet_coefficients(desc, poly_from_jet2(jet))
         xixj = np.array([[words[(i, j)] for j in range(desc.m1)] for i in range(desc.m1)])
         res3b = float(np.max(np.abs(xixj - extended.A.T)))
         v2_tail = expansion.v2_per_scale[-3:]

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from carnot import ScalarField, build_function
+from carnot import GradedPolynomial, ScalarField, build_function, fields
 from carnot import suite as suite_mod
 from carnot.groups import GroupDescriptor
 from carnot.reports import render_csv, render_json
@@ -91,6 +91,36 @@ def test_criterion_04_field_identity():
     assert all(r.passed for r in records)
 
 
+def test_criterion_04_nan_field_fails(monkeypatch):
+    # X_1 NaN on one monomial: every residual that applies X_1 is NaN
+    apply_field = fields.apply_field
+
+    def nan_x1(fc, j, P):
+        out = apply_field(fc, j, P)
+        return out * np.nan if j == 0 and P.coeffs == {(1,) + (0,) * (fc.desc.dim - 1): 1.0} else out
+
+    monkeypatch.setattr(fields, "apply_field", nan_x1)
+    records, _, _ = _run(field_identity_records)
+    assert len(records) == 4 and not any(r.passed for r in records)
+    assert all(np.isnan(r.metric) for r in records)
+
+
+def test_criterion_04_polynomial_constructions(monkeypatch):
+    # a host-independent work budget: the identity is checked by matmul on
+    # coefficient rows, and polynomials are built only for the field
+    # matrices (47,717 constructions when every check used dict arithmetic)
+    count = []
+    init = GradedPolynomial.__init__
+
+    def counting(self, *args, **kwargs):
+        count.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedPolynomial, "__init__", counting)
+    field_identity_records(SEED)
+    assert 0 < len(count) < 2000
+
+
 def test_criterion_05_subdifferential_hulls():
     records, _, dt = _run(hull_records)
     assert _report("5 (subdifferential hulls)", records, dt, 20.0)
@@ -130,7 +160,10 @@ def test_criterion_06_nan_field_fails(monkeypatch):
 
     monkeypatch.setattr(suite_mod, "build_function", nan_right)
     records, _, _ = _run(first_order_records)
-    assert [r.passed for r in records if r.check_id == "first-order/smooth"] == [False]
+    smooth = [r for r in records if r.check_id == "first-order/smooth"]
+    assert [r.passed for r in smooth] == [False]
+    # the hull diameter stays finite, so the detail must say which points fail
+    assert smooth[0].detail.startswith("ladder stalls at points [0, 1, ")
 
 
 def test_criterion_07_mean_value_witnesses():

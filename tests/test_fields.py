@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from carnot import DescriptorError, GradedPolynomial, GroupDescriptor, apply_field, field_coefficients, validate_descriptor
+from carnot import (
+    DescriptorError,
+    GradedPolynomial,
+    GroupDescriptor,
+    apply_field,
+    coefficient_vector,
+    field_coefficients,
+    field_matrices,
+    monomials_up_to,
+    validate_descriptor,
+)
 
 
 def seeded_filiform4(seed=0):
@@ -49,15 +59,16 @@ BAD_JACOBI = {
 }
 
 
+@pytest.fixture(params=["h1", "h2", "fs3", "eng", "filiform4-seeded"])
+def desc(request):
+    if request.param == "filiform4-seeded":
+        return seeded_filiform4()
+    return request.getfixturevalue(request.param)
+
+
 class TestSparseStructureConstants:
     """Field coefficients and Jacobi sums from the nonzero brackets only
     match the dense-tensor computation."""
-
-    @pytest.fixture(params=["h1", "h2", "fs3", "eng", "filiform4-seeded"])
-    def desc(self, request):
-        if request.param == "filiform4-seeded":
-            return seeded_filiform4()
-        return request.getfixturevalue(request.param)
 
     def test_field_table_matches_dense(self, desc):
         fc = field_coefficients(desc)
@@ -187,3 +198,33 @@ class TestApplyField:
             exact = apply_field(fc, j, P).evaluate(pts)
             denom = 1.0 + np.abs(exact)
             assert np.max(np.abs(fd - exact) / denom) < 1e-7
+
+
+class TestFieldMatrices:
+    """X_j and d/dx_j as matrices on the coefficient vectors of degree <= 2."""
+
+    def test_matrices_match_polynomial_arithmetic(self, desc):
+        fc = field_coefficients(desc)
+        X, D = field_matrices(desc)
+        basis = monomials_up_to(desc, 2)
+        assert X.shape == D.shape == (desc.m2, len(basis), len(basis))
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            P = GradedPolynomial.from_terms(desc, zip(basis, rng.uniform(-1, 1, len(basis))))
+            c = coefficient_vector(P)
+            for j in range(desc.m2):
+                assert np.array_equal(X[j] @ c, coefficient_vector(apply_field(fc, j, P)))
+                assert np.array_equal(D[j] @ c, coefficient_vector(P.partial(j)))
+
+    def test_abelian_fields_are_partials(self, r3):
+        X, D = field_matrices(r3)
+        assert X.shape == (3, 10, 10) and np.array_equal(X, D)
+
+    def test_cached_per_descriptor(self, h1):
+        assert field_matrices(h1) is field_matrices(h1)
+
+    def test_coefficient_vector_basis_order(self, h1):
+        # entry k is the coefficient of monomials_up_to(desc, 2)[k]; the constant comes first
+        c = coefficient_vector(GradedPolynomial.from_terms(h1, [((0, 0, 0), 2.0), ((1, 1, 0), -1.0)]))
+        assert c[0] == 2.0 and c[monomials_up_to(h1, 2).index((1, 1, 0))] == -1.0
+        assert np.count_nonzero(c) == 2

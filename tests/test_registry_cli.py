@@ -403,6 +403,29 @@ class TestCli:
         assert main(args + ["--group", "heisenberg:1"]) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "terms, spec_file",
+        [
+            ({"a": 1}, False),
+            ([1, 2], False),
+            ([{"exponents": [2.5, 0, 0], "coeff": 1.0}], False),
+            ([{"exponents": [2.5, 0, 0], "coeff": 1.0}], True),
+            ([{"exponents": [-1, 0, 0], "coeff": 1.0}], False),
+            ([{"exponents": [2, 0, 0], "coeff": "nan"}], False),
+        ],
+        ids=["object", "numbers", "fractional-exponent", "fractional-exponent-spec-file", "negative-exponent", "nan-coeff"],
+    )
+    def test_malformed_polynomial_terms_exit_2(self, tmp_path, capsys, terms, spec_file):
+        # --poly and {"polynomial": [...]} specs share one parser
+        if spec_file:
+            path = tmp_path / "fn.json"
+            path.write_text(json.dumps({"polynomial": terms}))
+            args = ["hconvex-check", "--fn-file", str(path)]
+        else:
+            args = ["poly-hess", "--poly", json.dumps(terms)]
+        assert main(args + ["--group", "heisenberg:1"]) == 2
+        assert "polynomial term" in capsys.readouterr().err
+
     def test_closed_stdout_keeps_exit_status(self):
         # the reader is gone before the first line is written, as with `| head -1`
         read_end, write_end = os.pipe()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from carnot import (
+    GradedPolynomial,
     NonSingletonSubdifferential,
     ScalarField,
     SamplingPlan,
@@ -11,6 +12,7 @@ from carnot import (
     fit_expansion,
     fit_extended_differential,
     hconvexity_check,
+    monomials_up_to,
     psd_check,
     second_quotient,
     subdiff_quotient,
@@ -114,7 +116,8 @@ class TestFitExpansion:
         from carnot.registry import _poly_field
 
         fit = fit_expansion(quad_vert, np.array([0.3, -0.1, 0.2]), plan)
-        P2 = poly_from_jet2(fit.jet).homogeneous_part(2)
+        P = GradedPolynomial.from_terms(h1, zip(monomials_up_to(h1, 2), poly_from_jet2(fit.jet)))
+        P2 = P.homogeneous_part(2)
         field = _poly_field(h1, P2, label="P2")
         assert hconvexity_check(field, plan).max_violation <= 1e-10
 

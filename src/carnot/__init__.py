@@ -1,11 +1,12 @@
 """Computable calculus on stratified (Carnot) groups.
 
 Group arithmetic from structure constants (BCH product, dilations,
-homogeneous norms), graded polynomial calculus with left-invariant vector
-fields, and numerical first/second-order analysis of h-convex functions:
-subdifferential hulls, mean-value witnesses, directional derivatives,
-second-order expansion fits and the extended differential of the horizontal
-gradient.
+homogeneous norms), polynomials as coefficient vectors over the monomials
+of bounded homogeneous degree with the left-invariant vector fields as
+matrices on them, and numerical first/second-order analysis of h-convex
+functions: subdifferential hulls, mean-value witnesses, directional
+derivatives, second-order expansion fits and the extended differential of
+the horizontal gradient.
 """
 
 from .convexity import (
@@ -31,7 +32,7 @@ from .errors import (
     RankDeficientDesign,
     SamplingError,
 )
-from .fields import FieldCoefficients, apply_field, coefficient_vector, field_coefficients, field_matrices
+from .fields import field_coefficients, field_matrices
 from .groups import (
     GroupDescriptor,
     ValidationReport,
@@ -46,7 +47,7 @@ from .jets import (
     poly_from_jet2,
     sym_hessian,
 )
-from .polynomials import ZERO_DEGREE, GradedPolynomial, monomials_up_to, weighted_degree
+from .polynomials import evaluate, monomials_up_to, weighted_degree
 from .registry import (
     build_function,
     build_group,

@@ -20,11 +20,10 @@ import numpy as np
 from . import suite as suite_mod
 from .convexity import dermax_check, hconvexity_check, mean_value_witness, subdiff_membership, subdifferential_hull
 from .errors import CarnotError, DescriptorError
-from .fields import coefficient_vector
 from .groups import validate_descriptor
 from .jets import check_alij, sym_hessian
 from .polynomials import monomials_up_to
-from .registry import build_function, build_group, load_descriptor, load_function, parse_polynomial
+from .registry import build_group, function_from_spec, load_descriptor, load_function, parse_polynomial
 from .reports import CheckRecord, curve_points, emit_report
 from .sampling import SamplingPlan
 from .second_order import characterize_second_order, fit_expansion
@@ -130,8 +129,7 @@ def _function(cfg, desc):
     if not cfg.fn:
         raise DescriptorError("either --fn or --fn-file is required")
     name, _, params = cfg.fn.partition(":")
-    kwargs = json.loads(params) if params else {}
-    return build_function(desc, name, **kwargs)
+    return function_from_spec(desc, {"builtin": name, "params": json.loads(params) if params else {}})
 
 
 def _poly(cfg, desc):
@@ -166,7 +164,7 @@ def run_command(cfg):
             _out(np.array2string(z, precision=15))
         elif cfg.operation == "poly-hess":
             desc = _group(cfg)
-            H, v2 = sym_hessian(desc, coefficient_vector(_poly(cfg, desc)))
+            H, v2 = sym_hessian(desc, _poly(cfg, desc))
             _out("hessian:", np.array2string(H, precision=12))
             _out("v2 gradient:", np.array2string(v2, precision=12))
         elif cfg.operation == "poly-alij":

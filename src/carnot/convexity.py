@@ -49,10 +49,10 @@ __all__ = [
 class ScalarField:
     """An evaluatable function on (a subset of) a stratified group.
 
-    ``fn`` maps point arrays with trailing axis ``desc.dim`` to value arrays;
-    set ``vectorized=False`` for scalar-only callables.  ``domain`` is an
-    optional boolean predicate (None means the whole group), ``grad_h`` an
-    optional analytic horizontal gradient with the same batching convention.
+    ``fn`` maps point arrays with trailing axis ``desc.dim`` to value arrays.
+    ``domain`` is an optional boolean predicate (None means the whole group),
+    ``grad_h`` an optional analytic horizontal gradient with the same
+    batching convention.
     """
 
     desc: object
@@ -60,14 +60,10 @@ class ScalarField:
     label: str = "u"
     domain: object = None
     grad_h: object = None
-    vectorized: bool = True
     certificate: float | None = None
 
     def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if self.vectorized:
-            return np.asarray(self.fn(pts), dtype=float)
-        return np.apply_along_axis(lambda row: float(self.fn(row)), -1, pts)
+        return np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
 
     def inside(self, pts):
         pts = np.asarray(pts, dtype=float)

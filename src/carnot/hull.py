@@ -54,7 +54,11 @@ class ConvexPolytope:
         return float(np.max(np.linalg.norm(diff, axis=-1)))
 
 
-def hausdorff_distance(A, B, directions=1024):
-    """Support-gap Hausdorff distance between two convex vertex sets."""
-    dirs = unit_directions(A.dim, directions)
+_HAUSDORFF_DIRECTIONS = 1024
+
+
+def hausdorff_distance(A, B):
+    """Support-gap Hausdorff distance between two convex vertex sets, over
+    ``_HAUSDORFF_DIRECTIONS`` unit directions."""
+    dirs = unit_directions(A.dim, _HAUSDORFF_DIRECTIONS)
     return float(np.max(np.abs(A.support(dirs) - B.support(dirs))))

@@ -1,13 +1,14 @@
 """Degree-two jets of polynomials on a stratified group.
 
 A polynomial of homogeneous degree <= 2 is its coefficient vector over
-``monomials_up_to(desc, 2)`` (``fields.coefficient_vector``); on that span
-the left-invariant fields X_j and the partials d/dx_j are the matrices of
-``fields.field_matrices``.  Every function here takes the descriptor and
-coefficient rows ``(..., n)`` and reads its answer off those matrices: the
-jet values X^I P(0) over field words I, the symmetrized horizontal Hessian
-and second-layer gradient, the structure identity residual, and the exact
-peak of the 2-homogeneous part over the unit quasi-sphere.  A jet (value,
+``monomials_up_to(desc, 2)``; on that span the left-invariant fields X_j
+and the partials d/dx_j are the matrices of ``fields.field_matrices``.
+Every function here takes the descriptor and coefficient rows ``(..., n)``
+over that basis (a longer row holds a monomial of degree > 2 and raises
+``ValueError``) and reads its answer off those matrices: the jet values
+X^I P(0) over field words I, the symmetrized horizontal Hessian and
+second-layer gradient, the structure identity residual, and the exact peak
+of the 2-homogeneous part over the unit quasi-sphere.  A jet (value,
 horizontal gradient, second-layer gradient, symmetrized horizontal Hessian)
 determines the coefficient vector, which ``poly_from_jet2`` rebuilds.
 """
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _degree2_index, field_coefficients, field_matrices
+from .fields import field_coefficients, field_matrices
+from .polynomials import monomials_up_to
 
 __all__ = [
     "Jet2",
@@ -31,6 +33,17 @@ __all__ = [
 ]
 
 
+def _matrices(desc, C):
+    """``field_matrices(desc)``, once the rows ``C`` are known to be over its basis."""
+    X, D = field_matrices(desc)
+    if np.shape(C)[-1] != X.shape[-1]:
+        raise ValueError(
+            f"expected the {X.shape[-1]} coefficients of a polynomial of homogeneous "
+            f"degree <= 2 on {desc.name}, got {np.shape(C)[-1]}"
+        )
+    return X, D
+
+
 def _apply(M, C):
     """``(..., J, n)``: the matrices ``M`` ``(J, n, n)`` applied to each row of ``C`` ``(..., n)``."""
     return np.einsum("jab,...b->...ja", M, C)
@@ -38,7 +51,7 @@ def _apply(M, C):
 
 def _rotation(desc, v2):
     """sum_l a^{li}_j (v2)_l, as an (m1, m1) matrix indexed [i, j]."""
-    return np.tensordot(v2, field_coefficients(desc).alij, axes=1)
+    return np.tensordot(v2, field_coefficients(desc), axes=1)
 
 
 @dataclass(frozen=True)
@@ -89,7 +102,7 @@ def jet_words(desc):
 def jet_coefficients(desc, c):
     """Map word I -> X^I P(0) over the degree <= 2 words, for the
     coefficient vector ``c`` of P.  The constant monomial is basis entry 0."""
-    X, _ = field_matrices(desc)
+    X, _ = _matrices(desc, c)
     out = {}
     for word in jet_words(desc):
         v = c
@@ -105,17 +118,17 @@ def poly_from_jet2(jet):
     P(w) = value + <grad, pi_1 w> + <v2, pi_2 w> + (1/2) <H pi_1 w, pi_1 w>.
     """
     desc = jet.desc
-    index = _degree2_index(desc)
+    basis = monomials_up_to(desc, 2)
     eye = np.eye(desc.dim, dtype=np.int64)
-    c = np.zeros(len(index))
+    c = np.zeros(len(basis))
     c[0] = jet.value
     for i in range(desc.m1):
-        c[index[tuple(eye[i])]] = jet.grad[i]
+        c[basis.index(tuple(eye[i]))] = jet.grad[i]
         for j in range(i, desc.m1):
             h = jet.hessian[i, j] if i == j else jet.hessian[i, j] + jet.hessian[j, i]
-            c[index[tuple(eye[i] + eye[j])]] = 0.5 * h
+            c[basis.index(tuple(eye[i] + eye[j]))] = 0.5 * h
     for l in range(desc.m1, desc.m2):
-        c[index[tuple(eye[l])]] = jet.v2[l - desc.m1]
+        c[basis.index(tuple(eye[l]))] = jet.v2[l - desc.m1]
     return c
 
 
@@ -126,7 +139,7 @@ def sym_hessian(desc, C):
     Both are constant (0-homogeneous) for degree <= 2 input: H_ij is the
     value of (X_i X_j + X_j X_i) P / 2 and (v2)_l that of X_l P, at 0.
     """
-    X, _ = field_matrices(desc)
+    X, _ = _matrices(desc, C)
     m1 = desc.m1
     xx = _apply(X[:m1], _apply(X[:m1], C))[..., 0]  # [..., j, i] = X_i X_j P(0)
     v2 = _apply(X[m1:], C)[..., 0]
@@ -141,8 +154,8 @@ def check_alij(desc, C):
     ``alij``.  Entry (k, i, j) of the ``(K, m1, m1)`` result is the largest
     coefficient of the residual polynomial of row k.
     """
-    X, D = field_matrices(desc)
-    alij = field_coefficients(desc).alij
+    X, D = _matrices(desc, C)
+    alij = field_coefficients(desc)
     m1 = desc.m1
     lhs = _apply(X[:m1], _apply(X[:m1], C))  # [k, j, i] = X_i X_j P
     sym = _apply(D[:m1], _apply(D[:m1], C))  # equals (c_ij + c_ji)/2 for quadratics

@@ -11,6 +11,7 @@ mirror entries are filled antisymmetrically.  Function specs are either
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 
@@ -18,9 +19,9 @@ import numpy as np
 
 from .convexity import ScalarField, hconvexity_check
 from .errors import DescriptorError
-from .fields import apply_field, field_coefficients
+from .fields import field_matrices
 from .groups import GroupDescriptor, validate_descriptor
-from .polynomials import GradedPolynomial
+from .polynomials import evaluate, monomials_up_to, weighted_degree
 from .sampling import SamplingPlan
 
 __all__ = [
@@ -134,14 +135,19 @@ def _default_direction(m1):
     return np.array([0.9 * (-0.75) ** i for i in range(m1)])
 
 
-def _poly_field(desc, P, label):
-    fc = field_coefficients(desc)
-    grads = [apply_field(fc, i, P) for i in range(desc.m1)]
+def _poly_field(desc, c, degree, label):
+    """Field of the coefficient vector ``c`` over ``monomials_up_to(desc, degree)``,
+    with the exact horizontal gradient ``X[:m1] @ c``."""
+    X, _ = field_matrices(desc, degree)
+    grads = X[: desc.m1] @ c
+
+    def fn(pts):
+        return evaluate(desc, c, pts)
 
     def grad_h(pts):
-        return np.stack([g.evaluate(pts) for g in grads], axis=-1)
+        return np.stack([evaluate(desc, g, pts) for g in grads], axis=-1)
 
-    return ScalarField(desc, P.evaluate, label=label, grad_h=grad_h)
+    return ScalarField(desc, fn, label=label, grad_h=grad_h)
 
 
 def horizontal_affine(desc, q=None, c=0.0):
@@ -179,13 +185,13 @@ def quad_vertical(desc, alpha=1.0):
     """
     if desc.step < 2:
         raise DescriptorError("quad_vertical needs a group of step >= 2")
-    P = GradedPolynomial.from_terms(
-        desc,
-        [(tuple(2 if i == k else 0 for i in range(desc.dim)), 1.0) for k in range(desc.m1)]
-        + [(tuple(1 if i == desc.m1 else 0 for i in range(desc.dim)), float(alpha))],
-    )
-    field = _poly_field(desc, P, label=f"quad_vertical(alpha={alpha:g})")
-    return field
+    basis = monomials_up_to(desc, 2)
+    eye = np.eye(desc.dim, dtype=np.int64)
+    c = np.zeros(len(basis))
+    for k in range(desc.m1):
+        c[basis.index(tuple(2 * eye[k]))] = 1.0
+    c[basis.index(tuple(eye[desc.m1]))] = float(alpha)
+    return _poly_field(desc, c, 2, label=f"quad_vertical(alpha={alpha:g})")
 
 
 def max_affine(desc, Q=None, b=None):
@@ -262,19 +268,44 @@ _CERT_PLAN = SamplingPlan(
 
 def build_function(desc, name, certify=True, **params):
     """Instantiate a registered function; attaches an h-convexity certificate
-    (the sampled violation at registration resolution) unless disabled."""
+    (the sampled violation at registration resolution) unless disabled.
+    ``DescriptorError`` unless each parameter is one the function takes,
+    with a finite number or an array of them for its value."""
     if name not in FUNCTIONS:
         raise KeyError(f"unknown function {name!r}; available: {sorted(FUNCTIONS)}")
+    known = list(inspect.signature(FUNCTIONS[name]).parameters)[1:]
+    for key, value in params.items():
+        if key not in known:
+            raise DescriptorError(f"unknown parameter {key!r} of {name!r}; it takes: {', '.join(known) or 'none'}")
+        try:
+            finite = bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise DescriptorError(f"parameter {key!r} of {name!r} must be a finite number or an array of them, got {value!r}")
     field = FUNCTIONS[name](desc, **params)
     if certify:
         field.certificate = hconvexity_check(field, _CERT_PLAN).max_violation
     return field
 
 
-def parse_polynomial(desc, terms):
-    """The polynomial of JSON terms ``[{"exponents": [...], "coeff": c}, ...]``;
-    ``DescriptorError`` unless exponents are nonnegative integers and each
-    coefficient a finite number."""
+# A polynomial field carries its field matrices, dense (dim, n, n) arrays over
+# the n monomials of its degree; larger bases are refused.
+_MAX_MONOMIALS = 500
+
+
+def _basis_size(desc, degree):
+    """``len(monomials_up_to(desc, degree))``, counted without listing them."""
+    exact = [1] + [0] * degree  # monomials of each exact homogeneous degree
+    for w in desc.dilation_exponents:
+        for s in range(int(w), degree + 1):
+            exact[s] += exact[s - w]
+    return sum(exact)
+
+
+def _parse(desc, terms):
+    """``(c, d)``: the coefficient vector of the JSON terms over
+    ``monomials_up_to(desc, d)``, d the larger of 2 and their homogeneous degree."""
     try:
         if not isinstance(terms, list):
             raise TypeError(f"expected a JSON list, got {type(terms).__name__}")
@@ -282,15 +313,35 @@ def parse_polynomial(desc, terms):
         for alpha, c in out:
             if not (all(a >= 0 and a == int(a) for a in alpha) and math.isfinite(c)):
                 raise ValueError(f"exponents {alpha} with coeff {c}")
+            if len(alpha) != desc.dim:
+                raise ValueError(f"exponents {alpha} of length {len(alpha)}, expected {desc.dim}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(f"malformed polynomial terms: {exc}") from exc
-    return GradedPolynomial.from_terms(desc, out)
+    out = [(tuple(int(a) for a in alpha), c) for alpha, c in out if c]
+    degree = max([2] + [weighted_degree(alpha, desc) for alpha, _ in out])
+    # the basis of degree d holds 1, x1, ..., x1^d: count no further than that
+    if _basis_size(desc, min(degree, _MAX_MONOMIALS)) > _MAX_MONOMIALS:
+        raise DescriptorError(
+            f"a polynomial of homogeneous degree {degree} on {desc.name} spans more than {_MAX_MONOMIALS} monomials"
+        )
+    basis = monomials_up_to(desc, degree)
+    vec = np.zeros(len(basis))
+    for alpha, c in out:
+        vec[basis.index(alpha)] += c
+    return vec, degree
+
+
+def parse_polynomial(desc, terms):
+    """The coefficient vector of JSON terms ``[{"exponents": [...], "coeff": c}, ...]``
+    over ``monomials_up_to(desc, d)``, d the larger of 2 and their homogeneous
+    degree; ``DescriptorError`` unless exponents are nonnegative integers, one
+    per coordinate, and each coefficient a finite number."""
+    return _parse(desc, terms)[0]
 
 
 def polynomial_field(desc, terms, label="polynomial", certify=True):
-    """Field backed by a graded polynomial literal, with exact gradient."""
-    P = parse_polynomial(desc, terms)
-    field = _poly_field(desc, P, label)
+    """Field backed by a polynomial literal, with exact gradient."""
+    field = _poly_field(desc, *_parse(desc, terms), label)
     if certify:
         field.certificate = hconvexity_check(field, _CERT_PLAN).max_violation
     return field
@@ -333,12 +384,19 @@ def _combine(desc, op, fields):
 
 def function_from_spec(desc, spec, certify=True):
     """Build a field from a function-spec dict (see module docstring)."""
+    if not isinstance(spec, dict):
+        raise DescriptorError(f"a function spec must be a JSON object, got {spec!r}")
     if "builtin" in spec:
-        return build_function(desc, spec["builtin"], certify=certify, **spec.get("params", {}))
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise DescriptorError(f"the params of {spec['builtin']!r} must be a JSON object, got {params!r}")
+        return build_function(desc, spec["builtin"], certify=certify, **params)
     if "polynomial" in spec:
         return polynomial_field(desc, spec["polynomial"], certify=certify)
     if "composition" in spec:
         comp = spec["composition"]
+        if not (isinstance(comp, dict) and isinstance(comp.get("terms"), list)):
+            raise DescriptorError(f"a composition must be a JSON object with a list of terms, got {comp!r}")
         fields = [function_from_spec(desc, s, certify=False) for s in comp["terms"]]
         field = _combine(desc, comp["op"], fields)
         if certify:

@@ -109,7 +109,7 @@ class QuotientGrid:
     x: np.ndarray
     grad: np.ndarray
     taus: tuple
-    W: np.ndarray  # (K, dim) directions, homogeneous norm <= radius
+    W: np.ndarray  # (K, dim) directions of homogeneous norm 1
     values: np.ndarray  # (len(taus), K)
 
 
@@ -126,14 +126,15 @@ def _direction_set(desc, count):
     return np.concatenate(base)
 
 
-def build_quotient_grid(u, x, plan=None, radius=1.0, grad=None):
-    """Tabulate the second difference quotients over scales and directions."""
+def build_quotient_grid(u, x, plan=None, grad=None):
+    """Tabulate the second difference quotients over scales and the unit
+    directions of ``_direction_set``."""
     plan = plan or SamplingPlan()
     desc = u.desc
     x = np.asarray(x, dtype=float)
     if grad is None:
         grad, _ = gradient_with_certificate(u, x, plan)
-    W = desc.dilate(radius, _direction_set(desc, plan.so_directions))
+    W = _direction_set(desc, plan.so_directions)
     taus = np.asarray(plan.taus())
     for _ in range(30):
         pts = desc.translate_points(x, desc.dilate(taus[0], W))

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from carnot import GradedPolynomial, ScalarField, build_function, fields
+from carnot import ScalarField, build_function, fields, monomials_up_to
 from carnot import suite as suite_mod
 from carnot.groups import GroupDescriptor
 from carnot.reports import render_csv, render_json
@@ -85,6 +85,21 @@ def test_criterion_03_structure_constants():
     assert all(r.passed for r in records)
 
 
+def test_criterion_03_nan_constant_fails(monkeypatch):
+    # a NaN a^{32}_1 on heisenberg(1) fails the rotational record, and the
+    # antisymmetry record that reads it
+    def nan_a32_1(desc):
+        alij = fields.field_coefficients(desc).copy()
+        if desc.name == "heisenberg(1)":
+            alij[0, 1, 0] = np.nan
+        return alij
+
+    monkeypatch.setattr(suite_mod, "field_coefficients", nan_a32_1)
+    records, _, _ = _run(structure_constant_records)
+    assert [r.passed for r in records] == [False, False]
+    assert all(np.isnan(r.metric) for r in records)
+
+
 def test_criterion_04_field_identity():
     records, _, dt = _run(field_identity_records)
     assert _report("4 (second-derivative structure identity)", records)
@@ -92,33 +107,36 @@ def test_criterion_04_field_identity():
 
 
 def test_criterion_04_nan_field_fails(monkeypatch):
-    # X_1 NaN on one monomial: every residual that applies X_1 is NaN
-    apply_field = fields.apply_field
+    # X_1 NaN on the monomial x1: every residual that applies X_1 is NaN
+    build = fields._field_matrices
 
-    def nan_x1(fc, j, P):
-        out = apply_field(fc, j, P)
-        return out * np.nan if j == 0 and P.coeffs == {(1,) + (0,) * (fc.desc.dim - 1): 1.0} else out
+    def nan_on_x1(desc, degree):
+        X, D = build(desc, degree)
+        x1 = monomials_up_to(desc, degree).index((1,) + (0,) * (desc.dim - 1))
+        X = X.copy()
+        X[0, :, x1] = np.nan
+        return X, D
 
-    monkeypatch.setattr(fields, "apply_field", nan_x1)
+    monkeypatch.setattr(fields, "_field_matrices", nan_on_x1)
     records, _, _ = _run(field_identity_records)
     assert len(records) == 4 and not any(r.passed for r in records)
     assert all(np.isnan(r.metric) for r in records)
 
 
-def test_criterion_04_polynomial_constructions(monkeypatch):
+def test_criterion_04_matrix_builds(monkeypatch):
     # a host-independent work budget: the identity is checked by matmul on
-    # coefficient rows, and polynomials are built only for the field
-    # matrices (47,717 constructions when every check used dict arithmetic)
-    count = []
-    init = GradedPolynomial.__init__
+    # coefficient rows, with one build of the field matrices per descriptor
+    # (47,717 polynomial constructions when every check used dict arithmetic)
+    built = []
+    build = fields._field_matrices
 
-    def counting(self, *args, **kwargs):
-        count.append(1)
-        init(self, *args, **kwargs)
+    def counting(desc, degree):
+        built.append((id(desc), degree))
+        return build(desc, degree)
 
-    monkeypatch.setattr(GradedPolynomial, "__init__", counting)
-    field_identity_records(SEED)
-    assert 0 < len(count) < 2000
+    monkeypatch.setattr(fields, "_field_matrices", counting)
+    records, _, _ = _run(field_identity_records)
+    assert len(built) == len(set(built)) == len(records) == 4
 
 
 def test_criterion_05_subdifferential_hulls():

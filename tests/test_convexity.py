@@ -19,10 +19,8 @@ from carnot import (
     subdifferential_hull,
 )
 from carnot.convexity import _directional_derivatives, _fd_gradients_batch, _shell_gradients
-from carnot.fields import coefficient_vector
 from carnot.jets import lambda_max
-from carnot.polynomials import GradedPolynomial
-from carnot.registry import function_from_spec, polyhedral_suite, smooth_suite
+from carnot.registry import function_from_spec, parse_polynomial, polyhedral_suite, smooth_suite
 from carnot.sampling import ball, quasi_sphere, unit_directions
 
 
@@ -283,8 +281,8 @@ class TestMembership:
             }
         }
         u = function_from_spec(h1, spec, certify=False)
-        P = GradedPolynomial.from_terms(h1, [((2, 0, 0), -0.4), ((0, 0, 1), 0.2)])
-        lam = lambda_max(h1, coefficient_vector(P))
+        P = parse_polynomial(h1, [{"exponents": [2, 0, 0], "coeff": -0.4}, {"exponents": [0, 0, 1], "coeff": 0.2}])
+        lam = lambda_max(h1, P)
         x = np.array([0.3, -0.2, 0.1])
         gradP = np.array([2 * (-0.4) * x[0] + 0.2 * (-x[1] / 2), 0.2 * (x[0] / 2)])
         p = np.sign(x[:2]) + gradP  # subgradient of U plus grad P

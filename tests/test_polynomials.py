@@ -1,78 +1,112 @@
 import numpy as np
 import pytest
 
-from carnot import GradedPolynomial, ZERO_DEGREE, monomials_up_to, weighted_degree
+from carnot import DescriptorError, evaluate, field_matrices, monomials_up_to, parse_polynomial, weighted_degree
 
 
-def P(desc, terms):
-    return GradedPolynomial.from_terms(desc, terms)
+def vector(desc, terms, degree=2):
+    """Coefficient vector over ``monomials_up_to(desc, degree)`` of (exponents, coeff) pairs."""
+    basis = monomials_up_to(desc, degree)
+    c = np.zeros(len(basis))
+    for alpha, v in terms:
+        c[basis.index(alpha)] += v
+    return c
+
+
+def homogeneous_part(desc, c, j):
+    """The monomials of homogeneous degree exactly j of the coefficient vector c."""
+    basis = monomials_up_to(desc, 2)
+    return np.where([weighted_degree(a, desc) == j for a in basis], c, 0.0)
 
 
 class TestDegrees:
     def test_coordinate_weights(self, h1):
-        assert GradedPolynomial.coordinate(h1, 2).hdeg == 2  # x3 weighs 2
-        assert P(h1, [((1, 1, 0), 1.0)]).hdeg == 2  # x1 x2
-        assert P(h1, [((1, 0, 1), 1.0)]).hdeg == 3  # x1 x3
+        assert weighted_degree((0, 0, 1), h1) == 2  # x3 weighs 2
+        assert weighted_degree((1, 1, 0), h1) == 2  # x1 x2
+        assert weighted_degree((1, 0, 1), h1) == 3  # x1 x3
 
     def test_constant_and_zero(self, h1):
-        assert GradedPolynomial.constant(h1, 2.5).hdeg == 0
-        assert GradedPolynomial.zero(h1).hdeg == ZERO_DEGREE
-        assert GradedPolynomial.zero(h1).hdeg == float("-inf")
+        # the constant monomial comes first and has degree 0
+        assert monomials_up_to(h1, 2)[0] == (0, 0, 0) and weighted_degree((0, 0, 0), h1) == 0
+        pts = np.random.default_rng(0).uniform(-1, 1, (10, 3))
+        assert np.array_equal(evaluate(h1, vector(h1, [((0, 0, 0), 2.5)]), pts), np.full(10, 2.5))
+        assert np.array_equal(evaluate(h1, np.zeros(7), pts), np.zeros(10))
 
     def test_weighted_degree(self, eng):
         # engel weights (1, 1, 2, 3)
         assert weighted_degree((1, 0, 1, 1), eng) == 6
 
     def test_homogeneous_parts(self, h1):
-        p = P(h1, [((0, 0, 0), 1.0), ((1, 0, 0), 1.0), ((0, 0, 1), 1.0)])
-        assert p.homogeneous_part(2).coeffs == {(0, 0, 1): 1.0}
-        assert p.homogeneous_part(0).coeffs == {(0, 0, 0): 1.0}
-        total = GradedPolynomial.zero(h1)
-        for j in range(3):
-            total = total + p.homogeneous_part(j)
-        assert total.coeff_distance(p) == 0.0
+        c = vector(h1, [((0, 0, 0), 1.0), ((1, 0, 0), 1.0), ((0, 0, 1), 1.0)])
+        assert np.array_equal(homogeneous_part(h1, c, 2), vector(h1, [((0, 0, 1), 1.0)]))
+        assert np.array_equal(homogeneous_part(h1, c, 0), vector(h1, [((0, 0, 0), 1.0)]))
+        assert np.array_equal(sum(homogeneous_part(h1, c, j) for j in range(3)), c)
 
     def test_homogeneous_scaling(self, eng):
         rng = np.random.default_rng(1)
-        basis = monomials_up_to(eng, 2)
-        p = P(eng, zip(basis, rng.uniform(-1, 1, len(basis))))
+        c = rng.uniform(-1, 1, len(monomials_up_to(eng, 2)))
         pts = rng.uniform(-1, 1, (50, eng.dim))
         for j in (0, 1, 2):
-            pj = p.homogeneous_part(j)
+            cj = homogeneous_part(eng, c, j)
             for r in (0.5, 2.0):
-                lhs = pj.evaluate(eng.dilate(r, pts))
-                assert np.max(np.abs(lhs - r**j * pj.evaluate(pts))) < 1e-12
+                lhs = evaluate(eng, cj, eng.dilate(r, pts))
+                assert np.max(np.abs(lhs - r**j * evaluate(eng, cj, pts))) < 1e-12
 
 
 class TestArithmetic:
     def test_ring_ops_match_pointwise(self, h1):
+        # sums and multiples of coefficient vectors evaluate pointwise
         rng = np.random.default_rng(2)
-        basis = monomials_up_to(h1, 2)
-        a = P(h1, zip(basis, rng.uniform(-1, 1, len(basis))))
-        b = P(h1, zip(basis, rng.uniform(-1, 1, len(basis))))
+        a, b = rng.uniform(-1, 1, (2, len(monomials_up_to(h1, 2))))
         pts = rng.uniform(-1, 1, (40, 3))
-        assert np.allclose((a + b).evaluate(pts), a.evaluate(pts) + b.evaluate(pts))
-        assert np.allclose((a - b).evaluate(pts), a.evaluate(pts) - b.evaluate(pts))
-        assert np.allclose((a * b).evaluate(pts), a.evaluate(pts) * b.evaluate(pts))
-        assert np.allclose((3.0 * a).evaluate(pts), 3.0 * a.evaluate(pts))
+        assert np.allclose(evaluate(h1, a + b, pts), evaluate(h1, a, pts) + evaluate(h1, b, pts))
+        assert np.allclose(evaluate(h1, a - b, pts), evaluate(h1, a, pts) - evaluate(h1, b, pts))
+        assert np.allclose(evaluate(h1, 3.0 * a, pts), 3.0 * evaluate(h1, a, pts))
 
     def test_partial_derivative(self, h1):
-        p = P(h1, [((2, 0, 0), 1.0), ((1, 1, 0), 2.0)])
-        assert p.partial(0).coeffs == {(1, 0, 0): 2.0, (0, 1, 0): 2.0}
-        assert p.partial(2).coeffs == {}
+        # d/dx1 (x1^2 + 2 x1 x2) = 2 x1 + 2 x2, and d/dx3 of it vanishes
+        _, D = field_matrices(h1)
+        c = vector(h1, [((2, 0, 0), 1.0), ((1, 1, 0), 2.0)])
+        assert np.array_equal(D[0] @ c, vector(h1, [((1, 0, 0), 2.0), ((0, 1, 0), 2.0)]))
+        assert not np.any(D[2] @ c)
 
     def test_compose_dilation(self, h1):
-        p = P(h1, [((1, 0, 0), 1.0), ((0, 0, 1), 1.0)])
-        q = p.compose_dilation(2.0)
-        assert q.coeffs == {(1, 0, 0): 2.0, (0, 0, 1): 4.0}
+        # x -> P(delta_r x) scales the coefficient of x^alpha by r^deg(alpha)
+        c = vector(h1, [((1, 0, 0), 1.0), ((0, 0, 1), 1.0)])
+        degrees = np.array([weighted_degree(a, h1) for a in monomials_up_to(h1, 2)])
+        q = c * 2.0**degrees
+        assert np.array_equal(q, vector(h1, [((1, 0, 0), 2.0), ((0, 0, 1), 4.0)]))
+        pts = np.random.default_rng(3).uniform(-1, 1, (20, 3))
+        assert np.array_equal(evaluate(h1, q, pts), evaluate(h1, c, h1.dilate(2.0, pts)))
 
     def test_zero_coefficients_pruned(self, h1):
-        p = P(h1, [((1, 0, 0), 1.0)]) - P(h1, [((1, 0, 0), 1.0)])
-        assert p.coeffs == {}
+        # only the monomials with a nonzero coefficient are evaluated: an
+        # infinite x3 never meets the zero coefficient of x3
+        c = vector(h1, [((2, 0, 0), 1.0)])
+        assert evaluate(h1, c, np.array([0.5, 0.0, np.inf])) == 0.25
 
     def test_descriptor_mismatch(self, h1, r3):
-        with pytest.raises(Exception):
-            GradedPolynomial.coordinate(h1, 0) + GradedPolynomial.coordinate(r3, 0)
+        # a polynomial of one group is not evaluated at points of another
+        with pytest.raises(DescriptorError, match="trailing length"):
+            evaluate(h1, vector(h1, [((1, 0, 0), 1.0)]), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="basis"):
+            evaluate(r3, vector(h1, [((1, 0, 0), 1.0)]), np.zeros(3))  # 7 monomials: no basis of R^3
+
+
+class TestEvaluate:
+    def test_matches_monomials(self, h1):
+        c = vector(h1, [((0, 0, 0), 0.5), ((2, 0, 0), 1.0), ((1, 1, 0), -2.0), ((0, 0, 1), 3.0)])
+        x = np.random.default_rng(2).uniform(-1, 1, (40, 3))
+        want = 0.5 + x[:, 0] ** 2 - 2 * x[:, 0] * x[:, 1] + 3 * x[:, 2]
+        assert np.max(np.abs(evaluate(h1, c, x) - want)) < 1e-15
+
+    def test_higher_degree_and_batch_shape(self, eng):
+        terms = [{"exponents": [1, 0, 0, 1], "coeff": 2.0}, {"exponents": [0, 0, 2, 0], "coeff": -1.0}]
+        c = parse_polynomial(eng, terms)
+        assert len(c) == len(monomials_up_to(eng, 4))
+        x = np.random.default_rng(3).uniform(-1, 1, (4, 5, eng.dim))
+        want = 2 * x[..., 0] * x[..., 3] - x[..., 2] ** 2
+        assert np.max(np.abs(evaluate(eng, c, x) - want)) < 1e-15
 
 
 class TestMonomialBasis:

@@ -426,6 +426,40 @@ class TestCli:
         assert main(args + ["--group", "heisenberg:1"]) == 2
         assert "polynomial term" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fn, spec, named",
+        [
+            ("quadratic:[1]", None, "[1]"),
+            ('quadratic:{"zz":1}', None, "'zz'"),
+            ('quad_vertical:{"alpha":NaN}', None, "'alpha'"),
+            (None, {"builtin": "quadratic", "params": [1]}, "[1]"),
+            (None, {"composition": {"op": "sum", "terms": [{"builtin": "one_norm"}, 5]}}, "got 5"),
+        ],
+        ids=["params-list", "unknown-param", "nan-param", "spec-params-list", "composition-term-number"],
+    )
+    def test_bad_function_parameters_exit_2(self, tmp_path, capsys, fn, spec, named):
+        if spec is None:
+            args = ["--fn", fn]
+        else:
+            path = tmp_path / "fn.json"
+            path.write_text(json.dumps(spec))
+            args = ["--fn-file", str(path)]
+        assert main(["hconvex-check", "--group", "heisenberg:1"] + args) == 2
+        assert named in capsys.readouterr().err
+
+    def test_poly_hess_degree_above_two_exit_2(self, capsys):
+        terms = json.dumps([{"exponents": [1, 0, 1], "coeff": 1.0}])  # x1 x3, degree 3
+        assert main(["poly-hess", "--group", "heisenberg:1", "--poly", terms]) == 2
+        assert "degree <= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("power", [20, 10**9])
+    def test_polynomial_basis_too_large_exit_2(self, capsys, power):
+        # the field matrices of a polynomial field are dense over its basis,
+        # and the basis is not listed to find its size
+        terms = json.dumps([{"exponents": [power, 0, 0, 0, 0], "coeff": 1.0}])
+        assert main(["poly-hess", "--group", "heisenberg:2", "--poly", terms]) == 2
+        assert "monomials" in capsys.readouterr().err
+
     def test_closed_stdout_keeps_exit_status(self):
         # the reader is gone before the first line is written, as with `| head -1`
         read_end, write_end = os.pipe()

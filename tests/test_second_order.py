@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from carnot import (
-    GradedPolynomial,
     NonSingletonSubdifferential,
     ScalarField,
     SamplingPlan,
@@ -16,6 +15,7 @@ from carnot import (
     psd_check,
     second_quotient,
     subdiff_quotient,
+    weighted_degree,
 )
 from carnot.registry import euclidean
 from carnot.second_order import gradient_with_certificate
@@ -116,9 +116,9 @@ class TestFitExpansion:
         from carnot.registry import _poly_field
 
         fit = fit_expansion(quad_vert, np.array([0.3, -0.1, 0.2]), plan)
-        P = GradedPolynomial.from_terms(h1, zip(monomials_up_to(h1, 2), poly_from_jet2(fit.jet)))
-        P2 = P.homogeneous_part(2)
-        field = _poly_field(h1, P2, label="P2")
+        quadratic = [weighted_degree(a, h1) == 2 for a in monomials_up_to(h1, 2)]
+        P2 = np.where(quadratic, poly_from_jet2(fit.jet), 0.0)
+        field = _poly_field(h1, P2, 2, label="P2")
         assert hconvexity_check(field, plan).max_violation <= 1e-10
 
 
@@ -182,9 +182,9 @@ class TestCharacterization:
         assert abs(rep.metrics["claim3_residual"]) < 1e-3
         assert rep.metrics["min_eigenvalue"] >= -1e-6
         # the skew part of A is minus the v2-weighted rotational form
-        fc = field_coefficients(h1)
+        alij = field_coefficients(h1)
         skew = 0.5 * (rep.extended.A - rep.extended.A.T)
-        induced = sum(fc.alij[l] * rep.expansion.jet.v2[l] for l in range(fc.alij.shape[0]))
+        induced = sum(alij[l] * rep.expansion.jet.v2[l] for l in range(alij.shape[0]))
         assert np.max(np.abs(skew + induced)) < 1e-3
 
     def test_affine_passes(self, h1, plan):

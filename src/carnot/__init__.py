@@ -13,7 +13,9 @@ from .convexity import (
     MvtWitness,
     ScalarField,
     dermax_check,
+    dermax_checks,
     first_order_characterization,
+    first_order_characterizations,
     first_order_residual_ladder,
     hconvexity_check,
     lambda_subdiff_membership,
@@ -72,6 +74,7 @@ from .second_order import (
     psd_check,
     second_quotient,
     subdiff_quotient,
+    subdiff_quotients,
 )
 
 __version__ = "0.1.0"

@@ -38,10 +38,12 @@ __all__ = [
     "subdiff_membership",
     "lambda_subdiff_membership",
     "dermax_check",
+    "dermax_checks",
     "mean_value_witness",
     "mean_value_witnesses",
     "first_order_residual_ladder",
     "first_order_characterization",
+    "first_order_characterizations",
 ]
 
 
@@ -286,18 +288,25 @@ def subdiff_membership(u, x, p, plan=None):
 
 
 def _subdifferential_hulls(u, xs, plan):
-    """``subdifferential_hull`` at every row of ``xs``, from one shared sample."""
+    """The subdifferential hull at every row of ``xs``, from one shared sample.
+
+    Each hull keeps its raw gradient rows: repeats change no support value,
+    diameter or centroid, and ``_shell_gradients`` makes each hull
+    independent of the other rows of the batch.
+    """
     grads = _shell_gradients(u, xs, plan.radii[-1], plan, plan.rng("subdiff-hull"), plan.shell_samples)
-    return [ConvexPolytope.from_points(g) for g in grads]
+    return [ConvexPolytope(g, u.desc.m1) for g in grads]
 
 
 def subdifferential_hull(u, x, plan=None):
     """Convex hull of the finest-shell reachable-gradient sample at x.
 
     The hull is kept as the distinct sampled gradients that generate it.
+    The package's own checks build their hulls in batches and keep the raw
+    sample rows, which answer every query exactly as the distinct ones do.
     """
     plan = plan or SamplingPlan()
-    return _subdifferential_hulls(u, np.asarray(x, dtype=float)[None], plan)[0]
+    return ConvexPolytope.from_points(_subdifferential_hulls(u, np.asarray(x, dtype=float)[None], plan)[0].vertices)
 
 
 # -- directional derivatives -----------------------------------------------------
@@ -350,23 +359,33 @@ class DermaxReport:
         return f"derivative/support gap {self.max_gap:.3g}, subadditivity violation {self.max_subadd_violation:.3g}"
 
 
-def dermax_check(u, x, plan=None, directions=None):
-    """Compare directional derivatives with the hull support function.
+def dermax_checks(u, xs, plan=None, directions=None):
+    """Compare directional derivatives with the hull support function at
+    every row of ``xs``.
 
     Also verifies subadditivity of h -> u'(x, h) on sampled direction pairs.
+    The hulls of all rows come from one shared sample.  The batch raises
+    the first error it meets for the whole batch.
     """
     plan = plan or SamplingPlan()
-    x = np.asarray(x, dtype=float)
-    m1 = u.desc.m1
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
     count = directions or plan.directions
-    dirs = unit_directions(m1, count)
-    hull = subdifferential_hull(u, x, plan)
-    dd = _directional_derivatives(u, x, dirs, plan)
-    gap = float(np.max(np.abs(dd - hull.support(dirs))))
+    dirs = unit_directions(u.desc.m1, count)
     pair_sum = dirs + np.roll(dirs, 1, axis=0)
-    dd_sum = _directional_derivatives(u, x, pair_sum, plan)
-    subadd = float(np.max(dd_sum - (dd + np.roll(dd, 1))))
-    return DermaxReport(gap, float(np.maximum(0.0, subadd)), count)  # NaN-safe, unlike max(0.0, nan)
+    out = []
+    for x, hull in zip(xs, _subdifferential_hulls(u, xs, plan)):
+        dd = _directional_derivatives(u, x, dirs, plan)
+        gap = float(np.max(np.abs(dd - hull.support(dirs))))
+        dd_sum = _directional_derivatives(u, x, pair_sum, plan)
+        subadd = float(np.max(dd_sum - (dd + np.roll(dd, 1))))
+        out.append(DermaxReport(gap, float(np.maximum(0.0, subadd)), count))  # NaN-safe, unlike max(0.0, nan)
+    return out
+
+
+def dermax_check(u, x, plan=None, directions=None):
+    """The derivative/support comparison at x: the one-row call of
+    ``dermax_checks``, which documents the method."""
+    return dermax_checks(u, np.asarray(x, dtype=float)[None], plan, directions)[0]
 
 
 # -- mean value witnesses ----------------------------------------------------------
@@ -510,17 +529,29 @@ class FirstOrderReport:
         return self.singleton == self.expansion_converges
 
 
-def first_order_characterization(u, x, plan=None):
-    """Singleton subdifferential versus vanishing first-order residual.
+def first_order_characterizations(u, xs, plan=None):
+    """Singleton subdifferential versus vanishing first-order residual, at
+    every row of ``xs``.
 
     The two sides of the characterization are computed independently: the
     hull diameter against the singleton tolerance, and the residual ladder
-    against a relative-drop criterion.
+    against a relative-drop criterion.  The hulls of all rows come from one
+    shared sample.  The batch raises the first error it meets for the whole
+    batch.
     """
     plan = plan or SamplingPlan()
-    hull = subdifferential_hull(u, x, plan)
-    diam = hull.diameter()
-    ladder = first_order_residual_ladder(u, x, hull.centroid(), plan)
-    first, last = float(ladder[0]), float(ladder[-1])
-    converges = last < max(1e-9, 0.05 * first)
-    return FirstOrderReport(diam, ladder, diam < plan.tol.singleton_diameter, converges)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    out = []
+    for x, hull in zip(xs, _subdifferential_hulls(u, xs, plan)):
+        diam = hull.diameter()
+        ladder = first_order_residual_ladder(u, x, hull.centroid(), plan)
+        first, last = float(ladder[0]), float(ladder[-1])
+        converges = last < max(1e-9, 0.05 * first)
+        out.append(FirstOrderReport(diam, ladder, diam < plan.tol.singleton_diameter, converges))
+    return out
+
+
+def first_order_characterization(u, x, plan=None):
+    """The first-order characterization at x: the one-row call of
+    ``first_order_characterizations``, which documents the method."""
+    return first_order_characterizations(u, np.asarray(x, dtype=float)[None], plan)[0]

@@ -1,8 +1,11 @@
-"""Convex sets in the horizontal layer, kept as their distinct generating points.
+"""Convex sets in the horizontal layer, kept as their generating points.
 
 Every query is a support value or the maximum of a convex function over the
 set (diameter, subgradient violation, distance to a target), which a convex
-hull attains at a generating point, so no extreme-point reduction is needed.
+hull attains at a generating point, so no extreme-point reduction is needed,
+and a repeated generating point changes no answer.  ``from_points`` keeps
+the distinct points; the subdifferential hulls built inside the package keep
+the raw gradient sample, repeats and all.
 Hausdorff distances use d_H(A, B) = max_u |h_A(u) - h_B(u)| over a dense set
 of directions.
 """
@@ -22,10 +25,11 @@ __all__ = ["ConvexPolytope", "hausdorff_distance"]
 class ConvexPolytope:
     """Convex hull of the rows of ``vertices``.
 
-    The rows are the distinct generating points, not necessarily extreme
-    points; support values, the diameter and any maximum of a convex
-    function over the hull are read off them exactly.  ``centroid`` is the
-    mean of the generating points, a point of the hull.
+    The rows are generating points, not necessarily extreme points and not
+    necessarily distinct (``from_points`` drops repeats); support values,
+    the diameter and any maximum of a convex function over the hull are read
+    off them exactly.  ``centroid`` is the mean of the distinct generating
+    points, a point of the hull.
     """
 
     vertices: np.ndarray
@@ -40,12 +44,20 @@ class ConvexPolytope:
         return len(self.vertices)
 
     def support(self, h):
-        """max over generating points of <v, h>; h may be a batch of directions."""
+        """max over generating points of <v, h>; h may be a batch of directions.
+
+        A batch goes through ``einsum``, whose values do not depend on the
+        number of rows: numpy hands a one-row matmul to another BLAS kernel
+        than a many-row one, which would move the last bits between a hull
+        that keeps a repeated point once and one that keeps every copy.
+        """
         h = np.asarray(h, dtype=float)
-        return np.max(self.vertices @ np.swapaxes(np.atleast_2d(h), -1, -2), axis=0).reshape(h.shape[:-1])
+        if h.ndim == 1:
+            return np.max(self.vertices @ h)
+        return np.max(np.einsum("kd,...d->k...", self.vertices, h), axis=0)
 
     def centroid(self):
-        return self.vertices.mean(axis=0)
+        return np.unique(self.vertices, axis=0).mean(axis=0)
 
     def diameter(self):
         if len(self.vertices) <= 1:

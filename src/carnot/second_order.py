@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import _fd_gradients_batch, subdifferential_hull
+from .convexity import _fd_gradients_batch, _subdifferential_hulls
 from .errors import (
     CarnotError,
     DomainError,
@@ -35,6 +35,7 @@ __all__ = [
     "gradient_with_certificate",
     "second_quotient",
     "subdiff_quotient",
+    "subdiff_quotients",
     "QuotientGrid",
     "build_quotient_grid",
     "ExpansionFit",
@@ -55,7 +56,7 @@ def gradient_with_certificate(u, x, plan=None):
     """
     plan = plan or SamplingPlan()
     x = np.asarray(x, dtype=float)
-    hull = subdifferential_hull(u, x, plan)
+    (hull,) = _subdifferential_hulls(u, x[None], plan)
     diam = hull.diameter()
     if diam > plan.tol.singleton_diameter:
         raise NonSingletonSubdifferential(diam)
@@ -85,20 +86,27 @@ def second_quotient(u, x, tau, w, grad=None, plan=None):
     return (u.value(pts) - ux - tau * lin) / tau**2
 
 
-def subdiff_quotient(u, x, tau, w, plan=None, grad=None):
-    """(subdifferential hull at x delta_tau w minus the gradient) / tau.
+def subdiff_quotients(u, x, tau, ws, plan=None, grad=None):
+    """(subdifferential hull at x delta_tau w minus the gradient) / tau, for
+    every row w of ``ws``, from one shared hull sample.
 
     Shell radii are shrunk by tau so that the hull resolution follows the
-    zoom of the quotient map.
+    zoom of the quotient map.  Each quotient hull keeps the raw gradient
+    rows.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
     x = np.asarray(x, dtype=float)
     if grad is None:
         grad, _ = gradient_with_certificate(u, x, plan)
-    y = desc.product(x, desc.dilate(tau, np.asarray(w, dtype=float)))
-    hull = subdifferential_hull(u, y, plan.scaled(tau))
-    return ConvexPolytope((hull.vertices - grad) * (1.0 / tau), hull.dim)
+    ys = desc.translate_points(x, desc.dilate(tau, np.atleast_2d(np.asarray(ws, dtype=float))))
+    hulls = _subdifferential_hulls(u, ys, plan.scaled(tau))
+    return [ConvexPolytope((hull.vertices - grad) * (1.0 / tau), hull.dim) for hull in hulls]
+
+
+def subdiff_quotient(u, x, tau, w, plan=None, grad=None):
+    """The quotient hull along w: the one-row call of ``subdiff_quotients``."""
+    return subdiff_quotients(u, x, tau, np.asarray(w, dtype=float)[None], plan, grad)[0]
 
 
 # -- quotient grids and the expansion fit -----------------------------------------
@@ -272,10 +280,8 @@ def fit_extended_differential(u, x, plan=None, mignot=True, grad=None):
         taus = plan.taus()
         excess = []
         for tau in taus:
-            dists = []
-            for w in dirs:
-                hull_q = subdiff_quotient(u, x, float(tau), w, plan, grad=grad)
-                dists.append(np.max(np.linalg.norm(hull_q.vertices - A @ w[: desc.m1], axis=-1)))
+            hulls = subdiff_quotients(u, x, float(tau), dirs, plan, grad=grad)
+            dists = [np.max(np.linalg.norm(q.vertices - A @ w[: desc.m1], axis=-1)) for q, w in zip(hulls, dirs)]
             excess.append(float(np.max(dists)))  # NaN-safe, unlike a max() fold
         excess = np.asarray(excess)
         mignot_ok = bool(excess[-1] < plan.tol.mignot and excess[-1] <= excess[0] + 1e-12)
@@ -363,7 +369,7 @@ def characterize_second_order(u, x, plan=None):
             {
                 "c1_v2_stable": bool(np.all(np.isfinite(jet.v2)) and drift < plan.tol.fit),
                 "c2_expansion": bool(expansion.residuals[-1] < plan.tol.fit),
-                "c3_identity": bool(max(res3, res3b) < plan.tol.fit),
+                "c3_identity": bool(np.max([res3, res3b]) < plan.tol.fit),  # NaN-safe, unlike max()
                 "psd": bool(min_eig >= -plan.tol.psd),
             }
         )

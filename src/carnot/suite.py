@@ -13,8 +13,10 @@ import zlib
 import numpy as np
 
 from .convexity import (
-    dermax_check,
+    _subdifferential_hulls,
+    dermax_checks,
     first_order_characterization,
+    first_order_characterizations,
     lambda_subdiff_membership,
     mean_value_witnesses,
     subdifferential_hull,
@@ -122,7 +124,7 @@ def hull_records(seed=0, plan=None):
 
     rng = _rng(seed, "hull-points")
     pts = ball(desc, plan.base_radius, 20, rng)
-    worst = float(np.max([subdifferential_hull(u, x, plan).diameter() for u in smooth_suite(desc) for x in pts]))
+    worst = float(np.max([hull.diameter() for u in smooth_suite(desc) for hull in _subdifferential_hulls(u, pts, plan)]))
     records.append(CheckRecord("hull/smooth-singleton", {"seed": seed, "points": 20}, worst, 1e-3, worst < 1e-3))
     return records, []
 
@@ -135,7 +137,7 @@ def first_order_records(seed=0, plan=None):
     u = build_function(desc, "quad_vertical", certify=False)
     rng = _rng(seed, "first-order-points")
     pts = ball(desc, plan.base_radius, 20, rng)
-    reps = [first_order_characterization(u, x, plan) for x in pts]
+    reps = first_order_characterizations(u, pts, plan)
     stalled = [k for k, rep in enumerate(reps) if rep.singleton and not rep.expansion_converges]
     wide = [k for k, rep in enumerate(reps) if not rep.singleton]
     worst_diam = float(np.max([rep.hull_diameter for rep in reps]))
@@ -212,7 +214,7 @@ def dermax_records(seed=0, plan=None):
     fns = smooth_suite(desc) + polyhedral_suite(desc)
     for u in fns:
         pts = ball(desc, plan.base_radius, 10, rng)
-        reps = [dermax_check(u, x, plan, directions=50) for x in pts]
+        reps = dermax_checks(u, pts, plan, directions=50)
         metric = float(np.max([[rep.max_gap, rep.max_subadd_violation] for rep in reps]))
         records.append(
             CheckRecord(f"dermax/{u.label}", {"fn": u.label, "seed": seed}, metric, 1e-2, metric < 1e-2)

@@ -9,9 +9,10 @@ import time
 
 import numpy as np
 
-from carnot import ScalarField, build_function, fields, monomials_up_to
+from carnot import ScalarField, build_function, convexity, fields, monomials_up_to
 from carnot import suite as suite_mod
 from carnot.groups import GroupDescriptor
+from carnot.hull import ConvexPolytope
 from carnot.reports import render_csv, render_json
 from carnot.suite import (
     dermax_records,
@@ -265,6 +266,58 @@ def test_criterion_11_quotient_inclusion():
     records, _, dt = _run(mignot_records)
     assert _report("11 (set-valued quotient inclusion)", records)
     assert all(r.passed for r in records)
+
+
+def test_criterion_11_nan_gradient_fails(monkeypatch):
+    # analytic gradients NaN where |x3| > 0.15: the coarse quotient hulls
+    # see them, the extended-differential shells do not, so every record
+    # must fail without an error
+    smooth_suite = suite_mod.smooth_suite
+
+    def nan_gradient(desc):
+        out = []
+        for u in smooth_suite(desc):
+            grad = lambda p, u=u: np.where(np.abs(p[..., 2:3]) > 0.15, np.nan, u.gradient(p))
+            out.append(ScalarField(desc, u.fn, label=u.label, grad_h=grad))
+        return out
+
+    monkeypatch.setattr(suite_mod, "smooth_suite", nan_gradient)
+    records, _, _ = _run(mignot_records)
+    assert len(records) == 3 and not any(r.passed for r in records)
+    assert all(r.check_id.startswith("mignot/") for r in records)
+
+
+def test_hull_builds_per_criterion(monkeypatch):
+    # a host-independent work budget: every internal hull loop makes one
+    # batched gradient sample per field or scale (61 / 21 / 21 / 50 / 65 /
+    # 1 / 192 samples for criteria 5-11, and 1,211 deduplicated hulls, when
+    # most hulls were built one centre at a time)
+    builds, deduplicated, current = {}, [], [None]
+    shell_gradients = convexity._shell_gradients
+    from_points = ConvexPolytope.from_points.__func__
+
+    def counting_shells(*args, **kwargs):
+        builds[current[0]] = builds.get(current[0], 0) + 1
+        return shell_gradients(*args, **kwargs)
+
+    def counting_hulls(cls, points):
+        deduplicated.append(current[0])
+        return from_points(cls, points)
+
+    def tagged(k, fn):
+        def run(seed, plan):
+            current[0] = k
+            return fn(seed, plan)
+
+        return run
+
+    monkeypatch.setattr(convexity, "_shell_gradients", counting_shells)
+    monkeypatch.setattr(ConvexPolytope, "from_points", classmethod(counting_hulls))
+    monkeypatch.setattr(suite_mod, "CRITERIA", tuple(tagged(k, fn) for k, fn in enumerate(suite_mod.CRITERIA, 1)))
+    records, _ = run_suite(SEED)
+    assert len(records) == 58 and all(r.passed for r in records)
+    assert builds == {5: 4, 6: 2, 7: 21, 8: 5, 9: 11, 10: 1, 11: 30}
+    assert len(deduplicated) <= 2, deduplicated
 
 
 def test_criterion_12_determinism():

@@ -9,7 +9,9 @@ from carnot import (
     ConvexPolytope,
     build_function,
     dermax_check,
+    dermax_checks,
     first_order_characterization,
+    first_order_characterizations,
     first_order_residual_ladder,
     hconvexity_check,
     lambda_subdiff_membership,
@@ -18,7 +20,7 @@ from carnot import (
     subdiff_membership,
     subdifferential_hull,
 )
-from carnot.convexity import _directional_derivatives, _fd_gradients_batch, _shell_gradients
+from carnot.convexity import _directional_derivatives, _fd_gradients_batch, _shell_gradients, _subdifferential_hulls
 from carnot.jets import lambda_max
 from carnot.registry import function_from_spec, parse_polynomial, polyhedral_suite, smooth_suite
 from carnot.sampling import ball, quasi_sphere, unit_directions
@@ -222,6 +224,47 @@ class TestSubdifferentialHull:
             u = build_function(desc, "quad_vertical", certify=False)
             x = 0.3 * np.arange(1, desc.dim + 1) / desc.dim
             assert subdifferential_hull(u, x, plan).diameter() < 1e-3
+
+
+def _batch_points(desc, plan):
+    """The identity, where the polyhedral fields have their kink, and five
+    points of the base ball."""
+    return np.concatenate([desc.identity()[None], ball(desc, plan.base_radius, 5, np.random.default_rng(5))])
+
+
+_FAMILIES = {"smooth": smooth_suite, "polyhedral": polyhedral_suite}
+
+
+class TestBatchedHulls:
+    """The batched internal hulls, on raw gradient rows, answer exactly as
+    the per-point public calls (criteria 5, 6 and 8)."""
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_hulls_equal_per_point_hulls(self, h1, family, analytic):
+        plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
+        xs = _batch_points(h1, plan)
+        dirs = unit_directions(h1.m1, 64)
+        for u in _FAMILIES[family](h1):
+            for x, raw in zip(xs, _subdifferential_hulls(u, xs, plan)):
+                single = subdifferential_hull(u, x, plan)
+                assert np.array_equal(raw.support(dirs), single.support(dirs))
+                assert raw.diameter() == single.diameter()
+                assert np.array_equal(raw.centroid(), single.centroid())
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_reports_equal_per_point_reports(self, h1, family, analytic):
+        plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
+        xs = _batch_points(h1, plan)
+        for u in _FAMILIES[family](h1):
+            for x, rep in zip(xs, dermax_checks(u, xs, plan, directions=50)):
+                assert rep == dermax_check(u, x, plan, directions=50)
+            for x, rep in zip(xs, first_order_characterizations(u, xs, plan)):
+                single = first_order_characterization(u, x, plan)
+                assert rep.hull_diameter == single.hull_diameter
+                assert np.array_equal(rep.ladder, single.ladder)
+                assert (rep.singleton, rep.expansion_converges) == (single.singleton, single.expansion_converges)
 
 
 class TestMembership:

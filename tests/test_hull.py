@@ -52,3 +52,18 @@ class TestPolytope:
         a, b = [0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4 + 1e-15]
         cloud = ConvexPolytope.from_points([a, b, a])
         assert len(cloud) == 2
+
+    def test_raw_rows_answer_as_distinct_rows(self):
+        # the internal hulls keep repeated sample rows: every query equals
+        # that of the deduplicated hull, bit for bit
+        rng = np.random.default_rng(4)
+        for dim in (2, 3, 4):
+            pts = rng.standard_normal((5, dim))
+            dirs = unit_directions(dim, 64)
+            for rows in (pts[:1], pts):
+                raw = ConvexPolytope(rows[rng.integers(0, len(rows), 48)], dim)
+                distinct = ConvexPolytope.from_points(raw.vertices)
+                assert len(distinct) == len(rows) < len(raw)
+                assert raw.centroid().tolist() == distinct.centroid().tolist()
+                assert raw.diameter() == distinct.diameter()
+                assert raw.support(dirs).tolist() == distinct.support(dirs).tolist()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from carnot import (
+    ConvexPolytope,
     NonSingletonSubdifferential,
     ScalarField,
     SamplingPlan,
@@ -15,9 +16,13 @@ from carnot import (
     psd_check,
     second_quotient,
     subdiff_quotient,
+    subdiff_quotients,
+    subdifferential_hull,
     weighted_degree,
 )
-from carnot.registry import euclidean
+from carnot import second_order as so
+from carnot.registry import euclidean, polyhedral_suite, smooth_suite
+from carnot.sampling import quasi_sphere, unit_directions
 from carnot.second_order import gradient_with_certificate
 
 
@@ -82,6 +87,27 @@ class TestSubdiffQuotient:
             cents.append(subdiff_quotient(quad_vert, h1.identity(), tau, w, plan).centroid())
         assert np.max(np.abs(cents[0] - cents[1])) < 1e-3
         assert np.max(np.abs(cents[1] - cents[2])) < 1e-3
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    @pytest.mark.parametrize("group", ["h1", "eng"])
+    def test_scale_batch_equals_per_direction_hulls(self, request, group, analytic):
+        # the Mignot directions of fit_extended_differential, one batch per
+        # scale, against the public hull at each x delta_tau w on its own
+        desc = request.getfixturevalue(group)
+        plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
+        x = 0.1 * np.arange(1, desc.dim + 1) / desc.dim
+        ws = np.concatenate([quasi_sphere(desc, 6, seed=31), np.eye(desc.dim)[desc.m1 : desc.m2]])
+        dirs = unit_directions(desc.m1, 64)
+        grad = np.linspace(0.5, -0.5, desc.m1)
+        for u in smooth_suite(desc) + polyhedral_suite(desc):
+            for tau in plan.taus()[::4]:
+                batch = subdiff_quotients(u, x, tau, ws, plan, grad=grad)
+                for w, q in zip(ws, batch):
+                    hull = subdifferential_hull(u, desc.product(x, desc.dilate(tau, w)), plan.scaled(tau))
+                    single = ConvexPolytope((hull.vertices - grad) * (1.0 / tau), hull.dim)
+                    assert q.support(dirs).tolist() == single.support(dirs).tolist()
+                    assert q.diameter() == single.diameter()
+                    assert q.centroid().tolist() == single.centroid().tolist()
 
 
 class TestFitExpansion:
@@ -203,8 +229,6 @@ class TestCharacterization:
         assert rep.expansion_error.startswith("NonSingletonSubdifferential")
 
     def test_gradient_certified_once(self, quad_vert, h1, plan, monkeypatch):
-        import carnot.second_order as so
-
         calls = []
 
         def counting(*args, **kwargs):
@@ -215,6 +239,17 @@ class TestCharacterization:
         rep = characterize_second_order(quad_vert, h1.identity(), plan)
         assert rep.equivalence == "both converge"
         assert len(calls) == 1
+
+    def test_claim3_nan_jet_fails(self, quad_vert, h1, plan, monkeypatch):
+        # NaN jet words give a NaN claim-3 residual, which must not fold into
+        # a pass next to a finite one
+        words = so.jet_coefficients
+        monkeypatch.setattr(so, "jet_coefficients", lambda desc, c: dict.fromkeys(words(desc, c), np.nan))
+        rep = characterize_second_order(quad_vert, h1.identity(), plan)
+        assert np.isnan(rep.metrics["claim3_jet_residual"])
+        assert np.isfinite(rep.metrics["claim3_residual"])
+        assert rep.claims["c3_identity"] is False
+        assert not rep.passed()
 
     def test_engel_smooth_point(self, eng, plan):
         u = build_function(eng, "quad_vertical", certify=False)

@@ -12,17 +12,14 @@ the horizontal gradient.
 from .convexity import (
     MvtWitness,
     ScalarField,
-    dermax_check,
     dermax_checks,
-    first_order_characterization,
     first_order_characterizations,
     first_order_residual_ladder,
     hconvexity_check,
     lambda_subdiff_membership,
-    mean_value_witness,
     mean_value_witnesses,
     subdiff_membership,
-    subdifferential_hull,
+    subdifferential_hulls,
 )
 from .errors import (
     BracketingError,
@@ -73,7 +70,6 @@ from .second_order import (
     fit_extended_differential,
     psd_check,
     second_quotient,
-    subdiff_quotient,
     subdiff_quotients,
 )
 

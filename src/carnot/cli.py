@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import suite as suite_mod
-from .convexity import dermax_check, hconvexity_check, mean_value_witness, subdiff_membership, subdifferential_hull
+from .convexity import dermax_checks, hconvexity_check, mean_value_witnesses, subdiff_membership, subdifferential_hulls
 from .errors import CarnotError, DescriptorError
 from .groups import validate_descriptor
+from .hull import ConvexPolytope
 from .jets import check_alij, sym_hessian
 from .polynomials import monomials_up_to
 from .registry import build_group, function_from_spec, load_descriptor, load_function, parse_polynomial
@@ -192,7 +193,8 @@ def run_command(cfg):
             desc = _group(cfg)
             u = _function(cfg, desc)
             x = _vec(cfg.point, desc.dim, "--point")
-            hull = subdifferential_hull(u, x, plan)
+            (hull,) = subdifferential_hulls(u, x[None], plan)
+            hull = ConvexPolytope(np.unique(hull.vertices, axis=0), hull.dim)  # distinct rows, for display
             _out(f"{len(hull)} distinct sampled gradients generating the hull:")
             _out(np.array2string(hull.vertices, precision=6))
             _out(f"diameter: {hull.diameter():.6g}")
@@ -209,7 +211,7 @@ def run_command(cfg):
         elif cfg.operation == "dermax":
             desc = _group(cfg)
             u = _function(cfg, desc)
-            rep = dermax_check(u, _vec(cfg.point, desc.dim, "--point"), plan)
+            (rep,) = dermax_checks(u, _vec(cfg.point, desc.dim, "--point")[None], plan)
             metric = float(np.maximum(rep.max_gap, rep.max_subadd_violation))
             records.append(
                 CheckRecord(
@@ -223,7 +225,8 @@ def run_command(cfg):
         elif cfg.operation == "mvt":
             desc = _group(cfg)
             u = _function(cfg, desc)
-            w = mean_value_witness(u, _vec(cfg.point, desc.dim, "--point"), _vec(cfg.h, desc.m1, "--h"), plan)
+            x, h = _vec(cfg.point, desc.dim, "--point"), _vec(cfg.h, desc.m1, "--h")
+            (w,) = mean_value_witnesses(u, x[None], h[None], plan)
             _out(f"t = {w.t:.6g}")
             _out("p =", np.array2string(w.p, precision=10))
             records.append(

@@ -34,15 +34,12 @@ __all__ = [
     "ScalarField",
     "MvtWitness",
     "hconvexity_check",
-    "subdifferential_hull",
+    "subdifferential_hulls",
     "subdiff_membership",
     "lambda_subdiff_membership",
-    "dermax_check",
     "dermax_checks",
-    "mean_value_witness",
     "mean_value_witnesses",
     "first_order_residual_ladder",
-    "first_order_characterization",
     "first_order_characterizations",
 ]
 
@@ -115,6 +112,18 @@ def _base_points(u, plan):
     return np.asarray(pts[: plan.base_count])
 
 
+def _segments_inside(u, xs, hs, plan):
+    """Whether each segment x * [0, h] stays inside the domain, tested at
+    ``plan.segment_checks`` points of [0, 1].  ``xs`` and ``hs`` (full
+    coordinates) broadcast over their leading axes, which shape the result.
+    """
+    if u.domain is None:
+        return np.ones(np.broadcast_shapes(np.shape(xs)[:-1], np.shape(hs)[:-1]), dtype=bool)
+    ts = np.linspace(0.0, 1.0, plan.segment_checks)
+    seg = u.desc.product(np.asarray(xs)[..., None, :], ts[:, None] * np.asarray(hs)[..., None, :])
+    return np.all(u.inside(seg), axis=-1)
+
+
 def hconvexity_check(u, plan=None, base_points=None):
     """Sampled violation of midpoint convexity along horizontal segments.
 
@@ -134,12 +143,7 @@ def hconvexity_check(u, plan=None, base_points=None):
     for scale in plan.segment_scales:
         hs = desc.embed_horizontal(scale * dirs)  # (D, n)
         ends = desc.product(xs[:, None, :], hs[None, :, :])  # (B, D, n)
-        if u.domain is not None:
-            ts = np.linspace(0.0, 1.0, plan.segment_checks)
-            seg = desc.product(xs[:, None, None, :], ts[None, None, :, None] * hs[None, :, None, :])
-            ok = np.all(u.inside(seg), axis=-1)  # (B, D)
-        else:
-            ok = np.ones(ends.shape[:2], dtype=bool)
+        ok = _segments_inside(u, xs[:, None, :], hs[None, :, :], plan)  # (B, D)
         if not np.any(ok):
             continue
         mids = desc.product(xs[:, None, None, :], lams[None, None, :, None] * hs[None, :, None, :])
@@ -184,6 +188,16 @@ def _fd_gradients_batch(u, pts, step, rtol):
     return g_half, stable
 
 
+def _sampled_gradients(u, pts, radius, plan):
+    """Horizontal gradients at sampled points of a shell of the given radius,
+    with the flags of the stable ones: analytic when the plan allows and u
+    has them (all stable), else central differences with a step no larger
+    than a tenth of the radius."""
+    if plan.use_analytic_gradient and u.grad_h is not None:
+        return u.gradient(pts), np.ones(len(pts), dtype=bool)
+    return _fd_gradients_batch(u, pts, min(plan.fd_step, radius / 10.0), plan.fd_stability_rtol)
+
+
 def _shell_gradients(u, xs, radius, plan, rng, count):
     """Horizontal gradients at sampled differentiability points of B(x, r),
     one array per row x of ``xs``.
@@ -195,8 +209,6 @@ def _shell_gradients(u, xs, radius, plan, rng, count):
     """
     desc = u.desc
     xs = np.asarray(xs, dtype=float)
-    use_analytic = plan.use_analytic_gradient and u.grad_h is not None
-    step = min(plan.fd_step, radius / 10.0)
     collected = [[] for _ in xs]
     have = np.zeros(len(xs), dtype=int)
     for _ in range(4):
@@ -209,10 +221,7 @@ def _shell_gradients(u, xs, radius, plan, rng, count):
         pts = pts[keep]
         if len(pts) == 0:
             continue
-        if use_analytic:
-            grads, stable = u.gradient(pts), np.ones(len(pts), dtype=bool)
-        else:
-            grads, stable = _fd_gradients_batch(u, pts, step, plan.fd_stability_rtol)
+        grads, stable = _sampled_gradients(u, pts, radius, plan)
         bounds = np.cumsum(np.sum(keep, axis=-1))[:-1]
         for c, g, ok in zip(todo, np.split(grads, bounds), np.split(stable, bounds)):
             collected[c].append(g[ok])
@@ -237,15 +246,7 @@ def _admissible_offsets(u, x, plan):
     dirs = _membership_directions(plan, desc.m1)
     scales = np.asarray(tuple(plan.segment_scales) + tuple(plan.radii))
     hs = (scales[:, None, None] * dirs[None, :, :]).reshape(-1, desc.m1)
-    if u.domain is None:
-        return hs
-    ts = np.linspace(0.0, 1.0, plan.segment_checks)
-    seg = desc.product(
-        np.broadcast_to(x, (len(hs), 1, desc.dim)),
-        ts[None, :, None] * desc.embed_horizontal(hs)[:, None, :],
-    )
-    ok = np.all(u.inside(seg), axis=-1)
-    return hs[ok]
+    return hs[_segments_inside(u, x, desc.embed_horizontal(hs), plan)]
 
 
 def _membership_core(u, x, P, lam, plan, offsets=None):
@@ -260,7 +261,7 @@ def _membership_core(u, x, P, lam, plan, offsets=None):
     hs = _admissible_offsets(u, x, plan) if offsets is None else offsets
     if len(hs) == 0:
         raise SamplingError("no admissible horizontal offsets at the given point")
-    pts = desc.translate_points(x, desc.embed_horizontal(hs))
+    pts = desc.product(x, desc.embed_horizontal(hs))
     uxh = u.value(pts)  # (H,)
     ux = float(u.value(x[None])[0])
     slack = lam * np.sum(hs * hs, axis=-1)
@@ -287,26 +288,19 @@ def subdiff_membership(u, x, p, plan=None):
     return lambda_subdiff_membership(u, x, p, 0.0, plan)
 
 
-def _subdifferential_hulls(u, xs, plan):
-    """The subdifferential hull at every row of ``xs``, from one shared sample.
+def subdifferential_hulls(u, xs, plan=None):
+    """The subdifferential hull at every row of ``xs``: the convex hull of
+    the gradients sampled at differentiability points of the finest shell
+    around that row, from one shared sample.
 
     Each hull keeps its raw gradient rows: repeats change no support value,
     diameter or centroid, and ``_shell_gradients`` makes each hull
     independent of the other rows of the batch.
     """
+    plan = plan or SamplingPlan()
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
     grads = _shell_gradients(u, xs, plan.radii[-1], plan, plan.rng("subdiff-hull"), plan.shell_samples)
     return [ConvexPolytope(g, u.desc.m1) for g in grads]
-
-
-def subdifferential_hull(u, x, plan=None):
-    """Convex hull of the finest-shell reachable-gradient sample at x.
-
-    The hull is kept as the distinct sampled gradients that generate it.
-    The package's own checks build their hulls in batches and keep the raw
-    sample rows, which answer every query exactly as the distinct ones do.
-    """
-    plan = plan or SamplingPlan()
-    return ConvexPolytope.from_points(_subdifferential_hulls(u, np.asarray(x, dtype=float)[None], plan)[0].vertices)
 
 
 # -- directional derivatives -----------------------------------------------------
@@ -373,19 +367,13 @@ def dermax_checks(u, xs, plan=None, directions=None):
     dirs = unit_directions(u.desc.m1, count)
     pair_sum = dirs + np.roll(dirs, 1, axis=0)
     out = []
-    for x, hull in zip(xs, _subdifferential_hulls(u, xs, plan)):
+    for x, hull in zip(xs, subdifferential_hulls(u, xs, plan)):
         dd = _directional_derivatives(u, x, dirs, plan)
         gap = float(np.max(np.abs(dd - hull.support(dirs))))
         dd_sum = _directional_derivatives(u, x, pair_sum, plan)
         subadd = float(np.max(dd_sum - (dd + np.roll(dd, 1))))
         out.append(DermaxReport(gap, float(np.maximum(0.0, subadd)), count))  # NaN-safe, unlike max(0.0, nan)
     return out
-
-
-def dermax_check(u, x, plan=None, directions=None):
-    """The derivative/support comparison at x: the one-row call of
-    ``dermax_checks``, which documents the method."""
-    return dermax_checks(u, np.asarray(x, dtype=float)[None], plan, directions)[0]
 
 
 # -- mean value witnesses ----------------------------------------------------------
@@ -414,18 +402,16 @@ def mean_value_witnesses(u, xs, hs, plan=None):
     error it meets for the whole batch: ``DomainError`` if a segment leaves
     the domain, ``SamplingError`` if a hull gets no gradient samples, and
     ``BracketingError`` at the first row whose secant slope falls outside
-    its hull's support range.
+    its hull's support range.  Call it per row where one failing segment
+    must not stop the others.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     hs = np.atleast_2d(np.asarray(hs, dtype=float))
     hfull = desc.embed_horizontal(hs)  # (K, n)
-    if u.domain is not None:
-        checks = np.linspace(0.0, 1.0, plan.segment_checks)
-        seg = desc.product(xs[:, None, :], checks[None, :, None] * hfull[:, None, :])
-        if not bool(np.all(u.inside(seg))):
-            raise DomainError("the horizontal segment leaves the domain")
+    if not bool(np.all(_segments_inside(u, xs, hfull, plan))):
+        raise DomainError("the horizontal segment leaves the domain")
 
     ux = u.value(xs)
     sigma = u.value(desc.product(xs, hfull)) - ux
@@ -459,7 +445,7 @@ def mean_value_witnesses(u, xs, hs, plan=None):
 
     ys = desc.product(xs, t_star[:, None] * hfull)
     good = np.flatnonzero(~bad)
-    hulls = dict(zip(good, _subdifferential_hulls(u, ys[good], plan)))
+    hulls = dict(zip(good, subdifferential_hulls(u, ys[good], plan)))
     out = []
     for k, (h, s, y) in enumerate(zip(hs, sigma, ys)):
         hull = hulls.get(k)
@@ -484,15 +470,6 @@ def mean_value_witnesses(u, xs, hs, plan=None):
     return out
 
 
-def mean_value_witness(u, x, h, plan=None):
-    """The mean-value witness of the segment x * [0, h]: the one-row call of
-    ``mean_value_witnesses``, which documents the method and its errors.
-    A batch raises its first error for the whole batch, so call this per
-    row where one failing segment must not stop the others.
-    """
-    return mean_value_witnesses(u, np.asarray(x, dtype=float)[None], np.asarray(h, dtype=float)[None], plan)[0]
-
-
 # -- first-order characterization ---------------------------------------------------
 
 
@@ -507,7 +484,7 @@ def first_order_residual_ladder(u, x, p, plan=None):
     out = []
     for rho in plan.radii:
         w = desc.dilate(rho, ws)
-        pts = desc.translate_points(x, w)
+        pts = desc.product(x, w)
         keep = u.inside(pts)
         if not np.any(keep):
             out.append(np.nan)
@@ -542,7 +519,7 @@ def first_order_characterizations(u, xs, plan=None):
     plan = plan or SamplingPlan()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     out = []
-    for x, hull in zip(xs, _subdifferential_hulls(u, xs, plan)):
+    for x, hull in zip(xs, subdifferential_hulls(u, xs, plan)):
         diam = hull.diameter()
         ladder = first_order_residual_ladder(u, x, hull.centroid(), plan)
         first, last = float(ladder[0]), float(ladder[-1])
@@ -550,8 +527,3 @@ def first_order_characterizations(u, xs, plan=None):
         out.append(FirstOrderReport(diam, ladder, diam < plan.tol.singleton_diameter, converges))
     return out
 
-
-def first_order_characterization(u, x, plan=None):
-    """The first-order characterization at x: the one-row call of
-    ``first_order_characterizations``, which documents the method."""
-    return first_order_characterizations(u, np.asarray(x, dtype=float)[None], plan)[0]

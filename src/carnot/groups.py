@@ -258,10 +258,6 @@ class GroupDescriptor:
             total = total + (r if s == 1 else r ** (1.0 / s))
         return total
 
-    def translate_points(self, x, ws):
-        """Batch of x * w for w rows of ``ws``."""
-        return self.product(np.broadcast_to(x, np.shape(ws)), ws)
-
 
 # -- descriptor validation ---------------------------------------------------
 

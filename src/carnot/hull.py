@@ -3,9 +3,8 @@
 Every query is a support value or the maximum of a convex function over the
 set (diameter, subgradient violation, distance to a target), which a convex
 hull attains at a generating point, so no extreme-point reduction is needed,
-and a repeated generating point changes no answer.  ``from_points`` keeps
-the distinct points; the subdifferential hulls built inside the package keep
-the raw gradient sample, repeats and all.
+and a repeated generating point changes no answer: a hull keeps its points
+as given, repeats and all.
 Hausdorff distances use d_H(A, B) = max_u |h_A(u) - h_B(u)| over a dense set
 of directions.
 """
@@ -26,10 +25,9 @@ class ConvexPolytope:
     """Convex hull of the rows of ``vertices``.
 
     The rows are generating points, not necessarily extreme points and not
-    necessarily distinct (``from_points`` drops repeats); support values,
-    the diameter and any maximum of a convex function over the hull are read
-    off them exactly.  ``centroid`` is the mean of the distinct generating
-    points, a point of the hull.
+    necessarily distinct; support values, the diameter and any maximum of a
+    convex function over the hull are read off them exactly.  ``centroid``
+    is the mean of the distinct generating points, a point of the hull.
     """
 
     vertices: np.ndarray
@@ -38,7 +36,7 @@ class ConvexPolytope:
     @classmethod
     def from_points(cls, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return cls(np.unique(pts, axis=0), pts.shape[1])
+        return cls(pts, pts.shape[1])
 
     def __len__(self):
         return len(self.vertices)
@@ -46,15 +44,13 @@ class ConvexPolytope:
     def support(self, h):
         """max over generating points of <v, h>; h may be a batch of directions.
 
-        A batch goes through ``einsum``, whose values do not depend on the
-        number of rows: numpy hands a one-row matmul to another BLAS kernel
-        than a many-row one, which would move the last bits between a hull
-        that keeps a repeated point once and one that keeps every copy.
+        The contraction is an ``einsum``, whose values depend neither on the
+        number of rows nor on the number of directions: numpy hands a
+        one-row matmul to another BLAS kernel than a many-row one, which
+        would move the last bits between a hull that keeps a repeated point
+        once and one that keeps every copy.
         """
-        h = np.asarray(h, dtype=float)
-        if h.ndim == 1:
-            return np.max(self.vertices @ h)
-        return np.max(np.einsum("kd,...d->k...", self.vertices, h), axis=0)
+        return np.max(np.einsum("kd,...d->k...", self.vertices, np.asarray(h, dtype=float)), axis=0)
 
     def centroid(self):
         return np.unique(self.vertices, axis=0).mean(axis=0)

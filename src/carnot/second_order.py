@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import _fd_gradients_batch, _subdifferential_hulls
+from .convexity import _fd_gradients_batch, _sampled_gradients, subdifferential_hulls
 from .errors import (
     CarnotError,
     DomainError,
@@ -34,7 +34,6 @@ from .sampling import SamplingPlan, quasi_sphere, sphere_shell
 __all__ = [
     "gradient_with_certificate",
     "second_quotient",
-    "subdiff_quotient",
     "subdiff_quotients",
     "QuotientGrid",
     "build_quotient_grid",
@@ -56,7 +55,7 @@ def gradient_with_certificate(u, x, plan=None):
     """
     plan = plan or SamplingPlan()
     x = np.asarray(x, dtype=float)
-    (hull,) = _subdifferential_hulls(u, x[None], plan)
+    (hull,) = subdifferential_hulls(u, x[None], plan)
     diam = hull.diameter()
     if diam > plan.tol.singleton_diameter:
         raise NonSingletonSubdifferential(diam)
@@ -78,7 +77,7 @@ def second_quotient(u, x, tau, w, grad=None, plan=None):
     w = np.asarray(w, dtype=float)
     if grad is None:
         grad, _ = gradient_with_certificate(u, x, plan)
-    pts = desc.translate_points(x, desc.dilate(tau, w)) if w.ndim > 1 else desc.product(x, desc.dilate(tau, w))
+    pts = desc.product(x, desc.dilate(tau, w))
     if not bool(np.all(u.inside(pts))):
         raise DomainError("dilated directions leave the domain")
     ux = float(u.value(x[None])[0])
@@ -99,14 +98,9 @@ def subdiff_quotients(u, x, tau, ws, plan=None, grad=None):
     x = np.asarray(x, dtype=float)
     if grad is None:
         grad, _ = gradient_with_certificate(u, x, plan)
-    ys = desc.translate_points(x, desc.dilate(tau, np.atleast_2d(np.asarray(ws, dtype=float))))
-    hulls = _subdifferential_hulls(u, ys, plan.scaled(tau))
+    ys = desc.product(x, desc.dilate(tau, np.atleast_2d(np.asarray(ws, dtype=float))))
+    hulls = subdifferential_hulls(u, ys, plan.scaled(tau))
     return [ConvexPolytope((hull.vertices - grad) * (1.0 / tau), hull.dim) for hull in hulls]
-
-
-def subdiff_quotient(u, x, tau, w, plan=None, grad=None):
-    """The quotient hull along w: the one-row call of ``subdiff_quotients``."""
-    return subdiff_quotients(u, x, tau, np.asarray(w, dtype=float)[None], plan, grad)[0]
 
 
 # -- quotient grids and the expansion fit -----------------------------------------
@@ -145,7 +139,7 @@ def build_quotient_grid(u, x, plan=None, grad=None):
     W = _direction_set(desc, plan.so_directions)
     taus = np.asarray(plan.taus())
     for _ in range(30):
-        pts = desc.translate_points(x, desc.dilate(taus[0], W))
+        pts = desc.product(x, desc.dilate(taus[0], W))
         if bool(np.all(u.inside(pts))):
             break
         taus = taus / 2.0
@@ -230,23 +224,18 @@ def fit_extended_differential(u, x, plan=None, mignot=True, grad=None):
     x = np.asarray(x, dtype=float)
     if grad is None:
         grad, _ = gradient_with_certificate(u, x, plan)
-    use_analytic = plan.use_analytic_gradient and u.grad_h is not None
 
     ws_all, dg_all, shell_of = [], [], []
     rng = plan.rng("extdiff-shells")
     for k, r in enumerate(plan.radii):
         ws = sphere_shell(desc, r, plan.shell_samples, rng)
-        pts = desc.translate_points(x, ws)
+        pts = desc.product(x, ws)
         keep = u.inside(pts)
         ws, pts = ws[keep], pts[keep]
         if len(pts) == 0:
             continue
-        if use_analytic:
-            grads = u.gradient(pts)
-        else:
-            step = min(plan.fd_step, r / 10.0)
-            grads, stable = _fd_gradients_batch(u, pts, step, plan.fd_stability_rtol)
-            ws, grads = ws[stable], grads[stable]
+        grads, stable = _sampled_gradients(u, pts, r, plan)
+        ws, grads = ws[stable], grads[stable]
         if len(ws) < desc.m1 + 1:
             raise SamplingError(f"insufficient stable gradient samples on shell {r:g}")
         ws_all.append(ws)

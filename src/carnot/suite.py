@@ -13,13 +13,11 @@ import zlib
 import numpy as np
 
 from .convexity import (
-    _subdifferential_hulls,
     dermax_checks,
-    first_order_characterization,
     first_order_characterizations,
     lambda_subdiff_membership,
     mean_value_witnesses,
-    subdifferential_hull,
+    subdifferential_hulls,
 )
 from .fields import field_coefficients
 from .hull import ConvexPolytope, hausdorff_distance
@@ -118,14 +116,15 @@ def hull_records(seed=0, plan=None):
     records = []
 
     square = ConvexPolytope.from_points([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-    hull = subdifferential_hull(build_function(desc, "one_norm", certify=False), desc.identity(), plan)
+    (hull,) = subdifferential_hulls(build_function(desc, "one_norm", certify=False), desc.identity()[None], plan)
     dist = hausdorff_distance(hull, square)
     records.append(CheckRecord("hull/one-norm-square", {"seed": seed}, dist, 0.05, dist < 0.05))
 
     rng = _rng(seed, "hull-points")
     pts = ball(desc, plan.base_radius, 20, rng)
-    worst = float(np.max([hull.diameter() for u in smooth_suite(desc) for hull in _subdifferential_hulls(u, pts, plan)]))
-    records.append(CheckRecord("hull/smooth-singleton", {"seed": seed, "points": 20}, worst, 1e-3, worst < 1e-3))
+    worst = float(np.max([hull.diameter() for u in smooth_suite(desc) for hull in subdifferential_hulls(u, pts, plan)]))
+    tol = plan.tol.singleton_diameter
+    records.append(CheckRecord("hull/smooth-singleton", {"seed": seed, "points": 20}, worst, tol, worst < tol))
     return records, []
 
 
@@ -144,10 +143,17 @@ def first_order_records(seed=0, plan=None):
     why = (("ladder stalls", stalled), ("hull not a singleton", wide))
     detail = "; ".join(f"{what} at points {ks}" for what, ks in why if ks)
     records.append(
-        CheckRecord("first-order/smooth", {"seed": seed, "fn": u.label}, worst_diam, 1e-3, not detail, detail=detail)
+        CheckRecord(
+            "first-order/smooth",
+            {"seed": seed, "fn": u.label},
+            worst_diam,
+            plan.tol.singleton_diameter,
+            not detail,
+            detail=detail,
+        )
     )
     kink = build_function(desc, "max_affine", certify=False)
-    rep = first_order_characterization(kink, desc.identity(), plan)
+    (rep,) = first_order_characterizations(kink, desc.identity()[None], plan)
     stalls = (not rep.expansion_converges) and rep.ladder[-1] > 0.2
     ok = rep.hull_diameter >= 1.9 and stalls and rep.directions_agree
     records.append(CheckRecord("first-order/kink", {"fn": kink.label}, rep.hull_diameter, 1.9, ok))
@@ -177,12 +183,12 @@ def mean_value_records(seed=0, plan=None):
         dirs = unit_directions(desc.m1, 100, seed=seed + 1)
         scales = rng.uniform(0.3, 1.0, 100)
         hs = dirs * scales[:, None]
-        worst = _worst_residual(smooth_suite(desc), xs, hs, plan)
-        records.append(CheckRecord(f"mvt/{spec}/smooth", {"group": spec, "seed": seed}, worst, 1e-8, worst < 1e-8))
-        worst = _worst_residual(polyhedral_suite(desc), xs, hs, plan)
-        records.append(
-            CheckRecord(f"mvt/{spec}/polyhedral", {"group": spec, "seed": seed}, worst, 1e-4, worst < 1e-4)
-        )
+        for kind, family, tol in (
+            ("smooth", smooth_suite(desc), plan.tol.mvt_smooth),
+            ("polyhedral", polyhedral_suite(desc), plan.tol.mvt_polyhedral),
+        ):
+            worst = _worst_residual(family, xs, hs, plan)
+            records.append(CheckRecord(f"mvt/{spec}/{kind}", {"group": spec, "seed": seed}, worst, tol, worst < tol))
 
     desc = build_group("heisenberg:1")
     terms = [
@@ -216,9 +222,8 @@ def dermax_records(seed=0, plan=None):
         pts = ball(desc, plan.base_radius, 10, rng)
         reps = dermax_checks(u, pts, plan, directions=50)
         metric = float(np.max([[rep.max_gap, rep.max_subadd_violation] for rep in reps]))
-        records.append(
-            CheckRecord(f"dermax/{u.label}", {"fn": u.label, "seed": seed}, metric, 1e-2, metric < 1e-2)
-        )
+        tol = plan.tol.dermax
+        records.append(CheckRecord(f"dermax/{u.label}", {"fn": u.label, "seed": seed}, metric, tol, metric < tol))
     return records, []
 
 
@@ -234,24 +239,20 @@ def second_order_records(seed=0, plan=None):
     a_err = float(np.max(np.abs(ext.A - A_target))) if ext else np.inf
     h_err = float(np.max(np.abs(exp.jet.hessian - 2 * np.eye(2)))) if exp else np.inf
     v_err = float(np.max(np.abs(exp.jet.v2 - 1.0))) if exp else np.inf
+    fit = plan.tol.fit
+    min_eig = rep.metrics.get("min_eigenvalue", -np.inf)
     records += [
-        CheckRecord("second-order/h1/extended-diff", {"fn": u.label}, a_err, 1e-3, a_err < 1e-3),
-        CheckRecord("second-order/h1/hessian", {"fn": u.label}, h_err, 1e-3, h_err < 1e-3),
-        CheckRecord("second-order/h1/v2", {"fn": u.label}, v_err, 1e-3, v_err < 1e-3),
+        CheckRecord("second-order/h1/extended-diff", {"fn": u.label}, a_err, fit, a_err < fit),
+        CheckRecord("second-order/h1/hessian", {"fn": u.label}, h_err, fit, h_err < fit),
+        CheckRecord("second-order/h1/v2", {"fn": u.label}, v_err, fit, v_err < fit),
         CheckRecord(
             "second-order/h1/claim3",
             {"fn": u.label},
             rep.metrics.get("claim3_residual", np.inf),
-            1e-3,
+            fit,
             bool(rep.claims.get("c3_identity", False)),
         ),
-        CheckRecord(
-            "second-order/h1/psd",
-            {"fn": u.label},
-            rep.metrics.get("min_eigenvalue", -np.inf),
-            -1e-6,
-            rep.metrics.get("min_eigenvalue", -np.inf) >= -1e-6,
-        ),
+        CheckRecord("second-order/h1/psd", {"fn": u.label}, min_eig, -plan.tol.psd, min_eig >= -plan.tol.psd),
         CheckRecord(
             "second-order/h1/equivalence",
             {"fn": u.label},
@@ -308,7 +309,7 @@ def mignot_records(seed=0, plan=None):
         fit = fit_extended_differential(u, desc.identity(), plan, mignot=True)
         final = float(fit.mignot_excess[-1])
         ok = fit.mignot_ok
-        records.append(CheckRecord(f"mignot/{u.label}", {"fn": u.label}, final, 1e-2, ok))
+        records.append(CheckRecord(f"mignot/{u.label}", {"fn": u.label}, final, plan.tol.mignot, ok))
         curves += curve_points(f"mignot/{u.label}", fit.mignot_taus, fit.mignot_excess)
     return records, curves
 

@@ -5,11 +5,12 @@ success).  The checks themselves live in ``carnot.suite`` so the CLI
 ``suite`` command and this module share a single implementation.
 """
 
+import functools
 import time
 
 import numpy as np
 
-from carnot import ScalarField, build_function, convexity, fields, monomials_up_to
+from carnot import ScalarField, build_function, convexity, fields, monomials_up_to, registry
 from carnot import suite as suite_mod
 from carnot.groups import GroupDescriptor
 from carnot.hull import ConvexPolytope
@@ -78,6 +79,19 @@ def test_criterion_02_heisenberg_closed_form():
     records, _, dt = _run(heisenberg_closed_form_records)
     assert _report("2 (Heisenberg closed form)", records)
     assert all(r.passed for r in records)
+
+
+def test_criterion_02_nan_product_fails(monkeypatch):
+    product = GroupDescriptor.product
+
+    def nan_row(self, x, y):
+        out = product(self, x, y)
+        out[len(out) // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(GroupDescriptor, "product", nan_row)
+    records, _, _ = _run(heisenberg_closed_form_records)
+    assert len(records) == 1 and not records[0].passed and np.isnan(records[0].metric)
 
 
 def test_criterion_03_structure_constants():
@@ -256,10 +270,43 @@ def test_criterion_09_second_order_characterization():
     assert dt < 30.0
 
 
+def _nan_right(build_function, names, value=True):
+    """``build_function`` with the named fields' gradients, and their values
+    unless ``value`` is false, NaN where x1 > 0."""
+
+    def build(desc, name, **kwargs):
+        u = build_function(desc, name, **kwargs)
+        if name not in names:
+            return u
+        fn = (lambda p: np.where(p[..., 0] > 0.0, np.nan, u.value(p))) if value else u.fn
+        grad = lambda p: np.where(p[..., :1] > 0.0, np.nan, u.gradient(p))
+        return ScalarField(desc, fn, label=u.label, grad_h=grad)
+
+    return build
+
+
+def test_criterion_09_nan_field_fails(monkeypatch):
+    # quad_vertical NaN where x1 > 0: both estimators see NaN, so every record
+    # of that field fails; the kink record, on another field, still passes
+    monkeypatch.setattr(suite_mod, "build_function", _nan_right(suite_mod.build_function, ("quad_vertical",)))
+    records, _, _ = _run(second_order_records)
+    assert [r.check_id for r in records if r.passed] == ["second-order/h1/kink-equivalence"]
+    assert all(np.isnan(r.metric) for r in records[:3])
+
+
 def test_criterion_10_euclidean_degeneration():
     records, _, dt = _run(euclidean_degeneration_records)
     assert _report("10 (Euclidean degeneration)", records)
     assert all(r.passed for r in records)
+
+
+def test_criterion_10_nan_gradient_fails(monkeypatch):
+    # the fit reads gradients only, so the NaN goes into the gradient
+    build = _nan_right(suite_mod.build_function, ("euclidean_quadratic",), value=False)
+    monkeypatch.setattr(suite_mod, "build_function", build)
+    records, _, _ = _run(euclidean_degeneration_records)
+    assert len(records) == 2 and not any(r.passed for r in records)
+    assert all(np.isnan(r.metric) for r in records)
 
 
 def test_criterion_11_quotient_inclusion():
@@ -290,9 +337,9 @@ def test_criterion_11_nan_gradient_fails(monkeypatch):
 def test_hull_builds_per_criterion(monkeypatch):
     # a host-independent work budget: every internal hull loop makes one
     # batched gradient sample per field or scale (61 / 21 / 21 / 50 / 65 /
-    # 1 / 192 samples for criteria 5-11, and 1,211 deduplicated hulls, when
-    # most hulls were built one centre at a time)
-    builds, deduplicated, current = {}, [], [None]
+    # 1 / 192 samples for criteria 5-11, and 1,211 ``from_points`` hulls,
+    # when most hulls were built one centre at a time)
+    builds, from_points_calls, current = {}, [], [None]
     shell_gradients = convexity._shell_gradients
     from_points = ConvexPolytope.from_points.__func__
 
@@ -301,7 +348,7 @@ def test_hull_builds_per_criterion(monkeypatch):
         return shell_gradients(*args, **kwargs)
 
     def counting_hulls(cls, points):
-        deduplicated.append(current[0])
+        from_points_calls.append(current[0])
         return from_points(cls, points)
 
     def tagged(k, fn):
@@ -317,7 +364,7 @@ def test_hull_builds_per_criterion(monkeypatch):
     records, _ = run_suite(SEED)
     assert len(records) == 58 and all(r.passed for r in records)
     assert builds == {5: 4, 6: 2, 7: 21, 8: 5, 9: 11, 10: 1, 11: 30}
-    assert len(deduplicated) <= 2, deduplicated
+    assert len(from_points_calls) <= 2, from_points_calls
 
 
 def test_criterion_12_determinism():
@@ -337,3 +384,19 @@ def test_registry_certificates_invariant():
     records, _, dt = _run(registry_certificate_records)
     assert _report("invariant (registry certificates)", records)
     assert all(r.passed for r in records)
+
+
+def test_criterion_12_nan_certificate_fails(monkeypatch):
+    # the twelfth entry of suite.CRITERIA: a field NaN where x1 > 0.5 has
+    # NaN on some certification segment, which counts as an infinite violation
+    for name, builder in list(registry.FUNCTIONS.items()):
+
+        def nan_right(desc, *args, builder=builder, **kwargs):
+            u = builder(desc, *args, **kwargs)
+            fn = lambda p: np.where(p[..., 0] > 0.5, np.nan, u.value(p))
+            return ScalarField(desc, fn, label=u.label, grad_h=u.grad_h)
+
+        monkeypatch.setitem(registry.FUNCTIONS, name, functools.wraps(builder)(nan_right))
+    records, _, _ = _run(registry_certificate_records)
+    assert len(records) == 5 and not any(r.passed for r in records)
+    assert all(r.metric == np.inf for r in records)

@@ -8,19 +8,16 @@ from carnot import (
     SamplingPlan,
     ConvexPolytope,
     build_function,
-    dermax_check,
     dermax_checks,
-    first_order_characterization,
     first_order_characterizations,
     first_order_residual_ladder,
     hconvexity_check,
     lambda_subdiff_membership,
-    mean_value_witness,
     mean_value_witnesses,
     subdiff_membership,
-    subdifferential_hull,
+    subdifferential_hulls,
 )
-from carnot.convexity import _directional_derivatives, _fd_gradients_batch, _shell_gradients, _subdifferential_hulls
+from carnot.convexity import _directional_derivatives, _fd_gradients_batch, _shell_gradients
 from carnot.jets import lambda_max
 from carnot.registry import function_from_spec, parse_polynomial, polyhedral_suite, smooth_suite
 from carnot.sampling import ball, quasi_sphere, unit_directions
@@ -47,7 +44,7 @@ def _limit_violation(u, x, plan):
     at x itself."""
     desc = u.desc
     xk = desc.product(x, desc.dilate(plan.radii[-1], quasi_sphere(desc, 1, seed=3)[0]))
-    return subdiff_membership(u, x, subdifferential_hull(u, xk, plan).vertices, plan)
+    return subdiff_membership(u, x, subdifferential_hulls(u, xk[None], plan)[0].vertices, plan)
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +152,8 @@ class TestReachableGradients:
         plan_fd = SamplingPlan(seed=0, use_analytic_gradient=False)
         plan_an = SamplingPlan(seed=0)
         x = np.array([0.1, -0.2, 0.3])
-        h_fd = subdifferential_hull(quad_vert, x, plan_fd)
-        h_an = subdifferential_hull(quad_vert, x, plan_an)
+        h_fd = subdifferential_hulls(quad_vert, x[None], plan_fd)[0]
+        h_an = subdifferential_hulls(quad_vert, x[None], plan_an)[0]
         assert np.max(np.abs(h_fd.centroid() - h_an.centroid())) < 1e-6
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
@@ -172,7 +169,7 @@ class TestReachableGradients:
         plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
         r, count = plan.radii[-1], plan.shell_samples
         xs = np.array([[0.3, 0.1, 0.0], [0.0, 0.2, -0.1], [0.2, -0.3, 0.4], [0.0, -0.1, 0.3]])
-        first_round = h1.translate_points(xs[1], ball(h1, r, count, plan.rng("shells")))
+        first_round = h1.product(xs[1], ball(h1, r, count, plan.rng("shells")))
         assert np.sum(u.inside(first_round)) < count
         batched = _shell_gradients(u, xs, r, plan, plan.rng("shells"), count)
         for x, grads in zip(xs, batched):
@@ -185,7 +182,7 @@ class TestSubdifferentialHull:
     def test_one_norm_square(self, one_norm_f, h1, plan):
         from carnot import hausdorff_distance
 
-        hull = subdifferential_hull(one_norm_f, h1.identity(), plan)
+        hull = subdifferential_hulls(one_norm_f, h1.identity()[None], plan)[0]
         square = ConvexPolytope.from_points([[1, 1], [1, -1], [-1, 1], [-1, -1]])
         assert hausdorff_distance(hull, square) < 0.05
         assert subdiff_membership(one_norm_f, h1.identity(), hull.vertices, plan) <= plan.tol.hull_vertex
@@ -193,10 +190,10 @@ class TestSubdifferentialHull:
     def test_smooth_singleton(self, quad_vert, plan):
         rng = np.random.default_rng(1)
         for x in rng.uniform(-0.8, 0.8, (5, 3)):
-            assert subdifferential_hull(quad_vert, x, plan).diameter() < 1e-3
+            assert subdifferential_hulls(quad_vert, x[None], plan)[0].diameter() < 1e-3
 
     def test_affine_singleton_at_q(self, affine_f, h1, plan):
-        hull = subdifferential_hull(affine_f, h1.identity(), plan)
+        hull = subdifferential_hulls(affine_f, h1.identity()[None], plan)[0]
         q = affine_f.gradient(h1.identity()[None])[0]
         assert hull.diameter() < 1e-12
         assert np.max(np.abs(hull.centroid() - q)) < 1e-12
@@ -205,8 +202,8 @@ class TestSubdifferentialHull:
         # the subdifferential of the horizontal 1-norm at 0 is the cube
         # [-1, 1]^3; the sampled gradients are exactly its 8 corners
         u = build_function(fs3, "one_norm", certify=False)
-        hull = subdifferential_hull(u, fs3.identity(), plan)
-        assert len(hull.vertices) == 8
+        hull = subdifferential_hulls(u, fs3.identity()[None], plan)[0]
+        assert len(np.unique(hull.vertices, axis=0)) == 8
         assert np.allclose(np.sort(np.abs(hull.vertices), axis=None), 1.0)
         for e in np.eye(3):
             assert hull.support(e) == pytest.approx(1.0)
@@ -214,7 +211,7 @@ class TestSubdifferentialHull:
     def test_support_cloud_in_4d(self, h2, plan):
         # the hull keeps the sampled gradient cloud; support queries are exact
         u = build_function(h2, "one_norm", certify=False)
-        hull = subdifferential_hull(u, h2.identity(), plan)
+        hull = subdifferential_hulls(u, h2.identity()[None], plan)[0]
         for e in np.eye(4):
             assert hull.support(e) == pytest.approx(1.0)
         assert hull.diameter() == pytest.approx(4.0, abs=1e-12)
@@ -223,7 +220,7 @@ class TestSubdifferentialHull:
         for desc in (fs3, eng):
             u = build_function(desc, "quad_vertical", certify=False)
             x = 0.3 * np.arange(1, desc.dim + 1) / desc.dim
-            assert subdifferential_hull(u, x, plan).diameter() < 1e-3
+            assert subdifferential_hulls(u, x[None], plan)[0].diameter() < 1e-3
 
 
 def _batch_points(desc, plan):
@@ -236,8 +233,8 @@ _FAMILIES = {"smooth": smooth_suite, "polyhedral": polyhedral_suite}
 
 
 class TestBatchedHulls:
-    """The batched internal hulls, on raw gradient rows, answer exactly as
-    the per-point public calls (criteria 5, 6 and 8)."""
+    """A batch of hulls, on raw gradient rows, answers exactly as one-row
+    calls at each of its points (criteria 5, 6 and 8)."""
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
@@ -246,8 +243,8 @@ class TestBatchedHulls:
         xs = _batch_points(h1, plan)
         dirs = unit_directions(h1.m1, 64)
         for u in _FAMILIES[family](h1):
-            for x, raw in zip(xs, _subdifferential_hulls(u, xs, plan)):
-                single = subdifferential_hull(u, x, plan)
+            for x, raw in zip(xs, subdifferential_hulls(u, xs, plan)):
+                single = subdifferential_hulls(u, x[None], plan)[0]
                 assert np.array_equal(raw.support(dirs), single.support(dirs))
                 assert raw.diameter() == single.diameter()
                 assert np.array_equal(raw.centroid(), single.centroid())
@@ -259,9 +256,9 @@ class TestBatchedHulls:
         xs = _batch_points(h1, plan)
         for u in _FAMILIES[family](h1):
             for x, rep in zip(xs, dermax_checks(u, xs, plan, directions=50)):
-                assert rep == dermax_check(u, x, plan, directions=50)
+                assert rep == dermax_checks(u, x[None], plan, directions=50)[0]
             for x, rep in zip(xs, first_order_characterizations(u, xs, plan)):
-                single = first_order_characterization(u, x, plan)
+                single = first_order_characterizations(u, x[None], plan)[0]
                 assert rep.hull_diameter == single.hull_diameter
                 assert np.array_equal(rep.ladder, single.ladder)
                 assert (rep.singleton, rep.expansion_converges) == (single.singleton, single.expansion_converges)
@@ -359,38 +356,38 @@ class TestDirectionalDerivative:
 
 class TestDermax:
     def test_smooth(self, quad_vert, plan):
-        rep = dermax_check(quad_vert, np.array([0.3, 0.1, -0.2]), plan, directions=50)
+        rep = dermax_checks(quad_vert, np.array([[0.3, 0.1, -0.2]]), plan, directions=50)[0]
         assert rep.max_gap < 1e-4
         assert rep.max_subadd_violation < 1e-8
 
     def test_one_norm_at_kink(self, one_norm_f, h1, plan):
         # support of the square is |h1| + |h2|
-        rep = dermax_check(one_norm_f, h1.identity(), plan, directions=50)
+        rep = dermax_checks(one_norm_f, h1.identity()[None], plan, directions=50)[0]
         assert rep.max_gap < 2e-2
         assert rep.max_subadd_violation < 1e-8
 
     def test_affine_zero(self, affine_f, h1, plan):
-        rep = dermax_check(affine_f, h1.identity(), plan, directions=20)
+        rep = dermax_checks(affine_f, h1.identity()[None], plan, directions=20)[0]
         assert rep.max_gap < 1e-10
 
 
 class TestMeanValue:
     def test_affine_any_t(self, affine_f, h1, plan):
         h = np.array([0.8, -0.4])
-        w = mean_value_witness(affine_f, h1.identity(), h, plan)
+        w = mean_value_witnesses(affine_f, h1.identity()[None], h[None], plan)[0]
         q = affine_f.gradient(h1.identity()[None])[0]
         assert w.residual < 1e-12
         assert abs(w.p @ h - q @ h) < 1e-9
 
     def test_quadratic_midpoint(self, quad_vert, h1, plan):
-        w = mean_value_witness(quad_vert, h1.identity(), np.array([1.0, 0.0]), plan)
+        w = mean_value_witnesses(quad_vert, h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0]
         assert w.t == pytest.approx(0.5, abs=1e-6)
         assert w.p[0] == pytest.approx(1.0, abs=1e-6)
         assert w.residual < 1e-10
 
     def test_abs_across_kink(self, h1, plan):
         u = build_function(h1, "max_affine", certify=False)  # |x1|
-        w = mean_value_witness(u, np.array([-1.0, 0.0, 0.0]), np.array([2.0, 0.0]), plan)
+        w = mean_value_witnesses(u, np.array([[-1.0, 0.0, 0.0]]), np.array([[2.0, 0.0]]), plan)[0]
         assert w.t == pytest.approx(0.5, abs=1e-6)
         assert abs(w.p[0]) < 1e-9
         assert w.residual < 1e-12
@@ -399,7 +396,7 @@ class TestMeanValue:
         inside = lambda p: h1.norm(p) < 0.5
         u = ScalarField(h1, lambda p: np.sum(p[..., :2] ** 2, axis=-1), domain=inside)
         with pytest.raises(DomainError):
-            mean_value_witness(u, h1.identity(), np.array([1.0, 0.0]), plan)
+            mean_value_witnesses(u, h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0]
 
     def test_bracketing_failure_on_jump(self, h1, plan):
         # a discontinuous step is not h-convex: the secant slope cannot be
@@ -408,22 +405,22 @@ class TestMeanValue:
 
         u = ScalarField(h1, lambda p: (p[..., 0] >= 0.5).astype(float), label="step")
         with pytest.raises(BracketingError):
-            mean_value_witness(u, h1.identity(), np.array([1.0, 0.0]), plan)
+            mean_value_witnesses(u, h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0]
 
     def test_random_pairs_small_residual(self, quad_vert, one_norm_f, plan, h1):
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.uniform(-0.5, 0.5, 3)
             h = rng.uniform(-0.8, 0.8, 2)
-            assert mean_value_witness(quad_vert, x, h, plan).residual < 1e-8
-            assert mean_value_witness(one_norm_f, x, h, plan).residual < 1e-4
+            assert mean_value_witnesses(quad_vert, x[None], h[None], plan)[0].residual < 1e-8
+            assert mean_value_witnesses(one_norm_f, x[None], h[None], plan)[0].residual < 1e-4
 
     def test_nan_field_gives_failing_witness(self, h1, plan):
         # NaN where x1 > 0.5: the secant slope along e1 is NaN, along e2 finite
         u = ScalarField(
             h1, lambda p: np.where(p[..., 0] > 0.5, np.nan, np.sum(p[..., :2] ** 2, axis=-1)), label="nan-right"
         )
-        w = mean_value_witness(u, h1.identity(), np.array([1.0, 0.0]), plan)
+        w = mean_value_witnesses(u, h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0]
         assert w.residual == np.inf
         assert not w.residual < plan.tol.mvt_smooth
         ws = mean_value_witnesses(u, np.zeros((2, 3)), np.array([[1.0, 0.0], [0.0, 1.0]]), plan)
@@ -436,7 +433,7 @@ class TestMeanValue:
             lambda p: np.sum(p[..., :2] ** 2, axis=-1),
             grad_h=lambda p: np.where(p[..., :1] > 0.4, np.nan, 2.0 * p[..., :2]),
         )
-        assert mean_value_witness(u, h1.identity(), np.array([1.0, 0.0]), plan).residual == np.inf
+        assert mean_value_witnesses(u, h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0].residual == np.inf
 
     @pytest.mark.parametrize("spec", ["h1", "h2", "fs3", "eng"])
     def test_batch_matches_rows(self, request, spec, plan):
@@ -447,7 +444,7 @@ class TestMeanValue:
         for u in smooth_suite(desc) + polyhedral_suite(desc):
             batched = mean_value_witnesses(u, xs, hs, plan)
             for x, h, w in zip(xs, hs, batched):
-                single = mean_value_witness(u, x, h, plan)
+                single = mean_value_witnesses(u, x[None], h[None], plan)[0]
                 assert w.t == single.t
                 assert np.max(np.abs(w.p - single.p)) <= 1e-15
                 assert abs(w.residual - single.residual) <= 1e-15
@@ -472,12 +469,12 @@ class TestFirstOrderCharacterization:
     def test_smooth_points(self, quad_vert, plan):
         rng = np.random.default_rng(4)
         for x in rng.uniform(-0.7, 0.7, (5, 3)):
-            rep = first_order_characterization(quad_vert, x, plan)
+            rep = first_order_characterizations(quad_vert, x[None], plan)[0]
             assert rep.singleton and rep.expansion_converges and rep.directions_agree
 
     def test_kink_point(self, h1, plan):
         u = build_function(h1, "max_affine", certify=False)
-        rep = first_order_characterization(u, h1.identity(), plan)
+        rep = first_order_characterizations(u, h1.identity()[None], plan)[0]
         assert rep.hull_diameter >= 1.9
         assert not rep.expansion_converges
         assert rep.ladder[-1] > 0.2  # the ladder stalls
@@ -486,7 +483,7 @@ class TestFirstOrderCharacterization:
     def test_subjet_equivalence_at_kink(self, one_norm_f, h1, plan):
         # a vertex passing the o(|h|)-relaxed inequality also passes the
         # strict one; a point outside fails the relaxed ladder
-        hull = subdifferential_hull(one_norm_f, h1.identity(), plan)
+        hull = subdifferential_hulls(one_norm_f, h1.identity()[None], plan)[0]
         for v in hull.vertices:
             ladder = first_order_residual_ladder(one_norm_f, h1.identity(), v, plan)
             # relaxed: sup (u(x) + <p,h> - u(xh)) / |h| bounded by the ladder
@@ -511,7 +508,7 @@ class TestScaleDiagnostics:
         L = np.sqrt(2.0)
         rng = np.random.default_rng(5)
         for x in ball(h1, 0.3, 5, rng):
-            hull = subdifferential_hull(one_norm_f, x, plan)
+            hull = subdifferential_hulls(one_norm_f, x[None], plan)[0]
             assert np.max(np.linalg.norm(hull.vertices, axis=1)) <= L + 1e-12
 
     def test_growth_ratio_stable(self, quad_vert, plan, h1):
@@ -524,9 +521,9 @@ class TestScaleDiagnostics:
         for r in (0.02, 0.04, 0.08):
             sup_p = 0.0
             for y in ball(h1, r, 4, rng):
-                hull = subdifferential_hull(quad_vert, h1.product(x, y), plan)
+                hull = subdifferential_hulls(quad_vert, h1.product(x, y)[None], plan)[0]
                 sup_p = max(sup_p, float(np.max(np.linalg.norm(hull.vertices, axis=1))))
-            pts = h1.translate_points(x, ball(h1, 15 * r, 200, rng))
+            pts = h1.product(x, ball(h1, 15 * r, 200, rng))
             mean_u = float(np.mean(np.abs(quad_vert.value(pts))))
             ratios.append(sup_p / (mean_u / r))
         ratios = np.asarray(ratios)

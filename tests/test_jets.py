@@ -186,12 +186,12 @@ class TestLeftTranslate:
         rng = np.random.default_rng(8)
         p = random_deg2(h1, rng)
         hs = rng.uniform(-1, 1, (20, 3))
-        assert np.array_equal(evaluate(h1, p, h1.translate_points(h1.identity(), hs)), evaluate(h1, p, hs))
+        assert np.array_equal(evaluate(h1, p, h1.product(h1.identity(), hs)), evaluate(h1, p, hs))
 
     def test_heisenberg_vertical(self, h1):
         # x3(x . h) = h3 + h2/2 at x = e1
         hs = np.random.default_rng(8).uniform(-1, 1, (20, 3))
-        vals = evaluate(h1, poly(h1, [((0, 0, 1), 1.0)]), h1.translate_points(np.array([1.0, 0.0, 0.0]), hs))
+        vals = evaluate(h1, poly(h1, [((0, 0, 1), 1.0)]), h1.product(np.array([1.0, 0.0, 0.0]), hs))
         assert np.max(np.abs(vals - (hs[:, 2] + hs[:, 1] / 2))) < 1e-15
 
     @pytest.mark.parametrize("fixture", ["h1", "fs3", "eng"])
@@ -207,11 +207,11 @@ class TestLeftTranslate:
             x = rng.uniform(-1, 1, desc.dim)
             H, v2 = sym_hessian(desc, p)
             hs = rng.uniform(-1, 1, (8, desc.m1))
-            fwd = evaluate(desc, p, desc.translate_points(x, desc.embed_horizontal(hs)))
-            bwd = evaluate(desc, p, desc.translate_points(x, desc.embed_horizontal(-hs)))
+            fwd = evaluate(desc, p, desc.product(x, desc.embed_horizontal(hs)))
+            bwd = evaluate(desc, p, desc.product(x, desc.embed_horizontal(-hs)))
             second = fwd - 2 * evaluate(desc, p, x) + bwd
             assert np.max(np.abs(second - np.einsum("ki,ij,kj->k", hs, H, hs))) < 1e-10
-            shift = evaluate(desc, p, desc.translate_points(x, layer2)) - evaluate(desc, p, x)
+            shift = evaluate(desc, p, desc.product(x, layer2)) - evaluate(desc, p, x)
             assert np.max(np.abs(shift - v2)) < 1e-10
 
     def test_linear_part_is_gradient(self, h1):
@@ -223,6 +223,6 @@ class TestLeftTranslate:
             x = rng.uniform(-1, 1, 3)
             grad = np.array([evaluate(h1, X[i] @ p, x) for i in range(h1.m1)])
             hs = rng.uniform(-1, 1, (8, h1.m1))
-            fwd = evaluate(h1, p, h1.translate_points(x, h1.embed_horizontal(hs)))
-            bwd = evaluate(h1, p, h1.translate_points(x, h1.embed_horizontal(-hs)))
+            fwd = evaluate(h1, p, h1.product(x, h1.embed_horizontal(hs)))
+            bwd = evaluate(h1, p, h1.product(x, h1.embed_horizontal(-hs)))
             assert np.max(np.abs((fwd - bwd) / 2 - hs @ grad)) < 1e-11

@@ -312,6 +312,42 @@ class TestCli:
         )
         assert code == 0
 
+    def test_suite_records_state_the_tolerance_they_use(self, tmp_path):
+        # every suite record with a Tolerances field reads it from the plan,
+        # in the verdict and in the stated tolerance alike
+        tols = {
+            "mignot": 1e-9,
+            "mvt_smooth": 1e-17,  # below the smooth witness residuals, about 2e-16 at seed 0
+            "mvt_polyhedral": 5e-5,
+            "dermax": 5e-3,
+            "singleton_diameter": 5e-4,
+            "fit": 5e-4,
+            "psd": 5e-7,
+        }
+        args = ["suite", "--seed", "0", "--out", str(tmp_path)]
+        assert main(args + [a for k, v in tols.items() for a in ("--tol", f"{k}={v}")]) == 1
+        records = json.loads((tmp_path / "report.json").read_text())["records"]
+        stated = {
+            "mignot/": tols["mignot"],
+            "/polyhedral": tols["mvt_polyhedral"],
+            "dermax/": tols["dermax"],
+            "hull/smooth-singleton": tols["singleton_diameter"],
+            "first-order/smooth": tols["singleton_diameter"],
+            "second-order/h1/extended-diff": tols["fit"],
+            "second-order/h1/hessian": tols["fit"],
+            "second-order/h1/v2": tols["fit"],
+            "second-order/h1/claim3": tols["fit"],
+            "second-order/h1/psd": -tols["psd"],
+        }
+        for part, tol in stated.items():
+            hits = [r for r in records if part in r["id"]]
+            assert hits and all(r["tolerance"] == tol for r in hits), part
+        smooth = [r for r in records if r["id"].startswith("mvt/") and r["id"].endswith("/smooth")]
+        assert len(smooth) == 4 and all(r["tolerance"] == tols["mvt_smooth"] for r in smooth)
+        # mignot/affine reads 0.0 and still passes
+        failed = {r["id"] for r in records if r["verdict"] == "fail"}
+        assert failed == {r["id"] for r in smooth} | {"mignot/quadratic", "mignot/quad_vertical(alpha=1)"}
+
     def test_unknown_tol_key_exit_2(self, capsys):
         # an unknown key, and a plausible one that names no tolerance
         for key in ("bogus", "membership"):

@@ -15,9 +15,8 @@ from carnot import (
     monomials_up_to,
     psd_check,
     second_quotient,
-    subdiff_quotient,
     subdiff_quotients,
-    subdifferential_hull,
+    subdifferential_hulls,
     weighted_degree,
 )
 from carnot import second_order as so
@@ -65,7 +64,7 @@ class TestSecondQuotient:
 class TestSubdiffQuotient:
     def test_affine_is_zero(self, h1, plan):
         u = build_function(h1, "affine", certify=False)
-        q = subdiff_quotient(u, h1.identity(), 0.1, np.array([0.4, 0.2, 0.1]), plan)
+        (q,) = subdiff_quotients(u, h1.identity(), 0.1, np.array([[0.4, 0.2, 0.1]]), plan)
         assert q.diameter() < 1e-9
         assert np.max(np.abs(q.centroid())) < 1e-9
 
@@ -74,7 +73,7 @@ class TestSubdiffQuotient:
         w = np.array([0.5, -0.3, 0.2])
         g0 = quad_vert.gradient(x[None])[0]
         for tau in (0.2, 0.05):
-            q = subdiff_quotient(quad_vert, x, tau, w, plan)
+            (q,) = subdiff_quotients(quad_vert, x, tau, w[None], plan)
             y = h1.product(x, h1.dilate(tau, w))
             target = (quad_vert.gradient(y[None])[0] - g0) / tau
             assert q.diameter() < 1e-3
@@ -84,7 +83,7 @@ class TestSubdiffQuotient:
         w = np.array([0.3, 0.4, -0.2])
         cents = []
         for tau in (0.4, 0.1, 0.025):
-            cents.append(subdiff_quotient(quad_vert, h1.identity(), tau, w, plan).centroid())
+            cents.append(subdiff_quotients(quad_vert, h1.identity(), tau, w[None], plan)[0].centroid())
         assert np.max(np.abs(cents[0] - cents[1])) < 1e-3
         assert np.max(np.abs(cents[1] - cents[2])) < 1e-3
 
@@ -92,7 +91,7 @@ class TestSubdiffQuotient:
     @pytest.mark.parametrize("group", ["h1", "eng"])
     def test_scale_batch_equals_per_direction_hulls(self, request, group, analytic):
         # the Mignot directions of fit_extended_differential, one batch per
-        # scale, against the public hull at each x delta_tau w on its own
+        # scale, against the one-row hull at each x delta_tau w
         desc = request.getfixturevalue(group)
         plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
         x = 0.1 * np.arange(1, desc.dim + 1) / desc.dim
@@ -103,7 +102,7 @@ class TestSubdiffQuotient:
             for tau in plan.taus()[::4]:
                 batch = subdiff_quotients(u, x, tau, ws, plan, grad=grad)
                 for w, q in zip(ws, batch):
-                    hull = subdifferential_hull(u, desc.product(x, desc.dilate(tau, w)), plan.scaled(tau))
+                    (hull,) = subdifferential_hulls(u, desc.product(x, desc.dilate(tau, w))[None], plan.scaled(tau))
                     single = ConvexPolytope((hull.vertices - grad) * (1.0 / tau), hull.dim)
                     assert q.support(dirs).tolist() == single.support(dirs).tolist()
                     assert q.diameter() == single.diameter()

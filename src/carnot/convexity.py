@@ -381,6 +381,8 @@ def dermax_checks(u, xs, plan=None, directions=None):
 
 _PSI_GRID = 257  # points of the psi grid that brackets the extremum
 _PSI_BLOCK = 16  # rows per psi-grid evaluation, to bound the (rows, grid, n) temporaries
+_SECTION_PROBES = 16  # interior probes per step of the section search
+_SECTION_STEPS = 14  # final bracket (2/17)^14 * 2/256 ~ 7.6e-16 wide
 
 
 def mean_value_witnesses(u, xs, hs, plan=None):
@@ -391,11 +393,14 @@ def mean_value_witnesses(u, xs, hs, plan=None):
     at x * delta_{t*} h with <p, h> equal to the secant slope
     sigma = u(xh) - u(x).  The deviation psi(t) = u(x (t h)) - u(x) - t sigma
     vanishes at both ends, so it has an interior extremum; there the
-    one-sided derivatives bracket sigma.  The extremum is located on a grid
-    and refined by a ternary search that runs for all rows in lockstep (a
-    flat psi keeps t* = 1/2).  The hull at x * delta_{t*} h is intersected
-    with the hyperplane <., h> = sigma (nearest vertex if sigma falls just
-    outside the sampled support range).
+    one-sided derivatives bracket sigma.  The extremum is located on a grid,
+    which gives each row its sign and a starting bracket of two grid cells
+    (a flat psi keeps t* = 1/2).  A section search then refines all rows in
+    lockstep: each step evaluates ``_SECTION_PROBES`` equally spaced interior
+    probes of every bracket with one product call and keeps the two cells
+    around the best probe (two probes make it a ternary search).  The hull
+    at x * delta_{t*} h is intersected with the hyperplane <., h> = sigma
+    (nearest vertex if sigma falls just outside the sampled support range).
 
     A non-finite secant slope, psi value or hull gradient gives residual
     +inf (and p = NaN) instead of an error.  The batch raises the first
@@ -433,65 +438,76 @@ def mean_value_witnesses(u, xs, hs, plan=None):
         lo, hi = ts[np.maximum(i[search] - 1, 0)], ts[np.minimum(i[search] + 1, _PSI_GRID - 1)]
         x_s, h_s = xs[search, None, :], hfull[search, None, :]
         ux_s, sigma_s = ux[search, None], sigma[search, None]
-        m = np.empty((len(search), 2))  # the two interior probes of each bracket
-        for _ in range(70):
-            third = (hi - lo) / 3
-            m[:, 0], m[:, 1] = lo + third, hi - third
-            v = (u.value(desc.product(x_s, m[:, :, None] * h_s)) - ux_s - sigma_s * m) * sign
-            left = v[:, 0] < v[:, 1]
-            lo = np.where(left, m[:, 0], lo)
-            hi = np.where(left, hi, m[:, 1])
+        frac = np.arange(1, _SECTION_PROBES + 1) / (_SECTION_PROBES + 1)
+        row_s = np.arange(len(search))
+        for _ in range(_SECTION_STEPS):
+            probes = lo[:, None] + (hi - lo)[:, None] * frac
+            v = (u.value(desc.product(x_s, probes[:, :, None] * h_s)) - ux_s - sigma_s * probes) * sign
+            edges = np.concatenate([lo[:, None], probes, hi[:, None]], axis=1)
+            j = np.argmax(v, axis=-1)
+            lo, hi = edges[row_s, j], edges[row_s, j + 2]
         t_star[search] = 0.5 * (lo + hi)
 
     ys = desc.product(xs, t_star[:, None] * hfull)
+    p = np.full((len(xs), desc.m1), np.nan)
+    residual = np.full(len(xs), np.inf)
     good = np.flatnonzero(~bad)
-    hulls = dict(zip(good, subdifferential_hulls(u, ys[good], plan)))
-    out = []
-    for k, (h, s, y) in enumerate(zip(hs, sigma, ys)):
-        hull = hulls.get(k)
-        if hull is None or not np.all(np.isfinite(hull.vertices)):
-            out.append(MvtWitness(float(t_star[k]), np.full(desc.m1, np.nan), np.inf, y))
-            continue
-        support_vals = hull.vertices @ h
-        smin, smax = float(np.min(support_vals)), float(np.max(support_vals))
-        if s < smin - plan.tol.support_gap or s > smax + plan.tol.support_gap:
+    if len(good):
+        hulls = subdifferential_hulls(u, ys[good], plan)
+        depth = np.arange(max(len(hull.vertices) for hull in hulls))
+        # a short hull repeats its last row: repeats change no min, max or
+        # first-occurrence argmin/argmax
+        V = np.stack([hull.vertices[np.minimum(depth, len(hull.vertices) - 1)] for hull in hulls])
+        finite = np.all(np.isfinite(V), axis=(1, 2))
+        h, s = hs[good], sigma[good]
+        support_vals = np.einsum("krm,km->kr", V, h)
+        smin, smax = np.min(support_vals, axis=-1), np.max(support_vals, axis=-1)
+        outside = finite & ((s < smin - plan.tol.support_gap) | (s > smax + plan.tol.support_gap))
+        if np.any(outside):
+            k = int(np.argmax(outside))
             raise BracketingError(
-                f"secant slope {s:.4g} outside sampled support range [{smin:.4g}, {smax:.4g}]"
+                f"secant slope {s[k]:.4g} outside sampled support range [{smin[k]:.4g}, {smax[k]:.4g}]"
             )
-        v_lo = hull.vertices[int(np.argmin(support_vals))]
-        v_hi = hull.vertices[int(np.argmax(support_vals))]
-        if s <= smin:
-            p = v_lo
-        elif s >= smax:
-            p = v_hi
-        else:
-            p = v_lo + (s - smin) / (smax - smin) * (v_hi - v_lo)
-        out.append(MvtWitness(float(t_star[k]), p, abs(float(s) - float(p @ h)), y))
-    return out
+        r = np.arange(len(good))
+        v_lo = V[r, np.argmin(support_vals, axis=-1)]
+        v_hi = V[r, np.argmax(support_vals, axis=-1)]
+        span = np.where(smax > smin, smax - smin, 1.0)
+        inner = v_lo + ((s - smin) / span)[:, None] * (v_hi - v_lo)
+        pg = np.where((s <= smin)[:, None], v_lo, np.where((s >= smax)[:, None], v_hi, inner))
+        p[good[finite]] = pg[finite]
+        residual[good[finite]] = np.abs(s - np.einsum("km,km->k", pg, h))[finite]
+    return [MvtWitness(float(t), pk, float(rk), y) for t, pk, rk, y in zip(t_star, p, residual, ys)]
 
 
 # -- first-order characterization ---------------------------------------------------
 
 
-def first_order_residual_ladder(u, x, p, plan=None):
-    """sup_w |u(xw) - u(x) - <p, pi_1 w>| / ||w|| over shrinking spheres."""
+def first_order_residual_ladder(u, xs, P, plan=None):
+    """sup_w |u(xw) - u(x) - <p, pi_1 w>| / ||w|| over shrinking spheres, for
+    every row x of ``xs`` (K, n) with p the same row of ``P`` (K, m1).
+
+    Returns (K, len(plan.radii)); a sphere with no point inside the domain
+    reads NaN.  One product and one value call per radius serve all rows.
+    Every evaluation keeps a leading row axis, and a point outside the
+    domain is evaluated at its row's centre instead and dropped, so a row's
+    ladder does not depend on the other rows of the batch.
+    """
     plan = plan or SamplingPlan()
     desc = u.desc
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    P = np.atleast_2d(np.asarray(P, dtype=float))
     ws = quasi_sphere(desc, plan.directions, seed=11)
-    ux = float(u.value(x[None])[0])
-    out = []
-    for rho in plan.radii:
+    ux = u.value(xs[:, None, :])  # (K, 1)
+    out = np.empty((len(xs), len(plan.radii)))
+    for r, rho in enumerate(plan.radii):
         w = desc.dilate(rho, ws)
-        pts = desc.product(x, w)
+        pts = desc.product(xs[:, None, :], w[None, :, :])  # (K, W, n)
         keep = u.inside(pts)
-        if not np.any(keep):
-            out.append(np.nan)
-            continue
-        res = np.abs(u.value(pts[keep]) - ux - w[keep, : desc.m1] @ p) / rho
-        out.append(float(np.max(res)))
-    return np.asarray(out)
+        vals = u.value(np.where(keep[..., None], pts, xs[:, None, :]))
+        lin = np.sum(w[None, :, : desc.m1] * P[:, None, :], axis=-1)
+        res = np.where(keep, np.abs(vals - ux - lin) / rho, -np.inf)
+        out[:, r] = np.where(np.any(keep, axis=-1), np.max(res, axis=-1), np.nan)
+    return out
 
 
 @dataclass(frozen=True)
@@ -518,10 +534,11 @@ def first_order_characterizations(u, xs, plan=None):
     """
     plan = plan or SamplingPlan()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    hulls = subdifferential_hulls(u, xs, plan)
+    ladders = first_order_residual_ladder(u, xs, [hull.centroid() for hull in hulls], plan)
     out = []
-    for x, hull in zip(xs, subdifferential_hulls(u, xs, plan)):
+    for hull, ladder in zip(hulls, ladders):
         diam = hull.diameter()
-        ladder = first_order_residual_ladder(u, x, hull.centroid(), plan)
         first, last = float(ladder[0]), float(ladder[-1])
         converges = last < max(1e-9, 0.05 * first)
         out.append(FirstOrderReport(diam, ladder, diam < plan.tol.singleton_diameter, converges))

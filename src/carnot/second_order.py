@@ -57,7 +57,7 @@ def gradient_with_certificate(u, x, plan=None):
     x = np.asarray(x, dtype=float)
     (hull,) = subdifferential_hulls(u, x[None], plan)
     diam = hull.diameter()
-    if diam > plan.tol.singleton_diameter:
+    if not diam <= plan.tol.singleton_diameter:  # a NaN diameter certifies nothing
         raise NonSingletonSubdifferential(diam)
     if plan.use_analytic_gradient and u.grad_h is not None:
         return u.gradient(x[None])[0], diam

@@ -19,6 +19,7 @@ from .convexity import (
     mean_value_witnesses,
     subdifferential_hulls,
 )
+from .errors import BracketingError, NonSingletonSubdifferential
 from .fields import field_coefficients
 from .hull import ConvexPolytope, hausdorff_distance
 from .jets import check_alij, lambda_max
@@ -162,13 +163,19 @@ def first_order_records(seed=0, plan=None):
 
 
 def _worst_residual(family, xs, hs, plan):
-    """Largest witness residual over the rows, row i taking field i % len(family).
+    """Largest witness residual over the rows, row i taking field i % len(family),
+    and a detail that is empty unless a witness failed.
 
-    NaN propagates, so a non-finite residual can never fold into a pass.
+    NaN propagates, so a non-finite residual can never fold into a pass; a
+    secant slope that no sampled subgradient brackets reads inf, with the
+    error message as detail.
     """
     k = len(family)
-    residuals = [w.residual for j, u in enumerate(family) for w in mean_value_witnesses(u, xs[j::k], hs[j::k], plan)]
-    return float(np.max(residuals))
+    try:
+        residuals = [w.residual for j, u in enumerate(family) for w in mean_value_witnesses(u, xs[j::k], hs[j::k], plan)]
+    except BracketingError as err:
+        return np.inf, str(err)
+    return float(np.max(residuals)), ""
 
 
 def mean_value_records(seed=0, plan=None):
@@ -187,8 +194,9 @@ def mean_value_records(seed=0, plan=None):
             ("smooth", smooth_suite(desc), plan.tol.mvt_smooth),
             ("polyhedral", polyhedral_suite(desc), plan.tol.mvt_polyhedral),
         ):
-            worst = _worst_residual(family, xs, hs, plan)
-            records.append(CheckRecord(f"mvt/{spec}/{kind}", {"group": spec, "seed": seed}, worst, tol, worst < tol))
+            worst, detail = _worst_residual(family, xs, hs, plan)
+            inputs = {"group": spec, "seed": seed}
+            records.append(CheckRecord(f"mvt/{spec}/{kind}", inputs, worst, tol, worst < tol, detail=detail))
 
     desc = build_group("heisenberg:1")
     terms = [
@@ -202,11 +210,13 @@ def mean_value_records(seed=0, plan=None):
     rng = _rng(seed, "mvt/lambda")
     xs = ball(desc, 0.5, 20, rng)
     hs = unit_directions(desc.m1, 20, seed=seed + 2) * rng.uniform(0.3, 0.8, 20)[:, None]
-    viol = [lambda_subdiff_membership(u, w.point, w.p, lam, plan) for w in mean_value_witnesses(u, xs, hs, plan)]
-    worst = float(np.maximum(0.0, np.max(viol)))  # NaN-safe, unlike max(0.0, nan)
-    records.append(
-        CheckRecord("mvt/lambda-relaxed", {"lambda": lam, "seed": seed}, worst, plan.tol.mvt_lambda, worst < plan.tol.mvt_lambda)
-    )
+    try:
+        viol = [lambda_subdiff_membership(u, w.point, w.p, lam, plan) for w in mean_value_witnesses(u, xs, hs, plan)]
+        worst, detail = float(np.maximum(0.0, np.max(viol))), ""  # NaN-safe, unlike max(0.0, nan)
+    except BracketingError as err:
+        worst, detail = np.inf, str(err)
+    tol, inputs = plan.tol.mvt_lambda, {"lambda": lam, "seed": seed}
+    records.append(CheckRecord("mvt/lambda-relaxed", inputs, worst, tol, worst < tol, detail=detail))
     return records, []
 
 
@@ -291,12 +301,15 @@ def euclidean_degeneration_records(seed=0, plan=None):
     desc = build_group("euclidean:2")
     S = np.array([[1.3, 0.4], [0.4, 0.9]])
     u = build_function(desc, "euclidean_quadratic", S=S, certify=False)
-    fit = fit_extended_differential(u, desc.identity(), plan, mignot=False)
-    err = float(np.max(np.abs(fit.A - S)))
-    skew = float(np.max(np.abs(fit.A - fit.A.T)))
+    try:
+        A, detail = fit_extended_differential(u, desc.identity(), plan, mignot=False).A, ""
+    except NonSingletonSubdifferential as exc:  # a NaN hull diameter certifies no gradient
+        A, detail = np.full_like(S, np.nan), str(exc)
+    err = float(np.max(np.abs(A - S)))
+    skew = float(np.max(np.abs(A - A.T)))
     return [
-        CheckRecord("euclidean/extended-diff", {"S": S.tolist()}, err, 1e-4, err < 1e-4),
-        CheckRecord("euclidean/symmetry", {"S": S.tolist()}, skew, 1e-6, skew < 1e-6),
+        CheckRecord("euclidean/extended-diff", {"S": S.tolist()}, err, 1e-4, err < 1e-4, detail=detail),
+        CheckRecord("euclidean/symmetry", {"S": S.tolist()}, skew, 1e-6, skew < 1e-6, detail=detail),
     ], []
 
 
@@ -306,7 +319,11 @@ def mignot_records(seed=0, plan=None):
     desc = build_group("heisenberg:1")
     records, curves = [], []
     for u in smooth_suite(desc):
-        fit = fit_extended_differential(u, desc.identity(), plan, mignot=True)
+        try:
+            fit = fit_extended_differential(u, desc.identity(), plan, mignot=True)
+        except NonSingletonSubdifferential as exc:  # a NaN hull diameter certifies no gradient
+            records.append(CheckRecord(f"mignot/{u.label}", {"fn": u.label}, np.nan, plan.tol.mignot, False, str(exc)))
+            continue
         final = float(fit.mignot_excess[-1])
         ok = fit.mignot_ok
         records.append(CheckRecord(f"mignot/{u.label}", {"fn": u.label}, final, plan.tol.mignot, ok))

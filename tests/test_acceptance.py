@@ -207,7 +207,8 @@ def test_criterion_07_mean_value_witnesses():
 
 def test_criterion_07_product_calls(monkeypatch):
     # a host-independent work budget: the witnesses of a batch share their
-    # products (38,840 calls when every witness searched alone)
+    # products (38,840 calls when every witness searched alone, 1,343 with a
+    # 70-step ternary search)
     calls = []
     product = GroupDescriptor.product
 
@@ -217,7 +218,7 @@ def test_criterion_07_product_calls(monkeypatch):
 
     monkeypatch.setattr(GroupDescriptor, "product", counting)
     mean_value_records(SEED)
-    assert 0 < len(calls) < 4000
+    assert 0 < len(calls) < 450
 
 
 def test_criterion_07_nan_field_fails(monkeypatch):
@@ -236,6 +237,30 @@ def test_criterion_07_nan_field_fails(monkeypatch):
     poly = [r for r in records if r.check_id.endswith("/polyhedral")]
     assert len(poly) == 4 and not any(r.passed for r in poly)
     assert all(r.passed for r in records if r not in poly)
+
+
+def test_criterion_07_bracketing_failure_fails_records(monkeypatch):
+    # analytic gradients scaled by 1.2 on every smooth field: the secant
+    # slope leaves the sampled support range, which fails the four smooth
+    # records with the error as detail instead of ending the suite
+    smooth_suite = suite_mod.smooth_suite
+
+    def scaled(desc):
+        return [
+            ScalarField(desc, u.fn, label=u.label, grad_h=lambda p, u=u: 1.2 * u.gradient(p))
+            for u in smooth_suite(desc)
+        ]
+
+    monkeypatch.setattr(suite_mod, "smooth_suite", scaled)
+    records, _, _ = _run(mean_value_records)
+    smooth = [r for r in records if r.check_id.endswith("/smooth")]
+    assert len(smooth) == 4 and not any(r.passed for r in smooth)
+    for r in smooth:
+        assert r.metric == np.inf
+        assert r.detail.startswith("secant slope ") and "outside sampled support range" in r.detail
+    others = [r for r in records if r not in smooth]
+    assert [r.check_id for r in others][-1] == "mvt/lambda-relaxed"
+    assert len(others) == 5 and all(r.passed for r in others)
 
 
 def test_criterion_08_dermax_and_subadditivity():
@@ -287,11 +312,25 @@ def _nan_right(build_function, names, value=True):
 
 def test_criterion_09_nan_field_fails(monkeypatch):
     # quad_vertical NaN where x1 > 0: both estimators see NaN, so every record
-    # of that field fails; the kink record, on another field, still passes
+    # of that field fails; the kink record, on another field, still passes.
+    # The NaN hull diameter certifies no gradient, so neither fit is made and
+    # the fit records read inf.
     monkeypatch.setattr(suite_mod, "build_function", _nan_right(suite_mod.build_function, ("quad_vertical",)))
     records, _, _ = _run(second_order_records)
     assert [r.check_id for r in records if r.passed] == ["second-order/h1/kink-equivalence"]
-    assert all(np.isnan(r.metric) for r in records[:3])
+    assert all(r.metric == np.inf for r in records[:3])
+
+
+def test_criterion_09_nan_gradient_fails(monkeypatch):
+    # quad_vertical's gradient NaN where x1 > 0, its values finite: the hull
+    # diameter is NaN, which certifies no singleton, so the records that read
+    # the certified gradient fail
+    monkeypatch.setattr(suite_mod, "build_function", _nan_right(suite_mod.build_function, ("quad_vertical",), value=False))
+    records, _, _ = _run(second_order_records)
+    verdicts = {r.check_id: r.passed for r in records}
+    assert not verdicts["second-order/h1/hessian"]
+    assert not verdicts["second-order/h1/v2"]
+    assert [r.check_id for r in records if r.passed] == ["second-order/h1/kink-equivalence"]
 
 
 def test_criterion_10_euclidean_degeneration():
@@ -332,6 +371,23 @@ def test_criterion_11_nan_gradient_fails(monkeypatch):
     records, _, _ = _run(mignot_records)
     assert len(records) == 3 and not any(r.passed for r in records)
     assert all(r.check_id.startswith("mignot/") for r in records)
+
+
+def test_criterion_11_nan_certificate_fails(monkeypatch):
+    # analytic gradients NaN where x1 > 0, next to the identity: the NaN hull
+    # diameter certifies no gradient, so each record fails and says why
+    smooth_suite = suite_mod.smooth_suite
+
+    def nan_gradient(desc):
+        return [
+            ScalarField(desc, u.fn, label=u.label, grad_h=lambda p, u=u: np.where(p[..., :1] > 0.0, np.nan, u.gradient(p)))
+            for u in smooth_suite(desc)
+        ]
+
+    monkeypatch.setattr(suite_mod, "smooth_suite", nan_gradient)
+    records, _, _ = _run(mignot_records)
+    assert len(records) == 3 and not any(r.passed for r in records)
+    assert all(r.detail == "subdifferential diameter nan exceeds singleton tolerance" for r in records)
 
 
 def test_hull_builds_per_criterion(monkeypatch):

@@ -17,6 +17,7 @@ from carnot import (
     subdiff_membership,
     subdifferential_hulls,
 )
+from carnot import convexity
 from carnot.convexity import _directional_derivatives, _fd_gradients_batch, _shell_gradients
 from carnot.jets import lambda_max
 from carnot.registry import function_from_spec, parse_polynomial, polyhedral_suite, smooth_suite
@@ -392,6 +393,14 @@ class TestMeanValue:
         assert abs(w.p[0]) < 1e-9
         assert w.residual < 1e-12
 
+    def test_kink_location(self, h1, plan):
+        # |x1| from x1 = -0.3 along e1: psi's extremum is the kink at t = 0.3,
+        # which falls between grid points, so the section search must find it
+        u = build_function(h1, "max_affine", certify=False)
+        w = mean_value_witnesses(u, np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)[0]
+        assert abs(w.t - 0.3) <= 1e-12
+        assert w.residual < 1e-12
+
     def test_segment_outside_domain(self, h1, plan):
         inside = lambda p: h1.norm(p) < 0.5
         u = ScalarField(h1, lambda p: np.sum(p[..., :2] ** 2, axis=-1), domain=inside)
@@ -450,6 +459,66 @@ class TestMeanValue:
                 assert abs(w.residual - single.residual) <= 1e-15
 
 
+def test_residual_ladder_batch_matches_rows(h1, plan):
+    # one product and value call per radius for all rows gives each row the
+    # ladder it gets on its own, a domain-restricted field included
+    rng = np.random.default_rng(5)
+    xs = ball(h1, 0.6, 6, rng)
+    P = rng.uniform(-1.0, 1.0, (6, 2))
+    inside = lambda p: p[..., 0] < 0.2
+    fields = [
+        build_function(h1, "one_norm", certify=False),
+        ScalarField(h1, lambda p: np.sum(p[..., :2] ** 2, axis=-1), domain=inside),
+    ]
+    for u in fields:
+        batched = first_order_residual_ladder(u, xs, P, plan)
+        assert batched.shape == (6, len(plan.radii))
+        for x, p, ladder in zip(xs, P, batched):
+            single = first_order_residual_ladder(u, x[None], p[None], plan)[0]
+            np.testing.assert_array_equal(ladder, single)
+
+
+def _bracket_row(hull, h, s, gap):
+    """The per-row witness bracketing that the batched one replaced."""
+    vals = hull.vertices @ h
+    smin, smax = float(np.min(vals)), float(np.max(vals))
+    assert smin - gap <= s <= smax + gap
+    v_lo, v_hi = hull.vertices[int(np.argmin(vals))], hull.vertices[int(np.argmax(vals))]
+    if s <= smin:
+        return v_lo
+    if s >= smax:
+        return v_hi
+    return v_lo + (s - smin) / (smax - smin) * (v_hi - v_lo)
+
+
+@pytest.mark.parametrize("spec", ["h1", "fs3"])
+def test_bracketing_matches_row_loop(request, spec, plan, monkeypatch):
+    # hulls of unequal length, as FD rejections leave them, are padded by
+    # repeating a row: the stacked bracketing must pick the p of the loop
+    desc = request.getfixturevalue(spec)
+    hulls = []
+
+    def short_shells(*args):
+        grads = [g[: len(g) - 7 * (i % 3)] for i, g in enumerate(_shell_gradients(*args))]
+        hulls.extend(grads)
+        return grads
+
+    monkeypatch.setattr(convexity, "_shell_gradients", short_shells)
+    rng = np.random.default_rng(11)
+    xs = ball(desc, 0.6, 9, rng)
+    hs = unit_directions(desc.m1, 9, seed=2) * rng.uniform(0.3, 1.0, 9)[:, None]
+    hfull = desc.embed_horizontal(hs)
+    for u in smooth_suite(desc) + polyhedral_suite(desc):
+        hulls.clear()
+        ws = mean_value_witnesses(u, xs, hs, plan)
+        sigma = u.value(desc.product(xs, hfull)) - u.value(xs)
+        assert len({len(g) for g in hulls}) == 3
+        for g, h, s, w in zip(hulls, hs, sigma, ws):
+            p = _bracket_row(ConvexPolytope(g, desc.m1), h, s, plan.tol.support_gap)
+            assert np.max(np.abs(w.p - p)) <= 1e-15
+            assert abs(w.residual - abs(s - p @ h)) <= 1e-15
+
+
 class TestClosedGraph:
     def test_smooth(self, quad_vert, plan, h1):
         for x in ball(h1, 0.5, 5, plan.rng("t")):
@@ -485,7 +554,7 @@ class TestFirstOrderCharacterization:
         # strict one; a point outside fails the relaxed ladder
         hull = subdifferential_hulls(one_norm_f, h1.identity()[None], plan)[0]
         for v in hull.vertices:
-            ladder = first_order_residual_ladder(one_norm_f, h1.identity(), v, plan)
+            ladder = first_order_residual_ladder(one_norm_f, h1.identity()[None], v[None], plan)[0]
             # relaxed: sup (u(x) + <p,h> - u(xh)) / |h| bounded by the ladder
             assert subdiff_membership(one_norm_f, h1.identity(), v, plan) <= 1e-10
         outside = np.array([1.5, 0.0])

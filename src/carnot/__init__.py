@@ -25,7 +25,6 @@ from .errors import (
     BracketingError,
     CarnotError,
     DescriptorError,
-    DomainError,
     NonConvexSliceError,
     NonSingletonSubdifferential,
     RankDeficientDesign,

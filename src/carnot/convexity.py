@@ -1,7 +1,8 @@
 """Numerical first-order analysis of h-convex functions.
 
 A function is h-convex when it is classically convex along every horizontal
-line segment contained in its domain.  This module tests that property by
+line segment.  Every field here is defined on the whole group, so every
+segment, shell and stencil is admissible.  This module tests that property by
 sampling, estimates subdifferential sets as convex hulls of gradients
 sampled at nearby differentiability points, evaluates membership in the
 (lambda-)subdifferential, computes one-sided horizontal directional
@@ -16,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BracketingError,
-    DomainError,
-    NonConvexSliceError,
-    SamplingError,
-)
+from .errors import BracketingError, NonConvexSliceError, SamplingError
 from .hull import ConvexPolytope
 from .sampling import (
     SamplingPlan,
@@ -46,29 +42,21 @@ __all__ = [
 
 @dataclass
 class ScalarField:
-    """An evaluatable function on (a subset of) a stratified group.
+    """An evaluatable function on the whole of a stratified group.
 
-    ``fn`` maps point arrays with trailing axis ``desc.dim`` to value arrays.
-    ``domain`` is an optional boolean predicate (None means the whole group),
-    ``grad_h`` an optional analytic horizontal gradient with the same
+    ``fn`` maps point arrays with trailing axis ``desc.dim`` to value arrays,
+    ``grad_h`` is an optional analytic horizontal gradient with the same
     batching convention.
     """
 
     desc: object
     fn: object
     label: str = "u"
-    domain: object = None
     grad_h: object = None
     certificate: float | None = None
 
     def value(self, pts):
         return np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
-
-    def inside(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if self.domain is None:
-            return np.ones(pts.shape[:-1], dtype=bool)
-        return np.asarray(self.domain(pts), dtype=bool)
 
     def gradient(self, pts):
         if self.grad_h is None:
@@ -99,42 +87,22 @@ class HConvexityReport:
 
 
 def _base_points(u, plan):
-    rng = plan.rng("hconvexity-base")
-    pts = [u.desc.identity()] if bool(np.all(u.inside(u.desc.identity()[None]))) else []
-    for _ in range(6):
-        cand = ball(u.desc, plan.base_radius, plan.base_count, rng)
-        keep = cand[u.inside(cand)]
-        pts.extend(list(keep))
-        if len(pts) >= plan.base_count:
-            break
-    if not pts:
-        raise SamplingError(f"no base points of {u.label!r} inside its domain")
-    return np.asarray(pts[: plan.base_count])
+    """The identity, then one ball draw, cut to ``plan.base_count`` rows."""
+    draw = ball(u.desc, plan.base_radius, plan.base_count, plan.rng("hconvexity-base"))
+    return np.concatenate([u.desc.identity()[None], draw])[: plan.base_count]
 
 
-def _segments_inside(u, xs, hs, plan):
-    """Whether each segment x * [0, h] stays inside the domain, tested at
-    ``plan.segment_checks`` points of [0, 1].  ``xs`` and ``hs`` (full
-    coordinates) broadcast over their leading axes, which shape the result.
-    """
-    if u.domain is None:
-        return np.ones(np.broadcast_shapes(np.shape(xs)[:-1], np.shape(hs)[:-1]), dtype=bool)
-    ts = np.linspace(0.0, 1.0, plan.segment_checks)
-    seg = u.desc.product(np.asarray(xs)[..., None, :], ts[:, None] * np.asarray(hs)[..., None, :])
-    return np.all(u.inside(seg), axis=-1)
-
-
-def hconvexity_check(u, plan=None, base_points=None):
+def hconvexity_check(u, plan=None):
     """Sampled violation of midpoint convexity along horizontal segments.
 
-    For base points x, horizontal h with x * [0, h] in the domain and a grid
-    of lambda in [0, 1], evaluates u(x (lambda h)) - lambda u(xh) -
-    (1 - lambda) u(x) and reports the largest positive value.  Non-finite
-    values on admissible segments count as violations of +inf.
+    For base points x, horizontal h and a grid of lambda in [0, 1],
+    evaluates u(x (lambda h)) - lambda u(xh) - (1 - lambda) u(x) and reports
+    the largest positive value.  Non-finite values count as violations of
+    +inf.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
-    xs = np.asarray(base_points) if base_points is not None else _base_points(u, plan)
+    xs = _base_points(u, plan)
     dirs = unit_directions(desc.m1, plan.directions)
     lams = np.linspace(0.0, 1.0, plan.lambda_grid)
     raw = -np.inf
@@ -143,23 +111,18 @@ def hconvexity_check(u, plan=None, base_points=None):
     for scale in plan.segment_scales:
         hs = desc.embed_horizontal(scale * dirs)  # (D, n)
         ends = desc.product(xs[:, None, :], hs[None, :, :])  # (B, D, n)
-        ok = _segments_inside(u, xs[:, None, :], hs[None, :, :], plan)  # (B, D)
-        if not np.any(ok):
-            continue
         mids = desc.product(xs[:, None, None, :], lams[None, None, :, None] * hs[None, :, None, :])
         u_mid = u.value(mids)  # (B, D, L)
         u_base = u.value(xs)[:, None, None]
         u_end = u.value(ends)[:, :, None]
         viol = u_mid - (lams[None, None, :] * u_end + (1 - lams[None, None, :]) * u_base)
-        viol = np.where(ok[:, :, None], np.where(np.isfinite(viol), viol, np.inf), -np.inf)
-        count += int(np.sum(ok)) * len(lams)
+        viol = np.where(np.isfinite(viol), viol, np.inf)
+        count += viol.size
         m = float(np.max(viol))
         if m > raw:
             raw = m
             b, d, l = np.unravel_index(int(np.argmax(viol)), viol.shape)
             worst = {"x": xs[b].tolist(), "h": (scale * dirs[d]).tolist(), "lambda": float(lams[l])}
-    if count == 0:
-        raise SamplingError("no admissible horizontal segments found")
     return HConvexityReport(max(0.0, raw), raw, count, worst)
 
 
@@ -179,12 +142,11 @@ def _fd_gradients_batch(u, pts, step, rtol):
     offs = np.concatenate([step * eye, -step * eye, 0.5 * step * eye, -0.5 * step * eye])
     offs = desc.embed_horizontal(offs)  # (4 m1, n)
     stencil = desc.product(pts[:, None, :], offs[None, :, :])  # (K, 4 m1, n)
-    inside = np.all(u.inside(stencil), axis=-1)
     vals = u.value(stencil)
     g_full = (vals[:, :m1] - vals[:, m1 : 2 * m1]) / (2 * step)
     g_half = (vals[:, 2 * m1 : 3 * m1] - vals[:, 3 * m1 :]) / step
     dev = np.linalg.norm(g_full - g_half, axis=-1)
-    stable = inside & (dev <= rtol * (1.0 + np.linalg.norm(g_half, axis=-1)))
+    stable = dev <= rtol * (1.0 + np.linalg.norm(g_half, axis=-1))
     return g_half, stable
 
 
@@ -217,13 +179,9 @@ def _shell_gradients(u, xs, radius, plan, rng, count):
             break
         ws = ball(desc, radius, count, rng)
         pts = desc.product(xs[todo, None, :], ws[None, :, :])  # (T, count, n)
-        keep = u.inside(pts)
-        pts = pts[keep]
-        if len(pts) == 0:
-            continue
-        grads, stable = _sampled_gradients(u, pts, radius, plan)
-        bounds = np.cumsum(np.sum(keep, axis=-1))[:-1]
-        for c, g, ok in zip(todo, np.split(grads, bounds), np.split(stable, bounds)):
+        grads, stable = _sampled_gradients(u, pts.reshape(-1, desc.dim), radius, plan)
+        grads, stable = grads.reshape(len(todo), count, -1), stable.reshape(len(todo), count)
+        for c, g, ok in zip(todo, grads, stable):
             collected[c].append(g[ok])
             have[c] += int(np.sum(ok))
     if np.any(have == 0):
@@ -234,53 +192,29 @@ def _shell_gradients(u, xs, radius, plan, rng, count):
 # -- subdifferential hulls and membership ---------------------------------------
 
 
-def _membership_directions(plan, m1):
-    dirs = unit_directions(m1, plan.directions)
-    basis = np.concatenate([np.eye(m1), -np.eye(m1)])
-    return np.concatenate([dirs, basis])
-
-
-def _admissible_offsets(u, x, plan):
-    """Horizontal offsets h (rows) whose segment x * [0, h] stays inside."""
-    desc = u.desc
-    dirs = _membership_directions(plan, desc.m1)
-    scales = np.asarray(tuple(plan.segment_scales) + tuple(plan.radii))
-    hs = (scales[:, None, None] * dirs[None, :, :]).reshape(-1, desc.m1)
-    return hs[_segments_inside(u, x, desc.embed_horizontal(hs), plan)]
-
-
-def _membership_core(u, x, P, lam, plan, offsets=None):
-    """Max violation of the lambda-relaxed subgradient inequality.
-
-    ``P`` is a (k, m1) matrix of candidate subgradients; one evaluation batch
-    of u serves all rows.  Row-wise result: max over sampled admissible h of
-    u(x) + <p, h> - lam |h|^2 - u(x h).
-    """
-    desc = u.desc
-    x = np.asarray(x, dtype=float)
-    hs = _admissible_offsets(u, x, plan) if offsets is None else offsets
-    if len(hs) == 0:
-        raise SamplingError("no admissible horizontal offsets at the given point")
-    pts = desc.product(x, desc.embed_horizontal(hs))
-    uxh = u.value(pts)  # (H,)
-    ux = float(u.value(x[None])[0])
-    slack = lam * np.sum(hs * hs, axis=-1)
-    viol = ux + P @ hs.T - slack[None, :] - uxh[None, :]
-    return np.max(viol, axis=-1)
-
-
 def lambda_subdiff_membership(u, x, p, lam, plan=None):
     """Max violation of u(xh) >= u(x) + <p, h> - lam |h|^2 over sampled h.
 
     ``p`` is one subgradient or a (k, m1) matrix of them; the result is the
-    largest violation over its rows.  The violation is convex in p, so over
-    the generating points of a hull it equals the maximum over the hull.
+    largest violation over its rows, from one evaluation batch of u.  The
+    violation is convex in p, so over the generating points of a hull it
+    equals the maximum over the hull.  The offsets h are the plan's
+    directions and coordinate axes at every segment scale and shell radius.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     plan = plan or SamplingPlan()
+    desc = u.desc
+    x = np.asarray(x, dtype=float)
     P = np.atleast_2d(np.asarray(p, dtype=float))
-    return float(np.max(_membership_core(u, x, P, float(lam), plan)))
+    dirs = np.concatenate([unit_directions(desc.m1, plan.directions), np.eye(desc.m1), -np.eye(desc.m1)])
+    scales = np.asarray(tuple(plan.segment_scales) + tuple(plan.radii))
+    hs = (scales[:, None, None] * dirs[None, :, :]).reshape(-1, desc.m1)
+    uxh = u.value(desc.product(x, desc.embed_horizontal(hs)))  # (H,)
+    ux = float(u.value(x[None])[0])
+    slack = lam * np.sum(hs * hs, axis=-1)
+    viol = ux + P @ hs.T - slack[None, :] - uxh[None, :]
+    return float(np.max(viol))
 
 
 def subdiff_membership(u, x, p, plan=None):
@@ -306,41 +240,26 @@ def subdifferential_hulls(u, xs, plan=None):
 # -- directional derivatives -----------------------------------------------------
 
 
-def _directional_quotients(u, x, hs, plan):
-    """Difference quotients (u(x (lam h)) - u(x)) / lam on the lambda ladder.
+def _directional_derivatives(u, xs, hs, plan):
+    """One-sided derivatives of t -> u(x delta_t h) at t = 0+, for every row
+    x of ``xs`` (K, n) and h of ``hs`` (D, m1), as a (K, D) array.
 
-    Returns (lams, Q) with Q of shape (steps, rows).  The ladder is shrunk
-    until every evaluation stays inside the domain.
+    The difference quotients (u(x (lam h)) - u(x)) / lam on the lambda
+    ladder of a convex slice are nonincreasing (within a slack scaled per
+    row) as lambda decreases, else the function is flagged as not h-convex
+    along h.  Each limit is Richardson-extrapolated from the two finest
+    quotients.  Every evaluation keeps a leading row axis, so a row's
+    derivatives do not depend on the other rows of the batch.
     """
     desc = u.desc
-    x = np.asarray(x, dtype=float)
-    hs = np.atleast_2d(np.asarray(hs, dtype=float))
-    lam0 = plan.dd_lambda0
-    for _ in range(40):
-        lams = lam0 * 2.0 ** -np.arange(plan.dd_steps)
-        pts = desc.product(x[None, None, :], lams[:, None, None] * desc.embed_horizontal(hs)[None, :, :])
-        if bool(np.all(u.inside(pts))):
-            break
-        lam0 /= 2.0
-    else:
-        raise DomainError("no admissible lambda ladder along the requested directions")
-    ux = float(u.value(x[None])[0])
-    Q = (u.value(pts) - ux) / lams[:, None]
-    return lams, Q
-
-
-def _directional_derivatives(u, x, hs, plan):
-    """One-sided derivatives of t -> u(x delta_t h) at t = 0+, one per row h.
-
-    Convex difference quotients are nonincreasing (within slack) as lambda
-    decreases, else the function is flagged as not h-convex along h.  Each
-    limit is Richardson-extrapolated from the two finest quotients.
-    """
-    _, Q = _directional_quotients(u, x, hs, plan)
-    slack = plan.tol.monotone_slack * (1.0 + float(np.max(np.abs(Q))))
-    if np.any(np.diff(Q, axis=0) > slack):
+    lams = plan.dd_lambda0 * 2.0 ** -np.arange(plan.dd_steps)
+    steps = lams[:, None, None] * desc.embed_horizontal(hs)[None, :, :]  # (S, D, n)
+    pts = desc.product(xs[:, None, None, :], steps[None])  # (K, S, D, n)
+    Q = (u.value(pts) - u.value(xs[:, None, None, :])) / lams[None, :, None]  # (K, S, D)
+    slack = plan.tol.monotone_slack * (1.0 + np.max(np.abs(Q), axis=(1, 2)))
+    if np.any(np.diff(Q, axis=1) > slack[:, None, None]):
         raise NonConvexSliceError("difference quotients increase along the ladder")
-    return 2 * Q[-1] - Q[-2]
+    return 2 * Q[:, -1] - Q[:, -2]
 
 
 @dataclass(frozen=True)
@@ -366,14 +285,12 @@ def dermax_checks(u, xs, plan=None, directions=None):
     count = directions or plan.directions
     dirs = unit_directions(u.desc.m1, count)
     pair_sum = dirs + np.roll(dirs, 1, axis=0)
-    out = []
-    for x, hull in zip(xs, subdifferential_hulls(u, xs, plan)):
-        dd = _directional_derivatives(u, x, dirs, plan)
-        gap = float(np.max(np.abs(dd - hull.support(dirs))))
-        dd_sum = _directional_derivatives(u, x, pair_sum, plan)
-        subadd = float(np.max(dd_sum - (dd + np.roll(dd, 1))))
-        out.append(DermaxReport(gap, float(np.maximum(0.0, subadd)), count))  # NaN-safe, unlike max(0.0, nan)
-    return out
+    hulls = subdifferential_hulls(u, xs, plan)
+    dd = _directional_derivatives(u, xs, dirs, plan)  # (K, D)
+    dd_sum = _directional_derivatives(u, xs, pair_sum, plan)
+    gaps = np.max(np.abs(dd - np.stack([hull.support(dirs) for hull in hulls])), axis=-1)
+    subadd = np.maximum(0.0, np.max(dd_sum - (dd + np.roll(dd, 1, axis=-1)), axis=-1))  # NaN-safe
+    return [DermaxReport(float(g), float(s), count) for g, s in zip(gaps, subadd)]
 
 
 # -- mean value witnesses ----------------------------------------------------------
@@ -404,19 +321,16 @@ def mean_value_witnesses(u, xs, hs, plan=None):
 
     A non-finite secant slope, psi value or hull gradient gives residual
     +inf (and p = NaN) instead of an error.  The batch raises the first
-    error it meets for the whole batch: ``DomainError`` if a segment leaves
-    the domain, ``SamplingError`` if a hull gets no gradient samples, and
-    ``BracketingError`` at the first row whose secant slope falls outside
-    its hull's support range.  Call it per row where one failing segment
-    must not stop the others.
+    error it meets for the whole batch: ``SamplingError`` if a hull gets no
+    gradient samples, and ``BracketingError`` at the first row whose secant
+    slope falls outside its hull's support range.  Call it per row where one
+    failing segment must not stop the others.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     hs = np.atleast_2d(np.asarray(hs, dtype=float))
     hfull = desc.embed_horizontal(hs)  # (K, n)
-    if not bool(np.all(_segments_inside(u, xs, hfull, plan))):
-        raise DomainError("the horizontal segment leaves the domain")
 
     ux = u.value(xs)
     sigma = u.value(desc.product(xs, hfull)) - ux
@@ -486,10 +400,8 @@ def first_order_residual_ladder(u, xs, P, plan=None):
     """sup_w |u(xw) - u(x) - <p, pi_1 w>| / ||w|| over shrinking spheres, for
     every row x of ``xs`` (K, n) with p the same row of ``P`` (K, m1).
 
-    Returns (K, len(plan.radii)); a sphere with no point inside the domain
-    reads NaN.  One product and one value call per radius serve all rows.
-    Every evaluation keeps a leading row axis, and a point outside the
-    domain is evaluated at its row's centre instead and dropped, so a row's
+    Returns (K, len(plan.radii)).  One product and one value call per radius
+    serve all rows.  Every evaluation keeps a leading row axis, so a row's
     ladder does not depend on the other rows of the batch.
     """
     plan = plan or SamplingPlan()
@@ -502,11 +414,8 @@ def first_order_residual_ladder(u, xs, P, plan=None):
     for r, rho in enumerate(plan.radii):
         w = desc.dilate(rho, ws)
         pts = desc.product(xs[:, None, :], w[None, :, :])  # (K, W, n)
-        keep = u.inside(pts)
-        vals = u.value(np.where(keep[..., None], pts, xs[:, None, :]))
         lin = np.sum(w[None, :, : desc.m1] * P[:, None, :], axis=-1)
-        res = np.where(keep, np.abs(vals - ux - lin) / rho, -np.inf)
-        out[:, r] = np.where(np.any(keep, axis=-1), np.max(res, axis=-1), np.nan)
+        out[:, r] = np.max(np.abs(u.value(pts) - ux - lin) / rho, axis=-1)
     return out
 
 

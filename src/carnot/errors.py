@@ -9,10 +9,6 @@ class DescriptorError(CarnotError, ValueError):
     """Malformed group descriptor or mismatched operands."""
 
 
-class DomainError(CarnotError, ValueError):
-    """Requested evaluation leaves the declared domain."""
-
-
 class SamplingError(CarnotError, RuntimeError):
     """A sampling step produced no admissible points."""
 

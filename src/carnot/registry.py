@@ -371,15 +371,7 @@ def _combine(desc, op, fields):
         label = "max(" + ",".join(f.label for f in fields) + ")"
     else:
         raise ValueError(f"unknown composition op {op!r}")
-    doms = [f.domain for f in fields if f.domain is not None]
-    domain = None
-    if doms:
-        def domain(pts):
-            out = np.ones(np.asarray(pts).shape[:-1], dtype=bool)
-            for d in doms:
-                out &= np.asarray(d(pts), dtype=bool)
-            return out
-    return ScalarField(desc, fn, label=label, domain=domain, grad_h=grad)
+    return ScalarField(desc, fn, label=label, grad_h=grad)
 
 
 def function_from_spec(desc, spec, certify=True):

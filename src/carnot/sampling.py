@@ -8,12 +8,32 @@ the same plan are bit-identical.
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The least value of every integer field of a sampling plan.  A midpoint
+# test needs a lambda strictly inside (0, 1), and a derivative extrapolates
+# from the two finest quotients.
+_PLAN_COUNTS = {
+    "shell_samples": 1,
+    "directions": 1,
+    "seed": 0,
+    "base_count": 1,
+    "lambda_grid": 3,
+    "dd_steps": 2,
+    "tau_count": 1,
+    "so_directions": 1,
+}
+_PLAN_REALS = ("fd_step", "base_radius", "dd_lambda0", "tau0", "fd_stability_rtol")
+
+
+def _positive_finite(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < np.inf
 
 
 def halton(count, dim, start=1):
@@ -117,7 +137,7 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            if not 0 < getattr(self, f.name) < np.inf:
+            if not _positive_finite(getattr(self, f.name)):
                 raise ValueError(f"tolerance {f.name} must be a positive finite real")
 
 
@@ -134,7 +154,6 @@ class SamplingPlan:
     base_radius: float = 0.75
     segment_scales: tuple = (1.0, 0.4, 0.15, 0.05)
     lambda_grid: int = 9
-    segment_checks: int = 32
     dd_lambda0: float = 1e-2
     dd_steps: int = 10
     tau0: float = 0.5
@@ -145,15 +164,21 @@ class SamplingPlan:
     tol: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
-        r = np.asarray(self.radii)
-        if r.size == 0 or np.any(r <= 0) or np.any(np.diff(r) >= 0):
-            raise ValueError("radii must be strictly decreasing positive reals")
-        positive = ("shell_samples", "directions", "base_count", "lambda_grid", "segment_checks", "tau_count")
-        for name in positive + ("so_directions", "fd_step", "dd_lambda0", "tau0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.dd_steps < 2:
-            raise ValueError("dd_steps must be at least 2: derivatives extrapolate from the two finest quotients")
+        for name, least in _PLAN_COUNTS.items():
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        for name in _PLAN_REALS:
+            if not _positive_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be a positive finite real, got {getattr(self, name)!r}")
+        for name in ("radii", "segment_scales"):
+            v = getattr(self, name)
+            if not (isinstance(v, tuple) and v and all(_positive_finite(r) for r in v)):
+                raise ValueError(f"{name} must be a non-empty tuple of positive finite reals, got {v!r}")
+        if np.any(np.diff(self.radii) >= 0):
+            raise ValueError("radii must be strictly decreasing")
+        if not isinstance(self.use_analytic_gradient, bool):
+            raise ValueError(f"use_analytic_gradient must be true or false, got {self.use_analytic_gradient!r}")
 
     def rng(self, tag):
         """Deterministic per-task generator derived from the plan seed."""

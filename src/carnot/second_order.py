@@ -21,7 +21,6 @@ import numpy as np
 from .convexity import _fd_gradients_batch, _sampled_gradients, subdifferential_hulls
 from .errors import (
     CarnotError,
-    DomainError,
     NonSingletonSubdifferential,
     RankDeficientDesign,
     SamplingError,
@@ -78,8 +77,6 @@ def second_quotient(u, x, tau, w, grad=None, plan=None):
     if grad is None:
         grad, _ = gradient_with_certificate(u, x, plan)
     pts = desc.product(x, desc.dilate(tau, w))
-    if not bool(np.all(u.inside(pts))):
-        raise DomainError("dilated directions leave the domain")
     ux = float(u.value(x[None])[0])
     lin = w[..., : desc.m1] @ np.asarray(grad, dtype=float)
     return (u.value(pts) - ux - tau * lin) / tau**2
@@ -137,16 +134,9 @@ def build_quotient_grid(u, x, plan=None, grad=None):
     if grad is None:
         grad, _ = gradient_with_certificate(u, x, plan)
     W = _direction_set(desc, plan.so_directions)
-    taus = np.asarray(plan.taus())
-    for _ in range(30):
-        pts = desc.product(x, desc.dilate(taus[0], W))
-        if bool(np.all(u.inside(pts))):
-            break
-        taus = taus / 2.0
-    else:
-        raise DomainError("could not fit the scale ladder inside the domain")
-    values = np.stack([second_quotient(u, x, float(t), W, grad=grad, plan=plan) for t in taus])
-    return QuotientGrid(x, np.asarray(grad), tuple(float(t) for t in taus), W, values)
+    taus = plan.taus()
+    values = np.stack([second_quotient(u, x, t, W, grad=grad, plan=plan) for t in taus])
+    return QuotientGrid(x, np.asarray(grad), taus, W, values)
 
 
 @dataclass
@@ -229,12 +219,7 @@ def fit_extended_differential(u, x, plan=None, mignot=True, grad=None):
     rng = plan.rng("extdiff-shells")
     for k, r in enumerate(plan.radii):
         ws = sphere_shell(desc, r, plan.shell_samples, rng)
-        pts = desc.product(x, ws)
-        keep = u.inside(pts)
-        ws, pts = ws[keep], pts[keep]
-        if len(pts) == 0:
-            continue
-        grads, stable = _sampled_gradients(u, pts, r, plan)
+        grads, stable = _sampled_gradients(u, desc.product(x, ws), r, plan)
         ws, grads = ws[stable], grads[stable]
         if len(ws) < desc.m1 + 1:
             raise SamplingError(f"insufficient stable gradient samples on shell {r:g}")
@@ -256,9 +241,6 @@ def fit_extended_differential(u, x, plan=None, mignot=True, grad=None):
     residuals = []
     for k, r in enumerate(plan.radii):
         rows = shell_of == k
-        if not np.any(rows):
-            residuals.append(np.nan)
-            continue
         mis = dg_all[rows] - ws_all[rows, : desc.m1] @ At
         residuals.append(float(np.max(np.linalg.norm(mis, axis=-1))) / r)
     residuals = np.asarray(residuals)

@@ -376,8 +376,35 @@ class TestCli:
                 {"fd_step": -1e-6, "use_analytic_gradient": False},
                 "fd_step",
             ),
+            # with no segment or no interior lambda, even -x1^2 would pass
+            (["hconvex-check", "--fn", "quadratic"], {"segment_scales": [0.0]}, "segment_scales"),
+            (["hconvex-check", "--fn", "quadratic"], {"lambda_grid": 1}, "lambda_grid"),
+            (["hconvex-check", "--fn", "quadratic"], {"lambda_grid": 2}, "lambda_grid"),
+            (
+                ["second-order-check", "--fn", "quadratic", "--point", "0.1,0.1,0"],
+                {"shell_samples": 2.5},
+                "shell_samples",
+            ),
+            (["second-order-check", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"tau_count": 2.5}, "tau_count"),
+            (["second-order-check", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"seed": 1.5}, "seed"),
+            (["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"use_analytic_gradient": "no"}, "use_analytic"),
+            (["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"radii": [float("nan")]}, "radii"),
+            (["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"tol": {"hull_vertex": True}}, "hull_vertex"),
         ],
-        ids=["dd_steps", "tau_count", "fd_step"],
+        ids=[
+            "dd_steps",
+            "tau_count",
+            "fd_step",
+            "segment_scales_zero",
+            "lambda_grid_1",
+            "lambda_grid_2",
+            "shell_samples_fraction",
+            "tau_count_fraction",
+            "seed_fraction",
+            "use_analytic_gradient_string",
+            "radii_nan",
+            "tolerance_bool",
+        ],
     )
     def test_degenerate_plan_exit_2(self, tmp_path, capsys, args, overrides, field):
         plan = tmp_path / "plan.json"

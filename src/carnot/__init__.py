@@ -38,11 +38,10 @@ from .groups import (
 )
 from .hull import ConvexPolytope, hausdorff_distance
 from .jets import (
-    Jet2,
     check_alij,
-    jet_coefficients,
+    horizontal_words,
+    identity_residual,
     lambda_max,
-    poly_from_jet2,
     sym_hessian,
 )
 from .polynomials import evaluate, monomials_up_to, weighted_degree
@@ -63,10 +62,11 @@ from .second_order import (
     ExpansionFit,
     ExtendedDiffFit,
     SecondOrderReport,
-    build_quotient_grid,
     characterize_second_order,
     fit_expansion,
     fit_extended_differential,
+    gradient_with_certificate,
+    mignot_check,
     psd_check,
     second_quotient,
     subdiff_quotients,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import suite as suite_mod
 from .convexity import dermax_checks, hconvexity_check, mean_value_witnesses, subdiff_membership, subdifferential_hulls
-from .errors import CarnotError, DescriptorError
+from .errors import CarnotError, DescriptorError, NonConvexSliceError, NonSingletonSubdifferential
 from .groups import validate_descriptor
 from .hull import ConvexPolytope
 from .jets import check_alij, sym_hessian
@@ -27,7 +27,7 @@ from .polynomials import monomials_up_to
 from .registry import build_group, function_from_spec, load_descriptor, load_function, parse_polynomial
 from .reports import CheckRecord, curve_points, emit_report
 from .sampling import SamplingPlan
-from .second_order import characterize_second_order, fit_expansion
+from .second_order import characterize_second_order, fit_expansion, gradient_with_certificate
 
 OP_NAMES = (
     "group-validate",
@@ -204,15 +204,19 @@ def run_command(cfg):
                     "subdiff/vertex-membership",
                     {"group": desc.name, "fn": u.label, "point": cfg.point},
                     worst,
-                    plan.tol.hull_vertex,
-                    worst <= plan.tol.hull_vertex,
+                    plan.tol.membership,
+                    worst <= plan.tol.membership,
                 )
             )
         elif cfg.operation == "dermax":
             desc = _group(cfg)
             u = _function(cfg, desc)
-            (rep,) = dermax_checks(u, _vec(cfg.point, desc.dim, "--point")[None], plan)
-            metric = float(np.maximum(rep.max_gap, rep.max_subadd_violation))
+            x = _vec(cfg.point, desc.dim, "--point")
+            try:
+                (rep,) = dermax_checks(u, x[None], plan)
+                metric, detail = float(np.maximum(rep.max_gap, rep.max_subadd_violation)), ""
+            except NonConvexSliceError as exc:  # the function is not convex along a line: a failed check
+                metric, detail = np.inf, str(exc)
             records.append(
                 CheckRecord(
                     "dermax",
@@ -220,6 +224,7 @@ def run_command(cfg):
                     metric,
                     plan.tol.dermax,
                     metric < plan.tol.dermax,
+                    detail=detail,
                 )
             )
         elif cfg.operation == "mvt":
@@ -241,19 +246,18 @@ def run_command(cfg):
         elif cfg.operation == "second-fit":
             desc = _group(cfg)
             u = _function(cfg, desc)
-            fit = fit_expansion(u, _vec(cfg.point, desc.dim, "--point"), plan)
-            _out("hessian:", np.array2string(fit.jet.hessian, precision=8))
-            _out("v2:", np.array2string(fit.jet.v2, precision=8))
-            records.append(
-                CheckRecord(
-                    "second-fit",
-                    {"group": desc.name, "fn": u.label, "point": cfg.point},
-                    float(fit.residuals[-1]),
-                    plan.tol.fit,
-                    fit.converged,
-                )
-            )
-            curves += curve_points("second-fit/residual", fit.taus, fit.residuals)
+            x = _vec(cfg.point, desc.dim, "--point")
+            inputs = {"group": desc.name, "fn": u.label, "point": cfg.point}
+            try:
+                grad, _ = gradient_with_certificate(u, x, plan)
+            except NonSingletonSubdifferential as exc:  # no gradient at x: a failed check
+                records.append(CheckRecord("second-fit", inputs, np.nan, plan.tol.fit, False, str(exc)))
+            else:
+                fit = fit_expansion(u, x, grad, plan)
+                _out("hessian:", np.array2string(fit.hessian, precision=8))
+                _out("v2:", np.array2string(fit.v2, precision=8))
+                records.append(CheckRecord("second-fit", inputs, float(fit.residuals[-1]), plan.tol.fit, fit.converged))
+                curves += curve_points("second-fit/residual", fit.taus, fit.residuals)
         elif cfg.operation == "second-order-check":
             desc = _group(cfg)
             u = _function(cfg, desc)

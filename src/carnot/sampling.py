@@ -122,7 +122,7 @@ def ball(desc, radius, count, rng):
 class Tolerances:
     """Pinned tolerances used by the verification procedures."""
 
-    hull_vertex: float = 1e-3
+    membership: float = 1e-3
     singleton_diameter: float = 1e-3
     fit: float = 1e-3
     mignot: float = 1e-2

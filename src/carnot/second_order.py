@@ -4,12 +4,14 @@ equivalence between second-order expansions and gradient differentiability.
 Two independent estimators are run at a point: a least-squares fit of the
 second difference quotients over the basis monomials of degree 2 (read as
 the second-layer gradient and the symmetrized horizontal Hessian through
-``jets.sym_hessian``), and a fit of
-the extended differential A from first-order expansions of the horizontal
-gradient.  The characterization report checks that both converge or both
+``jets.sym_hessian``), and a fit of the extended differential A from
+first-order expansions of the horizontal gradient.  Both take the
+horizontal gradient that ``gradient_with_certificate`` certified at the
+point.  The characterization report checks that both converge or both
 fail, that the fitted pieces satisfy the structure-constant identity
 H_ij = A^i_j - sum_l a^{li}_j v2_l, and that the Hessian is positive
-semidefinite.
+semidefinite.  The set-valued Mignot inclusion of a fitted A is a check of
+its own, ``mignot_check``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     SamplingError,
 )
 from .hull import ConvexPolytope
-from .jets import Jet2, jet_coefficients, jet_from_fit, poly_from_jet2, sym_hessian
+from .jets import horizontal_words, identity_residual, sym_hessian
 from .polynomials import monomials_up_to
 from .sampling import SamplingPlan, quasi_sphere, sphere_shell
 
@@ -34,12 +36,11 @@ __all__ = [
     "gradient_with_certificate",
     "second_quotient",
     "subdiff_quotients",
-    "QuotientGrid",
-    "build_quotient_grid",
     "ExpansionFit",
     "fit_expansion",
     "ExtendedDiffFit",
     "fit_extended_differential",
+    "mignot_check",
     "SecondOrderReport",
     "characterize_second_order",
     "psd_check",
@@ -68,21 +69,18 @@ def gradient_with_certificate(u, x, plan=None):
     return hull.centroid(), diam
 
 
-def second_quotient(u, x, tau, w, grad=None, plan=None):
+def second_quotient(u, x, tau, w, grad):
     """(u(x delta_tau w) - u(x) - tau <grad, pi_1 w>) / tau^2, batched over w."""
-    plan = plan or SamplingPlan()
     desc = u.desc
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
-    if grad is None:
-        grad, _ = gradient_with_certificate(u, x, plan)
     pts = desc.product(x, desc.dilate(tau, w))
     ux = float(u.value(x[None])[0])
     lin = w[..., : desc.m1] @ np.asarray(grad, dtype=float)
     return (u.value(pts) - ux - tau * lin) / tau**2
 
 
-def subdiff_quotients(u, x, tau, ws, plan=None, grad=None):
+def subdiff_quotients(u, x, tau, ws, grad, plan=None):
     """(subdifferential hull at x delta_tau w minus the gradient) / tau, for
     every row w of ``ws``, from one shared hull sample.
 
@@ -93,23 +91,12 @@ def subdiff_quotients(u, x, tau, ws, plan=None, grad=None):
     plan = plan or SamplingPlan()
     desc = u.desc
     x = np.asarray(x, dtype=float)
-    if grad is None:
-        grad, _ = gradient_with_certificate(u, x, plan)
     ys = desc.product(x, desc.dilate(tau, np.atleast_2d(np.asarray(ws, dtype=float))))
     hulls = subdifferential_hulls(u, ys, plan.scaled(tau))
     return [ConvexPolytope((hull.vertices - grad) * (1.0 / tau), hull.dim) for hull in hulls]
 
 
-# -- quotient grids and the expansion fit -----------------------------------------
-
-
-@dataclass
-class QuotientGrid:
-    x: np.ndarray
-    grad: np.ndarray
-    taus: tuple
-    W: np.ndarray  # (K, dim) directions of homogeneous norm 1
-    values: np.ndarray  # (len(taus), K)
+# -- the expansion fit -------------------------------------------------------------
 
 
 def _direction_set(desc, count):
@@ -125,28 +112,15 @@ def _direction_set(desc, count):
     return np.concatenate(base)
 
 
-def build_quotient_grid(u, x, plan=None, grad=None):
-    """Tabulate the second difference quotients over scales and the unit
-    directions of ``_direction_set``."""
-    plan = plan or SamplingPlan()
-    desc = u.desc
-    x = np.asarray(x, dtype=float)
-    if grad is None:
-        grad, _ = gradient_with_certificate(u, x, plan)
-    W = _direction_set(desc, plan.so_directions)
-    taus = plan.taus()
-    values = np.stack([second_quotient(u, x, t, W, grad=grad, plan=plan) for t in taus])
-    return QuotientGrid(x, np.asarray(grad), taus, W, values)
-
-
 @dataclass
 class ExpansionFit:
-    jet: Jet2
+    coeffs: np.ndarray  # finest-scale coefficient row over monomials_up_to(desc, 2)
+    hessian: np.ndarray  # finest-scale symmetrized horizontal Hessian
+    v2: np.ndarray  # finest-scale second-layer gradient
     taus: tuple
     residuals: np.ndarray
     v2_per_scale: np.ndarray
     converged: bool
-    grid: QuotientGrid
 
 
 def _curve_converged(res, tol, slack=1.1):
@@ -158,34 +132,35 @@ def _curve_converged(res, tol, slack=1.1):
     return decreasing or bool(np.all(tail < tol))
 
 
-def fit_expansion(u, x, plan=None, grid=None, grad=None):
+def fit_expansion(u, x, grad, plan=None):
     """Least-squares fit of the second quotients against the degree <= 2 model.
 
-    The model <v2, pi_2 w> + (1/2) <H pi_1 w, pi_1 w> spans the basis monomials
-    of degree exactly 2; their coefficients, fitted per scale, give (H, v2)
-    through ``sym_hessian``, and the finest scale gives the jet.  The residual
-    curve tracks that fit's sup-norm misfit per scale and must decrease below
-    the fit tolerance for a "converged" verdict.
+    The quotients at the certified gradient ``grad`` are tabulated over the
+    plan's scales and the unit directions of ``_direction_set``.  The model
+    <v2, pi_2 w> + (1/2) <H pi_1 w, pi_1 w> spans the basis monomials of
+    degree exactly 2; their coefficients, fitted per scale, give (H, v2)
+    through ``sym_hessian``, and the finest scale is the fit's answer.  The
+    residual curve tracks that fit's sup-norm misfit per scale and must
+    decrease below the fit tolerance for a "converged" verdict.
     """
     plan = plan or SamplingPlan()
-    if grid is None:
-        grid = build_quotient_grid(u, x, plan, grad=grad)
     desc = u.desc
+    W = _direction_set(desc, plan.so_directions)
     E = np.array(monomials_up_to(desc, 2))
     top = E @ desc.dilation_exponents == 2
-    Phi = np.prod(grid.W[:, None, :] ** E[top], axis=-1)
+    Phi = np.prod(W[:, None, :] ** E[top], axis=-1)
     if np.linalg.matrix_rank(Phi) < Phi.shape[1]:
         raise RankDeficientDesign("direction set does not span the degree-2 model")
-    C = np.zeros((len(grid.taus), len(E)))
-    C[:, top] = np.linalg.lstsq(Phi, grid.values.T, rcond=None)[0].T
+    taus = plan.taus()
+    values = np.stack([second_quotient(u, x, t, W, grad) for t in taus])
+    C = np.zeros((len(taus), len(E)))
+    C[:, top] = np.linalg.lstsq(Phi, values.T, rcond=None)[0].T
     H, v2 = sym_hessian(desc, C)
-    residuals = np.max(np.abs(grid.values - Phi @ C[-1, top]), axis=1)
-    ux = float(u.value(np.asarray(x, dtype=float)[None])[0])
-    jet = jet_from_fit(desc, ux, grid.grad, v2[-1], H[-1])
-    return ExpansionFit(jet, grid.taus, residuals, v2, _curve_converged(residuals, plan.tol.fit), grid)
+    residuals = np.max(np.abs(values - Phi @ C[-1, top]), axis=1)
+    return ExpansionFit(C[-1], H[-1], v2[-1], taus, residuals, v2, _curve_converged(residuals, plan.tol.fit))
 
 
-# -- extended differential ----------------------------------------------------------
+# -- extended differential and the Mignot inclusion ------------------------------------
 
 
 @dataclass
@@ -194,26 +169,21 @@ class ExtendedDiffFit:
     grad: np.ndarray
     radii: tuple
     residuals: np.ndarray
-    mignot_taus: tuple
-    mignot_excess: np.ndarray
     converged: bool
-    mignot_ok: bool
 
 
-def fit_extended_differential(u, x, plan=None, mignot=True, grad=None):
+def fit_extended_differential(u, x, grad, plan=None):
     """Fit the h-linear expansion of the horizontal gradient at x.
 
-    Minimizes |grad u(xw) - grad u(x) - A pi_1 w| over samples in shrinking
-    shells; the per-shell sup residual normalized by the shell radius must
-    fall below the fit tolerance.  Optionally also runs the set-valued
-    inclusion check: the quotient hulls (hull at x delta_tau w - grad)/tau
-    must collapse onto {A pi_1 w} along the scale ladder.
+    Minimizes |grad u(xw) - grad - A pi_1 w| over samples in shrinking
+    shells, for the certified gradient ``grad`` at x; the per-shell sup
+    residual normalized by the shell radius must fall below the fit
+    tolerance.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
     x = np.asarray(x, dtype=float)
-    if grad is None:
-        grad, _ = gradient_with_certificate(u, x, plan)
+    grad = np.asarray(grad)
 
     ws_all, dg_all, shell_of = [], [], []
     rng = plan.rng("extdiff-shells")
@@ -244,22 +214,29 @@ def fit_extended_differential(u, x, plan=None, mignot=True, grad=None):
         mis = dg_all[rows] - ws_all[rows, : desc.m1] @ At
         residuals.append(float(np.max(np.linalg.norm(mis, axis=-1))) / r)
     residuals = np.asarray(residuals)
-    converged = _curve_converged(residuals, plan.tol.fit)
+    return ExtendedDiffFit(A, grad, tuple(plan.radii), residuals, _curve_converged(residuals, plan.tol.fit))
 
-    if mignot:
-        dirs = np.concatenate([quasi_sphere(desc, 6, seed=31), np.eye(desc.dim)[desc.m1 : desc.m2]])
-        taus = plan.taus()
-        excess = []
-        for tau in taus:
-            hulls = subdiff_quotients(u, x, float(tau), dirs, plan, grad=grad)
-            dists = [np.max(np.linalg.norm(q.vertices - A @ w[: desc.m1], axis=-1)) for q, w in zip(hulls, dirs)]
-            excess.append(float(np.max(dists)))  # NaN-safe, unlike a max() fold
-        excess = np.asarray(excess)
-        mignot_ok = bool(excess[-1] < plan.tol.mignot and excess[-1] <= excess[0] + 1e-12)
-    else:
-        taus, excess, mignot_ok = (), np.asarray([]), True
 
-    return ExtendedDiffFit(A, np.asarray(grad), tuple(plan.radii), residuals, tuple(taus), excess, converged, mignot_ok)
+def mignot_check(u, x, grad, A, plan=None):
+    """The set-valued inclusion check of the extended differential ``A`` at x.
+
+    The quotient hulls (hull at x delta_tau w - grad)/tau must collapse onto
+    {A pi_1 w} along the scale ladder.  Returns (taus, excess, ok): the
+    largest distance of a quotient hull row from A pi_1 w per scale, and
+    whether the finest excess is below the Mignot tolerance and no larger
+    than the coarsest.
+    """
+    plan = plan or SamplingPlan()
+    desc = u.desc
+    dirs = np.concatenate([quasi_sphere(desc, 6, seed=31), np.eye(desc.dim)[desc.m1 : desc.m2]])
+    taus = plan.taus()
+    excess = []
+    for tau in taus:
+        hulls = subdiff_quotients(u, x, float(tau), dirs, grad, plan)
+        dists = [np.max(np.linalg.norm(q.vertices - A @ w[: desc.m1], axis=-1)) for q, w in zip(hulls, dirs)]
+        excess.append(float(np.max(dists)))  # NaN-safe, unlike a max() fold
+    excess = np.asarray(excess)
+    return taus, excess, bool(excess[-1] < plan.tol.mignot and excess[-1] <= excess[0] + 1e-12)
 
 
 # -- the full characterization -------------------------------------------------------
@@ -306,11 +283,11 @@ def characterize_second_order(u, x, plan=None):
         err_e = err_g = f"{type(exc).__name__}: {exc}"
     else:
         try:
-            expansion = fit_expansion(u, x, plan, grad=grad)
+            expansion = fit_expansion(u, x, grad, plan)
         except (CarnotError, np.linalg.LinAlgError) as exc:
             err_e = f"{type(exc).__name__}: {exc}"
         try:
-            extended = fit_extended_differential(u, x, plan, grad=grad)
+            extended = fit_extended_differential(u, x, grad, plan)
         except (CarnotError, np.linalg.LinAlgError) as exc:
             err_g = f"{type(exc).__name__}: {exc}"
 
@@ -328,17 +305,14 @@ def characterize_second_order(u, x, plan=None):
     claims = {"equivalence": equivalence in ("both converge", "consistent: neither")}
     metrics = {"equivalence": equivalence}
     if ok_e and ok_g:
-        jet = expansion.jet
-        res3 = float(np.max(jet.identity_residual(extended.A)))
-        words = jet_coefficients(desc, poly_from_jet2(jet))
-        xixj = np.array([[words[(i, j)] for j in range(desc.m1)] for i in range(desc.m1)])
-        res3b = float(np.max(np.abs(xixj - extended.A.T)))
+        res3 = float(np.max(identity_residual(desc, expansion.hessian, expansion.v2, extended.A)))
+        res3b = float(np.max(np.abs(horizontal_words(desc, expansion.coeffs) - extended.A.T)))
         v2_tail = expansion.v2_per_scale[-3:]
         drift = float(np.max(np.abs(v2_tail - v2_tail[-1]))) if v2_tail.size else 0.0
-        min_eig = psd_check(jet.hessian)
+        min_eig = psd_check(expansion.hessian)
         claims.update(
             {
-                "c1_v2_stable": bool(np.all(np.isfinite(jet.v2)) and drift < plan.tol.fit),
+                "c1_v2_stable": bool(np.all(np.isfinite(expansion.v2)) and drift < plan.tol.fit),
                 "c2_expansion": bool(expansion.residuals[-1] < plan.tol.fit),
                 "c3_identity": bool(np.max([res3, res3b]) < plan.tol.fit),  # NaN-safe, unlike max()
                 "psd": bool(min_eig >= -plan.tol.psd),

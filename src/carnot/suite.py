@@ -34,7 +34,7 @@ from .registry import (
 )
 from .reports import CheckRecord, curve_points
 from .sampling import SamplingPlan, ball, unit_directions
-from .second_order import characterize_second_order, fit_extended_differential
+from .second_order import characterize_second_order, fit_extended_differential, gradient_with_certificate, mignot_check
 
 BUILTINS = ("heisenberg:1", "heisenberg:2", "free_step2:3", "engel")
 
@@ -247,8 +247,8 @@ def second_order_records(seed=0, plan=None):
     A_target = np.array([[2.0, -0.5], [0.5, 2.0]])
     ext, exp = rep.extended, rep.expansion
     a_err = float(np.max(np.abs(ext.A - A_target))) if ext else np.inf
-    h_err = float(np.max(np.abs(exp.jet.hessian - 2 * np.eye(2)))) if exp else np.inf
-    v_err = float(np.max(np.abs(exp.jet.v2 - 1.0))) if exp else np.inf
+    h_err = float(np.max(np.abs(exp.hessian - 2 * np.eye(2)))) if exp else np.inf
+    v_err = float(np.max(np.abs(exp.v2 - 1.0))) if exp else np.inf
     fit = plan.tol.fit
     min_eig = rep.metrics.get("min_eigenvalue", -np.inf)
     records += [
@@ -277,7 +277,8 @@ def second_order_records(seed=0, plan=None):
         curves += curve_points("second-order/h1/expansion-residual", exp.taus, exp.residuals)
     if ext is not None:
         curves += curve_points("second-order/h1/gradient-residual", ext.radii, ext.residuals)
-        curves += curve_points("second-order/h1/mignot-excess", ext.mignot_taus, ext.mignot_excess)
+        taus, excess, _ = mignot_check(u, desc.identity(), ext.grad, ext.A, plan)
+        curves += curve_points("second-order/h1/mignot-excess", taus, excess)
 
     kink = build_function(desc, "max_affine", certify=False)
     krep = characterize_second_order(kink, desc.identity(), plan)
@@ -302,7 +303,8 @@ def euclidean_degeneration_records(seed=0, plan=None):
     S = np.array([[1.3, 0.4], [0.4, 0.9]])
     u = build_function(desc, "euclidean_quadratic", S=S, certify=False)
     try:
-        A, detail = fit_extended_differential(u, desc.identity(), plan, mignot=False).A, ""
+        grad, _ = gradient_with_certificate(u, desc.identity(), plan)
+        A, detail = fit_extended_differential(u, desc.identity(), grad, plan).A, ""
     except NonSingletonSubdifferential as exc:  # a NaN hull diameter certifies no gradient
         A, detail = np.full_like(S, np.nan), str(exc)
     err = float(np.max(np.abs(A - S)))
@@ -318,16 +320,17 @@ def mignot_records(seed=0, plan=None):
     plan = plan or SamplingPlan(seed=seed)
     desc = build_group("heisenberg:1")
     records, curves = [], []
+    x = desc.identity()
     for u in smooth_suite(desc):
         try:
-            fit = fit_extended_differential(u, desc.identity(), plan, mignot=True)
+            grad, _ = gradient_with_certificate(u, x, plan)
         except NonSingletonSubdifferential as exc:  # a NaN hull diameter certifies no gradient
             records.append(CheckRecord(f"mignot/{u.label}", {"fn": u.label}, np.nan, plan.tol.mignot, False, str(exc)))
             continue
-        final = float(fit.mignot_excess[-1])
-        ok = fit.mignot_ok
-        records.append(CheckRecord(f"mignot/{u.label}", {"fn": u.label}, final, plan.tol.mignot, ok))
-        curves += curve_points(f"mignot/{u.label}", fit.mignot_taus, fit.mignot_excess)
+        fit = fit_extended_differential(u, x, grad, plan)
+        taus, excess, ok = mignot_check(u, x, grad, fit.A, plan)
+        records.append(CheckRecord(f"mignot/{u.label}", {"fn": u.label}, float(excess[-1]), plan.tol.mignot, ok))
+        curves += curve_points(f"mignot/{u.label}", taus, excess)
     return records, curves
 
 

@@ -163,7 +163,7 @@ class TestSubdifferentialHull:
         hull = subdifferential_hulls(one_norm_f, h1.identity()[None], plan)[0]
         square = ConvexPolytope.from_points([[1, 1], [1, -1], [-1, 1], [-1, -1]])
         assert hausdorff_distance(hull, square) < 0.05
-        assert subdiff_membership(one_norm_f, h1.identity(), hull.vertices, plan) <= plan.tol.hull_vertex
+        assert subdiff_membership(one_norm_f, h1.identity(), hull.vertices, plan) <= plan.tol.membership
 
     def test_smooth_singleton(self, quad_vert, plan):
         rng = np.random.default_rng(1)

@@ -5,14 +5,13 @@ from carnot import (
     check_alij,
     evaluate,
     field_matrices,
-    jet_coefficients,
+    horizontal_words,
+    identity_residual,
     lambda_max,
     monomials_up_to,
-    poly_from_jet2,
     sym_hessian,
     weighted_degree,
 )
-from carnot.jets import jet_from_fit
 from carnot.sampling import quasi_sphere, sphere_shell
 
 
@@ -40,64 +39,33 @@ def quadratic_part(desc, c):
 
 class TestJetCoefficients:
     def test_pure_square(self, h1):
-        words = jet_coefficients(h1, poly(h1, [((2, 0, 0), 1.0)]))
-        assert words[(0, 0)] == 2.0
-        assert all(v == 0.0 for w, v in words.items() if w != (0, 0))
+        words = horizontal_words(h1, poly(h1, [((2, 0, 0), 1.0)]))
+        assert words.tolist() == [[2.0, 0.0], [0.0, 0.0]]
 
     def test_vertical_coordinate(self, h1):
-        words = jet_coefficients(h1, poly(h1, [((0, 0, 1), 1.0)]))
-        assert words[(2,)] == 1.0
-        assert words[(0, 1)] == 0.5
-        assert words[(1, 0)] == -0.5
-        assert words[()] == 0.0
+        words = horizontal_words(h1, poly(h1, [((0, 0, 1), 1.0)]))
+        assert words.tolist() == [[0.0, 0.5], [-0.5, 0.0]]
+        assert sym_hessian(h1, poly(h1, [((0, 0, 1), 1.0)]))[1].tolist() == [1.0]
 
     def test_zero(self, h1):
-        words = jet_coefficients(h1, np.zeros(7))
-        assert all(v == 0.0 for v in words.values())
+        words = horizontal_words(h1, np.zeros(7))
+        assert not np.any(words)
 
     def test_degree_guard(self, h1):
         # x1 x3 has degree 3: a vector over the degree-3 basis is refused
         with pytest.raises(ValueError, match="degree <= 2"):
-            jet_coefficients(h1, poly(h1, [((1, 0, 1), 1.0)], degree=3))
-
-    def test_roundtrip_injectivity(self, h1, fs3):
-        rng = np.random.default_rng(4)
-        for desc in (h1, fs3):
-            for _ in range(20):
-                p = random_deg2(desc, rng)
-                H, v2 = sym_hessian(desc, p)
-                words = jet_coefficients(desc, p)
-                grad = np.array([words[(i,)] for i in range(desc.m1)])
-                jet = jet_from_fit(desc, words[()], grad, v2, H)
-                q = poly_from_jet2(jet)
-                assert np.max(np.abs(q - p)) < 1e-12
+            horizontal_words(h1, poly(h1, [((1, 0, 1), 1.0)], degree=3))
 
 
 class TestPolyFromJet:
-    def test_zero_jet_is_constant(self, h1):
-        jet = jet_from_fit(h1, 3.5, np.zeros(2), np.zeros(1), np.zeros((2, 2)))
-        p = poly_from_jet2(jet)
-        assert np.array_equal(p, poly(h1, [((0, 0, 0), 3.5)]))
-
-    def test_quadratic_with_vertical(self, h1):
-        alpha = 0.75
-        jet = jet_from_fit(h1, 0.0, np.zeros(2), np.array([alpha]), 2 * np.eye(2))
-        p = poly_from_jet2(jet)
-        want = poly(h1, [((2, 0, 0), 1.0), ((0, 2, 0), 1.0), ((0, 0, 1), alpha)])
-        assert np.array_equal(p, want)
-
     def test_jet_identity_residual(self, h1):
+        # X_i X_j P(0), read as A^T, satisfies H_ij = A^i_j - sum_l a^{li}_j (v2)_l
         rng = np.random.default_rng(5)
         for _ in range(20):
             p = random_deg2(h1, rng)
             H, v2 = sym_hessian(h1, p)
-            words = jet_coefficients(h1, p)
-            grad = np.array([words[(i,)] for i in range(h1.m1)])
-            jet = jet_from_fit(h1, words[()], grad, v2, H)
-            assert np.max(jet.identity_residual()) < 1e-10
-            # X_i X_j P agrees with the stored extended matrix
-            xixj = np.array([[words[(i, j)] for j in range(h1.m1)] for i in range(h1.m1)])
-            assert np.max(np.abs(xixj - jet.A.T)) < 1e-10
+            A = horizontal_words(h1, p).T
+            assert np.max(identity_residual(h1, H, v2, A)) < 1e-10
 
 
 class TestSymHessian:

@@ -52,6 +52,20 @@ def test_workloads_pass_the_gate(monkeypatch):
             assert o.fingerprint == outcomes[0].fingerprint, w["name"]
 
 
+def test_second_order_fd_gate(monkeypatch):
+    # two seed-0 passes of the FD second-order workload: no hard failure and
+    # the same verdicts; its counted failures (ROADMAP item 3) are not pinned
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    descs, fns, plan = workloads.setup(0)
+    make_inputs, pass_fn = workloads.WORKLOADS["second_order_fd"]
+    inputs = make_inputs(0, descs, fns, plan)
+    outcomes = [pass_fn(inputs) for _ in range(2)]
+    assert all(o.hard_failures == [] for o in outcomes)
+    assert outcomes[0].fingerprint == outcomes[1].fingerprint
+
+
 def test_traced_pass_derives_declared_metrics(monkeypatch):
     # a traced set-up and one traced suite pass, as run.py --trace 1 runs them
     monkeypatch.syspath_prepend(str(PERFBENCH))

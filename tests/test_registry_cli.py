@@ -285,6 +285,32 @@ class TestCli:
 
         assert len(text.splitlines()) == 1 + SamplingPlan().tau_count
 
+    @pytest.mark.parametrize(
+        "args, spec, metric, detail",
+        [
+            (["second-fit", "--fn", "one_norm", "--point", "0,0,0"], None, "nan", "exceeds singleton tolerance"),
+            (
+                ["dermax", "--point", "0.1,0.1,0"],
+                {"polynomial": [{"exponents": [0, 2, 0], "coeff": -1.0}]},
+                "inf",
+                "difference quotients increase along the ladder",
+            ),
+        ],
+        ids=["second-fit-kink", "dermax-concave"],
+    )
+    def test_failed_check_is_a_fail_record(self, tmp_path, capsys, args, spec, metric, detail):
+        # a function that fails the check is a FAIL (exit 1), not a
+        # configuration error: no gradient at a kink, a concave slice
+        if spec is not None:
+            (tmp_path / "f.json").write_text(json.dumps(spec))
+            args = args + ["--fn-file", str(tmp_path / "f.json")]
+        assert main(args + ["--group", "heisenberg:1", "--out", str(tmp_path)]) == 1
+        assert "configuration error" not in capsys.readouterr().err
+        (record,) = json.loads((tmp_path / "report.json").read_text())["records"]
+        assert record["verdict"] == "fail"
+        assert str(record["metric"]) == metric
+        assert detail in record["detail"]
+
     def test_report_bytes_deterministic(self, tmp_path):
         args = ["subdiff", "--group", "heisenberg:1", "--fn", "one_norm", "--point", "0,0,0", "--seed", "7"]
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
@@ -349,8 +375,8 @@ class TestCli:
         assert failed == {r["id"] for r in smooth} | {"mignot/quadratic", "mignot/quad_vertical(alpha=1)"}
 
     def test_unknown_tol_key_exit_2(self, capsys):
-        # an unknown key, and a plausible one that names no tolerance
-        for key in ("bogus", "membership"):
+        # an unknown key, and the former name of the membership tolerance
+        for key in ("bogus", "hull_vertex"):
             assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", "one_norm", "--tol", f"{key}=1"]) == 2
             assert key in capsys.readouterr().err
 
@@ -389,7 +415,7 @@ class TestCli:
             (["second-order-check", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"seed": 1.5}, "seed"),
             (["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"use_analytic_gradient": "no"}, "use_analytic"),
             (["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"radii": [float("nan")]}, "radii"),
-            (["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"tol": {"hull_vertex": True}}, "hull_vertex"),
+            (["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"tol": {"membership": True}}, "membership"),
         ],
         ids=[
             "dd_steps",

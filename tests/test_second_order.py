@@ -11,7 +11,9 @@ from carnot import (
     field_coefficients,
     fit_expansion,
     fit_extended_differential,
+    gradient_with_certificate,
     hconvexity_check,
+    mignot_check,
     monomials_up_to,
     psd_check,
     second_quotient,
@@ -22,7 +24,16 @@ from carnot import (
 from carnot import second_order as so
 from carnot.registry import euclidean, polyhedral_suite, smooth_suite
 from carnot.sampling import quasi_sphere, unit_directions
-from carnot.second_order import gradient_with_certificate
+
+
+def _fit_expansion(u, x, plan):
+    grad, _ = gradient_with_certificate(u, x, plan)
+    return fit_expansion(u, x, grad, plan)
+
+
+def _fit_extended_differential(u, x, plan):
+    grad, _ = gradient_with_certificate(u, x, plan)
+    return fit_extended_differential(u, x, grad, plan)
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +45,9 @@ class TestSecondQuotient:
     def test_affine_vanishes(self, h1, plan):
         u = build_function(h1, "affine", certify=False)
         w = np.array([[0.3, -0.2, 0.4], [0.0, 0.0, 1.0]])
+        grad, _ = gradient_with_certificate(u, h1.identity(), plan)
         for tau in (0.5, 0.1, 0.02):
-            q = second_quotient(u, h1.identity(), tau, w, plan=plan)
+            q = second_quotient(u, h1.identity(), tau, w, grad)
             assert np.max(np.abs(q)) < 1e-9
 
     def test_exactly_two_homogeneous(self, quad_vert, h1, plan):
@@ -44,15 +56,16 @@ class TestSecondQuotient:
         rng = np.random.default_rng(0)
         W = rng.uniform(-1, 1, (20, 3))
         expect = W[:, 0] ** 2 + W[:, 1] ** 2 + W[:, 2]
+        grad, _ = gradient_with_certificate(quad_vert, h1.identity(), plan)
         for tau in (0.5, 0.1, 0.03):
-            q = second_quotient(quad_vert, h1.identity(), tau, W, plan=plan)
+            q = second_quotient(quad_vert, h1.identity(), tau, W, grad)
             assert np.max(np.abs(q - expect)) < 1e-10
 
     def test_quotient_is_hconvex(self, quad_vert, h1, plan):
         # w -> the second difference quotient at scale 0.25, as a field
         x = h1.identity()
         grad, _ = gradient_with_certificate(quad_vert, x, plan)
-        qf = ScalarField(h1, lambda ws: second_quotient(quad_vert, x, 0.25, ws, grad=grad, plan=plan), label="D2[u]")
+        qf = ScalarField(h1, lambda ws: second_quotient(quad_vert, x, 0.25, ws, grad), label="D2[u]")
         assert hconvexity_check(qf, plan).max_violation <= 1e-10
 
     def test_nonsingleton_hull_rejected(self, h1, plan):
@@ -64,7 +77,8 @@ class TestSecondQuotient:
 class TestSubdiffQuotient:
     def test_affine_is_zero(self, h1, plan):
         u = build_function(h1, "affine", certify=False)
-        (q,) = subdiff_quotients(u, h1.identity(), 0.1, np.array([[0.4, 0.2, 0.1]]), plan)
+        grad, _ = gradient_with_certificate(u, h1.identity(), plan)
+        (q,) = subdiff_quotients(u, h1.identity(), 0.1, np.array([[0.4, 0.2, 0.1]]), grad, plan)
         assert q.diameter() < 1e-9
         assert np.max(np.abs(q.centroid())) < 1e-9
 
@@ -72,8 +86,9 @@ class TestSubdiffQuotient:
         x = h1.identity()
         w = np.array([0.5, -0.3, 0.2])
         g0 = quad_vert.gradient(x[None])[0]
+        grad, _ = gradient_with_certificate(quad_vert, x, plan)
         for tau in (0.2, 0.05):
-            (q,) = subdiff_quotients(quad_vert, x, tau, w[None], plan)
+            (q,) = subdiff_quotients(quad_vert, x, tau, w[None], grad, plan)
             y = h1.product(x, h1.dilate(tau, w))
             target = (quad_vert.gradient(y[None])[0] - g0) / tau
             assert q.diameter() < 1e-3
@@ -82,15 +97,16 @@ class TestSubdiffQuotient:
     def test_scale_independence_for_quadratic(self, quad_vert, h1, plan):
         w = np.array([0.3, 0.4, -0.2])
         cents = []
+        grad, _ = gradient_with_certificate(quad_vert, h1.identity(), plan)
         for tau in (0.4, 0.1, 0.025):
-            cents.append(subdiff_quotients(quad_vert, h1.identity(), tau, w[None], plan)[0].centroid())
+            cents.append(subdiff_quotients(quad_vert, h1.identity(), tau, w[None], grad, plan)[0].centroid())
         assert np.max(np.abs(cents[0] - cents[1])) < 1e-3
         assert np.max(np.abs(cents[1] - cents[2])) < 1e-3
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
     @pytest.mark.parametrize("group", ["h1", "eng"])
     def test_scale_batch_equals_per_direction_hulls(self, request, group, analytic):
-        # the Mignot directions of fit_extended_differential, one batch per
+        # the Mignot directions of mignot_check, one batch per
         # scale, against the one-row hull at each x delta_tau w
         desc = request.getfixturevalue(group)
         plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
@@ -100,7 +116,7 @@ class TestSubdiffQuotient:
         grad = np.linspace(0.5, -0.5, desc.m1)
         for u in smooth_suite(desc) + polyhedral_suite(desc):
             for tau in plan.taus()[::4]:
-                batch = subdiff_quotients(u, x, tau, ws, plan, grad=grad)
+                batch = subdiff_quotients(u, x, tau, ws, grad, plan)
                 for w, q in zip(ws, batch):
                     (hull,) = subdifferential_hulls(u, desc.product(x, desc.dilate(tau, w))[None], plan.scaled(tau))
                     single = ConvexPolytope((hull.vertices - grad) * (1.0 / tau), hull.dim)
@@ -111,53 +127,55 @@ class TestSubdiffQuotient:
 
 class TestFitExpansion:
     def test_model_point(self, quad_vert, h1, plan):
-        fit = fit_expansion(quad_vert, h1.identity(), plan)
-        assert np.allclose(fit.jet.v2, [1.0], atol=1e-10)
-        assert np.allclose(fit.jet.hessian, 2 * np.eye(2), atol=1e-10)
+        fit = _fit_expansion(quad_vert, h1.identity(), plan)
+        assert np.allclose(fit.v2, [1.0], atol=1e-10)
+        assert np.allclose(fit.hessian, 2 * np.eye(2), atol=1e-10)
         assert fit.residuals[-1] < 1e-10
         assert fit.converged
 
     def test_affine_all_zero(self, h1, plan):
         u = build_function(h1, "affine", certify=False)
-        fit = fit_expansion(u, h1.identity(), plan)
-        assert np.max(np.abs(fit.jet.hessian)) < 1e-9
-        assert np.max(np.abs(fit.jet.v2)) < 1e-9
+        fit = _fit_expansion(u, h1.identity(), plan)
+        assert np.max(np.abs(fit.hessian)) < 1e-9
+        assert np.max(np.abs(fit.v2)) < 1e-9
         assert fit.converged
 
     def test_smooth_side_of_kink(self, h1, plan):
         u = build_function(h1, "max_affine", certify=False)  # |x1|
-        fit = fit_expansion(u, np.array([1.0, 0.0, 0.0]), plan)
-        assert np.max(np.abs(fit.jet.hessian)) < 1e-9
-        assert np.max(np.abs(fit.jet.v2)) < 1e-9
+        fit = _fit_expansion(u, np.array([1.0, 0.0, 0.0]), plan)
+        assert np.max(np.abs(fit.hessian)) < 1e-9
+        assert np.max(np.abs(fit.v2)) < 1e-9
 
     def test_uniform_convergence_monotone_tail(self, quad_vert, h1, plan):
         # the residual curve is nonincreasing over the last scales
-        fit = fit_expansion(quad_vert, np.array([0.2, 0.1, -0.3]), plan)
+        fit = _fit_expansion(quad_vert, np.array([0.2, 0.1, -0.3]), plan)
         tail = fit.residuals[-3:]
         assert np.all(tail[1:] <= 1.1 * tail[:-1] + 1e-15) or np.all(tail < plan.tol.fit)
 
     def test_limit_quadratic_is_hconvex(self, quad_vert, h1, plan):
-        from carnot.jets import poly_from_jet2
         from carnot.registry import _poly_field
 
-        fit = fit_expansion(quad_vert, np.array([0.3, -0.1, 0.2]), plan)
+        fit = _fit_expansion(quad_vert, np.array([0.3, -0.1, 0.2]), plan)
         quadratic = [weighted_degree(a, h1) == 2 for a in monomials_up_to(h1, 2)]
-        P2 = np.where(quadratic, poly_from_jet2(fit.jet), 0.0)
+        P2 = np.where(quadratic, fit.coeffs, 0.0)
         field = _poly_field(h1, P2, 2, label="P2")
         assert hconvexity_check(field, plan).max_violation <= 1e-10
 
 
 class TestExtendedDifferential:
     def test_model_point(self, quad_vert, h1, plan):
-        fit = fit_extended_differential(quad_vert, h1.identity(), plan)
+        grad, _ = gradient_with_certificate(quad_vert, h1.identity(), plan)
+        fit = fit_extended_differential(quad_vert, h1.identity(), grad, plan)
         assert np.max(np.abs(fit.A - np.array([[2.0, -0.5], [0.5, 2.0]]))) < 1e-3
         assert fit.converged
-        assert fit.mignot_ok
-        assert fit.mignot_excess[-1] < 1e-2
+        taus, excess, ok = mignot_check(quad_vert, h1.identity(), grad, fit.A, plan)
+        assert ok
+        assert len(taus) == len(excess) == plan.tau_count
+        assert excess[-1] < 1e-2
 
     def test_affine_zero(self, h1, plan):
         u = build_function(h1, "affine", certify=False)
-        fit = fit_extended_differential(u, h1.identity(), plan, mignot=False)
+        fit = _fit_extended_differential(u, h1.identity(), plan)
         assert np.max(np.abs(fit.A)) < 1e-9
 
     def test_euclidean_hessian_symmetric(self, plan):
@@ -165,13 +183,13 @@ class TestExtendedDifferential:
         e2 = euclidean(2)
         S = np.array([[1.3, 0.4], [0.4, 0.9]])
         u = build_function(e2, "euclidean_quadratic", S=S, certify=False)
-        fit = fit_extended_differential(u, e2.identity(), plan, mignot=False)
+        fit = _fit_extended_differential(u, e2.identity(), plan)
         assert np.max(np.abs(fit.A - S)) < 1e-4
         assert np.max(np.abs(fit.A - fit.A.T)) < 1e-6
 
     def test_fd_only_path(self, quad_vert, h1):
         plan_fd = SamplingPlan(seed=0, use_analytic_gradient=False)
-        fit = fit_extended_differential(quad_vert, h1.identity(), plan_fd, mignot=False)
+        fit = _fit_extended_differential(quad_vert, h1.identity(), plan_fd)
         assert np.max(np.abs(fit.A - np.array([[2.0, -0.5], [0.5, 2.0]]))) < 1e-3
 
     def test_insufficient_stable_samples(self, h1):
@@ -187,16 +205,15 @@ class TestExtendedDifferential:
 
         u = ScalarField(h1, noisy, label="ripple")
         with pytest.raises(SamplingError):
-            fit_extended_differential(u, np.array([0.5, 0.2, 0.0]), plan_fd, mignot=False)
+            _fit_extended_differential(u, np.array([0.5, 0.2, 0.0]), plan_fd)
 
-    def test_rank_deficient_directions(self, quad_vert, h1, plan):
+    def test_rank_deficient_directions(self, quad_vert, h1, plan, monkeypatch):
         from carnot import RankDeficientDesign
-        from carnot.second_order import QuotientGrid
 
         W = np.array([[1.0, 0, 0], [0.5, 0, 0], [0.25, 0, 0], [2.0, 0, 0]])
-        grid = QuotientGrid(h1.identity(), np.zeros(2), (0.5, 0.25), W, np.zeros((2, 4)))
+        monkeypatch.setattr(so, "_direction_set", lambda desc, count: W)
         with pytest.raises(RankDeficientDesign):
-            fit_expansion(quad_vert, h1.identity(), plan, grid=grid)
+            fit_expansion(quad_vert, h1.identity(), np.zeros(2), plan)
 
 
 class TestCharacterization:
@@ -209,7 +226,7 @@ class TestCharacterization:
         # the skew part of A is minus the v2-weighted rotational form
         alij = field_coefficients(h1)
         skew = 0.5 * (rep.extended.A - rep.extended.A.T)
-        induced = sum(alij[l] * rep.expansion.jet.v2[l] for l in range(alij.shape[0]))
+        induced = sum(alij[l] * rep.expansion.v2[l] for l in range(alij.shape[0]))
         assert np.max(np.abs(skew + induced)) < 1e-3
 
     def test_affine_passes(self, h1, plan):
@@ -239,11 +256,25 @@ class TestCharacterization:
         assert rep.equivalence == "both converge"
         assert len(calls) == 1
 
+    def test_hulls_built_once(self, quad_vert, h1, plan, monkeypatch):
+        # the certificate is the only hull a characterization builds; the
+        # Mignot inclusion is mignot_check's, which no verdict here reads
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return subdifferential_hulls(*args, **kwargs)
+
+        monkeypatch.setattr(so, "subdifferential_hulls", counting)
+        rep = characterize_second_order(quad_vert, h1.identity(), plan)
+        assert rep.passed()
+        assert len(calls) == 1
+
     def test_claim3_nan_jet_fails(self, quad_vert, h1, plan, monkeypatch):
-        # NaN jet words give a NaN claim-3 residual, which must not fold into
-        # a pass next to a finite one
-        words = so.jet_coefficients
-        monkeypatch.setattr(so, "jet_coefficients", lambda desc, c: dict.fromkeys(words(desc, c), np.nan))
+        # NaN horizontal words give a NaN claim-3 residual, which must not
+        # fold into a pass next to a finite one
+        words = so.horizontal_words
+        monkeypatch.setattr(so, "horizontal_words", lambda desc, c: np.full_like(words(desc, c), np.nan))
         rep = characterize_second_order(quad_vert, h1.identity(), plan)
         assert np.isnan(rep.metrics["claim3_jet_residual"])
         assert np.isfinite(rep.metrics["claim3_residual"])
@@ -263,8 +294,8 @@ class TestCharacterization:
         u = build_function(e2, "euclidean_quadratic", S=S, certify=False)
         rep = characterize_second_order(u, np.array([0.2, -0.1]), plan)
         assert rep.equivalence == "both converge" and all(rep.claims.values())
-        assert np.max(np.abs(rep.expansion.jet.hessian - S)) < 1e-6
-        assert rep.expansion.jet.v2.size == 0
+        assert np.max(np.abs(rep.expansion.hessian - S)) < 1e-6
+        assert rep.expansion.v2.size == 0
 
 
 class TestPsdCheck:

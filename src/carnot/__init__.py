@@ -69,7 +69,6 @@ from .second_order import (
     mignot_check,
     psd_check,
     second_quotient,
-    subdiff_quotients,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError, NonConvexSliceError, SamplingError
+from .errors import BracketingError, NonConvexSliceError, RankDeficientDesign, SamplingError
 from .hull import ConvexPolytope
 from .sampling import (
     SamplingPlan,
@@ -98,12 +98,15 @@ def hconvexity_check(u, plan=None):
     For base points x, horizontal h and a grid of lambda in [0, 1],
     evaluates u(x (lambda h)) - lambda u(xh) - (1 - lambda) u(x) and reports
     the largest positive value.  Non-finite values count as violations of
-    +inf.
+    +inf.  Raises ``RankDeficientDesign`` when the plan's directions do not
+    span the horizontal layer, which would leave some segments untested.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
     xs = _base_points(u, plan)
     dirs = unit_directions(desc.m1, plan.directions)
+    if np.linalg.matrix_rank(dirs) < desc.m1:
+        raise RankDeficientDesign(f"{plan.directions} directions do not span the {desc.m1}-dim horizontal layer")
     lams = np.linspace(0.0, 1.0, plan.lambda_grid)
     raw = -np.inf
     worst = None
@@ -130,7 +133,8 @@ def hconvexity_check(u, plan=None):
 
 
 def _fd_gradients_batch(u, pts, step, rtol):
-    """Two-step central differences for a batch of points.
+    """Two-step central differences for a batch of points, with one step
+    for all points or one per point.
 
     Returns (gradients, stable) where ``stable`` flags agreement between the
     full and the halved step within ``rtol`` -- the operational surrogate for
@@ -139,9 +143,10 @@ def _fd_gradients_batch(u, pts, step, rtol):
     desc = u.desc
     m1 = desc.m1
     eye = np.eye(m1)
-    offs = np.concatenate([step * eye, -step * eye, 0.5 * step * eye, -0.5 * step * eye])
-    offs = desc.embed_horizontal(offs)  # (4 m1, n)
-    stencil = desc.product(pts[:, None, :], offs[None, :, :])  # (K, 4 m1, n)
+    step = np.asarray(step, dtype=float)[..., None]  # (1,) or (K, 1)
+    offs = step[..., None] * np.concatenate([eye, -eye, 0.5 * eye, -0.5 * eye])
+    offs = desc.embed_horizontal(offs)  # (4 m1, n) or (K, 4 m1, n)
+    stencil = desc.product(pts[:, None, :], offs)  # (K, 4 m1, n)
     vals = u.value(stencil)
     g_full = (vals[:, :m1] - vals[:, m1 : 2 * m1]) / (2 * step)
     g_half = (vals[:, 2 * m1 : 3 * m1] - vals[:, 3 * m1 :]) / step
@@ -151,42 +156,46 @@ def _fd_gradients_batch(u, pts, step, rtol):
 
 
 def _sampled_gradients(u, pts, radius, plan):
-    """Horizontal gradients at sampled points of a shell of the given radius,
-    with the flags of the stable ones: analytic when the plan allows and u
-    has them (all stable), else central differences with a step no larger
-    than a tenth of the radius."""
+    """Horizontal gradients at sampled points of shells of the given radius
+    (one for all points or one per point), with the flags of the stable
+    ones: analytic when the plan allows and u has them (all stable), else
+    central differences with a step no larger than a tenth of the radius."""
     if plan.use_analytic_gradient and u.grad_h is not None:
         return u.gradient(pts), np.ones(len(pts), dtype=bool)
-    return _fd_gradients_batch(u, pts, min(plan.fd_step, radius / 10.0), plan.fd_stability_rtol)
+    return _fd_gradients_batch(u, pts, np.minimum(plan.fd_step, radius / 10.0), plan.fd_stability_rtol)
 
 
 def _shell_gradients(u, xs, radius, plan, rng, count):
-    """Horizontal gradients at sampled differentiability points of B(x, r),
-    one array per row x of ``xs``.
+    """Horizontal gradients at ``count`` sampled differentiability points of
+    B(x, r) for every row x of ``xs``, as one (K, count, m1) array; ``radius``
+    is one r for all rows or one per row.
 
     Every centre sees the same draws of ``rng``: each retry round draws one
     ball sample and evaluates it only around the centres that still lack
     ``count`` gradients, so a centre's gradients do not depend on the other
-    rows of the batch.
+    rows of the batch.  A row that ends short repeats its last stable
+    gradient, which changes no support value, diameter or centroid.
     """
     desc = u.desc
     xs = np.asarray(xs, dtype=float)
-    collected = [[] for _ in xs]
-    have = np.zeros(len(xs), dtype=int)
-    for _ in range(4):
-        todo = np.flatnonzero(have < count)
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), len(xs))
+    grads = np.zeros((len(xs), 4 * count, desc.m1))
+    stable = np.zeros((len(xs), 4 * count), dtype=bool)
+    for k in range(4):
+        todo = np.flatnonzero(np.sum(stable, axis=1) < count)
         if len(todo) == 0:
             break
-        ws = ball(desc, radius, count, rng)
-        pts = desc.product(xs[todo, None, :], ws[None, :, :])  # (T, count, n)
-        grads, stable = _sampled_gradients(u, pts.reshape(-1, desc.dim), radius, plan)
-        grads, stable = grads.reshape(len(todo), count, -1), stable.reshape(len(todo), count)
-        for c, g, ok in zip(todo, grads, stable):
-            collected[c].append(g[ok])
-            have[c] += int(np.sum(ok))
+        pts = desc.product(xs[todo, None, :], ball(desc, radius[todo, None], count, rng))  # (T, count, n)
+        g, ok = _sampled_gradients(u, pts.reshape(-1, desc.dim), np.repeat(radius[todo], count), plan)
+        cols = slice(k * count, (k + 1) * count)
+        grads[todo, cols], stable[todo, cols] = g.reshape(len(todo), count, -1), ok.reshape(len(todo), count)
+    have = np.minimum(np.sum(stable, axis=1), count)
     if np.any(have == 0):
         raise SamplingError(f"no stable gradient samples near the given point of {u.label!r}")
-    return [np.concatenate(c)[:count] for c in collected]
+    # the column of every row's j-th stable gradient, and of its last one past the end
+    rows = np.arange(len(xs))[:, None]
+    nth = np.argsort(~stable, axis=1, kind="stable")
+    return grads[rows, nth[rows, np.minimum(np.arange(count), have[:, None] - 1)]]
 
 
 # -- subdifferential hulls and membership ---------------------------------------
@@ -227,9 +236,8 @@ def subdifferential_hulls(u, xs, plan=None):
     the gradients sampled at differentiability points of the finest shell
     around that row, from one shared sample.
 
-    Each hull keeps its raw gradient rows: repeats change no support value,
-    diameter or centroid, and ``_shell_gradients`` makes each hull
-    independent of the other rows of the batch.
+    Each hull is one row of the ``_shell_gradients`` array, repeats and
+    all, and independent of the other rows of the batch.
     """
     plan = plan or SamplingPlan()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -296,10 +304,8 @@ def dermax_checks(u, xs, plan=None, directions=None):
 # -- mean value witnesses ----------------------------------------------------------
 
 
-_PSI_GRID = 257  # points of the psi grid that brackets the extremum
-_PSI_BLOCK = 16  # rows per psi-grid evaluation, to bound the (rows, grid, n) temporaries
 _SECTION_PROBES = 16  # interior probes per step of the section search
-_SECTION_STEPS = 14  # final bracket (2/17)^14 * 2/256 ~ 7.6e-16 wide
+_SECTION_STEPS = 17  # final bracket (2/17)^17 ~ 1.6e-16 wide
 
 
 def mean_value_witnesses(u, xs, hs, plan=None):
@@ -310,21 +316,28 @@ def mean_value_witnesses(u, xs, hs, plan=None):
     at x * delta_{t*} h with <p, h> equal to the secant slope
     sigma = u(xh) - u(x).  The deviation psi(t) = u(x (t h)) - u(x) - t sigma
     vanishes at both ends, so it has an interior extremum; there the
-    one-sided derivatives bracket sigma.  The extremum is located on a grid,
-    which gives each row its sign and a starting bracket of two grid cells
-    (a flat psi keeps t* = 1/2).  A section search then refines all rows in
-    lockstep: each step evaluates ``_SECTION_PROBES`` equally spaced interior
-    probes of every bracket with one product call and keeps the two cells
-    around the best probe (two probes make it a ternary search).  The hull
-    at x * delta_{t*} h is intersected with the hyperplane <., h> = sigma
+    one-sided derivatives bracket sigma.  A section search locates it for
+    all rows in lockstep: each step evaluates ``_SECTION_PROBES`` equally
+    spaced interior probes of every bracket with one product call and keeps
+    the two cells around the best probe (two probes make it a ternary
+    search).  The first step's probes, k/17 of [0, 1], give each row its
+    sign (the probe of largest |psi|) and its starting bracket.  For
+    h-convex u, psi is convex with zero ends, so its extremum is its
+    minimum, and psi vanishing at all first probes makes it vanish
+    everywhere: such a flat row keeps t* = 1/2.  The hull at
+    x * delta_{t*} h is intersected with the hyperplane <., h> = sigma
     (nearest vertex if sigma falls just outside the sampled support range).
 
-    A non-finite secant slope, psi value or hull gradient gives residual
-    +inf (and p = NaN) instead of an error.  The batch raises the first
-    error it meets for the whole batch: ``SamplingError`` if a hull gets no
-    gradient samples, and ``BracketingError`` at the first row whose secant
-    slope falls outside its hull's support range.  Call it per row where one
-    failing segment must not stop the others.
+    For a u that is not h-convex (a user field through CLI ``mvt``) the
+    search may stop at a local extremum; the support-range check then turns
+    a wrong witness into a ``BracketingError`` or a residual.
+
+    A non-finite secant slope, psi value at any probe or hull gradient
+    gives residual +inf (and p = NaN) instead of an error.  The batch
+    raises the first error it meets for the whole batch: ``SamplingError``
+    if a hull gets no gradient samples, and ``BracketingError`` at the
+    first row whose secant slope falls outside its hull's support range.
+    Call it per row where one failing segment must not stop the others.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
@@ -334,44 +347,36 @@ def mean_value_witnesses(u, xs, hs, plan=None):
 
     ux = u.value(xs)
     sigma = u.value(desc.product(xs, hfull)) - ux
-
-    ts = np.linspace(0.0, 1.0, _PSI_GRID)
-    psi = np.empty((len(xs), _PSI_GRID))
-    for b in range(0, len(xs), _PSI_BLOCK):
-        rows = slice(b, b + _PSI_BLOCK)
-        pts = desc.product(xs[rows, None, :], ts[None, :, None] * hfull[rows, None, :])
-        psi[rows] = u.value(pts) - ux[rows, None] - sigma[rows, None] * ts[None, :]
-    bad = ~np.isfinite(sigma) | ~np.all(np.isfinite(psi), axis=-1)
-    i = np.argmax(np.abs(psi), axis=-1)
-    peak = psi[np.arange(len(xs)), i]
-    flat = np.abs(peak) < 1e-13 * (1.0 + np.abs(ux) + np.abs(sigma))
-    t_star = np.full(len(xs), 0.5)
-    search = np.flatnonzero(~flat & ~bad)
-    if len(search):
-        sign = np.where(peak[search] > 0, 1.0, -1.0)[:, None]
-        lo, hi = ts[np.maximum(i[search] - 1, 0)], ts[np.minimum(i[search] + 1, _PSI_GRID - 1)]
-        x_s, h_s = xs[search, None, :], hfull[search, None, :]
-        ux_s, sigma_s = ux[search, None], sigma[search, None]
-        frac = np.arange(1, _SECTION_PROBES + 1) / (_SECTION_PROBES + 1)
-        row_s = np.arange(len(search))
-        for _ in range(_SECTION_STEPS):
-            probes = lo[:, None] + (hi - lo)[:, None] * frac
-            v = (u.value(desc.product(x_s, probes[:, :, None] * h_s)) - ux_s - sigma_s * probes) * sign
-            edges = np.concatenate([lo[:, None], probes, hi[:, None]], axis=1)
-            j = np.argmax(v, axis=-1)
-            lo, hi = edges[row_s, j], edges[row_s, j + 2]
-        t_star[search] = 0.5 * (lo + hi)
+    bad = ~np.isfinite(sigma)
+    flat = np.zeros(len(xs), dtype=bool)
+    sign = np.ones(len(xs))
+    lo, hi = np.zeros(len(xs)), np.ones(len(xs))
+    frac = np.arange(1, _SECTION_PROBES + 1) / (_SECTION_PROBES + 1)
+    search = np.flatnonzero(~bad)
+    for step in range(_SECTION_STEPS):
+        if len(search) == 0:
+            break
+        probes = lo[search, None] + (hi - lo)[search, None] * frac
+        psi = u.value(desc.product(xs[search, None, :], probes[:, :, None] * hfull[search, None, :]))
+        psi = psi - ux[search, None] - sigma[search, None] * probes
+        r = np.arange(len(search))
+        if step == 0:
+            peak = psi[r, np.argmax(np.abs(psi), axis=-1)]
+            sign[search] = np.where(peak > 0, 1.0, -1.0)
+            flat[search] = np.abs(peak) < 1e-13 * (1.0 + np.abs(ux[search]) + np.abs(sigma[search]))
+        bad[search] |= ~np.all(np.isfinite(psi), axis=-1)
+        j = np.argmax(psi * sign[search, None], axis=-1)
+        edges = np.concatenate([lo[search, None], probes, hi[search, None]], axis=1)
+        lo[search], hi[search] = edges[r, j], edges[r, j + 2]
+        search = search[~bad[search] & ~flat[search]]
+    t_star = np.where(bad | flat, 0.5, 0.5 * (lo + hi))
 
     ys = desc.product(xs, t_star[:, None] * hfull)
     p = np.full((len(xs), desc.m1), np.nan)
     residual = np.full(len(xs), np.inf)
     good = np.flatnonzero(~bad)
     if len(good):
-        hulls = subdifferential_hulls(u, ys[good], plan)
-        depth = np.arange(max(len(hull.vertices) for hull in hulls))
-        # a short hull repeats its last row: repeats change no min, max or
-        # first-occurrence argmin/argmax
-        V = np.stack([hull.vertices[np.minimum(depth, len(hull.vertices) - 1)] for hull in hulls])
+        V = _shell_gradients(u, ys[good], plan.radii[-1], plan, plan.rng("subdiff-hull"), plan.shell_samples)
         finite = np.all(np.isfinite(V), axis=(1, 2))
         h, s = hs[good], sigma[good]
         support_vals = np.einsum("krm,km->kr", V, h)

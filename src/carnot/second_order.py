@@ -20,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import _fd_gradients_batch, _sampled_gradients, subdifferential_hulls
+from .convexity import _fd_gradients_batch, _sampled_gradients, _shell_gradients, subdifferential_hulls
 from .errors import (
     CarnotError,
     NonSingletonSubdifferential,
     RankDeficientDesign,
     SamplingError,
 )
-from .hull import ConvexPolytope
 from .jets import horizontal_words, identity_residual, sym_hessian
 from .polynomials import monomials_up_to
 from .sampling import SamplingPlan, quasi_sphere, sphere_shell
@@ -35,7 +34,6 @@ from .sampling import SamplingPlan, quasi_sphere, sphere_shell
 __all__ = [
     "gradient_with_certificate",
     "second_quotient",
-    "subdiff_quotients",
     "ExpansionFit",
     "fit_expansion",
     "ExtendedDiffFit",
@@ -70,7 +68,8 @@ def gradient_with_certificate(u, x, plan=None):
 
 
 def second_quotient(u, x, tau, w, grad):
-    """(u(x delta_tau w) - u(x) - tau <grad, pi_1 w>) / tau^2, batched over w."""
+    """(u(x delta_tau w) - u(x) - tau <grad, pi_1 w>) / tau^2, batched over w;
+    a column of taus gives one row of quotients per tau."""
     desc = u.desc
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -78,22 +77,6 @@ def second_quotient(u, x, tau, w, grad):
     ux = float(u.value(x[None])[0])
     lin = w[..., : desc.m1] @ np.asarray(grad, dtype=float)
     return (u.value(pts) - ux - tau * lin) / tau**2
-
-
-def subdiff_quotients(u, x, tau, ws, grad, plan=None):
-    """(subdifferential hull at x delta_tau w minus the gradient) / tau, for
-    every row w of ``ws``, from one shared hull sample.
-
-    Shell radii are shrunk by tau so that the hull resolution follows the
-    zoom of the quotient map.  Each quotient hull keeps the raw gradient
-    rows.
-    """
-    plan = plan or SamplingPlan()
-    desc = u.desc
-    x = np.asarray(x, dtype=float)
-    ys = desc.product(x, desc.dilate(tau, np.atleast_2d(np.asarray(ws, dtype=float))))
-    hulls = subdifferential_hulls(u, ys, plan.scaled(tau))
-    return [ConvexPolytope((hull.vertices - grad) * (1.0 / tau), hull.dim) for hull in hulls]
 
 
 # -- the expansion fit -------------------------------------------------------------
@@ -152,7 +135,7 @@ def fit_expansion(u, x, grad, plan=None):
     if np.linalg.matrix_rank(Phi) < Phi.shape[1]:
         raise RankDeficientDesign("direction set does not span the degree-2 model")
     taus = plan.taus()
-    values = np.stack([second_quotient(u, x, t, W, grad) for t in taus])
+    values = second_quotient(u, x, np.asarray(taus)[:, None], W, grad)
     C = np.zeros((len(taus), len(E)))
     C[:, top] = np.linalg.lstsq(Phi, values.T, rcond=None)[0].T
     H, v2 = sym_hessian(desc, C)
@@ -178,28 +161,25 @@ def fit_extended_differential(u, x, grad, plan=None):
     Minimizes |grad u(xw) - grad - A pi_1 w| over samples in shrinking
     shells, for the certified gradient ``grad`` at x; the per-shell sup
     residual normalized by the shell radius must fall below the fit
-    tolerance.
+    tolerance.  One gradient call serves every shell.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
     x = np.asarray(x, dtype=float)
     grad = np.asarray(grad)
 
-    ws_all, dg_all, shell_of = [], [], []
     rng = plan.rng("extdiff-shells")
-    for k, r in enumerate(plan.radii):
-        ws = sphere_shell(desc, r, plan.shell_samples, rng)
-        grads, stable = _sampled_gradients(u, desc.product(x, ws), r, plan)
-        ws, grads = ws[stable], grads[stable]
-        if len(ws) < desc.m1 + 1:
-            raise SamplingError(f"insufficient stable gradient samples on shell {r:g}")
-        ws_all.append(ws)
-        dg_all.append(grads - grad[None, :])
-        shell_of.append(np.full(len(ws), k))
-
-    ws_all = np.concatenate(ws_all)
-    dg_all = np.concatenate(dg_all)
-    shell_of = np.concatenate(shell_of)
+    ws = np.stack([sphere_shell(desc, r, plan.shell_samples, rng) for r in plan.radii])  # (R, S, n)
+    grads, stable = _sampled_gradients(
+        u, desc.product(x, ws).reshape(-1, desc.dim), np.repeat(plan.radii, plan.shell_samples), plan
+    )
+    stable = stable.reshape(len(plan.radii), -1)
+    short = np.sum(stable, axis=1) < desc.m1 + 1
+    if np.any(short):
+        raise SamplingError(f"insufficient stable gradient samples on shell {plan.radii[int(np.argmax(short))]:g}")
+    ws_all = ws[stable]
+    dg_all = grads[stable.ravel()] - grad[None, :]
+    shell_of = np.nonzero(stable)[0]
 
     fine = shell_of >= max(0, len(plan.radii) - 3)
     W1 = ws_all[fine, : desc.m1]
@@ -208,12 +188,8 @@ def fit_extended_differential(u, x, grad, plan=None):
     At, *_ = np.linalg.lstsq(W1, dg_all[fine], rcond=None)
     A = At.T
 
-    residuals = []
-    for k, r in enumerate(plan.radii):
-        rows = shell_of == k
-        mis = dg_all[rows] - ws_all[rows, : desc.m1] @ At
-        residuals.append(float(np.max(np.linalg.norm(mis, axis=-1))) / r)
-    residuals = np.asarray(residuals)
+    mis = np.linalg.norm(dg_all - ws_all[:, : desc.m1] @ At, axis=-1)
+    residuals = np.array([np.max(mis[shell_of == k]) for k in range(len(plan.radii))]) / plan.radii
     return ExtendedDiffFit(A, grad, tuple(plan.radii), residuals, _curve_converged(residuals, plan.tol.fit))
 
 
@@ -221,21 +197,23 @@ def mignot_check(u, x, grad, A, plan=None):
     """The set-valued inclusion check of the extended differential ``A`` at x.
 
     The quotient hulls (hull at x delta_tau w - grad)/tau must collapse onto
-    {A pi_1 w} along the scale ladder.  Returns (taus, excess, ok): the
-    largest distance of a quotient hull row from A pi_1 w per scale, and
-    whether the finest excess is below the Mignot tolerance and no larger
-    than the coarsest.
+    {A pi_1 w} along the scale ladder.  The hulls of every scale and
+    direction come from one gradient sample, on shells of radius
+    ``radii[-1] * tau`` so that the hull resolution follows the zoom of the
+    quotient map.  Returns (taus, excess, ok): the largest distance of a
+    quotient hull row from A pi_1 w per scale, and whether the finest
+    excess is below the Mignot tolerance and no larger than the coarsest.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
     dirs = np.concatenate([quasi_sphere(desc, 6, seed=31), np.eye(desc.dim)[desc.m1 : desc.m2]])
     taus = plan.taus()
-    excess = []
-    for tau in taus:
-        hulls = subdiff_quotients(u, x, float(tau), dirs, grad, plan)
-        dists = [np.max(np.linalg.norm(q.vertices - A @ w[: desc.m1], axis=-1)) for q, w in zip(hulls, dirs)]
-        excess.append(float(np.max(dists)))  # NaN-safe, unlike a max() fold
-    excess = np.asarray(excess)
+    tau = np.repeat(taus, len(dirs))  # one row per (tau, w)
+    ys = desc.product(x, desc.dilate(tau, np.tile(dirs, (len(taus), 1))))
+    G = _shell_gradients(u, ys, plan.radii[-1] * tau, plan, plan.rng("subdiff-hull"), plan.shell_samples)
+    quotients = ((G - grad) * (1.0 / tau)[:, None, None]).reshape(len(taus), len(dirs), -1, desc.m1)
+    dists = np.linalg.norm(quotients - (dirs[:, : desc.m1] @ A.T)[:, None, :], axis=-1)
+    excess = np.max(dists, axis=(1, 2))  # NaN-safe, unlike a max() fold
     return taus, excess, bool(excess[-1] < plan.tol.mignot and excess[-1] <= excess[0] + 1e-12)
 
 

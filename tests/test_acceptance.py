@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from carnot import ScalarField, build_function, convexity, fields, monomials_up_to, registry
+from carnot import second_order as second_order_mod
 from carnot import suite as suite_mod
 from carnot.groups import GroupDescriptor
 from carnot.hull import ConvexPolytope
@@ -208,7 +209,7 @@ def test_criterion_07_mean_value_witnesses():
 def test_criterion_07_product_calls(monkeypatch):
     # a host-independent work budget: the witnesses of a batch share their
     # products (38,840 calls when every witness searched alone, 1,343 with a
-    # 70-step ternary search)
+    # 70-step ternary search, 391 with a psi grid before the section search)
     calls = []
     product = GroupDescriptor.product
 
@@ -218,7 +219,7 @@ def test_criterion_07_product_calls(monkeypatch):
 
     monkeypatch.setattr(GroupDescriptor, "product", counting)
     mean_value_records(SEED)
-    assert 0 < len(calls) < 450
+    assert 0 < len(calls) < 400
 
 
 def test_criterion_07_nan_field_fails(monkeypatch):
@@ -392,9 +393,10 @@ def test_criterion_11_nan_certificate_fails(monkeypatch):
 
 def test_hull_builds_per_criterion(monkeypatch):
     # a host-independent work budget: every internal hull loop makes one
-    # batched gradient sample per field or scale (61 / 21 / 21 / 50 / 65 /
-    # 1 / 192 samples for criteria 5-11, and 1,211 ``from_points`` hulls,
-    # when most hulls were built one centre at a time)
+    # batched gradient sample per field, and a Mignot check one for all its
+    # scales (61 / 21 / 21 / 50 / 65 / 1 / 192 samples for criteria 5-11,
+    # and 1,211 ``from_points`` hulls, when most hulls were built one centre
+    # at a time; 11 and 30 samples for criteria 9 and 11 with one per scale)
     builds, from_points_calls, current = {}, [], [None]
     shell_gradients = convexity._shell_gradients
     from_points = ConvexPolytope.from_points.__func__
@@ -415,11 +417,12 @@ def test_hull_builds_per_criterion(monkeypatch):
         return run
 
     monkeypatch.setattr(convexity, "_shell_gradients", counting_shells)
+    monkeypatch.setattr(second_order_mod, "_shell_gradients", counting_shells)
     monkeypatch.setattr(ConvexPolytope, "from_points", classmethod(counting_hulls))
     monkeypatch.setattr(suite_mod, "CRITERIA", tuple(tagged(k, fn) for k, fn in enumerate(suite_mod.CRITERIA, 1)))
     records, _ = run_suite(SEED)
     assert len(records) == 58 and all(r.passed for r in records)
-    assert builds == {5: 4, 6: 2, 7: 21, 8: 5, 9: 11, 10: 1, 11: 30}
+    assert builds == {5: 4, 6: 2, 7: 21, 8: 5, 9: 3, 10: 1, 11: 6}
     assert len(from_points_calls) <= 2, from_points_calls
 
 

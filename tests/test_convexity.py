@@ -432,6 +432,17 @@ class TestMeanValue:
         assert ws[0].residual == np.inf
         assert ws[1].residual < plan.tol.mvt_smooth
 
+    def test_nan_met_only_by_the_search_fails(self, h1, plan):
+        # |x1| made NaN within 1e-6 of its kink: from x1 = -0.3 along e1 the
+        # search closes in on the kink at t = 0.3, where no point of a fixed
+        # grid falls, and the NaN it meets there must fail the witness
+        u = build_function(h1, "max_affine", certify=False)
+        fn = lambda p: np.where(np.abs(p[..., 0]) < 1e-6, np.nan, u.value(p))
+        nan_kink = ScalarField(h1, fn, label="nan-kink", grad_h=u.grad_h)
+        (w,) = mean_value_witnesses(nan_kink, np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)
+        assert np.all(np.isnan(w.p))
+        assert w.residual == np.inf
+
     def test_nan_gradient_gives_failing_witness(self, h1, plan):
         u = ScalarField(
             h1,
@@ -488,27 +499,43 @@ def _bracket_row(hull, h, s, gap):
 
 @pytest.mark.parametrize("spec", ["h1", "fs3"])
 def test_bracketing_matches_row_loop(request, spec, plan, monkeypatch):
-    # hulls of unequal length, as FD rejections leave them, are padded by
-    # repeating a row: the stacked bracketing must pick the p of the loop
+    # rejected samples leave rows short: in the first round row i keeps all
+    # but 7 (i % 3) of its draws, and the retry rounds keep none.  A short
+    # row must repeat its last stable gradient, and the stacked bracketing
+    # must pick the p of a loop over the unpadded rows
     desc = request.getfixturevalue(spec)
-    hulls = []
+    count = plan.shell_samples
+    rounds, rows = [], []
+    sampled_gradients, shell_gradients = convexity._sampled_gradients, convexity._shell_gradients
 
-    def short_shells(*args):
-        grads = [g[: len(g) - 7 * (i % 3)] for i, g in enumerate(_shell_gradients(*args))]
-        hulls.extend(grads)
+    def rejecting(u, pts, radius, plan):
+        g, ok = sampled_gradients(u, pts, radius, plan)
+        k = np.arange(len(pts))
+        keep = ok & (k % count < count - 7 * (k // count % 3)) & (not rounds)
+        if not rounds:
+            rows.extend(gi[ki] for gi, ki in zip(g.reshape(-1, count, desc.m1), keep.reshape(-1, count)))
+        rounds.append(len(pts))
+        return g, keep
+
+    def checked_shells(*args):
+        rounds.clear()
+        rows.clear()
+        grads = shell_gradients(*args)
+        for g, row in zip(grads, rows):
+            assert np.array_equal(g, np.concatenate([row, np.repeat(row[-1:], count - len(row), axis=0)]))
         return grads
 
-    monkeypatch.setattr(convexity, "_shell_gradients", short_shells)
+    monkeypatch.setattr(convexity, "_sampled_gradients", rejecting)
+    monkeypatch.setattr(convexity, "_shell_gradients", checked_shells)
     rng = np.random.default_rng(11)
     xs = ball(desc, 0.6, 9, rng)
     hs = unit_directions(desc.m1, 9, seed=2) * rng.uniform(0.3, 1.0, 9)[:, None]
     hfull = desc.embed_horizontal(hs)
     for u in smooth_suite(desc) + polyhedral_suite(desc):
-        hulls.clear()
         ws = mean_value_witnesses(u, xs, hs, plan)
         sigma = u.value(desc.product(xs, hfull)) - u.value(xs)
-        assert len({len(g) for g in hulls}) == 3
-        for g, h, s, w in zip(hulls, hs, sigma, ws):
+        assert len(rounds) == 4 and {len(g) for g in rows} == {count, count - 7, count - 14}
+        for g, h, s, w in zip(rows, hs, sigma, ws):
             p = _bracket_row(ConvexPolytope(g, desc.m1), h, s, plan.tol.support_gap)
             assert np.max(np.abs(w.p - p)) <= 1e-15
             assert abs(w.residual - abs(s - p @ h)) <= 1e-15

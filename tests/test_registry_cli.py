@@ -444,6 +444,16 @@ class TestCli:
         assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", "one_norm", "--plan-file", str(plan)]) == 2
         assert "malformed plan file" in capsys.readouterr().err
 
+    def test_rank_deficient_directions_exit_2(self, tmp_path, capsys):
+        # one direction spans one line of the 2-dimensional horizontal layer,
+        # which left the concave -x2^2 untested and read PASS
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"polynomial": [{"exponents": [0, 2, 0], "coeff": -1.0}]}))
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"directions": 1}))
+        assert main(["hconvex-check", "--group", "heisenberg:1", "--fn-file", str(fn), "--plan-file", str(plan)]) == 2
+        assert "do not span" in capsys.readouterr().err
+
     def test_negative_tolerance_exit_2(self, capsys):
         # a negative fit tolerance would turn a smooth point into "consistent: neither"
         args = ["second-order-check", "--group", "heisenberg:1", "--fn", "quadratic", "--point", "0.1,0.1,0"]

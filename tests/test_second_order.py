@@ -17,13 +17,12 @@ from carnot import (
     monomials_up_to,
     psd_check,
     second_quotient,
-    subdiff_quotients,
     subdifferential_hulls,
     weighted_degree,
 )
 from carnot import second_order as so
 from carnot.registry import euclidean, polyhedral_suite, smooth_suite
-from carnot.sampling import quasi_sphere, unit_directions
+from carnot.sampling import quasi_sphere
 
 
 def _fit_expansion(u, x, plan):
@@ -74,13 +73,23 @@ class TestSecondQuotient:
             gradient_with_certificate(kink, h1.identity(), plan)
 
 
+def _quotient_hull(u, x, tau, w, grad, plan):
+    """(subdifferential hull at x delta_tau w - grad) / tau, from a hull of
+    its own on the shell of radius ``radii[-1] * tau``."""
+    desc = u.desc
+    (hull,) = subdifferential_hulls(u, desc.product(x, desc.dilate(tau, w))[None], plan.scaled(tau))
+    return ConvexPolytope((hull.vertices - grad) * (1.0 / tau), hull.dim)
+
+
 class TestSubdiffQuotient:
     def test_affine_is_zero(self, h1, plan):
         u = build_function(h1, "affine", certify=False)
         grad, _ = gradient_with_certificate(u, h1.identity(), plan)
-        (q,) = subdiff_quotients(u, h1.identity(), 0.1, np.array([[0.4, 0.2, 0.1]]), grad, plan)
+        q = _quotient_hull(u, h1.identity(), 0.1, np.array([0.4, 0.2, 0.1]), grad, plan)
         assert q.diameter() < 1e-9
         assert np.max(np.abs(q.centroid())) < 1e-9
+        _, excess, ok = mignot_check(u, h1.identity(), grad, np.zeros((2, 2)), plan)
+        assert ok and np.max(excess) < 1e-9
 
     def test_smooth_matches_gradient_quotient(self, quad_vert, h1, plan):
         x = h1.identity()
@@ -88,7 +97,7 @@ class TestSubdiffQuotient:
         g0 = quad_vert.gradient(x[None])[0]
         grad, _ = gradient_with_certificate(quad_vert, x, plan)
         for tau in (0.2, 0.05):
-            (q,) = subdiff_quotients(quad_vert, x, tau, w[None], grad, plan)
+            q = _quotient_hull(quad_vert, x, tau, w, grad, plan)
             y = h1.product(x, h1.dilate(tau, w))
             target = (quad_vert.gradient(y[None])[0] - g0) / tau
             assert q.diameter() < 1e-3
@@ -99,30 +108,30 @@ class TestSubdiffQuotient:
         cents = []
         grad, _ = gradient_with_certificate(quad_vert, h1.identity(), plan)
         for tau in (0.4, 0.1, 0.025):
-            cents.append(subdiff_quotients(quad_vert, h1.identity(), tau, w[None], grad, plan)[0].centroid())
+            cents.append(_quotient_hull(quad_vert, h1.identity(), tau, w, grad, plan).centroid())
         assert np.max(np.abs(cents[0] - cents[1])) < 1e-3
         assert np.max(np.abs(cents[1] - cents[2])) < 1e-3
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
     @pytest.mark.parametrize("group", ["h1", "eng"])
     def test_scale_batch_equals_per_direction_hulls(self, request, group, analytic):
-        # the Mignot directions of mignot_check, one batch per
-        # scale, against the one-row hull at each x delta_tau w
+        # mignot_check samples every scale and direction at once; its excess
+        # ladder must equal the one read off a hull of its own at each
+        # x delta_tau w, bit for bit
         desc = request.getfixturevalue(group)
         plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
         x = 0.1 * np.arange(1, desc.dim + 1) / desc.dim
         ws = np.concatenate([quasi_sphere(desc, 6, seed=31), np.eye(desc.dim)[desc.m1 : desc.m2]])
-        dirs = unit_directions(desc.m1, 64)
         grad = np.linspace(0.5, -0.5, desc.m1)
+        A = np.random.default_rng(4).uniform(-1.0, 1.0, (desc.m1, desc.m1))
+
+        def dist(u, tau, w):
+            q = _quotient_hull(u, x, tau, w, grad, plan)
+            return np.max(np.linalg.norm(q.vertices - A @ w[: desc.m1], axis=-1))
+
         for u in smooth_suite(desc) + polyhedral_suite(desc):
-            for tau in plan.taus()[::4]:
-                batch = subdiff_quotients(u, x, tau, ws, grad, plan)
-                for w, q in zip(ws, batch):
-                    (hull,) = subdifferential_hulls(u, desc.product(x, desc.dilate(tau, w))[None], plan.scaled(tau))
-                    single = ConvexPolytope((hull.vertices - grad) * (1.0 / tau), hull.dim)
-                    assert q.support(dirs).tolist() == single.support(dirs).tolist()
-                    assert q.diameter() == single.diameter()
-                    assert q.centroid().tolist() == single.centroid().tolist()
+            taus, excess, _ = mignot_check(u, x, grad, A, plan)
+            assert excess.tolist() == [max(dist(u, tau, w) for w in ws) for tau in taus]
 
 
 class TestFitExpansion:

@@ -174,18 +174,18 @@ def run_command(cfg):
                 raise DescriptorError(f"--count must be a positive integer, got {cfg.count}")
             C = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, (cfg.count, len(monomials_up_to(desc, 2))))
             worst = float(np.max(check_alij(desc, C)))
-            records.append(CheckRecord("poly-alij", {"group": desc.name, "count": cfg.count}, worst, 1e-10, worst < 1e-10))
+            records.append(CheckRecord.bounded("poly-alij", {"group": desc.name, "count": cfg.count}, worst, 1e-10))
         elif cfg.operation == "hconvex-check":
             desc = _group(cfg)
             u = _function(cfg, desc)
             rep = hconvexity_check(u, plan)
             records.append(
-                CheckRecord(
+                CheckRecord.bounded(
                     "hconvex-check",
                     {"group": desc.name, "fn": u.label},
                     rep.max_violation,
                     plan.tol.hconvexity,
-                    rep.max_violation <= plan.tol.hconvexity,
+                    inclusive=True,
                     detail=f"{rep.samples} samples",
                 )
             )
@@ -199,14 +199,9 @@ def run_command(cfg):
             _out(np.array2string(hull.vertices, precision=6))
             _out(f"diameter: {hull.diameter():.6g}")
             worst = subdiff_membership(u, x, hull.vertices, plan)
+            inputs = {"group": desc.name, "fn": u.label, "point": cfg.point}
             records.append(
-                CheckRecord(
-                    "subdiff/vertex-membership",
-                    {"group": desc.name, "fn": u.label, "point": cfg.point},
-                    worst,
-                    plan.tol.membership,
-                    worst <= plan.tol.membership,
-                )
+                CheckRecord.bounded("subdiff/vertex-membership", inputs, worst, plan.tol.membership, inclusive=True)
             )
         elif cfg.operation == "dermax":
             desc = _group(cfg)
@@ -217,16 +212,8 @@ def run_command(cfg):
                 metric, detail = float(np.maximum(rep.max_gap, rep.max_subadd_violation)), ""
             except NonConvexSliceError as exc:  # the function is not convex along a line: a failed check
                 metric, detail = np.inf, str(exc)
-            records.append(
-                CheckRecord(
-                    "dermax",
-                    {"group": desc.name, "fn": u.label, "point": cfg.point},
-                    metric,
-                    plan.tol.dermax,
-                    metric < plan.tol.dermax,
-                    detail=detail,
-                )
-            )
+            inputs = {"group": desc.name, "fn": u.label, "point": cfg.point}
+            records.append(CheckRecord.bounded("dermax", inputs, metric, plan.tol.dermax, detail=detail))
         elif cfg.operation == "mvt":
             desc = _group(cfg)
             u = _function(cfg, desc)
@@ -234,15 +221,8 @@ def run_command(cfg):
             (w,) = mean_value_witnesses(u, x[None], h[None], plan)
             _out(f"t = {w.t:.6g}")
             _out("p =", np.array2string(w.p, precision=10))
-            records.append(
-                CheckRecord(
-                    "mvt",
-                    {"group": desc.name, "fn": u.label, "point": cfg.point, "h": cfg.h},
-                    w.residual,
-                    plan.tol.mvt_polyhedral,
-                    w.residual < plan.tol.mvt_polyhedral,
-                )
-            )
+            inputs = {"group": desc.name, "fn": u.label, "point": cfg.point, "h": cfg.h}
+            records.append(CheckRecord.bounded("mvt", inputs, w.residual, plan.tol.mvt_polyhedral))
         elif cfg.operation == "second-fit":
             desc = _group(cfg)
             u = _function(cfg, desc)
@@ -251,7 +231,7 @@ def run_command(cfg):
             try:
                 grad, _ = gradient_with_certificate(u, x, plan)
             except NonSingletonSubdifferential as exc:  # no gradient at x: a failed check
-                records.append(CheckRecord("second-fit", inputs, np.nan, plan.tol.fit, False, str(exc)))
+                records.append(CheckRecord.bounded("second-fit", inputs, np.nan, plan.tol.fit, detail=str(exc)))
             else:
                 fit = fit_expansion(u, x, grad, plan)
                 _out("hessian:", np.array2string(fit.hessian, precision=8))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BracketingError, NonConvexSliceError, RankDeficientDesign, SamplingError
 from .hull import ConvexPolytope
+from .reports import curve_converged
 from .sampling import (
     SamplingPlan,
     ball,
@@ -442,9 +443,9 @@ def first_order_characterizations(u, xs, plan=None):
 
     The two sides of the characterization are computed independently: the
     hull diameter against the singleton tolerance, and the residual ladder
-    against a relative-drop criterion.  The hulls of all rows come from one
-    shared sample.  The batch raises the first error it meets for the whole
-    batch.
+    by ``curve_converged`` below 5% of its coarsest value (at least 1e-9).
+    The hulls of all rows come from one shared sample.  The batch raises the
+    first error it meets for the whole batch.
     """
     plan = plan or SamplingPlan()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -453,8 +454,7 @@ def first_order_characterizations(u, xs, plan=None):
     out = []
     for hull, ladder in zip(hulls, ladders):
         diam = hull.diameter()
-        first, last = float(ladder[0]), float(ladder[-1])
-        converges = last < max(1e-9, 0.05 * first)
+        converges = curve_converged(ladder, max(1e-9, 0.05 * ladder[0]))
         out.append(FirstOrderReport(diam, ladder, diam < plan.tol.singleton_diameter, converges))
     return out
 

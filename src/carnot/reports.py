@@ -1,4 +1,4 @@
-"""Structured check records and report emission.
+"""Structured check records, the verdict rules, and report emission.
 
 A report is a JSON document with one record per check (id, digest of the
 inputs, metric, tolerance, verdict) plus a CSV of scale/residual curves with
@@ -11,6 +11,21 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+
+import numpy as np
+
+CURVE_SLACK = 1.1  # a tail step may grow by 10% and still count as a decrease
+
+
+def curve_converged(residuals, tol):
+    """Whether a residual curve, coarsest scale first, converges: every value
+    is finite, the finest is below ``tol``, and the last three do not grow
+    (beyond ``CURVE_SLACK``) or all lie below ``tol``, as round-off does."""
+    res = np.asarray(residuals, dtype=float)
+    if not np.all(np.isfinite(res)) or not res[-1] < tol:
+        return False
+    tail = res[-3:]
+    return bool(np.all(tail[1:] <= CURVE_SLACK * tail[:-1] + 1e-15) or np.all(tail < tol))
 
 
 @dataclass
@@ -28,6 +43,13 @@ class CheckRecord:
             self.metric = float(self.metric)
         if self.tolerance is not None:
             self.tolerance = float(self.tolerance)
+
+    @classmethod
+    def bounded(cls, check_id, inputs, metric, tolerance, inclusive=False, detail=""):
+        """A record that passes when ``metric`` is finite and below
+        ``tolerance``, or equal to it when ``inclusive``."""
+        within = metric <= tolerance if inclusive else metric < tolerance
+        return cls(check_id, inputs, metric, tolerance, np.isfinite(metric) and within, detail)
 
     def digest(self):
         blob = json.dumps(self.inputs, sort_keys=True, default=str).encode()

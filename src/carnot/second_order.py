@@ -29,6 +29,7 @@ from .errors import (
 )
 from .jets import horizontal_words, identity_residual, sym_hessian
 from .polynomials import monomials_up_to
+from .reports import curve_converged
 from .sampling import SamplingPlan, quasi_sphere, sphere_shell
 
 __all__ = [
@@ -50,6 +51,8 @@ def gradient_with_certificate(u, x, plan=None):
 
     The hull certificate is always computed, even when an analytic gradient
     is available: a pointwise formula may silently be wrong at a kink.
+    Raises ``NonSingletonSubdifferential`` when the hull is not a singleton,
+    or when the finite-difference gradient at x itself is unstable.
     """
     plan = plan or SamplingPlan()
     x = np.asarray(x, dtype=float)
@@ -62,9 +65,9 @@ def gradient_with_certificate(u, x, plan=None):
     # certified singleton: a difference quotient at x itself is unbiased,
     # unlike the shell centroid, which is off by O(shell radius)
     g, stable = _fd_gradients_batch(u, x[None], plan.fd_step, plan.fd_stability_rtol)
-    if stable[0]:
-        return g[0], diam
-    return hull.centroid(), diam
+    if not stable[0]:
+        raise NonSingletonSubdifferential(diam, "finite-difference gradient at the point is unstable")
+    return g[0], diam
 
 
 def second_quotient(u, x, tau, w, grad):
@@ -106,15 +109,6 @@ class ExpansionFit:
     converged: bool
 
 
-def _curve_converged(res, tol, slack=1.1):
-    res = np.asarray(res)
-    if res[-1] >= tol:
-        return False
-    tail = res[-3:]
-    decreasing = bool(np.all(tail[1:] <= slack * tail[:-1] + 1e-15))
-    return decreasing or bool(np.all(tail < tol))
-
-
 def fit_expansion(u, x, grad, plan=None):
     """Least-squares fit of the second quotients against the degree <= 2 model.
 
@@ -123,8 +117,8 @@ def fit_expansion(u, x, grad, plan=None):
     <v2, pi_2 w> + (1/2) <H pi_1 w, pi_1 w> spans the basis monomials of
     degree exactly 2; their coefficients, fitted per scale, give (H, v2)
     through ``sym_hessian``, and the finest scale is the fit's answer.  The
-    residual curve tracks that fit's sup-norm misfit per scale and must
-    decrease below the fit tolerance for a "converged" verdict.
+    residual curve tracks that fit's sup-norm misfit per scale, and it
+    converges below the fit tolerance by ``curve_converged``.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
@@ -140,7 +134,7 @@ def fit_expansion(u, x, grad, plan=None):
     C[:, top] = np.linalg.lstsq(Phi, values.T, rcond=None)[0].T
     H, v2 = sym_hessian(desc, C)
     residuals = np.max(np.abs(values - Phi @ C[-1, top]), axis=1)
-    return ExpansionFit(C[-1], H[-1], v2[-1], taus, residuals, v2, _curve_converged(residuals, plan.tol.fit))
+    return ExpansionFit(C[-1], H[-1], v2[-1], taus, residuals, v2, curve_converged(residuals, plan.tol.fit))
 
 
 # -- extended differential and the Mignot inclusion ------------------------------------
@@ -159,9 +153,9 @@ def fit_extended_differential(u, x, grad, plan=None):
     """Fit the h-linear expansion of the horizontal gradient at x.
 
     Minimizes |grad u(xw) - grad - A pi_1 w| over samples in shrinking
-    shells, for the certified gradient ``grad`` at x; the per-shell sup
-    residual normalized by the shell radius must fall below the fit
-    tolerance.  One gradient call serves every shell.
+    shells, for the certified gradient ``grad`` at x; the curve of per-shell
+    sup residuals normalized by the shell radius converges below the fit
+    tolerance by ``curve_converged``.  One gradient call serves every shell.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
@@ -190,7 +184,7 @@ def fit_extended_differential(u, x, grad, plan=None):
 
     mis = np.linalg.norm(dg_all - ws_all[:, : desc.m1] @ At, axis=-1)
     residuals = np.array([np.max(mis[shell_of == k]) for k in range(len(plan.radii))]) / plan.radii
-    return ExtendedDiffFit(A, grad, tuple(plan.radii), residuals, _curve_converged(residuals, plan.tol.fit))
+    return ExtendedDiffFit(A, grad, tuple(plan.radii), residuals, curve_converged(residuals, plan.tol.fit))
 
 
 def mignot_check(u, x, grad, A, plan=None):
@@ -201,8 +195,8 @@ def mignot_check(u, x, grad, A, plan=None):
     direction come from one gradient sample, on shells of radius
     ``radii[-1] * tau`` so that the hull resolution follows the zoom of the
     quotient map.  Returns (taus, excess, ok): the largest distance of a
-    quotient hull row from A pi_1 w per scale, and whether the finest
-    excess is below the Mignot tolerance and no larger than the coarsest.
+    quotient hull row from A pi_1 w per scale, and whether that curve
+    converges below the Mignot tolerance by ``curve_converged``.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
@@ -214,7 +208,7 @@ def mignot_check(u, x, grad, A, plan=None):
     quotients = ((G - grad) * (1.0 / tau)[:, None, None]).reshape(len(taus), len(dirs), -1, desc.m1)
     dists = np.linalg.norm(quotients - (dirs[:, : desc.m1] @ A.T)[:, None, :], axis=-1)
     excess = np.max(dists, axis=(1, 2))  # NaN-safe, unlike a max() fold
-    return taus, excess, bool(excess[-1] < plan.tol.mignot and excess[-1] <= excess[0] + 1e-12)
+    return taus, excess, curve_converged(excess, plan.tol.mignot)
 
 
 # -- the full characterization -------------------------------------------------------
@@ -230,14 +224,8 @@ class SecondOrderReport:
     claims: dict
     metrics: dict
 
-    @property
-    def consistent(self):
-        return self.equivalence in ("both converge", "consistent: neither")
-
     def passed(self):
-        if self.equivalence == "consistent: neither":
-            return True
-        return self.consistent and all(v for v in self.claims.values())
+        return self.equivalence == "consistent: neither" or all(self.claims.values())
 
 
 def characterize_second_order(u, x, plan=None):

@@ -57,11 +57,12 @@ def group_law_records(seed=0, plan=None):
         hom = float(
             np.max(np.abs(desc.dilate(rs, desc.product(x, y)) - desc.product(desc.dilate(rs, x), desc.dilate(rs, y))))
         )
+        inputs = {"group": spec, "seed": seed}
         records += [
-            CheckRecord(f"group-law/{spec}/associativity", {"group": spec, "seed": seed}, assoc, 1e-12, assoc < 1e-12),
-            CheckRecord(f"group-law/{spec}/identity", {"group": spec, "seed": seed}, ident, 1e-14, ident <= 1e-14),
-            CheckRecord(f"group-law/{spec}/inverse", {"group": spec, "seed": seed}, inv, 1e-14, inv <= 1e-14),
-            CheckRecord(f"group-law/{spec}/dilation", {"group": spec, "seed": seed}, hom, 1e-12, hom < 1e-12),
+            CheckRecord.bounded(f"group-law/{spec}/associativity", inputs, assoc, 1e-12),
+            CheckRecord.bounded(f"group-law/{spec}/identity", inputs, ident, 1e-14, inclusive=True),
+            CheckRecord.bounded(f"group-law/{spec}/inverse", inputs, inv, 1e-14, inclusive=True),
+            CheckRecord.bounded(f"group-law/{spec}/dilation", inputs, hom, 1e-12),
         ]
     return records, []
 
@@ -80,7 +81,7 @@ def heisenberg_closed_form_records(seed=0, plan=None):
         axis=-1,
     )
     err = float(np.max(np.abs(desc.product(x, y) - hand)))
-    return [CheckRecord("closed-form/heisenberg1", {"seed": seed}, err, 1e-14, err <= 1e-14)], []
+    return [CheckRecord.bounded("closed-form/heisenberg1", {"seed": seed}, err, 1e-14, inclusive=True)], []
 
 
 def structure_constant_records(seed=0, plan=None):
@@ -88,13 +89,13 @@ def structure_constant_records(seed=0, plan=None):
     records = []
     alij = field_coefficients(build_group("heisenberg:1"))
     worst = float(np.max([abs(alij[0, 0, 1] - 0.5), abs(alij[0, 1, 0] + 0.5)]))  # NaN-safe, unlike max()
-    records.append(
-        CheckRecord("structure/heisenberg1/rotational", {"entries": "a^{31}_2, a^{32}_1"}, worst, 1e-14, worst <= 1e-14)
-    )
+    inputs = {"entries": "a^{31}_2, a^{32}_1"}
+    records.append(CheckRecord.bounded("structure/heisenberg1/rotational", inputs, worst, 1e-14, inclusive=True))
     groups = BUILTINS + ("euclidean:3",)
     alijs = [field_coefficients(build_group(spec)) for spec in groups]
     worst = float(np.max([np.max(np.abs(a + np.swapaxes(a, 1, 2)), initial=0.0) for a in alijs]))
-    records.append(CheckRecord("structure/antisymmetry", {"groups": list(groups)}, worst, 1e-14, worst <= 1e-14))
+    inputs = {"groups": list(groups)}
+    records.append(CheckRecord.bounded("structure/antisymmetry", inputs, worst, 1e-14, inclusive=True))
     return records, []
 
 
@@ -106,7 +107,7 @@ def field_identity_records(seed=0, plan=None):
         desc = build_group(spec)
         C = _rng(seed, f"alij/{spec}").uniform(-1.0, 1.0, (100, len(monomials_up_to(desc, 2))))
         worst = float(np.max(check_alij(desc, C)))
-        records.append(CheckRecord(f"field-identity/{spec}", {"group": spec, "seed": seed}, worst, 1e-10, worst < 1e-10))
+        records.append(CheckRecord.bounded(f"field-identity/{spec}", {"group": spec, "seed": seed}, worst, 1e-10))
     return records, []
 
 
@@ -119,13 +120,13 @@ def hull_records(seed=0, plan=None):
     square = ConvexPolytope.from_points([[1, 1], [1, -1], [-1, 1], [-1, -1]])
     (hull,) = subdifferential_hulls(build_function(desc, "one_norm", certify=False), desc.identity()[None], plan)
     dist = hausdorff_distance(hull, square)
-    records.append(CheckRecord("hull/one-norm-square", {"seed": seed}, dist, 0.05, dist < 0.05))
+    records.append(CheckRecord.bounded("hull/one-norm-square", {"seed": seed}, dist, 0.05))
 
     rng = _rng(seed, "hull-points")
     pts = ball(desc, plan.base_radius, 20, rng)
     worst = float(np.max([hull.diameter() for u in smooth_suite(desc) for hull in subdifferential_hulls(u, pts, plan)]))
-    tol = plan.tol.singleton_diameter
-    records.append(CheckRecord("hull/smooth-singleton", {"seed": seed, "points": 20}, worst, tol, worst < tol))
+    inputs = {"seed": seed, "points": 20}
+    records.append(CheckRecord.bounded("hull/smooth-singleton", inputs, worst, plan.tol.singleton_diameter))
     return records, []
 
 
@@ -196,7 +197,7 @@ def mean_value_records(seed=0, plan=None):
         ):
             worst, detail = _worst_residual(family, xs, hs, plan)
             inputs = {"group": spec, "seed": seed}
-            records.append(CheckRecord(f"mvt/{spec}/{kind}", inputs, worst, tol, worst < tol, detail=detail))
+            records.append(CheckRecord.bounded(f"mvt/{spec}/{kind}", inputs, worst, tol, detail=detail))
 
     desc = build_group("heisenberg:1")
     terms = [
@@ -215,8 +216,8 @@ def mean_value_records(seed=0, plan=None):
         worst, detail = float(np.maximum(0.0, np.max(viol))), ""  # NaN-safe, unlike max(0.0, nan)
     except BracketingError as err:
         worst, detail = np.inf, str(err)
-    tol, inputs = plan.tol.mvt_lambda, {"lambda": lam, "seed": seed}
-    records.append(CheckRecord("mvt/lambda-relaxed", inputs, worst, tol, worst < tol, detail=detail))
+    inputs = {"lambda": lam, "seed": seed}
+    records.append(CheckRecord.bounded("mvt/lambda-relaxed", inputs, worst, plan.tol.mvt_lambda, detail=detail))
     return records, []
 
 
@@ -232,8 +233,7 @@ def dermax_records(seed=0, plan=None):
         pts = ball(desc, plan.base_radius, 10, rng)
         reps = dermax_checks(u, pts, plan, directions=50)
         metric = float(np.max([[rep.max_gap, rep.max_subadd_violation] for rep in reps]))
-        tol = plan.tol.dermax
-        records.append(CheckRecord(f"dermax/{u.label}", {"fn": u.label, "seed": seed}, metric, tol, metric < tol))
+        records.append(CheckRecord.bounded(f"dermax/{u.label}", {"fn": u.label, "seed": seed}, metric, plan.tol.dermax))
     return records, []
 
 
@@ -252,9 +252,9 @@ def second_order_records(seed=0, plan=None):
     fit = plan.tol.fit
     min_eig = rep.metrics.get("min_eigenvalue", -np.inf)
     records += [
-        CheckRecord("second-order/h1/extended-diff", {"fn": u.label}, a_err, fit, a_err < fit),
-        CheckRecord("second-order/h1/hessian", {"fn": u.label}, h_err, fit, h_err < fit),
-        CheckRecord("second-order/h1/v2", {"fn": u.label}, v_err, fit, v_err < fit),
+        CheckRecord.bounded("second-order/h1/extended-diff", {"fn": u.label}, a_err, fit),
+        CheckRecord.bounded("second-order/h1/hessian", {"fn": u.label}, h_err, fit),
+        CheckRecord.bounded("second-order/h1/v2", {"fn": u.label}, v_err, fit),
         CheckRecord(
             "second-order/h1/claim3",
             {"fn": u.label},
@@ -305,13 +305,13 @@ def euclidean_degeneration_records(seed=0, plan=None):
     try:
         grad, _ = gradient_with_certificate(u, desc.identity(), plan)
         A, detail = fit_extended_differential(u, desc.identity(), grad, plan).A, ""
-    except NonSingletonSubdifferential as exc:  # a NaN hull diameter certifies no gradient
+    except NonSingletonSubdifferential as exc:  # no certified gradient at x: a failed check
         A, detail = np.full_like(S, np.nan), str(exc)
     err = float(np.max(np.abs(A - S)))
     skew = float(np.max(np.abs(A - A.T)))
     return [
-        CheckRecord("euclidean/extended-diff", {"S": S.tolist()}, err, 1e-4, err < 1e-4, detail=detail),
-        CheckRecord("euclidean/symmetry", {"S": S.tolist()}, skew, 1e-6, skew < 1e-6, detail=detail),
+        CheckRecord.bounded("euclidean/extended-diff", {"S": S.tolist()}, err, 1e-4, detail=detail),
+        CheckRecord.bounded("euclidean/symmetry", {"S": S.tolist()}, skew, 1e-6, detail=detail),
     ], []
 
 
@@ -322,14 +322,15 @@ def mignot_records(seed=0, plan=None):
     records, curves = [], []
     x = desc.identity()
     for u in smooth_suite(desc):
+        inputs = {"fn": u.label}
         try:
             grad, _ = gradient_with_certificate(u, x, plan)
-        except NonSingletonSubdifferential as exc:  # a NaN hull diameter certifies no gradient
-            records.append(CheckRecord(f"mignot/{u.label}", {"fn": u.label}, np.nan, plan.tol.mignot, False, str(exc)))
+        except NonSingletonSubdifferential as exc:  # no certified gradient at x: a failed check
+            records.append(CheckRecord.bounded(f"mignot/{u.label}", inputs, np.nan, plan.tol.mignot, detail=str(exc)))
             continue
         fit = fit_extended_differential(u, x, grad, plan)
         taus, excess, ok = mignot_check(u, x, grad, fit.A, plan)
-        records.append(CheckRecord(f"mignot/{u.label}", {"fn": u.label}, float(excess[-1]), plan.tol.mignot, ok))
+        records.append(CheckRecord(f"mignot/{u.label}", inputs, float(excess[-1]), plan.tol.mignot, ok))
         curves += curve_points(f"mignot/{u.label}", taus, excess)
     return records, curves
 
@@ -341,7 +342,7 @@ def registry_certificate_records(seed=0, plan=None):
     for name in ("affine", "quadratic", "quad_vertical", "max_affine", "one_norm"):
         u = build_function(desc, name, certify=True)
         records.append(
-            CheckRecord(f"registry/certificate/{name}", {"fn": name}, u.certificate, 1e-10, u.certificate <= 1e-10)
+            CheckRecord.bounded(f"registry/certificate/{name}", {"fn": name}, u.certificate, 1e-10, inclusive=True)
         )
     return records, []
 

@@ -9,8 +9,9 @@ import functools
 import time
 
 import numpy as np
+import pytest
 
-from carnot import ScalarField, build_function, convexity, fields, monomials_up_to, registry
+from carnot import SamplingPlan, ScalarField, build_function, convexity, fields, monomials_up_to, registry
 from carnot import second_order as second_order_mod
 from carnot import suite as suite_mod
 from carnot.groups import GroupDescriptor
@@ -389,6 +390,30 @@ def test_criterion_11_nan_certificate_fails(monkeypatch):
     records, _, _ = _run(mignot_records)
     assert len(records) == 3 and not any(r.passed for r in records)
     assert all(r.detail == "subdifferential diameter nan exceeds singleton tolerance" for r in records)
+
+
+def test_criterion_11_unstable_fd_certificate_fails(monkeypatch):
+    # finite-difference gradients whose two steps disagree at x certify no
+    # gradient there, so each record fails and says why
+    fd_gradients = second_order_mod._fd_gradients_batch
+
+    def unstable(*args):
+        g, stable = fd_gradients(*args)
+        return g, np.zeros_like(stable)
+
+    monkeypatch.setattr(second_order_mod, "_fd_gradients_batch", unstable)
+    records, _, _ = _run(mignot_records, SamplingPlan(seed=SEED, use_analytic_gradient=False))
+    assert len(records) == 3 and not any(r.passed for r in records)
+    assert all(np.isnan(r.metric) and "unstable" in r.detail for r in records)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fd_plan_suite_passes(seed):
+    # finite differences for every gradient: round-off divided by tau grows
+    # along the Mignot ladder of an affine field, far under its tolerance
+    records, _ = run_suite(seed, SamplingPlan(seed=seed, use_analytic_gradient=False))
+    assert len(records) == 58
+    assert [r.line() for r in records if not r.passed] == []
 
 
 def test_hull_builds_per_criterion(monkeypatch):

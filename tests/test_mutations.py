@@ -8,7 +8,7 @@ here.
 
 import pytest
 
-from carnot import ScalarField, convexity
+from carnot import ScalarField, convexity, reports
 from carnot import second_order as second_order_mod
 from carnot.suite import run_suite
 
@@ -40,9 +40,17 @@ def _scaled_analytic_gradients(monkeypatch):
     monkeypatch.setattr(ScalarField, "gradient", lambda self, pts: 1.001 * gradient(self, pts))
 
 
+def _coarsest_curve_rule(monkeypatch):
+    # every convergence verdict reads only the coarsest value of its curve
+    rule = reports.curve_converged
+    for module in (convexity, second_order_mod):
+        monkeypatch.setattr(module, "curve_converged", lambda residuals, tol: rule(residuals[:1], tol))
+
+
 DEFECTS = {
     "section_steps_3": (_short_section_search, MVT_RECORDS | {"mvt/lambda-relaxed"}),
     "mignot_shells_without_tau": (_unzoomed_mignot_shells, {"mignot/quadratic", "mignot/quad_vertical(alpha=1)"}),
+    "curve_rule_reads_coarsest": (_coarsest_curve_rule, {"first-order/smooth"}),
     "analytic_gradient_x1.001": (
         _scaled_analytic_gradients,
         MVT_RECORDS | {"second-order/h1/extended-diff", "second-order/h1/claim3", "euclidean/extended-diff"},

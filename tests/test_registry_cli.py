@@ -20,7 +20,7 @@ from carnot import (
 )
 from carnot.cli import RunConfig, main, run_command
 from carnot.registry import function_from_spec, polyhedral_suite, smooth_suite
-from carnot.reports import CheckRecord, CurvePoint, emit_report, render_csv
+from carnot.reports import CheckRecord, CurvePoint, curve_converged, emit_report, render_csv
 
 
 class TestGroupRegistry:
@@ -195,6 +195,46 @@ class TestReports:
         text = render_csv(curves)
         assert text.splitlines()[0] == "check_id,tau,residual"
         assert len(text.splitlines()) == 3
+
+    # residual curves from suite runs, coarsest scale first
+    CURVES = {
+        # Mignot excess of an affine field under FD gradients (seed 0):
+        # round-off divided by tau doubles per halving, far under tolerance
+        "fd_mignot_affine": (
+            [1.9917e-10, 3.8965e-10, 7.7078e-10, 1.5331e-09, 3.0579e-09, 6.1075e-09, 1.2207e-08, 2.4405e-08, 4.8802e-08],
+            1e-2,
+            True,
+        ),
+        # the first-order ladder of max_affine at its kink, at 5% of its first value
+        "flat_kink_ladder": ([0.9159433976075573] * 8, 0.05 * 0.9159433976075573, False),
+        # an exact fit's gradient residual, jittering at round-off (seed 0)
+        "round_off_jitter": (
+            [1.4803e-15, 1.4803e-15, 1.4918e-15, 1.1255e-15, 1.4832e-15, 9.298e-16, 1.1255e-15, 1.1703e-15],
+            1e-3,
+            True,
+        ),
+        "nan_entry": ([1e-2, np.nan, 1e-6, 1e-7], 1e-3, False),
+        "inf_entry": ([np.inf, 1e-5, 1e-6, 1e-7], 1e-3, False),
+        "finest_nan": ([1e-2, 1e-4, 1e-6, np.nan], 1e-3, False),
+        "tail_grows_over_tol": ([1e-2, 5e-4, 2e-3, 9e-4], 1e-3, False),
+        "tail_decreases_through_tol": ([1e-2, 5e-3, 2e-3, 9e-4], 1e-3, True),
+    }
+
+    @pytest.mark.parametrize("name", list(CURVES))
+    def test_curve_converged(self, name):
+        residuals, tol, expected = self.CURVES[name]
+        assert curve_converged(residuals, tol) is expected
+
+    @pytest.mark.parametrize("metric", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_bounded_record_fails_non_finite_metric(self, metric, inclusive):
+        rec = CheckRecord.bounded("a", {}, metric, 1e-3, inclusive=inclusive, detail="why")
+        assert not rec.passed and rec.detail == "why"
+
+    def test_bounded_record_at_its_tolerance(self):
+        assert not CheckRecord.bounded("a", {}, 1e-3, 1e-3).passed
+        assert CheckRecord.bounded("a", {}, 1e-3, 1e-3, inclusive=True).passed
+        assert CheckRecord.bounded("a", {}, np.float64(5e-4), 1e-3).passed
 
 
 class TestCli:

@@ -246,16 +246,14 @@ def run_command(cfg):
             records.append(
                 CheckRecord("second-order/equivalence", base, None, None, rep.claims["equivalence"], detail=rep.equivalence)
             )
-            for claim in ("c1_v2_stable", "c2_expansion", "c3_identity", "psd"):
+            claim_metrics = (("c1_v2_stable", "v2_drift"), ("c3_identity", "claim3_residual"), ("psd", "min_eigenvalue"))
+            for claim, metric in claim_metrics:
                 known = claim in rep.claims
                 records.append(
                     CheckRecord(
                         f"second-order/{claim}",
                         base,
-                        rep.metrics.get(
-                            {"c1_v2_stable": "v2_drift", "c2_expansion": "expansion_residual",
-                             "c3_identity": "claim3_residual", "psd": "min_eigenvalue"}[claim]
-                        ),
+                        rep.metrics.get(metric),
                         None,
                         bool(rep.claims.get(claim, rep.equivalence == "consistent: neither")),
                         detail="" if known else "not applicable (no second-order structure)",

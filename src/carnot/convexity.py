@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarField:
     """An evaluatable function on the whole of a stratified group.
 
@@ -54,7 +54,6 @@ class ScalarField:
     fn: object
     label: str = "u"
     grad_h: object = None
-    certificate: float | None = None
 
     def value(self, pts):
         return np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
@@ -160,7 +159,8 @@ def _sampled_gradients(u, pts, radius, plan):
     """Horizontal gradients at sampled points of shells of the given radius
     (one for all points or one per point), with the flags of the stable
     ones: analytic when the plan allows and u has them (all stable), else
-    central differences with a step no larger than a tenth of the radius."""
+    central differences with a step no larger than a tenth of the radius
+    (an infinite radius keeps ``plan.fd_step``)."""
     if plan.use_analytic_gradient and u.grad_h is not None:
         return u.gradient(pts), np.ones(len(pts), dtype=bool)
     return _fd_gradients_batch(u, pts, np.minimum(plan.fd_step, radius / 10.0), plan.fd_stability_rtol)

@@ -1,4 +1,6 @@
-"""Built-in groups and h-convex test functions, plus the file formats.
+"""Built-in groups and test functions, plus the file formats.  Building a
+field evaluates nothing: suite criterion 12 checks the built-in functions
+for h-convexity, and ``carnot hconvex-check`` any function.
 
 Group descriptors can be loaded from JSON files with fields ``name``,
 ``layers`` (list of layer dimensions) and ``brackets`` (records
@@ -17,12 +19,11 @@ import math
 
 import numpy as np
 
-from .convexity import ScalarField, hconvexity_check
+from .convexity import ScalarField
 from .errors import DescriptorError
 from .fields import field_matrices
 from .groups import GroupDescriptor, validate_descriptor
 from .polynomials import evaluate, monomials_up_to, weighted_degree
-from .sampling import SamplingPlan
 
 __all__ = [
     "euclidean",
@@ -256,21 +257,12 @@ FUNCTIONS = {
     "euclidean_quadratic": euclidean_quadratic,
 }
 
-_CERT_PLAN = SamplingPlan(
-    radii=(0.2, 0.05, 0.012),
-    shell_samples=16,
-    directions=16,
-    base_count=8,
-    lambda_grid=5,
-    segment_scales=(1.0, 0.3, 0.1),
-)
 
-
-def build_function(desc, name, certify=True, **params):
-    """Instantiate a registered function; attaches an h-convexity certificate
-    (the sampled violation at registration resolution) unless disabled.
-    ``DescriptorError`` unless each parameter is one the function takes,
-    with a finite number or an array of them for its value."""
+def build_function(desc, name, **params):
+    """Instantiate a registered function.  ``DescriptorError`` unless each
+    parameter is one the function takes, with finite numbers of its shape
+    for its value: ``c`` and ``alpha`` scalar, ``q`` (m1,), ``Q`` (k, m1)
+    with k >= 1 pieces (2 by default), ``b`` scalar or (k,), ``S`` (dim, dim)."""
     if name not in FUNCTIONS:
         raise KeyError(f"unknown function {name!r}; available: {sorted(FUNCTIONS)}")
     known = list(inspect.signature(FUNCTIONS[name]).parameters)[1:]
@@ -283,10 +275,14 @@ def build_function(desc, name, certify=True, **params):
             finite = False
         if not finite:
             raise DescriptorError(f"parameter {key!r} of {name!r} must be a finite number or an array of them, got {value!r}")
-    field = FUNCTIONS[name](desc, **params)
-    if certify:
-        field.certificate = hconvexity_check(field, _CERT_PLAN).max_violation
-    return field
+    Q, m1, n = params.get("Q"), desc.m1, desc.dim
+    k = len(Q) if np.ndim(Q) == 2 and len(Q) else 2
+    shapes = {"c": [()], "alpha": [()], "q": [(m1,)], "Q": [(k, m1)], "b": [(), (k,)], "S": [(n, n)]}
+    for key, value in params.items():
+        if np.shape(value) not in shapes[key]:
+            want = " or ".join(map(str, shapes[key]))
+            raise DescriptorError(f"parameter {key!r} of {name!r} must have shape {want}, got {value!r} on {desc.name}")
+    return FUNCTIONS[name](desc, **params)
 
 
 # A polynomial field carries its field matrices, dense (dim, n, n) arrays over
@@ -339,14 +335,6 @@ def parse_polynomial(desc, terms):
     return _parse(desc, terms)[0]
 
 
-def polynomial_field(desc, terms, label="polynomial", certify=True):
-    """Field backed by a polynomial literal, with exact gradient."""
-    field = _poly_field(desc, *_parse(desc, terms), label)
-    if certify:
-        field.certificate = hconvexity_check(field, _CERT_PLAN).max_violation
-    return field
-
-
 def _combine(desc, op, fields):
     if op == "sum":
         def fn(pts):
@@ -374,7 +362,7 @@ def _combine(desc, op, fields):
     return ScalarField(desc, fn, label=label, grad_h=grad)
 
 
-def function_from_spec(desc, spec, certify=True):
+def function_from_spec(desc, spec):
     """Build a field from a function-spec dict (see module docstring)."""
     if not isinstance(spec, dict):
         raise DescriptorError(f"a function spec must be a JSON object, got {spec!r}")
@@ -382,24 +370,20 @@ def function_from_spec(desc, spec, certify=True):
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise DescriptorError(f"the params of {spec['builtin']!r} must be a JSON object, got {params!r}")
-        return build_function(desc, spec["builtin"], certify=certify, **params)
-    if "polynomial" in spec:
-        return polynomial_field(desc, spec["polynomial"], certify=certify)
+        return build_function(desc, spec["builtin"], **params)
+    if "polynomial" in spec:  # a polynomial literal, with exact gradient
+        return _poly_field(desc, *_parse(desc, spec["polynomial"]), "polynomial")
     if "composition" in spec:
         comp = spec["composition"]
         if not (isinstance(comp, dict) and isinstance(comp.get("terms"), list)):
             raise DescriptorError(f"a composition must be a JSON object with a list of terms, got {comp!r}")
-        fields = [function_from_spec(desc, s, certify=False) for s in comp["terms"]]
-        field = _combine(desc, comp["op"], fields)
-        if certify:
-            field.certificate = hconvexity_check(field, _CERT_PLAN).max_violation
-        return field
+        return _combine(desc, comp["op"], [function_from_spec(desc, s) for s in comp["terms"]])
     raise ValueError("function spec needs one of: builtin, polynomial, composition")
 
 
-def load_function(desc, path, certify=True):
+def load_function(desc, path):
     with open(path) as fh:
-        return function_from_spec(desc, json.load(fh), certify=certify)
+        return function_from_spec(desc, json.load(fh))
 
 
 def smooth_suite(desc):
@@ -409,8 +393,8 @@ def smooth_suite(desc):
         names.append("quad_vertical")
     if desc.step == 1:
         names.append("euclidean_quadratic")
-    return [build_function(desc, n, certify=False) for n in names]
+    return [build_function(desc, n) for n in names]
 
 
 def polyhedral_suite(desc):
-    return [build_function(desc, n, certify=False) for n in ("one_norm", "max_affine")]
+    return [build_function(desc, n) for n in ("one_norm", "max_affine")]

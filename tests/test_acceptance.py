@@ -167,7 +167,7 @@ def test_criterion_05_nan_gradient_fails(monkeypatch):
     # a quadratic whose analytic gradient is NaN where x1 > 0.3 gives a NaN
     # hull diameter at some sample points: the smooth-singleton record fails
     def nan_gradient(desc):
-        u = build_function(desc, "quadratic", certify=False)
+        u = build_function(desc, "quadratic")
         grad = lambda p: np.where(p[..., :1] > 0.3, np.nan, u.gradient(p))
         return [ScalarField(desc, u.value, label=u.label, grad_h=grad)]
 
@@ -393,15 +393,15 @@ def test_criterion_11_nan_certificate_fails(monkeypatch):
 
 
 def test_criterion_11_unstable_fd_certificate_fails(monkeypatch):
-    # finite-difference gradients whose two steps disagree at x certify no
-    # gradient there, so each record fails and says why
-    fd_gradients = second_order_mod._fd_gradients_batch
+    # finite-difference gradients whose two steps disagree at x leave no
+    # certified gradient there, so each record fails and says why
+    sampled_gradients = second_order_mod._sampled_gradients
 
     def unstable(*args):
-        g, stable = fd_gradients(*args)
+        g, stable = sampled_gradients(*args)
         return g, np.zeros_like(stable)
 
-    monkeypatch.setattr(second_order_mod, "_fd_gradients_batch", unstable)
+    monkeypatch.setattr(second_order_mod, "_sampled_gradients", unstable)
     records, _, _ = _run(mignot_records, SamplingPlan(seed=SEED, use_analytic_gradient=False))
     assert len(records) == 3 and not any(r.passed for r in records)
     assert all(np.isnan(r.metric) and "unstable" in r.detail for r in records)

@@ -49,17 +49,17 @@ def _limit_violation(u, x, plan):
 
 @pytest.fixture(scope="module")
 def quad_vert(h1):
-    return build_function(h1, "quad_vertical", certify=False)
+    return build_function(h1, "quad_vertical")
 
 
 @pytest.fixture(scope="module")
 def one_norm_f(h1):
-    return build_function(h1, "one_norm", certify=False)
+    return build_function(h1, "one_norm")
 
 
 @pytest.fixture(scope="module")
 def affine_f(h1):
-    return build_function(h1, "affine", certify=False)
+    return build_function(h1, "affine")
 
 
 class TestHConvexity:
@@ -179,7 +179,7 @@ class TestSubdifferentialHull:
     def test_one_norm_cube_in_3d(self, fs3, plan):
         # the subdifferential of the horizontal 1-norm at 0 is the cube
         # [-1, 1]^3; the sampled gradients are exactly its 8 corners
-        u = build_function(fs3, "one_norm", certify=False)
+        u = build_function(fs3, "one_norm")
         hull = subdifferential_hulls(u, fs3.identity()[None], plan)[0]
         assert len(np.unique(hull.vertices, axis=0)) == 8
         assert np.allclose(np.sort(np.abs(hull.vertices), axis=None), 1.0)
@@ -188,7 +188,7 @@ class TestSubdifferentialHull:
 
     def test_support_cloud_in_4d(self, h2, plan):
         # the hull keeps the sampled gradient cloud; support queries are exact
-        u = build_function(h2, "one_norm", certify=False)
+        u = build_function(h2, "one_norm")
         hull = subdifferential_hulls(u, h2.identity()[None], plan)[0]
         for e in np.eye(4):
             assert hull.support(e) == pytest.approx(1.0)
@@ -196,7 +196,7 @@ class TestSubdifferentialHull:
 
     def test_smooth_singleton_other_groups(self, fs3, eng, plan):
         for desc in (fs3, eng):
-            u = build_function(desc, "quad_vertical", certify=False)
+            u = build_function(desc, "quad_vertical")
             x = 0.3 * np.arange(1, desc.dim + 1) / desc.dim
             assert subdifferential_hulls(u, x[None], plan)[0].diameter() < 1e-3
 
@@ -298,7 +298,7 @@ class TestMembership:
                 ],
             }
         }
-        u = function_from_spec(h1, spec, certify=False)
+        u = function_from_spec(h1, spec)
         P = parse_polynomial(h1, [{"exponents": [2, 0, 0], "coeff": -0.4}, {"exponents": [0, 0, 1], "coeff": 0.2}])
         lam = lambda_max(h1, P)
         x = np.array([0.3, -0.2, 0.1])
@@ -317,7 +317,7 @@ class TestDirectionalDerivative:
             assert abs(d - g @ h) / (1 + abs(g @ h)) < 1e-6
 
     def test_abs_both_sides(self, h1, plan):
-        u = build_function(h1, "max_affine", certify=False)  # |x1|
+        u = build_function(h1, "max_affine")  # |x1|
         d = _directional_derivatives(u, h1.identity()[None], np.array([[1.0, 0.0], [-1.0, 0.0]]), plan)[0]
         assert d[0] == pytest.approx(1.0)
         assert d[1] == pytest.approx(1.0)
@@ -389,7 +389,7 @@ class TestMeanValue:
         assert w.residual < 1e-10
 
     def test_abs_across_kink(self, h1, plan):
-        u = build_function(h1, "max_affine", certify=False)  # |x1|
+        u = build_function(h1, "max_affine")  # |x1|
         w = mean_value_witnesses(u, np.array([[-1.0, 0.0, 0.0]]), np.array([[2.0, 0.0]]), plan)[0]
         assert w.t == pytest.approx(0.5, abs=1e-6)
         assert abs(w.p[0]) < 1e-9
@@ -398,7 +398,7 @@ class TestMeanValue:
     def test_kink_location(self, h1, plan):
         # |x1| from x1 = -0.3 along e1: psi's extremum is the kink at t = 0.3,
         # which falls between grid points, so the section search must find it
-        u = build_function(h1, "max_affine", certify=False)
+        u = build_function(h1, "max_affine")
         w = mean_value_witnesses(u, np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)[0]
         assert abs(w.t - 0.3) <= 1e-12
         assert w.residual < 1e-12
@@ -436,7 +436,7 @@ class TestMeanValue:
         # |x1| made NaN within 1e-6 of its kink: from x1 = -0.3 along e1 the
         # search closes in on the kink at t = 0.3, where no point of a fixed
         # grid falls, and the NaN it meets there must fail the witness
-        u = build_function(h1, "max_affine", certify=False)
+        u = build_function(h1, "max_affine")
         fn = lambda p: np.where(np.abs(p[..., 0]) < 1e-6, np.nan, u.value(p))
         nan_kink = ScalarField(h1, fn, label="nan-kink", grad_h=u.grad_h)
         (w,) = mean_value_witnesses(nan_kink, np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)
@@ -473,7 +473,7 @@ def test_residual_ladder_batch_matches_rows(h1, plan):
     xs = ball(h1, 0.6, 6, rng)
     P = rng.uniform(-1.0, 1.0, (6, 2))
     fields = [
-        build_function(h1, "one_norm", certify=False),
+        build_function(h1, "one_norm"),
         ScalarField(h1, lambda p: np.sum(p[..., :2] ** 2, axis=-1)),
     ]
     for u in fields:
@@ -547,7 +547,7 @@ class TestClosedGraph:
             assert _limit_violation(quad_vert, x, plan) <= 1e-3
 
     def test_kink_limit_from_positive_side(self, h1, plan):
-        u = build_function(h1, "max_affine", certify=False)  # |x1|
+        u = build_function(h1, "max_affine")  # |x1|
         # gradients at x1 > 0 are e1; the limit e1 must be a subgradient at 0
         assert subdiff_membership(u, h1.identity(), np.array([1.0, 0.0]), plan) <= 1e-12
         assert _limit_violation(u, h1.identity(), plan) <= 1e-3
@@ -564,7 +564,7 @@ class TestFirstOrderCharacterization:
             assert rep.singleton and rep.expansion_converges and rep.directions_agree
 
     def test_kink_point(self, h1, plan):
-        u = build_function(h1, "max_affine", certify=False)
+        u = build_function(h1, "max_affine")
         rep = first_order_characterizations(u, h1.identity()[None], plan)[0]
         assert rep.hull_diameter >= 1.9
         assert not rep.expansion_converges

@@ -282,7 +282,7 @@ class TestFieldsAboveDegreeTwo:
         # from the degree-4 matrices
         exponents = [[1, 1, 1] + [0] * (desc.dim - 3), [1, 0, 0, 1] + [0] * (desc.dim - 4), [0, 2, 1] + [0] * (desc.dim - 3)]
         terms = [{"exponents": e, "coeff": v} for e, v in zip(exponents, (0.5, -1.0, 0.25))]
-        u = function_from_spec(desc, {"polynomial": terms}, certify=False)
+        u = function_from_spec(desc, {"polynomial": terms})
         c = parse_polynomial(desc, terms)
         assert len(c) == len(monomials_up_to(desc, 4))
         pts = np.random.default_rng(5).uniform(-0.7, 0.7, (30, desc.dim))

@@ -19,8 +19,10 @@ from carnot import (
     validate_descriptor,
 )
 from carnot.cli import RunConfig, main, run_command
+from carnot.convexity import ScalarField, hconvexity_check
 from carnot.registry import function_from_spec, polyhedral_suite, smooth_suite
 from carnot.reports import CheckRecord, CurvePoint, curve_converged, emit_report, render_csv
+from carnot.suite import _CERT_PLAN
 
 
 class TestGroupRegistry:
@@ -50,11 +52,6 @@ class TestGroupRegistry:
 
 
 class TestFunctionRegistry:
-    def test_certificates(self, h1):
-        for name in ("affine", "quadratic", "quad_vertical", "max_affine", "one_norm"):
-            u = build_function(h1, name)
-            assert u.certificate is not None and u.certificate <= 1e-10
-
     def test_suites_cover_group_kinds(self, h1, r3):
         assert {u.label for u in polyhedral_suite(h1)} == {"one_norm", "max_affine"}
         labels = {u.label for u in smooth_suite(r3)}
@@ -67,6 +64,29 @@ class TestFunctionRegistry:
     def test_unknown_function(self, h1):
         with pytest.raises(KeyError):
             build_function(h1, "nope")
+
+    def test_building_evaluates_nothing(self, h1, tmp_path, monkeypatch):
+        # h-convexity is checked where it is reported (criterion 12 and
+        # hconvex-check), so no point of the group passes through a field
+        # while it is built
+        points = []
+        value = ScalarField.value
+
+        def counted(self, pts):
+            points.append(np.size(pts) // self.desc.dim)
+            return value(self, pts)
+
+        monkeypatch.setattr(ScalarField, "value", counted)
+        terms = [{"exponents": [2, 0, 0], "coeff": 1.0}, {"exponents": [0, 0, 1], "coeff": 0.5}]
+        path = tmp_path / "fn.json"
+        path.write_text(json.dumps({"polynomial": terms}))
+        for name in ("affine", "quadratic", "quad_vertical", "max_affine", "one_norm"):
+            build_function(h1, name)
+        function_from_spec(h1, {"builtin": "quad_vertical", "params": {"alpha": 2.0}})
+        function_from_spec(h1, {"polynomial": terms})
+        function_from_spec(h1, {"composition": {"op": "max", "terms": [{"builtin": "affine"}, {"polynomial": terms}]}})
+        load_function(h1, path)
+        assert sum(points) == 0
 
 
 class TestDescriptorFiles:
@@ -135,13 +155,12 @@ class TestFunctionFiles:
         path.write_text(json.dumps({"builtin": "quad_vertical", "params": {"alpha": 2.0}}))
         u = load_function(h1, path)
         assert "alpha=2" in u.label
-        assert u.certificate <= 1e-10
+        assert hconvexity_check(u, _CERT_PLAN).max_violation <= 1e-10
 
     def test_polynomial_spec(self, h1):
         u = function_from_spec(
             h1,
             {"polynomial": [{"exponents": [2, 0, 0], "coeff": 1.0}, {"exponents": [0, 0, 1], "coeff": 0.5}]},
-            certify=False,
         )
         x = np.array([0.5, 1.0, 2.0])
         assert u.value(x[None])[0] == pytest.approx(0.25 + 1.0)
@@ -159,18 +178,18 @@ class TestFunctionFiles:
                 ],
             }
         }
-        u = function_from_spec(h1, spec, certify=True)
-        assert u.certificate <= 1e-10
+        u = function_from_spec(h1, spec)
+        assert hconvexity_check(u, _CERT_PLAN).max_violation <= 1e-10
         pts = np.array([[0.5, 0, 0], [-0.5, 0, 0]])
         assert np.allclose(u.value(pts), [0.5, 0.5])
         assert np.allclose(u.gradient(pts), [[1, 0], [-1, 0]])
 
     def test_composition_sum(self, h1):
         spec = {"composition": {"op": "sum", "terms": [{"builtin": "quadratic"}, {"builtin": "affine"}]}}
-        u = function_from_spec(h1, spec, certify=False)
+        u = function_from_spec(h1, spec)
         x = np.array([[0.3, -0.2, 0.1]])
-        a = build_function(h1, "quadratic", certify=False)
-        b = build_function(h1, "affine", certify=False)
+        a = build_function(h1, "quadratic")
+        b = build_function(h1, "affine")
         assert u.value(x)[0] == pytest.approx(a.value(x)[0] + b.value(x)[0])
 
 
@@ -282,14 +301,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "t = 0.5" in out
 
-    def test_second_order_check_has_five_verdicts(self, capsys):
+    def test_second_order_check_has_four_verdicts(self, capsys):
         code = main(
             ["second-order-check", "--group", "heisenberg:1", "--fn", "quad_vertical", "--point", "0,0,0"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        for key in ("equivalence", "c1_v2_stable", "c2_expansion", "c3_identity", "psd"):
-            assert key in out
+        for key in ("equivalence", "c1_v2_stable", "c3_identity", "psd"):
+            assert f"second-order/{key}" in out
+        # a converged expansion fit is one whose finest residual is under the
+        # fit tolerance, so a claim of that could never fail
+        assert "c2_expansion" not in out
 
     def test_poly_commands(self, capsys):
         terms = json.dumps([{"exponents": [2, 0, 0], "coeff": 1.0}])
@@ -573,8 +595,22 @@ class TestCli:
             ('quad_vertical:{"alpha":NaN}', None, "'alpha'"),
             (None, {"builtin": "quadratic", "params": [1]}, "[1]"),
             (None, {"composition": {"op": "sum", "terms": [{"builtin": "one_norm"}, 5]}}, "got 5"),
+            ('affine:{"c":[1,2]}', None, "'c' of 'affine' must have shape ()"),
+            ('affine:{"q":[1,2,3]}', None, "'q' of 'affine' must have shape (2,)"),
+            ('quad_vertical:{"alpha":[1,2]}', None, "'alpha' of 'quad_vertical' must have shape ()"),
+            ('max_affine:{"Q":[1,0],"b":0}', None, "'Q' of 'max_affine' must have shape (2, 2)"),
         ],
-        ids=["params-list", "unknown-param", "nan-param", "spec-params-list", "composition-term-number"],
+        ids=[
+            "params-list",
+            "unknown-param",
+            "nan-param",
+            "spec-params-list",
+            "composition-term-number",
+            "vector-c",
+            "long-q",
+            "vector-alpha",
+            "one-row-Q",
+        ],
     )
     def test_bad_function_parameters_exit_2(self, tmp_path, capsys, fn, spec, named):
         if spec is None:

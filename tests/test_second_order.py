@@ -37,12 +37,12 @@ def _fit_extended_differential(u, x, plan):
 
 @pytest.fixture(scope="module")
 def quad_vert(h1):
-    return build_function(h1, "quad_vertical", alpha=1.0, certify=False)
+    return build_function(h1, "quad_vertical", alpha=1.0)
 
 
 class TestSecondQuotient:
     def test_affine_vanishes(self, h1, plan):
-        u = build_function(h1, "affine", certify=False)
+        u = build_function(h1, "affine")
         w = np.array([[0.3, -0.2, 0.4], [0.0, 0.0, 1.0]])
         grad, _ = gradient_with_certificate(u, h1.identity(), plan)
         for tau in (0.5, 0.1, 0.02):
@@ -68,7 +68,7 @@ class TestSecondQuotient:
         assert hconvexity_check(qf, plan).max_violation <= 1e-10
 
     def test_nonsingleton_hull_rejected(self, h1, plan):
-        kink = build_function(h1, "max_affine", certify=False)
+        kink = build_function(h1, "max_affine")
         with pytest.raises(NonSingletonSubdifferential):
             gradient_with_certificate(kink, h1.identity(), plan)
 
@@ -83,7 +83,7 @@ def _quotient_hull(u, x, tau, w, grad, plan):
 
 class TestSubdiffQuotient:
     def test_affine_is_zero(self, h1, plan):
-        u = build_function(h1, "affine", certify=False)
+        u = build_function(h1, "affine")
         grad, _ = gradient_with_certificate(u, h1.identity(), plan)
         q = _quotient_hull(u, h1.identity(), 0.1, np.array([0.4, 0.2, 0.1]), grad, plan)
         assert q.diameter() < 1e-9
@@ -143,14 +143,14 @@ class TestFitExpansion:
         assert fit.converged
 
     def test_affine_all_zero(self, h1, plan):
-        u = build_function(h1, "affine", certify=False)
+        u = build_function(h1, "affine")
         fit = _fit_expansion(u, h1.identity(), plan)
         assert np.max(np.abs(fit.hessian)) < 1e-9
         assert np.max(np.abs(fit.v2)) < 1e-9
         assert fit.converged
 
     def test_smooth_side_of_kink(self, h1, plan):
-        u = build_function(h1, "max_affine", certify=False)  # |x1|
+        u = build_function(h1, "max_affine")  # |x1|
         fit = _fit_expansion(u, np.array([1.0, 0.0, 0.0]), plan)
         assert np.max(np.abs(fit.hessian)) < 1e-9
         assert np.max(np.abs(fit.v2)) < 1e-9
@@ -183,7 +183,7 @@ class TestExtendedDifferential:
         assert excess[-1] < 1e-2
 
     def test_affine_zero(self, h1, plan):
-        u = build_function(h1, "affine", certify=False)
+        u = build_function(h1, "affine")
         fit = _fit_extended_differential(u, h1.identity(), plan)
         assert np.max(np.abs(fit.A)) < 1e-9
 
@@ -191,7 +191,7 @@ class TestExtendedDifferential:
         # abelian degeneration: A equals the classical Hessian, hence symmetric
         e2 = euclidean(2)
         S = np.array([[1.3, 0.4], [0.4, 0.9]])
-        u = build_function(e2, "euclidean_quadratic", S=S, certify=False)
+        u = build_function(e2, "euclidean_quadratic", S=S)
         fit = _fit_extended_differential(u, e2.identity(), plan)
         assert np.max(np.abs(fit.A - S)) < 1e-4
         assert np.max(np.abs(fit.A - fit.A.T)) < 1e-6
@@ -239,13 +239,13 @@ class TestCharacterization:
         assert np.max(np.abs(skew + induced)) < 1e-3
 
     def test_affine_passes(self, h1, plan):
-        u = build_function(h1, "affine", certify=False)
+        u = build_function(h1, "affine")
         rep = characterize_second_order(u, h1.identity(), plan)
         assert rep.equivalence == "both converge"
         assert all(rep.claims.values())
 
     def test_kink_consistent_neither(self, h1, plan):
-        u = build_function(h1, "max_affine", certify=False)
+        u = build_function(h1, "max_affine")
         rep = characterize_second_order(u, h1.identity(), plan)
         assert rep.equivalence == "consistent: neither"
         assert rep.passed()
@@ -291,7 +291,7 @@ class TestCharacterization:
         assert not rep.passed()
 
     def test_engel_smooth_point(self, eng, plan):
-        u = build_function(eng, "quad_vertical", certify=False)
+        u = build_function(eng, "quad_vertical")
         rep = characterize_second_order(u, eng.identity(), plan)
         assert rep.equivalence == "both converge"
         assert all(rep.claims.values())
@@ -300,7 +300,7 @@ class TestCharacterization:
         # degenerate second layer: v2 is empty, H equals A equals the form
         e2 = euclidean(2)
         S = np.array([[1.3, 0.4], [0.4, 0.9]])
-        u = build_function(e2, "euclidean_quadratic", S=S, certify=False)
+        u = build_function(e2, "euclidean_quadratic", S=S)
         rep = characterize_second_order(u, np.array([0.2, -0.1]), plan)
         assert rep.equivalence == "both converge" and all(rep.claims.values())
         assert np.max(np.abs(rep.expansion.hessian - S)) < 1e-6

@@ -19,11 +19,13 @@ import numpy as np
 
 from .errors import BracketingError, NonConvexSliceError, RankDeficientDesign, SamplingError
 from .hull import ConvexPolytope
+from .polynomials import _per_descriptor
 from .reports import curve_converged
 from .sampling import (
     SamplingPlan,
     ball,
     quasi_sphere,
+    unit_ball,
     unit_directions,
 )
 
@@ -166,27 +168,41 @@ def _sampled_gradients(u, pts, radius, plan):
     return _fd_gradients_batch(u, pts, np.minimum(plan.fd_step, radius / 10.0), plan.fd_stability_rtol)
 
 
-def _shell_gradients(u, xs, radius, plan, rng, count):
-    """Horizontal gradients at ``count`` sampled differentiability points of
-    B(x, r) for every row x of ``xs``, as one (K, count, m1) array; ``radius``
-    is one r for all rows or one per row.
+@_per_descriptor
+def _hull_stream(desc, seed, count):
+    """The generator of ``plan.rng("subdiff-hull")`` for the plans with this
+    seed, and the list of its ``unit_ball`` draws of ``count`` points so far."""
+    return SamplingPlan(seed=seed).rng("subdiff-hull"), []
 
-    Every centre sees the same draws of ``rng``: each retry round draws one
-    ball sample and evaluates it only around the centres that still lack
-    ``count`` gradients, so a centre's gradients do not depend on the other
-    rows of the batch.  A row that ends short repeats its last stable
-    gradient, which changes no support value, diameter or centroid.
+
+def _shell_gradients(u, xs, radius, plan):
+    """Horizontal gradients at ``plan.shell_samples`` sampled
+    differentiability points of B(x, r) for every row x of ``xs``, as one
+    (K, count, m1) array; ``radius`` is one r for all rows or one per row.
+
+    Every centre sees the same draws: retry round k takes the k-th ball
+    sample of a fresh ``plan.rng("subdiff-hull")``, read from the stream
+    that ``_hull_stream`` caches per descriptor, seed and count, and
+    evaluates it only around the centres that still lack ``count``
+    gradients, so a centre's gradients do not depend on the other rows of
+    the batch.  A row that ends short repeats its last stable gradient,
+    which changes no support value, diameter or centroid.
     """
     desc = u.desc
     xs = np.asarray(xs, dtype=float)
     radius = np.broadcast_to(np.asarray(radius, dtype=float), len(xs))
+    count = plan.shell_samples
+    rng, draws = _hull_stream(desc, plan.seed, count)
     grads = np.zeros((len(xs), 4 * count, desc.m1))
     stable = np.zeros((len(xs), 4 * count), dtype=bool)
     for k in range(4):
         todo = np.flatnonzero(np.sum(stable, axis=1) < count)
         if len(todo) == 0:
             break
-        pts = desc.product(xs[todo, None, :], ball(desc, radius[todo, None], count, rng))  # (T, count, n)
+        if len(draws) == k:
+            draws.append(unit_ball(desc, count, rng))
+        unit, radial = draws[k]
+        pts = desc.product(xs[todo, None, :], desc.dilate(radius[todo, None] * radial, unit))  # (T, count, n)
         g, ok = _sampled_gradients(u, pts.reshape(-1, desc.dim), np.repeat(radius[todo], count), plan)
         cols = slice(k * count, (k + 1) * count)
         grads[todo, cols], stable[todo, cols] = g.reshape(len(todo), count, -1), ok.reshape(len(todo), count)
@@ -242,7 +258,7 @@ def subdifferential_hulls(u, xs, plan=None):
     """
     plan = plan or SamplingPlan()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    grads = _shell_gradients(u, xs, plan.radii[-1], plan, plan.rng("subdiff-hull"), plan.shell_samples)
+    grads = _shell_gradients(u, xs, plan.radii[-1], plan)
     return [ConvexPolytope(g, u.desc.m1) for g in grads]
 
 
@@ -309,6 +325,23 @@ _SECTION_PROBES = 16  # interior probes per step of the section search
 _SECTION_STEPS = 17  # final bracket (2/17)^17 ~ 1.6e-16 wide
 
 
+def _horizontal_lines(desc, xs, hfull):
+    """The coefficients [x, b1, b2] (K, 3, n) of the lines x (t h) = x + t b1
+    + t^2 b2 (no BCH term holds t h more than twice), from one product at
+    t = 1 and -1, and their end points x h (K, n)."""
+    ends = desc.product(xs[:, None, :], np.stack([hfull, -hfull], axis=1))  # (K, 2, n)
+    odd, even = 0.5 * (ends[:, 0] - ends[:, 1]), 0.5 * (ends[:, 0] + ends[:, 1])
+    return np.stack([xs, odd, even - xs], axis=1), ends[:, 0]
+
+
+def _on_lines(t, line):
+    """The points x + t b1 + t^2 b2 (K, P, n) of every line at its row of
+    parameters ``t`` (K, P)."""
+    powers = np.empty(t.shape + (3,))
+    powers[..., 0], powers[..., 1], powers[..., 2] = 1.0, t, t * t
+    return powers @ line
+
+
 def mean_value_witnesses(u, xs, hs, plan=None):
     """Mean-value witnesses for the segments x * [0, h] of the rows of
     ``xs`` (K, n) and ``hs`` (K, m1), computed together.
@@ -318,14 +351,14 @@ def mean_value_witnesses(u, xs, hs, plan=None):
     sigma = u(xh) - u(x).  The deviation psi(t) = u(x (t h)) - u(x) - t sigma
     vanishes at both ends, so it has an interior extremum; there the
     one-sided derivatives bracket sigma.  A section search locates it for
-    all rows in lockstep: each step evaluates ``_SECTION_PROBES`` equally
-    spaced interior probes of every bracket with one product call and keeps
-    the two cells around the best probe (two probes make it a ternary
-    search).  The first step's probes, k/17 of [0, 1], give each row its
-    sign (the probe of largest |psi|) and its starting bracket.  For
-    h-convex u, psi is convex with zero ends, so its extremum is its
-    minimum, and psi vanishing at all first probes makes it vanish
-    everywhere: such a flat row keeps t* = 1/2.  The hull at
+    all rows in lockstep on the segments' lines x + t b1 + t^2 b2: each step
+    evaluates ``_SECTION_PROBES`` equally spaced interior probes of every
+    bracket with one value call and keeps the two cells around the best
+    probe (two probes make it a ternary search).  The first step's probes,
+    k/17 of [0, 1], give each row its sign (the probe of largest |psi|) and
+    its starting bracket.  For h-convex u, psi is convex with zero ends, so
+    its extremum is its minimum, and psi vanishing at all first probes makes
+    it vanish everywhere: such a flat row keeps t* = 1/2.  The hull at
     x * delta_{t*} h is intersected with the hyperplane <., h> = sigma
     (nearest vertex if sigma falls just outside the sampled support range).
 
@@ -346,38 +379,40 @@ def mean_value_witnesses(u, xs, hs, plan=None):
     hs = np.atleast_2d(np.asarray(hs, dtype=float))
     hfull = desc.embed_horizontal(hs)  # (K, n)
 
+    line, xh = _horizontal_lines(desc, xs, hfull)
     ux = u.value(xs)
-    sigma = u.value(desc.product(xs, hfull)) - ux
+    sigma = u.value(xh) - ux
     bad = ~np.isfinite(sigma)
-    flat = np.zeros(len(xs), dtype=bool)
-    sign = np.ones(len(xs))
-    lo, hi = np.zeros(len(xs)), np.ones(len(xs))
+    t_star = np.full(len(xs), 0.5)
     frac = np.arange(1, _SECTION_PROBES + 1) / (_SECTION_PROBES + 1)
-    search = np.flatnonzero(~bad)
+    # the search runs on compact copies of its rows, gathered again only when a row leaves
+    rows = np.flatnonzero(~bad)
+    L, u0, s, lo, hi = line[rows], ux[rows], sigma[rows], np.zeros(len(rows)), np.ones(len(rows))
     for step in range(_SECTION_STEPS):
-        if len(search) == 0:
+        if len(rows) == 0:
             break
-        probes = lo[search, None] + (hi - lo)[search, None] * frac
-        psi = u.value(desc.product(xs[search, None, :], probes[:, :, None] * hfull[search, None, :]))
-        psi = psi - ux[search, None] - sigma[search, None] * probes
-        r = np.arange(len(search))
+        probes = lo[:, None] + (hi - lo)[:, None] * frac
+        psi = u.value(_on_lines(probes, L)) - u0[:, None] - s[:, None] * probes
+        r = np.arange(len(rows))
+        leave = ~np.isfinite(psi).all(axis=-1)
+        bad[rows[leave]] = True
         if step == 0:
-            peak = psi[r, np.argmax(np.abs(psi), axis=-1)]
-            sign[search] = np.where(peak > 0, 1.0, -1.0)
-            flat[search] = np.abs(peak) < 1e-13 * (1.0 + np.abs(ux[search]) + np.abs(sigma[search]))
-        bad[search] |= ~np.all(np.isfinite(psi), axis=-1)
-        j = np.argmax(psi * sign[search, None], axis=-1)
-        edges = np.concatenate([lo[search, None], probes, hi[search, None]], axis=1)
-        lo[search], hi[search] = edges[r, j], edges[r, j + 2]
-        search = search[~bad[search] & ~flat[search]]
-    t_star = np.where(bad | flat, 0.5, 0.5 * (lo + hi))
+            peak = psi[r, np.abs(psi).argmax(axis=-1)]
+            sign = np.where(peak > 0, 1.0, -1.0)
+            leave |= np.abs(peak) < 1e-13 * (1.0 + np.abs(u0) + np.abs(s))  # flat: t* stays 1/2
+        j = (psi * sign[:, None]).argmax(axis=-1)
+        edges = np.concatenate([lo[:, None], probes, hi[:, None]], axis=1)
+        lo, hi = edges[r, j], edges[r, j + 2]
+        if leave.any():
+            rows, L, u0, s, lo, hi, sign = (a[~leave] for a in (rows, L, u0, s, lo, hi, sign))
+    t_star[rows] = 0.5 * (lo + hi)
 
-    ys = desc.product(xs, t_star[:, None] * hfull)
+    ys = _on_lines(t_star[:, None], line)[:, 0]
     p = np.full((len(xs), desc.m1), np.nan)
     residual = np.full(len(xs), np.inf)
     good = np.flatnonzero(~bad)
     if len(good):
-        V = _shell_gradients(u, ys[good], plan.radii[-1], plan, plan.rng("subdiff-hull"), plan.shell_samples)
+        V = _shell_gradients(u, ys[good], plan.radii[-1], plan)
         finite = np.all(np.isfinite(V), axis=(1, 2))
         h, s = hs[good], sigma[good]
         support_vals = np.einsum("krm,km->kr", V, h)

@@ -111,10 +111,16 @@ def sphere_shell(desc, radius, count, rng):
     return desc.dilate(np.full(count, radius), pts)
 
 
+def unit_ball(desc, count, rng):
+    """A ``ball`` draw before its scaling: points of the unit shell and the
+    radial factor of each, uniform in the unit ball's volume."""
+    pts = sphere_shell(desc, 1.0, count, rng)
+    return pts, rng.uniform(size=count) ** (1.0 / desc.homogeneous_dim)
+
+
 def ball(desc, radius, count, rng):
     """Seeded random points of homogeneous norm <= ``radius``."""
-    pts = sphere_shell(desc, 1.0, count, rng)
-    radial = rng.uniform(size=count) ** (1.0 / desc.homogeneous_dim)
+    pts, radial = unit_ball(desc, count, rng)
     return desc.dilate(radius * radial, pts)
 
 

@@ -347,12 +347,14 @@ _CERT_PLAN = SamplingPlan(
 
 
 def registry_certificate_records(seed=0, plan=None):
-    """Criterion 12: every built-in function is h-convex on its sampled segments."""
+    """Criterion 12: every built-in function is h-convex on the segments
+    that ``_CERT_PLAN`` samples, within the plan's h-convexity tolerance."""
+    tol = (plan or SamplingPlan(seed=seed)).tol.hconvexity
     records = []
     desc = build_group("heisenberg:1")
     for name in ("affine", "quadratic", "quad_vertical", "max_affine", "one_norm"):
         worst = hconvexity_check(build_function(desc, name), _CERT_PLAN).max_violation
-        records.append(CheckRecord.bounded(f"registry/certificate/{name}", {"fn": name}, worst, 1e-10, inclusive=True))
+        records.append(CheckRecord.bounded(f"registry/certificate/{name}", {"fn": name}, worst, tol, inclusive=True))
     return records, []
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from carnot import SamplingPlan, ScalarField, build_function, convexity, fields, monomials_up_to, registry
+from carnot import SamplingPlan, ScalarField, Tolerances, build_function, convexity, fields, monomials_up_to, registry
 from carnot import second_order as second_order_mod
 from carnot import suite as suite_mod
 from carnot.groups import GroupDescriptor
@@ -210,7 +210,9 @@ def test_criterion_07_mean_value_witnesses():
 def test_criterion_07_product_calls(monkeypatch):
     # a host-independent work budget: the witnesses of a batch share their
     # products (38,840 calls when every witness searched alone, 1,343 with a
-    # 70-step ternary search, 391 with a psi grid before the section search)
+    # 70-step ternary search, 391 with a psi grid before the section search,
+    # 376 with a product call per search step; the search now runs on each
+    # segment's line x + t b1 + t^2 b2, one product call per witness batch)
     calls = []
     product = GroupDescriptor.product
 
@@ -220,7 +222,25 @@ def test_criterion_07_product_calls(monkeypatch):
 
     monkeypatch.setattr(GroupDescriptor, "product", counting)
     mean_value_records(SEED)
-    assert 0 < len(calls) < 400
+    assert 0 < len(calls) < 80
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+def test_criterion_07_one_hull_draw_per_group(monkeypatch, analytic):
+    # a host-independent work budget: the hulls of a descriptor read one
+    # cached stream, so each retry round draws its ball sample once (every
+    # hull drew its own copy of the same sample before).  Analytic gradients
+    # are all stable and need one round
+    draws = {}
+    unit_ball = convexity.unit_ball
+
+    def counting(desc, *args):
+        draws[desc] = draws.get(desc, 0) + 1
+        return unit_ball(desc, *args)
+
+    monkeypatch.setattr(convexity, "unit_ball", counting)
+    mean_value_records(SEED, SamplingPlan(seed=SEED, use_analytic_gradient=analytic))
+    assert len(draws) == 5 and max(draws.values()) <= (1 if analytic else 4), draws
 
 
 def test_criterion_07_nan_field_fails(monkeypatch):
@@ -468,6 +488,15 @@ def test_registry_certificates_invariant():
     records, _, dt = _run(registry_certificate_records)
     assert _report("invariant (registry certificates)", records)
     assert all(r.passed for r in records)
+
+
+def test_criterion_12_reads_plan_tolerance():
+    # the affine certificate's violation is round-off, above a 1e-30 tolerance
+    plan = SamplingPlan(seed=SEED, tol=Tolerances(hconvexity=1e-30))
+    records, _, _ = _run(registry_certificate_records, plan)
+    (affine,) = [r for r in records if r.check_id == "registry/certificate/affine"]
+    assert affine.tolerance == 1e-30 and not affine.passed
+    assert affine.line().startswith("FAIL") and "tol=1e-30" in affine.line()
 
 
 def test_criterion_12_nan_certificate_fails(monkeypatch):

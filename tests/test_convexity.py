@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from carnot import (
     first_order_characterizations,
     first_order_residual_ladder,
     hconvexity_check,
+    heisenberg,
     lambda_subdiff_membership,
     mean_value_witnesses,
     subdiff_membership,
@@ -30,12 +33,10 @@ def _fd_gradient(u, x, step=1e-6):
 
 
 def _shells(u, x, plan):
-    """The reachable-gradient sample of every shell radius of the plan around x."""
+    """The reachable-gradient sample of every shell radius of the plan around
+    x, each radius k from its own draw (the plan with seed k)."""
     x = np.asarray(x, dtype=float)[None]
-    return [
-        _shell_gradients(u, x, r, plan, plan.rng(f"shell-{k}"), plan.shell_samples)[0]
-        for k, r in enumerate(plan.radii)
-    ]
+    return [_shell_gradients(u, x, r, replace(plan, seed=k))[0] for k, r in enumerate(plan.radii)]
 
 
 def _limit_violation(u, x, plan):
@@ -146,14 +147,53 @@ class TestReachableGradients:
         plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
         r, count = plan.radii[-1], plan.shell_samples
         xs = np.array([[0.3, 0.1, 0.0], [0.0, 0.2, -0.1], [0.2, -0.3, 0.4], [0.0, -0.1, 0.3]])
-        first_round = h1.product(xs[1], ball(h1, r, count, plan.rng("shells")))
+        first_round = h1.product(xs[1], ball(h1, r, count, plan.rng("subdiff-hull")))
         _, stable = _sampled_gradients(u, first_round, r, plan)
         assert (np.sum(stable) < count) == (not analytic)
-        batched = _shell_gradients(u, xs, r, plan, plan.rng("shells"), count)
+        batched = _shell_gradients(u, xs, r, plan)
         for x, grads in zip(xs, batched):
-            (single,) = _shell_gradients(u, x[None], r, plan, plan.rng("shells"), count)
+            (single,) = _shell_gradients(u, x[None], r, plan)
             assert np.array_equal(grads, single)
             assert len(grads) == count
+
+
+class TestHullStream:
+    def test_rounds_read_a_fresh_generator(self, quad_vert, monkeypatch):
+        # retry round k evaluates the k-th ball draw of plan.rng("subdiff-hull"),
+        # also when the cached stream holds fewer rounds than the call needs
+        desc = quad_vert.desc
+        plan = SamplingPlan(seed=5, shell_samples=12)
+        xs = np.array([[0.1, -0.2, 0.3], [0.4, 0.0, -0.1]])
+        r = 0.01
+        _shell_gradients(quad_vert, xs, r, plan)  # one round into the stream
+        seen = []
+        sampled_gradients = convexity._sampled_gradients
+
+        def late_stable(u, pts, radius, plan):
+            g, ok = sampled_gradients(u, pts, radius, plan)
+            seen.append(pts.reshape(len(xs), -1, desc.dim))
+            return g, ok & (len(seen) == 4)
+
+        monkeypatch.setattr(convexity, "_sampled_gradients", late_stable)
+        _shell_gradients(quad_vert, xs, r, plan)
+        rng = plan.rng("subdiff-hull")
+        assert len(seen) == 4
+        for pts in seen:
+            assert np.array_equal(pts, desc.product(xs[:, None, :], ball(desc, r, plan.shell_samples, rng)))
+
+    def test_streams_are_per_seed_count_and_descriptor(self, quad_vert):
+        desc = quad_vert.desc
+        x = np.array([[0.1, -0.2, 0.3]])
+        plan = SamplingPlan(seed=0, shell_samples=12)
+        grads = _shell_gradients(quad_vert, x, 0.3, plan)
+        assert not np.array_equal(grads, _shell_gradients(quad_vert, x, 0.3, replace(plan, seed=1)))
+        wider = _shell_gradients(quad_vert, x, 0.3, replace(plan, shell_samples=13))
+        assert not np.array_equal(grads, wider[:, :12])
+        streams = {id(convexity._hull_stream(desc, seed, count)[1]) for seed, count in ((0, 12), (1, 12), (0, 13))}
+        assert len(streams) == 3
+        twin = build_function(heisenberg(1), "quad_vertical")
+        assert convexity._hull_stream(twin.desc, 0, 12) is not convexity._hull_stream(desc, 0, 12)
+        assert np.array_equal(_shell_gradients(twin, x, 0.3, plan), grads)
 
 
 class TestSubdifferentialHull:
@@ -372,6 +412,24 @@ class TestDermax:
     def test_affine_zero(self, affine_f, h1, plan):
         rep = dermax_checks(affine_f, h1.identity()[None], plan, directions=20)[0]
         assert rep.max_gap < 1e-10
+
+
+@pytest.mark.parametrize("spec", ["r3", "h1", "h2", "fs3", "eng", "filiform4"])
+def test_horizontal_lines_are_quadratic(request, spec):
+    # x (t h) = x + t b1 + t^2 b2 on every group of step <= 4; the t^2 term
+    # lives in layers >= 3, so on the filiform a line without it is far off
+    desc = request.getfixturevalue(spec)
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-1.0, 1.0, (20, desc.dim))
+    hfull = desc.embed_horizontal(rng.uniform(-1.0, 1.0, (20, desc.m1)))
+    line, xh = convexity._horizontal_lines(desc, xs, hfull)
+    t = rng.uniform(0.0, 1.0, (20, 7))
+    exact = desc.product(xs[:, None, :], t[..., None] * hfull[:, None, :])
+    assert np.max(np.abs(convexity._on_lines(t, line) - exact)) <= 1e-14
+    assert np.array_equal(xh, desc.product(xs, hfull))
+    if spec == "filiform4":
+        linear = xs[:, None, :] + t[..., None] * line[:, None, 1]
+        assert np.max(np.abs(linear - exact)) > 1e-3
 
 
 class TestMeanValue:

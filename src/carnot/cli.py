@@ -198,7 +198,7 @@ def run_command(cfg):
             _out(f"{len(hull)} distinct sampled gradients generating the hull:")
             _out(np.array2string(hull.vertices, precision=6))
             _out(f"diameter: {hull.diameter():.6g}")
-            worst = subdiff_membership(u, x, hull.vertices, plan)
+            worst = float(subdiff_membership(u, x[None], hull.vertices[None], plan)[0])
             inputs = {"group": desc.name, "fn": u.label, "point": cfg.point}
             records.append(
                 CheckRecord.bounded("subdiff/vertex-membership", inputs, worst, plan.tol.membership, inclusive=True)

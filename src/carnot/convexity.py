@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketingError, NonConvexSliceError, RankDeficientDesign, SamplingError
-from .hull import ConvexPolytope
+from .hull import ConvexPolytope, diameters
 from .polynomials import _per_descriptor
 from .reports import curve_converged
 from .sampling import (
@@ -218,34 +218,47 @@ def _shell_gradients(u, xs, radius, plan):
 # -- subdifferential hulls and membership ---------------------------------------
 
 
-def lambda_subdiff_membership(u, x, p, lam, plan=None):
-    """Max violation of u(xh) >= u(x) + <p, h> - lam |h|^2 over sampled h.
+# Offset points per block of membership rows, which bounds the batch's arrays.
+_MEMBERSHIP_POINTS = 4096
 
-    ``p`` is one subgradient or a (k, m1) matrix of them; the result is the
-    largest violation over its rows, from one evaluation batch of u.  The
-    violation is convex in p, so over the generating points of a hull it
-    equals the maximum over the hull.  The offsets h are the plan's
-    directions and coordinate axes at every segment scale and shell radius.
+
+def lambda_subdiff_membership(u, xs, P, lam, plan=None):
+    """Max violation of u(xh) >= u(x) + <p, h> - lam |h|^2 over sampled h, at
+    every row x of ``xs`` (K, n): a (K,) array, from one product and two value
+    calls per block of ``_MEMBERSHIP_POINTS`` offset points.
+
+    Each row of ``P`` (K, m1) is one subgradient, of ``P`` (K, k, m1) k of
+    them, whose largest violation counts; over the generating points of a hull it
+    is the maximum over the hull, since the violation is convex in p.  The
+    offsets h are the plan's directions and coordinate axes at every segment
+    scale and shell radius.  Each row has its own evaluations and its own
+    BLAS product (a stacked matmul, which rounds as a field's ``@`` does,
+    unlike ``einsum``), so its violation does not depend on the other rows.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     plan = plan or SamplingPlan()
     desc = u.desc
-    x = np.asarray(x, dtype=float)
-    P = np.atleast_2d(np.asarray(p, dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    P = np.asarray(P, dtype=float)
+    P = P[:, None, :] if P.ndim == 2 else P  # (K, k, m1)
     dirs = np.concatenate([unit_directions(desc.m1, plan.directions), np.eye(desc.m1), -np.eye(desc.m1)])
     scales = np.asarray(tuple(plan.segment_scales) + tuple(plan.radii))
     hs = (scales[:, None, None] * dirs[None, :, :]).reshape(-1, desc.m1)
-    uxh = u.value(desc.product(x, desc.embed_horizontal(hs)))  # (H,)
-    ux = float(u.value(x[None])[0])
-    slack = lam * np.sum(hs * hs, axis=-1)
-    viol = ux + P @ hs.T - slack[None, :] - uxh[None, :]
-    return float(np.max(viol))
+    hfull, slack = desc.embed_horizontal(hs)[None], lam * np.sum(hs * hs, axis=-1)
+    out = np.empty(len(xs))
+    step = max(1, _MEMBERSHIP_POINTS // len(hs))
+    for a in range(0, len(xs), step):
+        x = xs[a : a + step]
+        uxh = u.value(desc.product(x[:, None, :], hfull))  # (rows, H)
+        viol = u.value(x)[:, None, None] + P[a : a + step] @ hs.T - slack - uxh[:, None, :]
+        out[a : a + step] = np.max(viol, axis=(1, 2))
+    return out
 
 
-def subdiff_membership(u, x, p, plan=None):
-    """Max violation of the subgradient inequality; <= tol means consistent."""
-    return lambda_subdiff_membership(u, x, p, 0.0, plan)
+def subdiff_membership(u, xs, P, plan=None):
+    """Max violation of the subgradient inequality at every row; <= tol means consistent."""
+    return lambda_subdiff_membership(u, xs, P, 0.0, plan)
 
 
 def subdifferential_hulls(u, xs, plan=None):
@@ -487,8 +500,7 @@ def first_order_characterizations(u, xs, plan=None):
     hulls = subdifferential_hulls(u, xs, plan)
     ladders = first_order_residual_ladder(u, xs, [hull.centroid() for hull in hulls], plan)
     out = []
-    for hull, ladder in zip(hulls, ladders):
-        diam = hull.diameter()
+    for diam, ladder in zip(diameters([hull.vertices for hull in hulls]).tolist(), ladders):
         converges = curve_converged(ladder, max(1e-9, 0.05 * ladder[0]))
         out.append(FirstOrderReport(diam, ladder, diam < plan.tol.singleton_diameter, converges))
     return out

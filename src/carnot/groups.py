@@ -79,8 +79,8 @@ class GroupDescriptor:
         in (i, j); ``validate_descriptor`` reports violations rather than
         raising.
 
-    Instances are immutable after construction and hash by identity, so
-    derived tables may be cached on them safely.
+    Instances are immutable (every array read-only) and hash by identity, so
+    derived tables may be cached on them safely and one instance shared.
     """
 
     def __init__(self, name, layer_dims, brackets):
@@ -123,6 +123,8 @@ class GroupDescriptor:
         self._right = table[:, 1].astype(np.intp)
         self._scatter = np.zeros((len(table), self.dim))
         self._scatter[np.arange(len(table)), table[:, 2].astype(np.intp)] = table[:, 3]
+        for a in (self._left, self._right, self._scatter):
+            a.setflags(write=False)
 
     # -- basic structure ---------------------------------------------------
 

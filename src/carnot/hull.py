@@ -17,7 +17,7 @@ import numpy as np
 
 from .sampling import unit_directions
 
-__all__ = ["ConvexPolytope", "hausdorff_distance"]
+__all__ = ["ConvexPolytope", "diameters", "hausdorff_distance"]
 
 
 @dataclass
@@ -56,10 +56,24 @@ class ConvexPolytope:
         return np.unique(self.vertices, axis=0).mean(axis=0)
 
     def diameter(self):
-        if len(self.vertices) <= 1:
-            return 0.0
-        diff = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(np.max(np.linalg.norm(diff, axis=-1)))
+        return float(diameters(self.vertices[None])[0])
+
+
+def diameters(V):
+    """The diameters (K,) of the hulls of a (K, c, m) stack of generating
+    points; NaN for a hull of no points, which certifies nothing.  Squared
+    distances are summed one coordinate at a time, as ``np.linalg.norm`` sums
+    them, with no (K, c, c, m) array, and rooted once: sqrt is monotone and
+    correctly rounded, so this is the largest pairwise norm bit for bit."""
+    V = np.asarray(V, dtype=float)
+    K, c, m = V.shape
+    if c == 0:
+        return np.full(K, np.nan)
+    sq, d = np.zeros((2, K, c, c))
+    for j in range(m):
+        np.subtract(V[:, :, None, j], V[:, None, :, j], out=d)
+        sq += np.square(d, out=d)
+    return np.sqrt(np.max(sq, axis=(1, 2)))
 
 
 _HAUSDORFF_DIRECTIONS = 1024

@@ -13,6 +13,7 @@ mirror entries are filled antisymmetrically.  Function specs are either
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
@@ -86,10 +87,16 @@ GROUPS = {
 
 
 def build_group(spec):
-    """Build a built-in group from a spec string like ``heisenberg:1``."""
+    """The built-in group of a spec string like ``heisenberg:1``, built and
+    validated once per process: descriptors are immutable, so one is shared."""
     if isinstance(spec, GroupDescriptor):
         return spec
-    name, _, arg = str(spec).partition(":")
+    return _build_builtin(str(spec))
+
+
+@functools.cache
+def _build_builtin(spec):
+    name, _, arg = spec.partition(":")
     if name not in GROUPS:
         raise DescriptorError(f"unknown group {name!r}; available: {sorted(GROUPS)}")
     builder = GROUPS[name]

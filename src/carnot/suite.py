@@ -22,7 +22,7 @@ from .convexity import (
 )
 from .errors import BracketingError, NonSingletonSubdifferential
 from .fields import field_coefficients
-from .hull import ConvexPolytope, hausdorff_distance
+from .hull import ConvexPolytope, diameters, hausdorff_distance
 from .jets import check_alij, lambda_max
 from .polynomials import monomials_up_to
 from .registry import (
@@ -125,7 +125,8 @@ def hull_records(seed=0, plan=None):
 
     rng = _rng(seed, "hull-points")
     pts = ball(desc, plan.base_radius, 20, rng)
-    worst = float(np.max([hull.diameter() for u in smooth_suite(desc) for hull in subdifferential_hulls(u, pts, plan)]))
+    hulls = [subdifferential_hulls(u, pts, plan) for u in smooth_suite(desc)]
+    worst = float(np.max([diameters([h.vertices for h in field]) for field in hulls]))
     inputs = {"seed": seed, "points": 20}
     records.append(CheckRecord.bounded("hull/smooth-singleton", inputs, worst, plan.tol.singleton_diameter))
     return records, []
@@ -213,7 +214,8 @@ def mean_value_records(seed=0, plan=None):
     xs = ball(desc, 0.5, 20, rng)
     hs = unit_directions(desc.m1, 20, seed=seed + 2) * rng.uniform(0.3, 0.8, 20)[:, None]
     try:
-        viol = [lambda_subdiff_membership(u, w.point, w.p, lam, plan) for w in mean_value_witnesses(u, xs, hs, plan)]
+        wits = mean_value_witnesses(u, xs, hs, plan)
+        viol = lambda_subdiff_membership(u, np.array([w.point for w in wits]), np.array([w.p for w in wits]), lam, plan)
         worst, detail = float(np.maximum(0.0, np.max(viol))), ""  # NaN-safe, unlike max(0.0, nan)
     except BracketingError as err:
         worst, detail = np.inf, str(err)

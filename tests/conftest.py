@@ -1,6 +1,14 @@
 import pytest
 
-from carnot import GroupDescriptor, SamplingPlan, engel, euclidean, free_step2, heisenberg
+from carnot import GroupDescriptor, SamplingPlan, engel, euclidean, free_step2, heisenberg, registry
+
+
+@pytest.fixture(autouse=True)
+def fresh_builtin_groups():
+    # build_group shares one descriptor per spec, and the tables cached on it,
+    # across a process: a test that patches a builder behind those caches
+    # must see its patch, so each test starts from freshly built descriptors
+    registry._build_builtin.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -45,7 +45,7 @@ def _limit_violation(u, x, plan):
     at x itself."""
     desc = u.desc
     xk = desc.product(x, desc.dilate(plan.radii[-1], quasi_sphere(desc, 1, seed=3)[0]))
-    return subdiff_membership(u, x, subdifferential_hulls(u, xk[None], plan)[0].vertices, plan)
+    return subdiff_membership(u, x[None], subdifferential_hulls(u, xk[None], plan)[0].vertices[None], plan)[0]
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +203,7 @@ class TestSubdifferentialHull:
         hull = subdifferential_hulls(one_norm_f, h1.identity()[None], plan)[0]
         square = ConvexPolytope.from_points([[1, 1], [1, -1], [-1, 1], [-1, -1]])
         assert hausdorff_distance(hull, square) < 0.05
-        assert subdiff_membership(one_norm_f, h1.identity(), hull.vertices, plan) <= plan.tol.membership
+        assert subdiff_membership(one_norm_f, h1.identity()[None], hull.vertices[None], plan)[0] <= plan.tol.membership
 
     def test_smooth_singleton(self, quad_vert, plan):
         rng = np.random.default_rng(1)
@@ -286,42 +286,64 @@ class TestMembership:
     def test_gradient_is_subgradient(self, quad_vert, plan):
         x = np.array([0.2, 0.3, -0.1])
         p = quad_vert.gradient(x[None])[0]
-        assert subdiff_membership(quad_vert, x, p, plan) <= 1e-8
+        assert subdiff_membership(quad_vert, x[None], p[None], plan)[0] <= 1e-8
 
     def test_outside_point_violates(self, quad_vert, h1, plan):
         x = np.array([0.2, 0.3, -0.1])
         p = quad_vert.gradient(x[None])[0] + np.array([0.3, 0.0])
-        assert subdiff_membership(quad_vert, x, p, plan) > 1e-3
+        assert subdiff_membership(quad_vert, x[None], p[None], plan)[0] > 1e-3
 
     def test_rows_give_the_largest_violation(self, quad_vert, plan):
         x = np.array([0.2, 0.3, -0.1])
         g = quad_vert.gradient(x[None])[0]
         inside, outside = g, g + np.array([0.3, 0.0])
-        both = lambda_subdiff_membership(quad_vert, x, np.stack([inside, outside]), 0.0, plan)
-        assert both == lambda_subdiff_membership(quad_vert, x, outside, 0.0, plan)
-        assert both > lambda_subdiff_membership(quad_vert, x, inside, 0.0, plan)
+        both = lambda_subdiff_membership(quad_vert, x[None], np.stack([inside, outside])[None], 0.0, plan)[0]
+        assert both == lambda_subdiff_membership(quad_vert, x[None], outside[None], 0.0, plan)[0]
+        assert both > lambda_subdiff_membership(quad_vert, x[None], inside[None], 0.0, plan)[0]
 
     def test_affine_exact_zero(self, affine_f, h1, plan):
         q = affine_f.gradient(h1.identity()[None])[0]
-        assert subdiff_membership(affine_f, h1.identity(), q, plan) == 0.0
+        assert subdiff_membership(affine_f, h1.identity()[None], q[None], plan)[0] == 0.0
 
     def test_lambda_zero_bitwise_equal(self, one_norm_f, h1, plan):
         rng = np.random.default_rng(2)
         for _ in range(5):
             x = rng.uniform(-0.5, 0.5, 3)
             p = rng.uniform(-1, 1, 2)
-            a = subdiff_membership(one_norm_f, x, p, plan)
-            b = lambda_subdiff_membership(one_norm_f, x, p, 0.0, plan)
+            a = subdiff_membership(one_norm_f, x[None], p[None], plan)[0]
+            b = lambda_subdiff_membership(one_norm_f, x[None], p[None], 0.0, plan)[0]
             assert a == b
 
     def test_lambda_monotone(self, one_norm_f, h1, plan):
         p = np.array([1.3, 0.0])  # slightly outside the square
-        v = [lambda_subdiff_membership(one_norm_f, h1.identity(), p, lam, plan) for lam in (0.0, 0.1, 0.5, 2.0)]
+        v = [lambda_subdiff_membership(one_norm_f, h1.identity()[None], p[None], lam, plan)[0] for lam in (0.0, 0.1, 0.5, 2.0)]
         assert all(b <= a + 1e-15 for a, b in zip(v, v[1:]))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("k", [None, 3], ids=["one-p", "k-p"])
+    def test_batch_matches_rows(self, quad_vert, one_norm_f, h1, plan, lam, k):
+        # each row of a batch reads what its own one-row call reads, bit for
+        # bit, with one subgradient (K, m1) or several (K, k, m1) per row
+        rng = np.random.default_rng(6)
+        xs = ball(h1, 0.5, 7, rng)
+        P = rng.uniform(-1.0, 1.0, (7, 2) if k is None else (7, k, 2))
+        for u in (quad_vert, one_norm_f):
+            batch = lambda_subdiff_membership(u, xs, P, lam, plan)
+            assert batch.shape == (7,)
+            for i in range(7):
+                assert batch[i] == lambda_subdiff_membership(u, xs[i : i + 1], P[i : i + 1], lam, plan)[0]
+
+    def test_nan_row_stays_in_its_row(self, quad_vert, h1, plan):
+        # NaN only beyond x1 = 2, which only row 3's own offsets reach
+        u = ScalarField(h1, lambda p: np.where(p[..., 0] > 2.0, np.nan, quad_vert.value(p)), label="nan-far")
+        xs = ball(h1, 0.5, 6, np.random.default_rng(7))
+        xs[3] = [2.5, 0.0, 0.0]
+        v = lambda_subdiff_membership(u, xs, np.zeros((6, 2)), 0.1, plan)
+        assert np.isnan(v[3]) and np.isfinite(np.delete(v, 3)).all()
 
     def test_negative_lambda_rejected(self, one_norm_f, h1, plan):
         with pytest.raises(ValueError):
-            lambda_subdiff_membership(one_norm_f, h1.identity(), np.zeros(2), -0.1, plan)
+            lambda_subdiff_membership(one_norm_f, h1.identity()[None], np.zeros((1, 2)), -0.1, plan)
 
     def test_quadratic_shift_absorbed(self, h1, plan):
         # u = U + P with U h-convex: the hull shift by grad P lands inside
@@ -344,8 +366,8 @@ class TestMembership:
         x = np.array([0.3, -0.2, 0.1])
         gradP = np.array([2 * (-0.4) * x[0] + 0.2 * (-x[1] / 2), 0.2 * (x[0] / 2)])
         p = np.sign(x[:2]) + gradP  # subgradient of U plus grad P
-        assert lambda_subdiff_membership(u, x, p, lam, plan) <= 1e-9
-        assert subdiff_membership(u, x, p, plan) > 1e-3  # the slack is needed
+        assert lambda_subdiff_membership(u, x[None], p[None], lam, plan)[0] <= 1e-9
+        assert subdiff_membership(u, x[None], p[None], plan)[0] > 1e-3  # the slack is needed
 
 
 class TestDirectionalDerivative:
@@ -607,7 +629,7 @@ class TestClosedGraph:
     def test_kink_limit_from_positive_side(self, h1, plan):
         u = build_function(h1, "max_affine")  # |x1|
         # gradients at x1 > 0 are e1; the limit e1 must be a subgradient at 0
-        assert subdiff_membership(u, h1.identity(), np.array([1.0, 0.0]), plan) <= 1e-12
+        assert subdiff_membership(u, h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0] <= 1e-12
         assert _limit_violation(u, h1.identity(), plan) <= 1e-3
 
     def test_affine(self, affine_f, plan, h1):
@@ -636,9 +658,9 @@ class TestFirstOrderCharacterization:
         for v in hull.vertices:
             ladder = first_order_residual_ladder(one_norm_f, h1.identity()[None], v[None], plan)[0]
             # relaxed: sup (u(x) + <p,h> - u(xh)) / |h| bounded by the ladder
-            assert subdiff_membership(one_norm_f, h1.identity(), v, plan) <= 1e-10
+            assert subdiff_membership(one_norm_f, h1.identity()[None], v[None], plan)[0] <= 1e-10
         outside = np.array([1.5, 0.0])
-        assert subdiff_membership(one_norm_f, h1.identity(), outside, plan) > 1e-3
+        assert subdiff_membership(one_norm_f, h1.identity()[None], outside[None], plan)[0] > 1e-3
 
 
 class TestScaleDiagnostics:

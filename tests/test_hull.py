@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from carnot import ConvexPolytope, hausdorff_distance
+from carnot.hull import diameters
 from carnot.sampling import unit_directions
 
 
@@ -61,3 +62,29 @@ class TestPolytope:
                 assert raw.centroid().tolist() == distinct.centroid().tolist()
                 assert raw.diameter() == distinct.diameter()
                 assert raw.support(dirs).tolist() == distinct.support(dirs).tolist()
+
+
+class TestDiameters:
+    @pytest.mark.parametrize("m1", [2, 3, 4])
+    def test_equal_pairwise_norms_bit_for_bit(self, m1):
+        # summed one coordinate at a time in norm's order, rooted once per hull
+        rng = np.random.default_rng(m1)
+        V = rng.standard_normal((6, 48, m1)) * 10.0 ** rng.uniform(-9, 2, (6, 1, 1))
+        want = [np.max(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)) for v in V]
+        assert diameters(V).tolist() == want
+        assert [ConvexPolytope(v, m1).diameter() for v in V] == want
+
+    def test_one_row_is_a_point(self):
+        assert diameters(np.array([[[2.0, 3.0]], [[-1.0, 0.5]]])).tolist() == [0.0, 0.0]
+
+    def test_empty_hull_certifies_nothing(self):
+        # no generating point is no singleton: NaN fails every `diam <= tol`
+        assert np.isnan(diameters(np.empty((3, 0, 2)))).all()
+        diam = ConvexPolytope(np.empty((0, 2)), 2).diameter()
+        assert np.isnan(diam) and not diam <= 1e-3
+
+    def test_nan_row_reads_nan_in_its_hull_only(self):
+        V = np.random.default_rng(5).standard_normal((3, 8, 2))
+        V[1, 4, 0] = np.nan
+        d = diameters(V)
+        assert np.isnan(d[1]) and np.isfinite(d[[0, 2]]).all()

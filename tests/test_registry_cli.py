@@ -50,6 +50,18 @@ class TestGroupRegistry:
         with pytest.raises(DescriptorError):
             build_group("nilpotent:9")
 
+    @pytest.mark.parametrize("spec", ["euclidean:2", "euclidean:3", "heisenberg:1", "heisenberg:2", "free_step2:3", "engel"])
+    def test_shared_descriptor_is_read_only(self, spec):
+        # one descriptor per spec serves the whole process, so no caller may
+        # change it for the next
+        desc = build_group(spec)
+        assert build_group(spec) is desc and build_group(desc) is desc
+        arrays = {name: a for name, a in vars(desc).items() if isinstance(a, np.ndarray)}
+        assert {"structure", "dilation_exponents", "_left", "_right", "_scatter"} <= set(arrays)
+        for name, a in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                a.reshape(-1)[:1] = 0
+
 
 class TestFunctionRegistry:
     def test_suites_cover_group_kinds(self, h1, r3):

@@ -265,6 +265,13 @@ class TestCharacterization:
         assert rep.equivalence == "both converge"
         assert len(calls) == 1
 
+    def test_empty_hull_fails_certification(self, quad_vert, h1, plan, monkeypatch):
+        # an empty gradient sample has a NaN diameter, which certifies nothing
+        empty = lambda u, xs, plan: [ConvexPolytope(np.empty((0, u.desc.m1)), u.desc.m1) for _ in xs]
+        monkeypatch.setattr(so, "subdifferential_hulls", empty)
+        with pytest.raises(NonSingletonSubdifferential):
+            gradient_with_certificate(quad_vert, h1.identity(), plan)
+
     def test_hulls_built_once(self, quad_vert, h1, plan, monkeypatch):
         # the certificate is the only hull a characterization builds; the
         # Mignot inclusion is mignot_check's, which no verdict here reads

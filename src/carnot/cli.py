@@ -218,7 +218,7 @@ def run_command(cfg):
             desc = _group(cfg)
             u = _function(cfg, desc)
             x, h = _vec(cfg.point, desc.dim, "--point"), _vec(cfg.h, desc.m1, "--h")
-            (w,) = mean_value_witnesses(u, x[None], h[None], plan)
+            (w,) = mean_value_witnesses([u], x[None], h[None], plan)
             _out(f"t = {w.t:.6g}")
             _out("p =", np.array2string(w.p, precision=10))
             inputs = {"group": desc.name, "fn": u.label, "point": cfg.point, "h": cfg.h}

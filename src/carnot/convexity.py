@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketingError, NonConvexSliceError, RankDeficientDesign, SamplingError
-from .hull import ConvexPolytope, diameters
+from .hull import ConvexPolytope, centroids, diameters, supports
 from .polynomials import _per_descriptor
 from .reports import curve_converged
 from .sampling import (
@@ -178,41 +178,49 @@ def _hull_stream(desc, seed, count):
 def _shell_gradients(u, xs, radius, plan):
     """Horizontal gradients at ``plan.shell_samples`` sampled
     differentiability points of B(x, r) for every row x of ``xs``, as one
-    (K, count, m1) array; ``radius`` is one r for all rows or one per row.
+    (K, count, m1) array; ``radius`` is one r for all rows (dilating the
+    draw once) or one per row.
 
     Every centre sees the same draws: retry round k takes the k-th ball
     sample of a fresh ``plan.rng("subdiff-hull")``, read from the stream
     that ``_hull_stream`` caches per descriptor, seed and count, and
     evaluates it only around the centres that still lack ``count``
     gradients, so a centre's gradients do not depend on the other rows of
-    the batch.  A row that ends short repeats its last stable gradient,
-    which changes no support value, diameter or centroid.
+    the batch.  Each stable gradient fills its row's next slot, in draw
+    order; a row that ends short repeats its last stable gradient, which
+    changes no support value, diameter or centroid.
     """
     desc = u.desc
     xs = np.asarray(xs, dtype=float)
-    radius = np.broadcast_to(np.asarray(radius, dtype=float), len(xs))
+    radius = np.asarray(radius, dtype=float)
     count = plan.shell_samples
     rng, draws = _hull_stream(desc, plan.seed, count)
-    grads = np.zeros((len(xs), 4 * count, desc.m1))
-    stable = np.zeros((len(xs), 4 * count), dtype=bool)
+    out = np.empty((len(xs), count, desc.m1))
+    have = np.zeros(len(xs), dtype=int)
     for k in range(4):
-        todo = np.flatnonzero(np.sum(stable, axis=1) < count)
+        todo = np.flatnonzero(have < count)
         if len(todo) == 0:
             break
         if len(draws) == k:
             draws.append(unit_ball(desc, count, rng))
         unit, radial = draws[k]
-        pts = desc.product(xs[todo, None, :], desc.dilate(radius[todo, None] * radial, unit))  # (T, count, n)
-        g, ok = _sampled_gradients(u, pts.reshape(-1, desc.dim), np.repeat(radius[todo], count), plan)
-        cols = slice(k * count, (k + 1) * count)
-        grads[todo, cols], stable[todo, cols] = g.reshape(len(todo), count, -1), ok.reshape(len(todo), count)
-    have = np.minimum(np.sum(stable, axis=1), count)
+        r = radius if radius.ndim == 0 else radius[todo, None]
+        pts = desc.product(xs[todo, None, :], desc.dilate(r * radial, unit))  # (T, count, n)
+        r = radius if radius.ndim == 0 else np.repeat(radius[todo], count)
+        g, ok = _sampled_gradients(u, pts.reshape(-1, desc.dim), r, plan)
+        g, ok = g.reshape(len(todo), count, -1), ok.reshape(len(todo), count)
+        if k == 0 and ok.all():  # every draw stable, as analytic gradients are: no slots to find
+            out[:], have[:] = g, count
+            continue
+        slot = have[todo, None] + np.cumsum(ok, axis=1) - 1
+        i, j = np.nonzero(ok & (slot < count))
+        out[todo[i], slot[i, j]] = g[i, j]
+        have[todo] = np.minimum(slot[:, -1] + 1, count)
     if np.any(have == 0):
         raise SamplingError(f"no stable gradient samples near the given point of {u.label!r}")
-    # the column of every row's j-th stable gradient, and of its last one past the end
-    rows = np.arange(len(xs))[:, None]
-    nth = np.argsort(~stable, axis=1, kind="stable")
-    return grads[rows, nth[rows, np.minimum(np.arange(count), have[:, None] - 1)]]
+    short = np.flatnonzero(have < count)
+    out[short] = out[short[:, None], np.minimum(np.arange(count), have[short, None] - 1)]
+    return out
 
 
 # -- subdifferential hulls and membership ---------------------------------------
@@ -323,10 +331,10 @@ def dermax_checks(u, xs, plan=None, directions=None):
     count = directions or plan.directions
     dirs = unit_directions(u.desc.m1, count)
     pair_sum = dirs + np.roll(dirs, 1, axis=0)
-    hulls = subdifferential_hulls(u, xs, plan)
+    V = _shell_gradients(u, xs, plan.radii[-1], plan)
     dd = _directional_derivatives(u, xs, dirs, plan)  # (K, D)
     dd_sum = _directional_derivatives(u, xs, pair_sum, plan)
-    gaps = np.max(np.abs(dd - np.stack([hull.support(dirs) for hull in hulls])), axis=-1)
+    gaps = np.max(np.abs(dd - supports(V, dirs)), axis=-1)
     subadd = np.maximum(0.0, np.max(dd_sum - (dd + np.roll(dd, 1, axis=-1)), axis=-1))  # NaN-safe
     return [DermaxReport(float(g), float(s), count) for g, s in zip(gaps, subadd)]
 
@@ -355,9 +363,21 @@ def _on_lines(t, line):
     return powers @ line
 
 
-def mean_value_witnesses(u, xs, hs, plan=None):
+def _values(fields, fid, pts):
+    """The value of every row of ``pts`` under its field ``fields[fid]``, the
+    rows sorted by field: one value call per field on its run of rows."""
+    out = np.empty(pts.shape[:-1])
+    cut = np.searchsorted(fid, np.arange(len(fields) + 1))
+    for u, a, b in zip(fields, cut[:-1], cut[1:]):
+        if b > a:
+            out[a:b] = u.value(pts[a:b])
+    return out
+
+
+def mean_value_witnesses(fields, xs, hs, plan=None):
     """Mean-value witnesses for the segments x * [0, h] of the rows of
-    ``xs`` (K, n) and ``hs`` (K, m1), computed together.
+    ``xs`` (K, n) and ``hs`` (K, m1), row i on ``fields[i % len(fields)]``,
+    a family of fields on one group, computed together.
 
     For each row: a parameter t* in [0, 1] and p in the subdifferential hull
     at x * delta_{t*} h with <p, h> equal to the secant slope
@@ -366,46 +386,51 @@ def mean_value_witnesses(u, xs, hs, plan=None):
     one-sided derivatives bracket sigma.  A section search locates it for
     all rows in lockstep on the segments' lines x + t b1 + t^2 b2: each step
     evaluates ``_SECTION_PROBES`` equally spaced interior probes of every
-    bracket with one value call and keeps the two cells around the best
-    probe (two probes make it a ternary search).  The first step's probes,
-    k/17 of [0, 1], give each row its sign (the probe of largest |psi|) and
-    its starting bracket.  For h-convex u, psi is convex with zero ends, so
-    its extremum is its minimum, and psi vanishing at all first probes makes
-    it vanish everywhere: such a flat row keeps t* = 1/2.  The hull at
-    x * delta_{t*} h is intersected with the hyperplane <., h> = sigma
-    (nearest vertex if sigma falls just outside the sampled support range).
+    bracket with one value call per field and keeps the two cells around
+    the best probe (two probes make it a ternary search).  The first step's
+    probes, k/17 of [0, 1], give each row its sign (the probe of largest
+    |psi|) and its starting bracket.  For h-convex u, psi is convex with
+    zero ends, so its extremum is its minimum, and psi vanishing at all
+    first probes makes it vanish everywhere: such a flat row keeps t* = 1/2.
+    The hull at x * delta_{t*} h is intersected with the hyperplane
+    <., h> = sigma (nearest vertex if sigma falls just outside the sampled
+    support range).  The rows are held field-major, so each field evaluates
+    one run of rows, and its witnesses do not depend on the other fields.
 
     For a u that is not h-convex (a user field through CLI ``mvt``) the
     search may stop at a local extremum; the support-range check then turns
     a wrong witness into a ``BracketingError`` or a residual.
 
     A non-finite secant slope, psi value at any probe or hull gradient
-    gives residual +inf (and p = NaN) instead of an error.  The batch
-    raises the first error it meets for the whole batch: ``SamplingError``
-    if a hull gets no gradient samples, and ``BracketingError`` at the
-    first row whose secant slope falls outside its hull's support range.
-    Call it per row where one failing segment must not stop the others.
+    gives residual +inf (and p = NaN) instead of an error.  The hull stage
+    runs field by field, and the batch raises the first error it meets for
+    the whole batch: ``SamplingError`` if a hull gets no gradient samples,
+    and ``BracketingError`` at the first row whose secant slope falls
+    outside its hull's support range.  Call it per row where one failing
+    segment must not stop the others.
     """
     plan = plan or SamplingPlan()
-    desc = u.desc
+    desc = fields[0].desc
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     hs = np.atleast_2d(np.asarray(hs, dtype=float))
-    hfull = desc.embed_horizontal(hs)  # (K, n)
+    fid = np.arange(len(xs)) % len(fields)
+    order = np.argsort(fid, kind="stable")  # field-major
+    xs, hs, fid = xs[order], hs[order], fid[order]
 
-    line, xh = _horizontal_lines(desc, xs, hfull)
-    ux = u.value(xs)
-    sigma = u.value(xh) - ux
+    line, xh = _horizontal_lines(desc, xs, desc.embed_horizontal(hs))
+    ux = _values(fields, fid, xs)
+    sigma = _values(fields, fid, xh) - ux
     bad = ~np.isfinite(sigma)
     t_star = np.full(len(xs), 0.5)
     frac = np.arange(1, _SECTION_PROBES + 1) / (_SECTION_PROBES + 1)
     # the search runs on compact copies of its rows, gathered again only when a row leaves
     rows = np.flatnonzero(~bad)
-    L, u0, s, lo, hi = line[rows], ux[rows], sigma[rows], np.zeros(len(rows)), np.ones(len(rows))
+    L, f, u0, s, lo, hi = line[rows], fid[rows], ux[rows], sigma[rows], np.zeros(len(rows)), np.ones(len(rows))
     for step in range(_SECTION_STEPS):
         if len(rows) == 0:
             break
         probes = lo[:, None] + (hi - lo)[:, None] * frac
-        psi = u.value(_on_lines(probes, L)) - u0[:, None] - s[:, None] * probes
+        psi = _values(fields, f, _on_lines(probes, L)) - u0[:, None] - s[:, None] * probes
         r = np.arange(len(rows))
         leave = ~np.isfinite(psi).all(axis=-1)
         bad[rows[leave]] = True
@@ -417,14 +442,14 @@ def mean_value_witnesses(u, xs, hs, plan=None):
         edges = np.concatenate([lo[:, None], probes, hi[:, None]], axis=1)
         lo, hi = edges[r, j], edges[r, j + 2]
         if leave.any():
-            rows, L, u0, s, lo, hi, sign = (a[~leave] for a in (rows, L, u0, s, lo, hi, sign))
+            rows, L, f, u0, s, lo, hi, sign = (a[~leave] for a in (rows, L, f, u0, s, lo, hi, sign))
     t_star[rows] = 0.5 * (lo + hi)
 
     ys = _on_lines(t_star[:, None], line)[:, 0]
     p = np.full((len(xs), desc.m1), np.nan)
     residual = np.full(len(xs), np.inf)
-    good = np.flatnonzero(~bad)
-    if len(good):
+    for k, u in enumerate(fields):
+        good = np.flatnonzero(~bad & (fid == k))
         V = _shell_gradients(u, ys[good], plan.radii[-1], plan)
         finite = np.all(np.isfinite(V), axis=(1, 2))
         h, s = hs[good], sigma[good]
@@ -432,9 +457,9 @@ def mean_value_witnesses(u, xs, hs, plan=None):
         smin, smax = np.min(support_vals, axis=-1), np.max(support_vals, axis=-1)
         outside = finite & ((s < smin - plan.tol.support_gap) | (s > smax + plan.tol.support_gap))
         if np.any(outside):
-            k = int(np.argmax(outside))
+            i = int(np.argmax(outside))
             raise BracketingError(
-                f"secant slope {s[k]:.4g} outside sampled support range [{smin[k]:.4g}, {smax[k]:.4g}]"
+                f"secant slope {s[i]:.4g} outside sampled support range [{smin[i]:.4g}, {smax[i]:.4g}]"
             )
         r = np.arange(len(good))
         v_lo = V[r, np.argmin(support_vals, axis=-1)]
@@ -444,7 +469,8 @@ def mean_value_witnesses(u, xs, hs, plan=None):
         pg = np.where((s <= smin)[:, None], v_lo, np.where((s >= smax)[:, None], v_hi, inner))
         p[good[finite]] = pg[finite]
         residual[good[finite]] = np.abs(s - np.einsum("km,km->k", pg, h))[finite]
-    return [MvtWitness(float(t), pk, float(rk), y) for t, pk, rk, y in zip(t_star, p, residual, ys)]
+    ws = [MvtWitness(float(t), pk, float(rk), y) for t, pk, rk, y in zip(t_star, p, residual, ys)]
+    return [ws[i] for i in np.argsort(order)]  # back in caller order
 
 
 # -- first-order characterization ---------------------------------------------------
@@ -497,10 +523,10 @@ def first_order_characterizations(u, xs, plan=None):
     """
     plan = plan or SamplingPlan()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    hulls = subdifferential_hulls(u, xs, plan)
-    ladders = first_order_residual_ladder(u, xs, [hull.centroid() for hull in hulls], plan)
+    V = _shell_gradients(u, xs, plan.radii[-1], plan)
+    ladders = first_order_residual_ladder(u, xs, centroids(V), plan)
     out = []
-    for diam, ladder in zip(diameters([hull.vertices for hull in hulls]).tolist(), ladders):
+    for diam, ladder in zip(diameters(V).tolist(), ladders):
         converges = curve_converged(ladder, max(1e-9, 0.05 * ladder[0]))
         out.append(FirstOrderReport(diam, ladder, diam < plan.tol.singleton_diameter, converges))
     return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from .sampling import unit_directions
 
-__all__ = ["ConvexPolytope", "diameters", "hausdorff_distance"]
+__all__ = ["ConvexPolytope", "centroids", "diameters", "hausdorff_distance", "supports"]
 
 
 @dataclass
@@ -42,21 +42,39 @@ class ConvexPolytope:
         return len(self.vertices)
 
     def support(self, h):
-        """max over generating points of <v, h>; h may be a batch of directions.
-
-        The contraction is an ``einsum``, whose values depend neither on the
-        number of rows nor on the number of directions: numpy hands a
-        one-row matmul to another BLAS kernel than a many-row one, which
-        would move the last bits between a hull that keeps a repeated point
-        once and one that keeps every copy.
-        """
-        return np.max(np.einsum("kd,...d->k...", self.vertices, np.asarray(h, dtype=float)), axis=0)
+        """max over generating points of <v, h>; h may be a batch of directions."""
+        return supports(self.vertices[None], h)[0]
 
     def centroid(self):
-        return np.unique(self.vertices, axis=0).mean(axis=0)
+        return centroids(self.vertices[None])[0]
 
     def diameter(self):
         return float(diameters(self.vertices[None])[0])
+
+
+def supports(V, h):
+    """The support values (K, ...) of the hulls of a (K, c, m) stack at the
+    direction h (m,) or every direction of a batch (..., m).
+
+    The contraction is an ``einsum``, whose values depend neither on the
+    number of rows nor on the number of directions: numpy hands a one-row
+    matmul to another BLAS kernel than a many-row one, which would move the
+    last bits between a hull that keeps a repeated point once and one that
+    keeps every copy.
+    """
+    return np.max(np.einsum("kcd,...d->kc...", np.asarray(V, dtype=float), np.asarray(h, dtype=float)), axis=1)
+
+
+def centroids(V):
+    """The means (K, m) of the distinct rows of every hull of a (K, c, m)
+    stack, points of the hulls.  Each hull's rows are sorted
+    lexicographically and summed in that order with repeats masked to zero,
+    so this is ``np.unique(v, axis=0).mean(axis=0)`` bit for bit."""
+    V = np.asarray(V, dtype=float)
+    S = np.take_along_axis(V, np.lexsort(np.moveaxis(V, -1, 0)[::-1], axis=-1)[..., None], axis=1)
+    first = np.ones(S.shape[:2], dtype=bool)
+    first[:, 1:] = np.any(S[:, 1:] != S[:, :-1], axis=-1)
+    return np.where(first[..., None], S, 0.0).sum(axis=1) / first.sum(axis=1)[:, None]
 
 
 def diameters(V):

@@ -272,7 +272,7 @@ def build_function(desc, name, **params):
     with k >= 1 pieces (2 by default), ``b`` scalar or (k,), ``S`` (dim, dim)."""
     if name not in FUNCTIONS:
         raise KeyError(f"unknown function {name!r}; available: {sorted(FUNCTIONS)}")
-    known = list(inspect.signature(FUNCTIONS[name]).parameters)[1:]
+    known = list(inspect.signature(FUNCTIONS[name]).parameters)[1:] if params else []
     for key, value in params.items():
         if key not in known:
             raise DescriptorError(f"unknown parameter {key!r} of {name!r}; it takes: {', '.join(known) or 'none'}")

@@ -173,9 +173,8 @@ def _worst_residual(family, xs, hs, plan):
     secant slope that no sampled subgradient brackets reads inf, with the
     error message as detail.
     """
-    k = len(family)
     try:
-        residuals = [w.residual for j, u in enumerate(family) for w in mean_value_witnesses(u, xs[j::k], hs[j::k], plan)]
+        residuals = [w.residual for w in mean_value_witnesses(family, xs, hs, plan)]
     except BracketingError as err:
         return np.inf, str(err)
     return float(np.max(residuals)), ""
@@ -214,7 +213,7 @@ def mean_value_records(seed=0, plan=None):
     xs = ball(desc, 0.5, 20, rng)
     hs = unit_directions(desc.m1, 20, seed=seed + 2) * rng.uniform(0.3, 0.8, 20)[:, None]
     try:
-        wits = mean_value_witnesses(u, xs, hs, plan)
+        wits = mean_value_witnesses([u], xs, hs, plan)
         viol = lambda_subdiff_membership(u, np.array([w.point for w in wits]), np.array([w.p for w in wits]), lam, plan)
         worst, detail = float(np.maximum(0.0, np.max(viol))), ""  # NaN-safe, unlike max(0.0, nan)
     except BracketingError as err:

@@ -6,6 +6,7 @@ success).  The checks themselves live in ``carnot.suite`` so the CLI
 """
 
 import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -217,17 +218,29 @@ def test_criterion_07_product_calls(monkeypatch):
     # products (38,840 calls when every witness searched alone, 1,343 with a
     # 70-step ternary search, 391 with a psi grid before the section search,
     # 376 with a product call per search step; the search now runs on each
-    # segment's line x + t b1 + t^2 b2, one product call per witness batch)
-    calls = []
-    product = GroupDescriptor.product
+    # segment's line x + t b1 + t^2 b2, one product call per witness batch;
+    # 46 with a witness call per field, 34 with one per field family: 4
+    # groups x 2 families, plus the lambda record).  A family's lockstep
+    # evaluates each field once per step, so the value calls stay at 397
+    # (analytic) and 431 (FD)
+    calls = {}
+    product, value, witnesses = GroupDescriptor.product, ScalarField.value, suite_mod.mean_value_witnesses
 
-    def counting(self, x, y):
-        calls.append(1)
-        return product(self, x, y)
+    def counting(key, fn):
+        def run(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args)
 
-    monkeypatch.setattr(GroupDescriptor, "product", counting)
+        return run
+
+    monkeypatch.setattr(GroupDescriptor, "product", counting("product", product))
+    monkeypatch.setattr(ScalarField, "value", counting("value", value))
+    monkeypatch.setattr(suite_mod, "mean_value_witnesses", counting("witnesses", witnesses))
     mean_value_records(SEED)
-    assert 0 < len(calls) < 80
+    assert calls["witnesses"] == 9 and 0 < calls["product"] <= 34 and calls["value"] <= 397, calls
+    calls.clear()
+    mean_value_records(SEED, SamplingPlan(seed=SEED, use_analytic_gradient=False))
+    assert calls["witnesses"] == 9 and calls["value"] <= 431, calls
 
 
 @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
@@ -504,6 +517,28 @@ def test_reports_do_not_depend_on_cache_state():
     run_suite(SEED, SamplingPlan(seed=SEED, use_analytic_gradient=False))
     r, c = run_suite(SEED)
     assert proc.stdout == render_json(r) + "\0" + render_csv(c)
+
+
+# sha256 of render_json + render_csv of run_suite(seed) under the default plan
+# and under FD gradients.  A change that moves a report byte, even at
+# round-off, updates the digest here and names the byte in CHANGES.md
+REPORT_SHA256 = {
+    (True, 0): "698562c229ee75a8c89dfbca960b7e11f255261ff64d49ed54cbd121faea6a8c",
+    (True, 1): "96cb6b186d9031affba91f792822c7649566623aa049ffd5699eb1c9f644e68a",
+    (True, 2): "ab26ac512233f3392c59dada161d6ce790d3619f3d37c6459b44bd89ea0cfd20",
+    (False, 0): "6d84fd444988d56dfb12761f3eceb1ea9371edb57dce9e38aa2e4ad187b517a3",
+    (False, 1): "ebb4fe2126b4aa2d98228847884c2324732b0b9758d120ffe1c7f2b3cf980239",
+    (False, 2): "551dec90b4756e698aad8a91d27b4eaf8a8d6600b62a1d3d84cbf8844a7fbf72",
+}
+
+
+def test_report_bytes_pinned():
+    digests = {}
+    for analytic, seed in REPORT_SHA256:
+        records, curves = run_suite(seed, SamplingPlan(seed=seed, use_analytic_gradient=analytic))
+        assert len(records) == 58 and all(r.passed for r in records)
+        digests[analytic, seed] = hashlib.sha256((render_json(records) + render_csv(curves)).encode()).hexdigest()
+    assert digests == REPORT_SHA256
 
 
 def test_one_build_per_group_spec(monkeypatch):

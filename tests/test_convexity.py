@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from carnot import (
+    BracketingError,
     NonConvexSliceError,
     ScalarField,
     SamplingPlan,
@@ -155,6 +156,35 @@ class TestReachableGradients:
             (single,) = _shell_gradients(u, x[None], r, plan)
             assert np.array_equal(grads, single)
             assert len(grads) == count
+
+    @pytest.mark.parametrize("reject", [False, True], ids=["stable", "rows-short"])
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    def test_one_radius_equals_radius_per_row(self, quad_vert, analytic, reject, monkeypatch):
+        # one radius dilates the draw once for all rows, a radius per row
+        # dilates it per row: dilation is elementwise, so the bits agree.
+        # Rejecting, the first round keeps all but 7 (i % 3) draws of row i
+        # and the retry rounds keep none, so rows end 0, 7 and 14 short and
+        # repeat their last stable gradient
+        desc = quad_vert.desc
+        plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
+        count, r = plan.shell_samples, plan.radii[-1]
+        xs = ball(desc, 0.5, 9, np.random.default_rng(2))
+        sampled_gradients = convexity._sampled_gradients
+
+        def rejecting(u, pts, radius, plan):
+            g, ok = sampled_gradients(u, pts, radius, plan)
+            k = np.arange(len(pts))
+            return g, ok & (len(pts) == len(xs) * count) & (k % count < count - 7 * (k // count % 3))
+
+        if reject:
+            monkeypatch.setattr(convexity, "_sampled_gradients", rejecting)
+        one = _shell_gradients(quad_vert, xs, r, plan)
+        assert one.shape == (len(xs), count, desc.m1)
+        assert np.array_equal(one, _shell_gradients(quad_vert, xs, np.full(len(xs), r), plan))
+        for i, grads in enumerate(one):
+            have = count - 7 * (i % 3) if reject else count
+            assert np.array_equal(grads[have:], np.repeat(grads[have - 1 : have], count - have, axis=0))
+            assert len(np.unique(grads[:have], axis=0)) == have
 
 
 class TestHullStream:
@@ -457,20 +487,20 @@ def test_horizontal_lines_are_quadratic(request, spec):
 class TestMeanValue:
     def test_affine_any_t(self, affine_f, h1, plan):
         h = np.array([0.8, -0.4])
-        w = mean_value_witnesses(affine_f, h1.identity()[None], h[None], plan)[0]
+        w = mean_value_witnesses([affine_f], h1.identity()[None], h[None], plan)[0]
         q = affine_f.gradient(h1.identity()[None])[0]
         assert w.residual < 1e-12
         assert abs(w.p @ h - q @ h) < 1e-9
 
     def test_quadratic_midpoint(self, quad_vert, h1, plan):
-        w = mean_value_witnesses(quad_vert, h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0]
+        w = mean_value_witnesses([quad_vert], h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0]
         assert w.t == pytest.approx(0.5, abs=1e-6)
         assert w.p[0] == pytest.approx(1.0, abs=1e-6)
         assert w.residual < 1e-10
 
     def test_abs_across_kink(self, h1, plan):
         u = build_function(h1, "max_affine")  # |x1|
-        w = mean_value_witnesses(u, np.array([[-1.0, 0.0, 0.0]]), np.array([[2.0, 0.0]]), plan)[0]
+        w = mean_value_witnesses([u], np.array([[-1.0, 0.0, 0.0]]), np.array([[2.0, 0.0]]), plan)[0]
         assert w.t == pytest.approx(0.5, abs=1e-6)
         assert abs(w.p[0]) < 1e-9
         assert w.residual < 1e-12
@@ -479,7 +509,7 @@ class TestMeanValue:
         # |x1| from x1 = -0.3 along e1: psi's extremum is the kink at t = 0.3,
         # which falls between grid points, so the section search must find it
         u = build_function(h1, "max_affine")
-        w = mean_value_witnesses(u, np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)[0]
+        w = mean_value_witnesses([u], np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)[0]
         assert abs(w.t - 0.3) <= 1e-12
         assert w.residual < 1e-12
 
@@ -490,25 +520,25 @@ class TestMeanValue:
 
         u = ScalarField(h1, lambda p: (p[..., 0] >= 0.5).astype(float), label="step")
         with pytest.raises(BracketingError):
-            mean_value_witnesses(u, h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0]
+            mean_value_witnesses([u], h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0]
 
     def test_random_pairs_small_residual(self, quad_vert, one_norm_f, plan, h1):
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.uniform(-0.5, 0.5, 3)
             h = rng.uniform(-0.8, 0.8, 2)
-            assert mean_value_witnesses(quad_vert, x[None], h[None], plan)[0].residual < 1e-8
-            assert mean_value_witnesses(one_norm_f, x[None], h[None], plan)[0].residual < 1e-4
+            assert mean_value_witnesses([quad_vert], x[None], h[None], plan)[0].residual < 1e-8
+            assert mean_value_witnesses([one_norm_f], x[None], h[None], plan)[0].residual < 1e-4
 
     def test_nan_field_gives_failing_witness(self, h1, plan):
         # NaN where x1 > 0.5: the secant slope along e1 is NaN, along e2 finite
         u = ScalarField(
             h1, lambda p: np.where(p[..., 0] > 0.5, np.nan, np.sum(p[..., :2] ** 2, axis=-1)), label="nan-right"
         )
-        w = mean_value_witnesses(u, h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0]
+        w = mean_value_witnesses([u], h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0]
         assert w.residual == np.inf
         assert not w.residual < plan.tol.mvt_smooth
-        ws = mean_value_witnesses(u, np.zeros((2, 3)), np.array([[1.0, 0.0], [0.0, 1.0]]), plan)
+        ws = mean_value_witnesses([u], np.zeros((2, 3)), np.array([[1.0, 0.0], [0.0, 1.0]]), plan)
         assert ws[0].residual == np.inf
         assert ws[1].residual < plan.tol.mvt_smooth
 
@@ -519,7 +549,7 @@ class TestMeanValue:
         u = build_function(h1, "max_affine")
         fn = lambda p: np.where(np.abs(p[..., 0]) < 1e-6, np.nan, u.value(p))
         nan_kink = ScalarField(h1, fn, label="nan-kink", grad_h=u.grad_h)
-        (w,) = mean_value_witnesses(nan_kink, np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)
+        (w,) = mean_value_witnesses([nan_kink], np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)
         assert np.all(np.isnan(w.p))
         assert w.residual == np.inf
 
@@ -529,7 +559,7 @@ class TestMeanValue:
             lambda p: np.sum(p[..., :2] ** 2, axis=-1),
             grad_h=lambda p: np.where(p[..., :1] > 0.4, np.nan, 2.0 * p[..., :2]),
         )
-        assert mean_value_witnesses(u, h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0].residual == np.inf
+        assert mean_value_witnesses([u], h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0].residual == np.inf
 
     @pytest.mark.parametrize("spec", ["h1", "h2", "fs3", "eng"])
     def test_batch_matches_rows(self, request, spec, plan):
@@ -538,12 +568,58 @@ class TestMeanValue:
         xs = ball(desc, 0.6, 8, rng)
         hs = unit_directions(desc.m1, 8, seed=1) * rng.uniform(0.3, 1.0, 8)[:, None]
         for u in smooth_suite(desc) + polyhedral_suite(desc):
-            batched = mean_value_witnesses(u, xs, hs, plan)
+            batched = mean_value_witnesses([u], xs, hs, plan)
             for x, h, w in zip(xs, hs, batched):
-                single = mean_value_witnesses(u, x[None], h[None], plan)[0]
+                single = mean_value_witnesses([u], x[None], h[None], plan)[0]
                 assert w.t == single.t
                 assert np.max(np.abs(w.p - single.p)) <= 1e-15
                 assert abs(w.residual - single.residual) <= 1e-15
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("spec", ["h1", "h2", "fs3", "eng"])
+def test_family_matches_fields(request, spec, analytic):
+    # row i of a family call runs on fields[i % k] in one lockstep with the
+    # other fields' rows: its witness is the one its field gives on rows
+    # j::k alone, bit for bit, and the one of its row alone.  Against the
+    # row alone, p and the residual may move at round-off: the affine field
+    # is a matmul, which rounds one row otherwise than many
+    desc = request.getfixturevalue(spec)
+    plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
+    rng = np.random.default_rng(7)
+    xs = ball(desc, 0.6, 7, rng)
+    hs = unit_directions(desc.m1, 7, seed=1) * rng.uniform(0.3, 1.0, 7)[:, None]
+    for family in (smooth_suite(desc), polyhedral_suite(desc)):
+        k = len(family)
+        ws = mean_value_witnesses(family, xs, hs, plan)
+        assert len(ws) == len(xs)
+        for j, u in enumerate(family):
+            alone = mean_value_witnesses([u], xs[j::k], hs[j::k], plan)
+            for w, a, x, h in zip(ws[j::k], alone, xs[j::k], hs[j::k]):
+                assert (w.t, w.residual) == (a.t, a.residual)
+                assert np.array_equal(w.p, a.p) and np.array_equal(w.point, a.point)
+                (row,) = mean_value_witnesses([u], x[None], h[None], plan)
+                assert w.t == row.t and np.array_equal(w.point, row.point)
+                assert np.max(np.abs(w.p - row.p)) <= 1e-15 and abs(w.residual - row.residual) <= 1e-15
+
+
+def test_family_raises_the_first_fields_error(h1, plan):
+    # the hull stage runs field by field: a family whose second and third
+    # fields cannot bracket their secant slopes raises the error that the
+    # loop over the fields meets first
+    good, *rest = smooth_suite(h1)
+    scaled = [ScalarField(h1, u.fn, label=u.label, grad_h=lambda p, u=u: 1.2 * u.gradient(p)) for u in rest]
+    family = [good] + scaled
+    rng = np.random.default_rng(3)
+    xs = ball(h1, 0.6, 9, rng)
+    hs = unit_directions(h1.m1, 9, seed=2) * rng.uniform(0.3, 1.0, 9)[:, None]
+    with pytest.raises(BracketingError) as err:
+        mean_value_witnesses(family, xs, hs, plan)
+    k = len(family)
+    mean_value_witnesses([good], xs[0::k], hs[0::k], plan)
+    with pytest.raises(BracketingError) as first:
+        mean_value_witnesses([scaled[0]], xs[1::k], hs[1::k], plan)
+    assert str(err.value) == str(first.value)
 
 
 def test_residual_ladder_batch_matches_rows(h1, plan):
@@ -612,7 +688,7 @@ def test_bracketing_matches_row_loop(request, spec, plan, monkeypatch):
     hs = unit_directions(desc.m1, 9, seed=2) * rng.uniform(0.3, 1.0, 9)[:, None]
     hfull = desc.embed_horizontal(hs)
     for u in smooth_suite(desc) + polyhedral_suite(desc):
-        ws = mean_value_witnesses(u, xs, hs, plan)
+        ws = mean_value_witnesses([u], xs, hs, plan)
         sigma = u.value(desc.product(xs, hfull)) - u.value(xs)
         assert len(rounds) == 4 and {len(g) for g in rows} == {count, count - 7, count - 14}
         for g, h, s, w in zip(rows, hs, sigma, ws):

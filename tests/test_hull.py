@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from carnot import ConvexPolytope, hausdorff_distance
-from carnot.hull import diameters
+from carnot.hull import centroids, diameters, supports
 from carnot.sampling import unit_directions
 
 
@@ -88,3 +88,32 @@ class TestDiameters:
         V[1, 4, 0] = np.nan
         d = diameters(V)
         assert np.isnan(d[1]) and np.isfinite(d[[0, 2]]).all()
+
+
+class TestBatchedQueries:
+    @pytest.mark.parametrize("m1", [2, 3, 4])
+    def test_centroids_equal_distinct_row_means_bit_for_bit(self, m1):
+        # sorted lexicographically and summed in that order, as np.unique
+        # leaves the rows, with each repeat masked to zero
+        rng = np.random.default_rng(m1)
+        pool = rng.standard_normal((6, 5, m1)) * 10.0 ** rng.uniform(-9, 2, (6, 1, 1))
+        repeats = np.take_along_axis(pool, rng.integers(0, 5, (6, 48))[..., None], axis=1)
+        zeros = np.zeros((2, 9, m1))
+        zeros[0, :, 0] = -0.0
+        zeros[1, :4] = rng.standard_normal(m1)
+        for V in (pool, repeats, zeros, rng.standard_normal((4, 130, m1)), pool[:, :1]):
+            want = np.stack([np.unique(v, axis=0).mean(axis=0) for v in V])
+            assert centroids(V).tobytes() == want.tobytes()
+            assert [ConvexPolytope(v, m1).centroid().tobytes() for v in V] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("m1", [2, 3, 4])
+    def test_supports_equal_per_hull_values(self, m1):
+        # the contraction of a row depends neither on the other rows nor on the other hulls
+        rng = np.random.default_rng(m1)
+        V = rng.standard_normal((5, 48, m1))
+        dirs = unit_directions(m1, 64)
+        batched = supports(V, dirs)
+        assert batched.shape == (5, 64)
+        for v, s in zip(V, batched):
+            assert np.array_equal(s, np.max(np.einsum("kd,jd->kj", v, dirs), axis=0))
+            assert supports(v[None], dirs[3]) == s[3]

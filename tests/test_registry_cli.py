@@ -5,6 +5,7 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from carnot import (
 )
 from carnot.cli import RunConfig, main, run_command
 from carnot.convexity import ScalarField, hconvexity_check
+from carnot import registry
 from carnot.registry import function_from_spec, polyhedral_suite, smooth_suite
 from carnot.reports import CheckRecord, CurvePoint, curve_converged, emit_report, render_csv
 from carnot.suite import _CERT_PLAN
@@ -76,6 +78,27 @@ class TestFunctionRegistry:
     def test_unknown_function(self, h1):
         with pytest.raises(KeyError):
             build_function(h1, "nope")
+
+    def test_unknown_parameter_names_the_ones_taken(self, h1, capsys, monkeypatch):
+        # the parameter names are read only for a call that passes parameters,
+        # and an unknown one is still refused with the names the function takes
+        signature = registry.inspect.signature
+
+        def unread(fn):
+            raise AssertionError("parameter names read for a call without parameters")
+
+        monkeypatch.setattr(registry, "inspect", SimpleNamespace(signature=unread))
+        for name in ("affine", "quadratic", "quad_vertical", "max_affine", "one_norm"):
+            build_function(h1, name)
+        monkeypatch.setattr(registry, "inspect", SimpleNamespace(signature=signature))
+        with pytest.raises(DescriptorError) as err:
+            build_function(h1, "max_affine", zz=1)
+        assert str(err.value) == "unknown parameter 'zz' of 'max_affine'; it takes: Q, b"
+        with pytest.raises(DescriptorError) as err:
+            build_function(h1, "one_norm", alpha=1.0)
+        assert str(err.value) == "unknown parameter 'alpha' of 'one_norm'; it takes: none"
+        assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", 'max_affine:{"zz":1}']) == 2
+        assert "unknown parameter 'zz' of 'max_affine'; it takes: Q, b" in capsys.readouterr().err
 
     def test_building_evaluates_nothing(self, h1, tmp_path, monkeypatch):
         # h-convexity is checked where it is reported (criterion 12 and

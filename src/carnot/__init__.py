@@ -10,7 +10,6 @@ the horizontal gradient.
 """
 
 from .convexity import (
-    MvtWitness,
     ScalarField,
     dermax_checks,
     first_order_characterizations,

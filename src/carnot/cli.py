@@ -21,7 +21,7 @@ from . import suite as suite_mod
 from .convexity import dermax_checks, hconvexity_check, mean_value_witnesses, subdiff_membership, subdifferential_hulls
 from .errors import CarnotError, DescriptorError, NonConvexSliceError, NonSingletonSubdifferential
 from .groups import validate_descriptor
-from .hull import ConvexPolytope
+from .hull import diameters
 from .jets import check_alij, sym_hessian
 from .polynomials import monomials_up_to
 from .registry import build_group, function_from_spec, load_descriptor, load_function, parse_polynomial
@@ -193,12 +193,11 @@ def run_command(cfg):
             desc = _group(cfg)
             u = _function(cfg, desc)
             x = _vec(cfg.point, desc.dim, "--point")
-            (hull,) = subdifferential_hulls(u, x[None], plan)
-            hull = ConvexPolytope(np.unique(hull.vertices, axis=0), hull.dim)  # distinct rows, for display
-            _out(f"{len(hull)} distinct sampled gradients generating the hull:")
-            _out(np.array2string(hull.vertices, precision=6))
-            _out(f"diameter: {hull.diameter():.6g}")
-            worst = float(subdiff_membership(u, x[None], hull.vertices[None], plan)[0])
+            V = np.unique(subdifferential_hulls(u, x[None], plan)[0], axis=0)  # distinct rows, for display
+            _out(f"{len(V)} distinct sampled gradients generating the hull:")
+            _out(np.array2string(V, precision=6))
+            _out(f"diameter: {diameters(V[None])[0]:.6g}")
+            worst = float(subdiff_membership(u, x[None], V[None], plan)[0])
             inputs = {"group": desc.name, "fn": u.label, "point": cfg.point}
             records.append(
                 CheckRecord.bounded("subdiff/vertex-membership", inputs, worst, plan.tol.membership, inclusive=True)
@@ -208,8 +207,8 @@ def run_command(cfg):
             u = _function(cfg, desc)
             x = _vec(cfg.point, desc.dim, "--point")
             try:
-                (rep,) = dermax_checks(u, x[None], plan)
-                metric, detail = float(np.maximum(rep.max_gap, rep.max_subadd_violation)), ""
+                (gap,), (subadd,) = dermax_checks(u, x[None], plan)
+                metric, detail = float(np.maximum(gap, subadd)), ""
             except NonConvexSliceError as exc:  # the function is not convex along a line: a failed check
                 metric, detail = np.inf, str(exc)
             inputs = {"group": desc.name, "fn": u.label, "point": cfg.point}
@@ -218,11 +217,11 @@ def run_command(cfg):
             desc = _group(cfg)
             u = _function(cfg, desc)
             x, h = _vec(cfg.point, desc.dim, "--point"), _vec(cfg.h, desc.m1, "--h")
-            (w,) = mean_value_witnesses([u], x[None], h[None], plan)
-            _out(f"t = {w.t:.6g}")
-            _out("p =", np.array2string(w.p, precision=10))
+            (t,), (p,), (residual,), _ = mean_value_witnesses([u], x[None], h[None], plan)
+            _out(f"t = {t:.6g}")
+            _out("p =", np.array2string(p, precision=10))
             inputs = {"group": desc.name, "fn": u.label, "point": cfg.point, "h": cfg.h}
-            records.append(CheckRecord.bounded("mvt", inputs, w.residual, plan.tol.mvt_polyhedral))
+            records.append(CheckRecord.bounded("mvt", inputs, residual, plan.tol.mvt_polyhedral))
         elif cfg.operation == "second-fit":
             desc = _group(cfg)
             u = _function(cfg, desc)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketingError, NonConvexSliceError, RankDeficientDesign, SamplingError
-from .hull import ConvexPolytope, centroids, diameters, supports
+from .hull import centroids, diameters, supports
 from .polynomials import _per_descriptor
 from .reports import curve_converged
 from .sampling import (
@@ -31,7 +31,6 @@ from .sampling import (
 
 __all__ = [
     "ScalarField",
-    "MvtWitness",
     "hconvexity_check",
     "subdifferential_hulls",
     "subdiff_membership",
@@ -67,22 +66,11 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class MvtWitness:
-    t: float
-    p: np.ndarray
-    residual: float
-    point: np.ndarray
-
-
-@dataclass(frozen=True)
 class HConvexityReport:
     max_violation: float  # clamped at zero: 0 means consistent with h-convexity
     raw_max: float
     samples: int
     worst: dict | None
-
-    def __str__(self):
-        return f"h-convexity violation {self.max_violation:.3g} over {self.samples} samples"
 
 
 # -- h-convexity ---------------------------------------------------------------
@@ -270,17 +258,17 @@ def subdiff_membership(u, xs, P, plan=None):
 
 
 def subdifferential_hulls(u, xs, plan=None):
-    """The subdifferential hull at every row of ``xs``: the convex hull of
-    the gradients sampled at differentiability points of the finest shell
-    around that row, from one shared sample.
+    """The subdifferential hull at every row of ``xs``, as the (K, count, m1)
+    array of its generating points: the gradients sampled at
+    differentiability points of the finest shell around that row, from one
+    shared sample.
 
     Each hull is one row of the ``_shell_gradients`` array, repeats and
     all, and independent of the other rows of the batch.
     """
     plan = plan or SamplingPlan()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    grads = _shell_gradients(u, xs, plan.radii[-1], plan)
-    return [ConvexPolytope(g, u.desc.m1) for g in grads]
+    return _shell_gradients(u, xs, plan.radii[-1], plan)
 
 
 # -- directional derivatives -----------------------------------------------------
@@ -308,21 +296,13 @@ def _directional_derivatives(u, xs, hs, plan):
     return 2 * Q[:, -1] - Q[:, -2]
 
 
-@dataclass(frozen=True)
-class DermaxReport:
-    max_gap: float
-    max_subadd_violation: float
-    directions: int
-
-    def __str__(self):
-        return f"derivative/support gap {self.max_gap:.3g}, subadditivity violation {self.max_subadd_violation:.3g}"
-
-
 def dermax_checks(u, xs, plan=None, directions=None):
     """Compare directional derivatives with the hull support function at
     every row of ``xs``.
 
     Also verifies subadditivity of h -> u'(x, h) on sampled direction pairs.
+    Returns (gaps, subadd), each (K,): the largest derivative/support gap
+    and the largest subadditivity violation (clamped at zero) of each row.
     The hulls of all rows come from one shared sample.  The batch raises
     the first error it meets for the whole batch.
     """
@@ -336,7 +316,7 @@ def dermax_checks(u, xs, plan=None, directions=None):
     dd_sum = _directional_derivatives(u, xs, pair_sum, plan)
     gaps = np.max(np.abs(dd - supports(V, dirs)), axis=-1)
     subadd = np.maximum(0.0, np.max(dd_sum - (dd + np.roll(dd, 1, axis=-1)), axis=-1))  # NaN-safe
-    return [DermaxReport(float(g), float(s), count) for g, s in zip(gaps, subadd)]
+    return gaps, subadd
 
 
 # -- mean value witnesses ----------------------------------------------------------
@@ -379,8 +359,10 @@ def mean_value_witnesses(fields, xs, hs, plan=None):
     ``xs`` (K, n) and ``hs`` (K, m1), row i on ``fields[i % len(fields)]``,
     a family of fields on one group, computed together.
 
-    For each row: a parameter t* in [0, 1] and p in the subdifferential hull
-    at x * delta_{t*} h with <p, h> equal to the secant slope
+    Returns (t, p, residual, point), of shapes (K,), (K, m1), (K,) and
+    (K, n), in caller order.  For each row: a parameter t* in [0, 1] and p
+    in the subdifferential hull at the point x * delta_{t*} h with <p, h>
+    equal to the secant slope
     sigma = u(xh) - u(x).  The deviation psi(t) = u(x (t h)) - u(x) - t sigma
     vanishes at both ends, so it has an interior extremum; there the
     one-sided derivatives bracket sigma.  A section search locates it for
@@ -469,8 +451,8 @@ def mean_value_witnesses(fields, xs, hs, plan=None):
         pg = np.where((s <= smin)[:, None], v_lo, np.where((s >= smax)[:, None], v_hi, inner))
         p[good[finite]] = pg[finite]
         residual[good[finite]] = np.abs(s - np.einsum("km,km->k", pg, h))[finite]
-    ws = [MvtWitness(float(t), pk, float(rk), y) for t, pk, rk, y in zip(t_star, p, residual, ys)]
-    return [ws[i] for i in np.argsort(order)]  # back in caller order
+    back = np.argsort(order)  # caller order
+    return t_star[back], p[back], residual[back], ys[back]
 
 
 # -- first-order characterization ---------------------------------------------------
@@ -499,18 +481,6 @@ def first_order_residual_ladder(u, xs, P, plan=None):
     return out
 
 
-@dataclass(frozen=True)
-class FirstOrderReport:
-    hull_diameter: float
-    ladder: np.ndarray
-    singleton: bool
-    expansion_converges: bool
-
-    @property
-    def directions_agree(self):
-        return self.singleton == self.expansion_converges
-
-
 def first_order_characterizations(u, xs, plan=None):
     """Singleton subdifferential versus vanishing first-order residual, at
     every row of ``xs``.
@@ -518,16 +488,16 @@ def first_order_characterizations(u, xs, plan=None):
     The two sides of the characterization are computed independently: the
     hull diameter against the singleton tolerance, and the residual ladder
     by ``curve_converged`` below 5% of its coarsest value (at least 1e-9).
-    The hulls of all rows come from one shared sample.  The batch raises the
-    first error it meets for the whole batch.
+    Returns (diameters, ladders, singleton, converges), of shapes (K,),
+    (K, len(plan.radii)), (K,) and (K,).  The hulls of all rows come from
+    one shared sample.  The batch raises the first error it meets for the
+    whole batch.
     """
     plan = plan or SamplingPlan()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     V = _shell_gradients(u, xs, plan.radii[-1], plan)
+    diams = diameters(V)
     ladders = first_order_residual_ladder(u, xs, centroids(V), plan)
-    out = []
-    for diam, ladder in zip(diameters(V).tolist(), ladders):
-        converges = curve_converged(ladder, max(1e-9, 0.05 * ladder[0]))
-        out.append(FirstOrderReport(diam, ladder, diam < plan.tol.singleton_diameter, converges))
-    return out
+    converges = np.array([curve_converged(ladder, max(1e-9, 0.05 * ladder[0])) for ladder in ladders], dtype=bool)
+    return diams, ladders, diams < plan.tol.singleton_diameter, converges
 

@@ -140,11 +140,6 @@ class GroupDescriptor:
     def identity(self):
         return np.zeros(self.dim)
 
-    def basis_vector(self, i):
-        e = np.zeros(self.dim)
-        e[i] = 1.0
-        return e
-
     def embed_horizontal(self, h):
         """Pad a horizontal vector (length m1) with zeros to a full point."""
         h = np.asarray(h, dtype=float)

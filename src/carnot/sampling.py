@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -189,10 +189,6 @@ class SamplingPlan:
     def rng(self, tag):
         """Deterministic per-task generator derived from the plan seed."""
         return np.random.default_rng((self.seed, zlib.crc32(tag.encode())))
-
-    def scaled(self, factor):
-        """Shrink the shell radii by ``factor`` (used for zoomed quotients)."""
-        return replace(self, radii=tuple(r * factor for r in self.radii))
 
     def taus(self):
         return tuple(self.tau0 * 2.0**-k for k in range(self.tau_count))

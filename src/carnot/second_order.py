@@ -27,6 +27,7 @@ from .errors import (
     RankDeficientDesign,
     SamplingError,
 )
+from .hull import diameters
 from .jets import horizontal_words, identity_residual, sym_hessian
 from .polynomials import monomials_up_to
 from .reports import curve_converged
@@ -56,8 +57,7 @@ def gradient_with_certificate(u, x, plan=None):
     """
     plan = plan or SamplingPlan()
     x = np.asarray(x, dtype=float)
-    (hull,) = subdifferential_hulls(u, x[None], plan)
-    diam = hull.diameter()
+    diam = float(diameters(subdifferential_hulls(u, x[None], plan))[0])
     if not diam <= plan.tol.singleton_diameter:  # a NaN diameter certifies nothing
         raise NonSingletonSubdifferential(diam)
     # certified singleton: the gradient at x itself, at the plan's full FD

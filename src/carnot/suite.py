@@ -119,14 +119,13 @@ def hull_records(seed=0, plan=None):
     records = []
 
     square = ConvexPolytope.from_points([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-    (hull,) = subdifferential_hulls(build_function(desc, "one_norm"), desc.identity()[None], plan)
-    dist = hausdorff_distance(hull, square)
+    (V,) = subdifferential_hulls(build_function(desc, "one_norm"), desc.identity()[None], plan)
+    dist = hausdorff_distance(ConvexPolytope(V, desc.m1), square)
     records.append(CheckRecord.bounded("hull/one-norm-square", {"seed": seed}, dist, 0.05))
 
     rng = _rng(seed, "hull-points")
     pts = ball(desc, plan.base_radius, 20, rng)
-    hulls = [subdifferential_hulls(u, pts, plan) for u in smooth_suite(desc)]
-    worst = float(np.max([diameters([h.vertices for h in field]) for field in hulls]))
+    worst = float(np.max([diameters(subdifferential_hulls(u, pts, plan)) for u in smooth_suite(desc)]))
     inputs = {"seed": seed, "points": 20}
     records.append(CheckRecord.bounded("hull/smooth-singleton", inputs, worst, plan.tol.singleton_diameter))
     return records, []
@@ -140,10 +139,10 @@ def first_order_records(seed=0, plan=None):
     u = build_function(desc, "quad_vertical")
     rng = _rng(seed, "first-order-points")
     pts = ball(desc, plan.base_radius, 20, rng)
-    reps = first_order_characterizations(u, pts, plan)
-    stalled = [k for k, rep in enumerate(reps) if rep.singleton and not rep.expansion_converges]
-    wide = [k for k, rep in enumerate(reps) if not rep.singleton]
-    worst_diam = float(np.max([rep.hull_diameter for rep in reps]))
+    diams, _, singleton, converges = first_order_characterizations(u, pts, plan)
+    stalled = np.flatnonzero(singleton & ~converges).tolist()
+    wide = np.flatnonzero(~singleton).tolist()
+    worst_diam = float(np.max(diams))
     why = (("ladder stalls", stalled), ("hull not a singleton", wide))
     detail = "; ".join(f"{what} at points {ks}" for what, ks in why if ks)
     records.append(
@@ -157,11 +156,11 @@ def first_order_records(seed=0, plan=None):
         )
     )
     kink = build_function(desc, "max_affine")
-    (rep,) = first_order_characterizations(kink, desc.identity()[None], plan)
-    stalls = (not rep.expansion_converges) and rep.ladder[-1] > 0.2
-    ok = rep.hull_diameter >= 1.9 and stalls and rep.directions_agree
-    records.append(CheckRecord("first-order/kink", {"fn": kink.label}, rep.hull_diameter, 1.9, ok))
-    curves = curve_points("first-order/kink-ladder", plan.radii, rep.ladder)
+    (diam,), (ladder,), (singleton,), (converges,) = first_order_characterizations(kink, desc.identity()[None], plan)
+    stalls = (not converges) and ladder[-1] > 0.2
+    ok = diam >= 1.9 and stalls and singleton == converges
+    records.append(CheckRecord("first-order/kink", {"fn": kink.label}, diam, 1.9, ok))
+    curves = curve_points("first-order/kink-ladder", plan.radii, ladder)
     return records, curves
 
 
@@ -174,7 +173,7 @@ def _worst_residual(family, xs, hs, plan):
     error message as detail.
     """
     try:
-        residuals = [w.residual for w in mean_value_witnesses(family, xs, hs, plan)]
+        _, _, residuals, _ = mean_value_witnesses(family, xs, hs, plan)
     except BracketingError as err:
         return np.inf, str(err)
     return float(np.max(residuals)), ""
@@ -213,8 +212,8 @@ def mean_value_records(seed=0, plan=None):
     xs = ball(desc, 0.5, 20, rng)
     hs = unit_directions(desc.m1, 20, seed=seed + 2) * rng.uniform(0.3, 0.8, 20)[:, None]
     try:
-        wits = mean_value_witnesses([u], xs, hs, plan)
-        viol = lambda_subdiff_membership(u, np.array([w.point for w in wits]), np.array([w.p for w in wits]), lam, plan)
+        _, p, _, points = mean_value_witnesses([u], xs, hs, plan)
+        viol = lambda_subdiff_membership(u, points, p, lam, plan)
         worst, detail = float(np.maximum(0.0, np.max(viol))), ""  # NaN-safe, unlike max(0.0, nan)
     except BracketingError as err:
         worst, detail = np.inf, str(err)
@@ -233,8 +232,7 @@ def dermax_records(seed=0, plan=None):
     fns = smooth_suite(desc) + polyhedral_suite(desc)
     for u in fns:
         pts = ball(desc, plan.base_radius, 10, rng)
-        reps = dermax_checks(u, pts, plan, directions=50)
-        metric = float(np.max([[rep.max_gap, rep.max_subadd_violation] for rep in reps]))
+        metric = float(np.max(dermax_checks(u, pts, plan, directions=50)))
         records.append(CheckRecord.bounded(f"dermax/{u.label}", {"fn": u.label, "seed": seed}, metric, plan.tol.dermax))
     return records, []
 
@@ -338,8 +336,6 @@ def mignot_records(seed=0, plan=None):
 
 
 _CERT_PLAN = SamplingPlan(
-    radii=(0.2, 0.05, 0.012),
-    shell_samples=16,
     directions=16,
     base_count=8,
     lambda_grid=5,

@@ -585,7 +585,7 @@ def test_diameter_calls_per_suite(monkeypatch):
         calls.append(len(V))
         return diameters(V)
 
-    for module in (hull_mod, convexity, suite_mod):
+    for module in (hull_mod, convexity, second_order_mod, suite_mod):
         monkeypatch.setattr(module, "diameters", counting)
     records, _ = run_suite(SEED)
     assert len(records) == 58 and all(r.passed for r in records)

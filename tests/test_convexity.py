@@ -22,6 +22,7 @@ from carnot import (
 )
 from carnot import convexity
 from carnot.convexity import _directional_derivatives, _fd_gradients_batch, _sampled_gradients, _shell_gradients
+from carnot.hull import centroids, diameters, supports
 from carnot.jets import lambda_max
 from carnot.registry import function_from_spec, parse_polynomial, polyhedral_suite, smooth_suite
 from carnot.sampling import ball, quasi_sphere, unit_directions
@@ -46,7 +47,7 @@ def _limit_violation(u, x, plan):
     at x itself."""
     desc = u.desc
     xk = desc.product(x, desc.dilate(plan.radii[-1], quasi_sphere(desc, 1, seed=3)[0]))
-    return subdiff_membership(u, x[None], subdifferential_hulls(u, xk[None], plan)[0].vertices[None], plan)[0]
+    return subdiff_membership(u, x[None], subdifferential_hulls(u, xk[None], plan), plan)[0]
 
 
 @pytest.fixture(scope="module")
@@ -134,9 +135,9 @@ class TestReachableGradients:
         plan_fd = SamplingPlan(seed=0, use_analytic_gradient=False)
         plan_an = SamplingPlan(seed=0)
         x = np.array([0.1, -0.2, 0.3])
-        h_fd = subdifferential_hulls(quad_vert, x[None], plan_fd)[0]
-        h_an = subdifferential_hulls(quad_vert, x[None], plan_an)[0]
-        assert np.max(np.abs(h_fd.centroid() - h_an.centroid())) < 1e-6
+        c_fd = centroids(subdifferential_hulls(quad_vert, x[None], plan_fd))[0]
+        c_an = centroids(subdifferential_hulls(quad_vert, x[None], plan_an))[0]
+        assert np.max(np.abs(c_fd - c_an)) < 1e-6
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
     def test_batched_shells_equal_per_centre_calls(self, h1, one_norm_f, analytic):
@@ -230,45 +231,45 @@ class TestSubdifferentialHull:
     def test_one_norm_square(self, one_norm_f, h1, plan):
         from carnot import hausdorff_distance
 
-        hull = subdifferential_hulls(one_norm_f, h1.identity()[None], plan)[0]
+        V = subdifferential_hulls(one_norm_f, h1.identity()[None], plan)
         square = ConvexPolytope.from_points([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-        assert hausdorff_distance(hull, square) < 0.05
-        assert subdiff_membership(one_norm_f, h1.identity()[None], hull.vertices[None], plan)[0] <= plan.tol.membership
+        assert hausdorff_distance(ConvexPolytope.from_points(V[0]), square) < 0.05
+        assert subdiff_membership(one_norm_f, h1.identity()[None], V, plan)[0] <= plan.tol.membership
 
     def test_smooth_singleton(self, quad_vert, plan):
         rng = np.random.default_rng(1)
         for x in rng.uniform(-0.8, 0.8, (5, 3)):
-            assert subdifferential_hulls(quad_vert, x[None], plan)[0].diameter() < 1e-3
+            assert diameters(subdifferential_hulls(quad_vert, x[None], plan))[0] < 1e-3
 
     def test_affine_singleton_at_q(self, affine_f, h1, plan):
-        hull = subdifferential_hulls(affine_f, h1.identity()[None], plan)[0]
+        V = subdifferential_hulls(affine_f, h1.identity()[None], plan)
         q = affine_f.gradient(h1.identity()[None])[0]
-        assert hull.diameter() < 1e-12
-        assert np.max(np.abs(hull.centroid() - q)) < 1e-12
+        assert diameters(V)[0] < 1e-12
+        assert np.max(np.abs(centroids(V)[0] - q)) < 1e-12
 
     def test_one_norm_cube_in_3d(self, fs3, plan):
         # the subdifferential of the horizontal 1-norm at 0 is the cube
         # [-1, 1]^3; the sampled gradients are exactly its 8 corners
         u = build_function(fs3, "one_norm")
-        hull = subdifferential_hulls(u, fs3.identity()[None], plan)[0]
-        assert len(np.unique(hull.vertices, axis=0)) == 8
-        assert np.allclose(np.sort(np.abs(hull.vertices), axis=None), 1.0)
+        V = subdifferential_hulls(u, fs3.identity()[None], plan)
+        assert len(np.unique(V[0], axis=0)) == 8
+        assert np.allclose(np.sort(np.abs(V[0]), axis=None), 1.0)
         for e in np.eye(3):
-            assert hull.support(e) == pytest.approx(1.0)
+            assert supports(V, e)[0] == pytest.approx(1.0)
 
     def test_support_cloud_in_4d(self, h2, plan):
         # the hull keeps the sampled gradient cloud; support queries are exact
         u = build_function(h2, "one_norm")
-        hull = subdifferential_hulls(u, h2.identity()[None], plan)[0]
+        V = subdifferential_hulls(u, h2.identity()[None], plan)
         for e in np.eye(4):
-            assert hull.support(e) == pytest.approx(1.0)
-        assert hull.diameter() == pytest.approx(4.0, abs=1e-12)
+            assert supports(V, e)[0] == pytest.approx(1.0)
+        assert diameters(V)[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_smooth_singleton_other_groups(self, fs3, eng, plan):
         for desc in (fs3, eng):
             u = build_function(desc, "quad_vertical")
             x = 0.3 * np.arange(1, desc.dim + 1) / desc.dim
-            assert subdifferential_hulls(u, x[None], plan)[0].diameter() < 1e-3
+            assert diameters(subdifferential_hulls(u, x[None], plan))[0] < 1e-3
 
 
 def _batch_points(desc, plan):
@@ -292,10 +293,10 @@ class TestBatchedHulls:
         dirs = unit_directions(h1.m1, 64)
         for u in _FAMILIES[family](h1):
             for x, raw in zip(xs, subdifferential_hulls(u, xs, plan)):
-                single = subdifferential_hulls(u, x[None], plan)[0]
-                assert np.array_equal(raw.support(dirs), single.support(dirs))
-                assert raw.diameter() == single.diameter()
-                assert np.array_equal(raw.centroid(), single.centroid())
+                single = subdifferential_hulls(u, x[None], plan)
+                assert np.array_equal(supports(raw[None], dirs), supports(single, dirs))
+                assert diameters(raw[None])[0] == diameters(single)[0]
+                assert np.array_equal(centroids(raw[None]), centroids(single))
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
@@ -303,13 +304,15 @@ class TestBatchedHulls:
         plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
         xs = _batch_points(h1, plan)
         for u in _FAMILIES[family](h1):
-            for x, rep in zip(xs, dermax_checks(u, xs, plan, directions=50)):
-                assert rep == dermax_checks(u, x[None], plan, directions=50)[0]
-            for x, rep in zip(xs, first_order_characterizations(u, xs, plan)):
-                single = first_order_characterizations(u, x[None], plan)[0]
-                assert rep.hull_diameter == single.hull_diameter
-                assert np.array_equal(rep.ladder, single.ladder)
-                assert (rep.singleton, rep.expansion_converges) == (single.singleton, single.expansion_converges)
+            gaps, subadd = dermax_checks(u, xs, plan, directions=50)
+            for x, gap, sub in zip(xs, gaps, subadd):
+                assert (gap, sub) == tuple(a[0] for a in dermax_checks(u, x[None], plan, directions=50))
+            diams, ladders, singleton, converges = first_order_characterizations(u, xs, plan)
+            for i, x in enumerate(xs):
+                (d1,), (l1,), (s1,), (c1,) = first_order_characterizations(u, x[None], plan)
+                assert diams[i] == d1
+                assert np.array_equal(ladders[i], l1)
+                assert (singleton[i], converges[i]) == (s1, c1)
 
 
 class TestMembership:
@@ -451,19 +454,19 @@ class TestDirectionalDerivative:
 
 class TestDermax:
     def test_smooth(self, quad_vert, plan):
-        rep = dermax_checks(quad_vert, np.array([[0.3, 0.1, -0.2]]), plan, directions=50)[0]
-        assert rep.max_gap < 1e-4
-        assert rep.max_subadd_violation < 1e-8
+        (gap,), (subadd,) = dermax_checks(quad_vert, np.array([[0.3, 0.1, -0.2]]), plan, directions=50)
+        assert gap < 1e-4
+        assert subadd < 1e-8
 
     def test_one_norm_at_kink(self, one_norm_f, h1, plan):
         # support of the square is |h1| + |h2|
-        rep = dermax_checks(one_norm_f, h1.identity()[None], plan, directions=50)[0]
-        assert rep.max_gap < 2e-2
-        assert rep.max_subadd_violation < 1e-8
+        (gap,), (subadd,) = dermax_checks(one_norm_f, h1.identity()[None], plan, directions=50)
+        assert gap < 2e-2
+        assert subadd < 1e-8
 
     def test_affine_zero(self, affine_f, h1, plan):
-        rep = dermax_checks(affine_f, h1.identity()[None], plan, directions=20)[0]
-        assert rep.max_gap < 1e-10
+        (gap,), _ = dermax_checks(affine_f, h1.identity()[None], plan, directions=20)
+        assert gap < 1e-10
 
 
 @pytest.mark.parametrize("spec", ["r3", "h1", "h2", "fs3", "eng", "filiform4"])
@@ -487,31 +490,31 @@ def test_horizontal_lines_are_quadratic(request, spec):
 class TestMeanValue:
     def test_affine_any_t(self, affine_f, h1, plan):
         h = np.array([0.8, -0.4])
-        w = mean_value_witnesses([affine_f], h1.identity()[None], h[None], plan)[0]
+        _, (p,), (residual,), _ = mean_value_witnesses([affine_f], h1.identity()[None], h[None], plan)
         q = affine_f.gradient(h1.identity()[None])[0]
-        assert w.residual < 1e-12
-        assert abs(w.p @ h - q @ h) < 1e-9
+        assert residual < 1e-12
+        assert abs(p @ h - q @ h) < 1e-9
 
     def test_quadratic_midpoint(self, quad_vert, h1, plan):
-        w = mean_value_witnesses([quad_vert], h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0]
-        assert w.t == pytest.approx(0.5, abs=1e-6)
-        assert w.p[0] == pytest.approx(1.0, abs=1e-6)
-        assert w.residual < 1e-10
+        (t,), (p,), (residual,), _ = mean_value_witnesses([quad_vert], h1.identity()[None], np.array([[1.0, 0.0]]), plan)
+        assert t == pytest.approx(0.5, abs=1e-6)
+        assert p[0] == pytest.approx(1.0, abs=1e-6)
+        assert residual < 1e-10
 
     def test_abs_across_kink(self, h1, plan):
         u = build_function(h1, "max_affine")  # |x1|
-        w = mean_value_witnesses([u], np.array([[-1.0, 0.0, 0.0]]), np.array([[2.0, 0.0]]), plan)[0]
-        assert w.t == pytest.approx(0.5, abs=1e-6)
-        assert abs(w.p[0]) < 1e-9
-        assert w.residual < 1e-12
+        (t,), (p,), (residual,), _ = mean_value_witnesses([u], np.array([[-1.0, 0.0, 0.0]]), np.array([[2.0, 0.0]]), plan)
+        assert t == pytest.approx(0.5, abs=1e-6)
+        assert abs(p[0]) < 1e-9
+        assert residual < 1e-12
 
     def test_kink_location(self, h1, plan):
         # |x1| from x1 = -0.3 along e1: psi's extremum is the kink at t = 0.3,
         # which falls between grid points, so the section search must find it
         u = build_function(h1, "max_affine")
-        w = mean_value_witnesses([u], np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)[0]
-        assert abs(w.t - 0.3) <= 1e-12
-        assert w.residual < 1e-12
+        (t,), _, (residual,), _ = mean_value_witnesses([u], np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)
+        assert abs(t - 0.3) <= 1e-12
+        assert residual < 1e-12
 
     def test_bracketing_failure_on_jump(self, h1, plan):
         # a discontinuous step is not h-convex: the secant slope cannot be
@@ -527,20 +530,20 @@ class TestMeanValue:
         for _ in range(10):
             x = rng.uniform(-0.5, 0.5, 3)
             h = rng.uniform(-0.8, 0.8, 2)
-            assert mean_value_witnesses([quad_vert], x[None], h[None], plan)[0].residual < 1e-8
-            assert mean_value_witnesses([one_norm_f], x[None], h[None], plan)[0].residual < 1e-4
+            assert mean_value_witnesses([quad_vert], x[None], h[None], plan)[2][0] < 1e-8
+            assert mean_value_witnesses([one_norm_f], x[None], h[None], plan)[2][0] < 1e-4
 
     def test_nan_field_gives_failing_witness(self, h1, plan):
         # NaN where x1 > 0.5: the secant slope along e1 is NaN, along e2 finite
         u = ScalarField(
             h1, lambda p: np.where(p[..., 0] > 0.5, np.nan, np.sum(p[..., :2] ** 2, axis=-1)), label="nan-right"
         )
-        w = mean_value_witnesses([u], h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0]
-        assert w.residual == np.inf
-        assert not w.residual < plan.tol.mvt_smooth
-        ws = mean_value_witnesses([u], np.zeros((2, 3)), np.array([[1.0, 0.0], [0.0, 1.0]]), plan)
-        assert ws[0].residual == np.inf
-        assert ws[1].residual < plan.tol.mvt_smooth
+        _, _, (residual,), _ = mean_value_witnesses([u], h1.identity()[None], np.array([[1.0, 0.0]]), plan)
+        assert residual == np.inf
+        assert not residual < plan.tol.mvt_smooth
+        _, _, residuals, _ = mean_value_witnesses([u], np.zeros((2, 3)), np.array([[1.0, 0.0], [0.0, 1.0]]), plan)
+        assert residuals[0] == np.inf
+        assert residuals[1] < plan.tol.mvt_smooth
 
     def test_nan_met_only_by_the_search_fails(self, h1, plan):
         # |x1| made NaN within 1e-6 of its kink: from x1 = -0.3 along e1 the
@@ -549,9 +552,9 @@ class TestMeanValue:
         u = build_function(h1, "max_affine")
         fn = lambda p: np.where(np.abs(p[..., 0]) < 1e-6, np.nan, u.value(p))
         nan_kink = ScalarField(h1, fn, label="nan-kink", grad_h=u.grad_h)
-        (w,) = mean_value_witnesses([nan_kink], np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)
-        assert np.all(np.isnan(w.p))
-        assert w.residual == np.inf
+        _, (p,), (residual,), _ = mean_value_witnesses([nan_kink], np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)
+        assert np.all(np.isnan(p))
+        assert residual == np.inf
 
     def test_nan_gradient_gives_failing_witness(self, h1, plan):
         u = ScalarField(
@@ -559,7 +562,7 @@ class TestMeanValue:
             lambda p: np.sum(p[..., :2] ** 2, axis=-1),
             grad_h=lambda p: np.where(p[..., :1] > 0.4, np.nan, 2.0 * p[..., :2]),
         )
-        assert mean_value_witnesses([u], h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0].residual == np.inf
+        assert mean_value_witnesses([u], h1.identity()[None], np.array([[1.0, 0.0]]), plan)[2][0] == np.inf
 
     @pytest.mark.parametrize("spec", ["h1", "h2", "fs3", "eng"])
     def test_batch_matches_rows(self, request, spec, plan):
@@ -568,12 +571,12 @@ class TestMeanValue:
         xs = ball(desc, 0.6, 8, rng)
         hs = unit_directions(desc.m1, 8, seed=1) * rng.uniform(0.3, 1.0, 8)[:, None]
         for u in smooth_suite(desc) + polyhedral_suite(desc):
-            batched = mean_value_witnesses([u], xs, hs, plan)
-            for x, h, w in zip(xs, hs, batched):
-                single = mean_value_witnesses([u], x[None], h[None], plan)[0]
-                assert w.t == single.t
-                assert np.max(np.abs(w.p - single.p)) <= 1e-15
-                assert abs(w.residual - single.residual) <= 1e-15
+            t, p, residual, _ = mean_value_witnesses([u], xs, hs, plan)
+            for i, (x, h) in enumerate(zip(xs, hs)):
+                (t1,), (p1,), (r1,), _ = mean_value_witnesses([u], x[None], h[None], plan)
+                assert t[i] == t1
+                assert np.max(np.abs(p[i] - p1)) <= 1e-15
+                assert abs(residual[i] - r1) <= 1e-15
 
 
 @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
@@ -591,16 +594,16 @@ def test_family_matches_fields(request, spec, analytic):
     hs = unit_directions(desc.m1, 7, seed=1) * rng.uniform(0.3, 1.0, 7)[:, None]
     for family in (smooth_suite(desc), polyhedral_suite(desc)):
         k = len(family)
-        ws = mean_value_witnesses(family, xs, hs, plan)
-        assert len(ws) == len(xs)
+        t, p, residual, point = mean_value_witnesses(family, xs, hs, plan)
+        assert len(t) == len(p) == len(residual) == len(point) == len(xs)
         for j, u in enumerate(family):
-            alone = mean_value_witnesses([u], xs[j::k], hs[j::k], plan)
-            for w, a, x, h in zip(ws[j::k], alone, xs[j::k], hs[j::k]):
-                assert (w.t, w.residual) == (a.t, a.residual)
-                assert np.array_equal(w.p, a.p) and np.array_equal(w.point, a.point)
-                (row,) = mean_value_witnesses([u], x[None], h[None], plan)
-                assert w.t == row.t and np.array_equal(w.point, row.point)
-                assert np.max(np.abs(w.p - row.p)) <= 1e-15 and abs(w.residual - row.residual) <= 1e-15
+            at, ap, ar, ay = mean_value_witnesses([u], xs[j::k], hs[j::k], plan)
+            assert np.array_equal(t[j::k], at) and np.array_equal(residual[j::k], ar)
+            assert np.array_equal(p[j::k], ap) and np.array_equal(point[j::k], ay)
+            for i in range(j, len(xs), k):
+                (rt,), (rp,), (rr,), (ry,) = mean_value_witnesses([u], xs[i : i + 1], hs[i : i + 1], plan)
+                assert t[i] == rt and np.array_equal(point[i], ry)
+                assert np.max(np.abs(p[i] - rp)) <= 1e-15 and abs(residual[i] - rr) <= 1e-15
 
 
 def test_family_raises_the_first_fields_error(h1, plan):
@@ -640,12 +643,12 @@ def test_residual_ladder_batch_matches_rows(h1, plan):
             np.testing.assert_array_equal(ladder, single)
 
 
-def _bracket_row(hull, h, s, gap):
+def _bracket_row(grads, h, s, gap):
     """The per-row witness bracketing that the batched one replaced."""
-    vals = hull.vertices @ h
+    vals = grads @ h
     smin, smax = float(np.min(vals)), float(np.max(vals))
     assert smin - gap <= s <= smax + gap
-    v_lo, v_hi = hull.vertices[int(np.argmin(vals))], hull.vertices[int(np.argmax(vals))]
+    v_lo, v_hi = grads[int(np.argmin(vals))], grads[int(np.argmax(vals))]
     if s <= smin:
         return v_lo
     if s >= smax:
@@ -688,13 +691,13 @@ def test_bracketing_matches_row_loop(request, spec, plan, monkeypatch):
     hs = unit_directions(desc.m1, 9, seed=2) * rng.uniform(0.3, 1.0, 9)[:, None]
     hfull = desc.embed_horizontal(hs)
     for u in smooth_suite(desc) + polyhedral_suite(desc):
-        ws = mean_value_witnesses([u], xs, hs, plan)
+        _, ps, residuals, _ = mean_value_witnesses([u], xs, hs, plan)
         sigma = u.value(desc.product(xs, hfull)) - u.value(xs)
         assert len(rounds) == 4 and {len(g) for g in rows} == {count, count - 7, count - 14}
-        for g, h, s, w in zip(rows, hs, sigma, ws):
-            p = _bracket_row(ConvexPolytope(g, desc.m1), h, s, plan.tol.support_gap)
-            assert np.max(np.abs(w.p - p)) <= 1e-15
-            assert abs(w.residual - abs(s - p @ h)) <= 1e-15
+        for g, h, s, pw, rw in zip(rows, hs, sigma, ps, residuals):
+            p = _bracket_row(g, h, s, plan.tol.support_gap)
+            assert np.max(np.abs(pw - p)) <= 1e-15
+            assert abs(rw - abs(s - p @ h)) <= 1e-15
 
 
 class TestClosedGraph:
@@ -716,22 +719,22 @@ class TestFirstOrderCharacterization:
     def test_smooth_points(self, quad_vert, plan):
         rng = np.random.default_rng(4)
         for x in rng.uniform(-0.7, 0.7, (5, 3)):
-            rep = first_order_characterizations(quad_vert, x[None], plan)[0]
-            assert rep.singleton and rep.expansion_converges and rep.directions_agree
+            _, _, (singleton,), (converges,) = first_order_characterizations(quad_vert, x[None], plan)
+            assert singleton and converges and singleton == converges
 
     def test_kink_point(self, h1, plan):
         u = build_function(h1, "max_affine")
-        rep = first_order_characterizations(u, h1.identity()[None], plan)[0]
-        assert rep.hull_diameter >= 1.9
-        assert not rep.expansion_converges
-        assert rep.ladder[-1] > 0.2  # the ladder stalls
-        assert rep.directions_agree
+        (diam,), (ladder,), (singleton,), (converges,) = first_order_characterizations(u, h1.identity()[None], plan)
+        assert diam >= 1.9
+        assert not converges
+        assert ladder[-1] > 0.2  # the ladder stalls
+        assert singleton == converges
 
     def test_subjet_equivalence_at_kink(self, one_norm_f, h1, plan):
         # a vertex passing the o(|h|)-relaxed inequality also passes the
         # strict one; a point outside fails the relaxed ladder
-        hull = subdifferential_hulls(one_norm_f, h1.identity()[None], plan)[0]
-        for v in hull.vertices:
+        (V,) = subdifferential_hulls(one_norm_f, h1.identity()[None], plan)
+        for v in V:
             ladder = first_order_residual_ladder(one_norm_f, h1.identity()[None], v[None], plan)[0]
             # relaxed: sup (u(x) + <p,h> - u(xh)) / |h| bounded by the ladder
             assert subdiff_membership(one_norm_f, h1.identity()[None], v[None], plan)[0] <= 1e-10
@@ -755,8 +758,8 @@ class TestScaleDiagnostics:
         L = np.sqrt(2.0)
         rng = np.random.default_rng(5)
         for x in ball(h1, 0.3, 5, rng):
-            hull = subdifferential_hulls(one_norm_f, x[None], plan)[0]
-            assert np.max(np.linalg.norm(hull.vertices, axis=1)) <= L + 1e-12
+            (V,) = subdifferential_hulls(one_norm_f, x[None], plan)
+            assert np.max(np.linalg.norm(V, axis=1)) <= L + 1e-12
 
     def test_growth_ratio_stable(self, quad_vert, plan, h1):
         # sup |p| over B(x, r) against the r-normalized mean of |u| over the
@@ -768,8 +771,8 @@ class TestScaleDiagnostics:
         for r in (0.02, 0.04, 0.08):
             sup_p = 0.0
             for y in ball(h1, r, 4, rng):
-                hull = subdifferential_hulls(quad_vert, h1.product(x, y)[None], plan)[0]
-                sup_p = max(sup_p, float(np.max(np.linalg.norm(hull.vertices, axis=1))))
+                (V,) = subdifferential_hulls(quad_vert, h1.product(x, y)[None], plan)
+                sup_p = max(sup_p, float(np.max(np.linalg.norm(V, axis=1))))
             pts = h1.product(x, ball(h1, 15 * r, 200, rng))
             mean_u = float(np.mean(np.abs(quad_vert.value(pts))))
             ratios.append(sup_p / (mean_u / r))

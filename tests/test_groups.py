@@ -129,12 +129,12 @@ class TestProduct:
         x = rng.uniform(-1, 1, eng.dim)
         for j in range(eng.dim):
             nodes = np.arange(1, eng.step + 2, dtype=float)
-            vals = np.stack([eng.product(x, t * eng.basis_vector(j)) for t in nodes])
+            vals = np.stack([eng.product(x, t * np.eye(eng.dim)[j]) for t in nodes])
             V = np.vander(nodes, eng.step + 1, increasing=True)
             coeffs = np.linalg.solve(V, vals)
             t_hold = float(eng.step + 2)
             pred = np.sum(coeffs * t_hold ** np.arange(eng.step + 1)[:, None], axis=0)
-            actual = eng.product(x, t_hold * eng.basis_vector(j))
+            actual = eng.product(x, t_hold * np.eye(eng.dim)[j])
             assert np.max(np.abs(pred - actual)) < 1e-12
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -335,6 +336,33 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "t = 0.5" in out
+
+    # sha256 of the stdout of first-order commands, each exiting 0: the
+    # printed hull rows, diameter, witness and records are pinned byte for byte
+    CLI_SHA256 = {
+        ("subdiff", "heisenberg:1", "one_norm", "0,0,0", None): (
+            "7739941fe2cdd8bcbebf3869b21a26c0ceb7a266e7d6e9f037338b3a9bf27e6c"
+        ),
+        ("subdiff", "heisenberg:1", "quad_vertical", "0.2,0.3,-0.1", None): (
+            "7e1835ab8eaaaff656862c1790526302088264a65ad5b7a244dfd0663747b5de"
+        ),
+        ("mvt", "heisenberg:1", "one_norm", "0.1,0,0", "1,0.5"): (
+            "c3b9ca729065f6410ed550da2ec9cc09b4f9cb1e886f88fc1e3b0f3d16fe4b9f"
+        ),
+        ("mvt", "engel", "quad_vertical", "0.1,0.2,-0.1,0.05", "0.5,-0.3"): (
+            "d75b968f1bcef6382a16847b19e278b9c73497f54ca40416bed7f09e806beb57"
+        ),
+        ("dermax", "heisenberg:1", "one_norm", "0.1,0,0", None): (
+            "9e1e2b74c7f95711362c1f413409afa7d29cdc75b41a496f512415711886a22b"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CLI_SHA256, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+    def test_first_order_stdout_pinned(self, capsys, case):
+        op, group, fn, point, h = case
+        argv = [op, "--group", group, "--fn", fn, "--point", point] + (["--h", h] if h else [])
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.CLI_SHA256[case]
 
     def test_second_order_check_has_four_verdicts(self, capsys):
         code = main(

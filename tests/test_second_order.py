@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from carnot import (
-    ConvexPolytope,
     NonSingletonSubdifferential,
     ScalarField,
     SamplingPlan,
@@ -21,6 +22,7 @@ from carnot import (
     weighted_degree,
 )
 from carnot import second_order as so
+from carnot.hull import centroids, diameters
 from carnot.registry import euclidean, polyhedral_suite, smooth_suite
 from carnot.sampling import quasi_sphere
 
@@ -74,11 +76,13 @@ class TestSecondQuotient:
 
 
 def _quotient_hull(u, x, tau, w, grad, plan):
-    """(subdifferential hull at x delta_tau w - grad) / tau, from a hull of
-    its own on the shell of radius ``radii[-1] * tau``."""
+    """(subdifferential hull at x delta_tau w - grad) / tau, as its (count, m1)
+    generating points, from a hull of its own on the shell of radius
+    ``radii[-1] * tau``."""
     desc = u.desc
-    (hull,) = subdifferential_hulls(u, desc.product(x, desc.dilate(tau, w))[None], plan.scaled(tau))
-    return ConvexPolytope((hull.vertices - grad) * (1.0 / tau), hull.dim)
+    zoomed = replace(plan, radii=tuple(r * tau for r in plan.radii))
+    (V,) = subdifferential_hulls(u, desc.product(x, desc.dilate(tau, w))[None], zoomed)
+    return (V - grad) * (1.0 / tau)
 
 
 class TestSubdiffQuotient:
@@ -86,8 +90,8 @@ class TestSubdiffQuotient:
         u = build_function(h1, "affine")
         grad, _ = gradient_with_certificate(u, h1.identity(), plan)
         q = _quotient_hull(u, h1.identity(), 0.1, np.array([0.4, 0.2, 0.1]), grad, plan)
-        assert q.diameter() < 1e-9
-        assert np.max(np.abs(q.centroid())) < 1e-9
+        assert diameters(q[None])[0] < 1e-9
+        assert np.max(np.abs(centroids(q[None])[0])) < 1e-9
         _, excess, ok = mignot_check(u, h1.identity(), grad, np.zeros((2, 2)), plan)
         assert ok and np.max(excess) < 1e-9
 
@@ -100,15 +104,15 @@ class TestSubdiffQuotient:
             q = _quotient_hull(quad_vert, x, tau, w, grad, plan)
             y = h1.product(x, h1.dilate(tau, w))
             target = (quad_vert.gradient(y[None])[0] - g0) / tau
-            assert q.diameter() < 1e-3
-            assert np.max(np.abs(q.centroid() - target)) < 1e-3
+            assert diameters(q[None])[0] < 1e-3
+            assert np.max(np.abs(centroids(q[None])[0] - target)) < 1e-3
 
     def test_scale_independence_for_quadratic(self, quad_vert, h1, plan):
         w = np.array([0.3, 0.4, -0.2])
         cents = []
         grad, _ = gradient_with_certificate(quad_vert, h1.identity(), plan)
         for tau in (0.4, 0.1, 0.025):
-            cents.append(_quotient_hull(quad_vert, h1.identity(), tau, w, grad, plan).centroid())
+            cents.append(centroids(_quotient_hull(quad_vert, h1.identity(), tau, w, grad, plan)[None])[0])
         assert np.max(np.abs(cents[0] - cents[1])) < 1e-3
         assert np.max(np.abs(cents[1] - cents[2])) < 1e-3
 
@@ -127,7 +131,7 @@ class TestSubdiffQuotient:
 
         def dist(u, tau, w):
             q = _quotient_hull(u, x, tau, w, grad, plan)
-            return np.max(np.linalg.norm(q.vertices - A @ w[: desc.m1], axis=-1))
+            return np.max(np.linalg.norm(q - A @ w[: desc.m1], axis=-1))
 
         for u in smooth_suite(desc) + polyhedral_suite(desc):
             taus, excess, _ = mignot_check(u, x, grad, A, plan)
@@ -267,7 +271,7 @@ class TestCharacterization:
 
     def test_empty_hull_fails_certification(self, quad_vert, h1, plan, monkeypatch):
         # an empty gradient sample has a NaN diameter, which certifies nothing
-        empty = lambda u, xs, plan: [ConvexPolytope(np.empty((0, u.desc.m1)), u.desc.m1) for _ in xs]
+        empty = lambda u, xs, plan: np.empty((len(xs), 0, u.desc.m1))
         monkeypatch.setattr(so, "subdifferential_hulls", empty)
         with pytest.raises(NonSingletonSubdifferential):
             gradient_with_certificate(quad_vert, h1.identity(), plan)

@@ -68,9 +68,33 @@ class ScalarField:
 @dataclass(frozen=True)
 class HConvexityReport:
     max_violation: float  # clamped at zero: 0 means consistent with h-convexity
-    raw_max: float
     samples: int
     worst: dict | None
+
+
+# -- horizontal lines: every segment x (t h) below is read off its line ---------
+
+
+def _horizontal_lines(desc, xs, hs):
+    """The coefficients [x, b1, b2] (..., 3, n) of the lines x (t h) = x +
+    t b1 + t^2 b2 (no BCH term holds t h more than twice) of the points
+    ``xs`` (..., n) and horizontal rows ``hs`` (..., m1), broadcast against
+    each other, from one product at t = 1 and -1, and their ends x h."""
+    hfull = desc.embed_horizontal(hs)
+    ends = desc.product(xs[..., None, :], np.stack([hfull, -hfull], axis=-2))  # (..., 2, n)
+    line = np.empty(ends.shape[:-2] + (3, desc.dim))
+    line[..., 0, :] = xs
+    line[..., 1, :] = 0.5 * (ends[..., 0, :] - ends[..., 1, :])
+    line[..., 2, :] = 0.5 * (ends[..., 0, :] + ends[..., 1, :]) - xs
+    return line, ends[..., 0, :]
+
+
+def _on_lines(t, line):
+    """The points x + t b1 + t^2 b2 (..., P, n) of the lines ``line``
+    (..., 3, n) at the parameters ``t`` (..., P), broadcast."""
+    powers = np.empty(t.shape + (3,))
+    powers[..., 0], powers[..., 1], powers[..., 2] = 1.0, t, t * t
+    return powers @ line
 
 
 # -- h-convexity ---------------------------------------------------------------
@@ -85,11 +109,13 @@ def _base_points(u, plan):
 def hconvexity_check(u, plan=None):
     """Sampled violation of midpoint convexity along horizontal segments.
 
-    For base points x, horizontal h and a grid of lambda in [0, 1],
-    evaluates u(x (lambda h)) - lambda u(xh) - (1 - lambda) u(x) and reports
-    the largest positive value.  Non-finite values count as violations of
-    +inf.  Raises ``RankDeficientDesign`` when the plan's directions do not
-    span the horizontal layer, which would leave some segments untested.
+    For base points x, unit horizontal h, segment scales s and a grid of
+    lambda in [0, 1], evaluates u(x (t h)) - lambda u(x (s h)) - (1 - lambda)
+    u(x) at t = s lambda on the line of (x, h) and reports the largest
+    positive value, ``worst`` the first in (x, h, s, lambda) order.
+    Non-finite values count as violations of +inf.  Raises
+    ``RankDeficientDesign`` when the plan's directions do not span the
+    horizontal layer, which would leave some segments untested.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
@@ -98,25 +124,14 @@ def hconvexity_check(u, plan=None):
     if np.linalg.matrix_rank(dirs) < desc.m1:
         raise RankDeficientDesign(f"{plan.directions} directions do not span the {desc.m1}-dim horizontal layer")
     lams = np.linspace(0.0, 1.0, plan.lambda_grid)
-    raw = -np.inf
-    worst = None
-    count = 0
-    for scale in plan.segment_scales:
-        hs = desc.embed_horizontal(scale * dirs)  # (D, n)
-        ends = desc.product(xs[:, None, :], hs[None, :, :])  # (B, D, n)
-        mids = desc.product(xs[:, None, None, :], lams[None, None, :, None] * hs[None, :, None, :])
-        u_mid = u.value(mids)  # (B, D, L)
-        u_base = u.value(xs)[:, None, None]
-        u_end = u.value(ends)[:, :, None]
-        viol = u_mid - (lams[None, None, :] * u_end + (1 - lams[None, None, :]) * u_base)
-        viol = np.where(np.isfinite(viol), viol, np.inf)
-        count += viol.size
-        m = float(np.max(viol))
-        if m > raw:
-            raw = m
-            b, d, l = np.unravel_index(int(np.argmax(viol)), viol.shape)
-            worst = {"x": xs[b].tolist(), "h": (scale * dirs[d]).tolist(), "lambda": float(lams[l])}
-    return HConvexityReport(max(0.0, raw), raw, count, worst)
+    scales = np.asarray(plan.segment_scales)
+    line, _ = _horizontal_lines(desc, xs[:, None, :], dirs)  # (B, D, 3, n)
+    vals = u.value(_on_lines((scales[:, None] * lams).ravel(), line)).reshape(len(xs), len(dirs), len(scales), -1)
+    viol = vals - (lams * vals[..., -1:] + (1 - lams) * vals[..., :1])  # lambda = 0 and 1 are the ends
+    viol = np.where(np.isfinite(viol), viol, np.inf)
+    b, d, s, l = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    worst = {"x": xs[b].tolist(), "h": (scales[s] * dirs[d]).tolist(), "lambda": float(lams[l])}
+    return HConvexityReport(max(0.0, float(viol[b, d, s, l])), viol.size, worst)
 
 
 # -- gradients -----------------------------------------------------------------
@@ -240,14 +255,15 @@ def lambda_subdiff_membership(u, xs, P, lam, plan=None):
     P = P[:, None, :] if P.ndim == 2 else P  # (K, k, m1)
     dirs = np.concatenate([unit_directions(desc.m1, plan.directions), np.eye(desc.m1), -np.eye(desc.m1)])
     scales = np.asarray(tuple(plan.segment_scales) + tuple(plan.radii))
-    hs = (scales[:, None, None] * dirs[None, :, :]).reshape(-1, desc.m1)
-    hfull, slack = desc.embed_horizontal(hs)[None], lam * np.sum(hs * hs, axis=-1)
+    hs = (dirs[:, None, :] * scales[:, None]).reshape(-1, desc.m1)  # direction-major, as the lines' points
+    slack = lam * np.sum(hs * hs, axis=-1)
     out = np.empty(len(xs))
     step = max(1, _MEMBERSHIP_POINTS // len(hs))
     for a in range(0, len(xs), step):
         x = xs[a : a + step]
-        uxh = u.value(desc.product(x[:, None, :], hfull))  # (rows, H)
-        viol = u.value(x)[:, None, None] + P[a : a + step] @ hs.T - slack - uxh[:, None, :]
+        line, _ = _horizontal_lines(desc, x[:, None, :], dirs)  # (rows, D, 3, n)
+        uxh = u.value(_on_lines(scales, line)).reshape(len(x), -1)  # (rows, H)
+        viol = u.value(x[:, None, :])[:, :, None] + P[a : a + step] @ hs.T - slack - uxh[:, None, :]
         out[a : a + step] = np.max(viol, axis=(1, 2))
     return out
 
@@ -287,13 +303,12 @@ def _directional_derivatives(u, xs, hs, plan):
     """
     desc = u.desc
     lams = plan.dd_lambda0 * 2.0 ** -np.arange(plan.dd_steps)
-    steps = lams[:, None, None] * desc.embed_horizontal(hs)[None, :, :]  # (S, D, n)
-    pts = desc.product(xs[:, None, None, :], steps[None])  # (K, S, D, n)
-    Q = (u.value(pts) - u.value(xs[:, None, None, :])) / lams[None, :, None]  # (K, S, D)
+    line, _ = _horizontal_lines(desc, xs[:, None, :], hs)  # (K, D, 3, n)
+    Q = (u.value(_on_lines(lams, line)) - u.value(xs[:, None, None, :])) / lams  # (K, D, S)
     slack = plan.tol.monotone_slack * (1.0 + np.max(np.abs(Q), axis=(1, 2)))
-    if np.any(np.diff(Q, axis=1) > slack[:, None, None]):
+    if np.any(np.diff(Q, axis=-1) > slack[:, None, None]):
         raise NonConvexSliceError("difference quotients increase along the ladder")
-    return 2 * Q[:, -1] - Q[:, -2]
+    return 2 * Q[..., -1] - Q[..., -2]
 
 
 def dermax_checks(u, xs, plan=None, directions=None):
@@ -324,23 +339,6 @@ def dermax_checks(u, xs, plan=None, directions=None):
 
 _SECTION_PROBES = 16  # interior probes per step of the section search
 _SECTION_STEPS = 17  # final bracket (2/17)^17 ~ 1.6e-16 wide
-
-
-def _horizontal_lines(desc, xs, hfull):
-    """The coefficients [x, b1, b2] (K, 3, n) of the lines x (t h) = x + t b1
-    + t^2 b2 (no BCH term holds t h more than twice), from one product at
-    t = 1 and -1, and their end points x h (K, n)."""
-    ends = desc.product(xs[:, None, :], np.stack([hfull, -hfull], axis=1))  # (K, 2, n)
-    odd, even = 0.5 * (ends[:, 0] - ends[:, 1]), 0.5 * (ends[:, 0] + ends[:, 1])
-    return np.stack([xs, odd, even - xs], axis=1), ends[:, 0]
-
-
-def _on_lines(t, line):
-    """The points x + t b1 + t^2 b2 (K, P, n) of every line at its row of
-    parameters ``t`` (K, P)."""
-    powers = np.empty(t.shape + (3,))
-    powers[..., 0], powers[..., 1], powers[..., 2] = 1.0, t, t * t
-    return powers @ line
 
 
 def _values(fields, fid, pts):
@@ -399,7 +397,7 @@ def mean_value_witnesses(fields, xs, hs, plan=None):
     order = np.argsort(fid, kind="stable")  # field-major
     xs, hs, fid = xs[order], hs[order], fid[order]
 
-    line, xh = _horizontal_lines(desc, xs, desc.embed_horizontal(hs))
+    line, xh = _horizontal_lines(desc, xs, hs)
     ux = _values(fields, fid, xs)
     sigma = _values(fields, fid, xh) - ux
     bad = ~np.isfinite(sigma)

@@ -35,8 +35,8 @@ __all__ = [
     "validate_descriptor",
 ]
 
-# The closed-form BCH product below is exact through step 4.  No term holds
-# y more than twice, so x (t y) is quadratic in t (criterion 7 relies on it).
+# The closed-form BCH product below is exact through step 4.  No term holds y more
+# than twice, so x (t y) is quadratic in t (convexity._horizontal_lines and its users rely on it).
 MAX_STEP = 4
 
 # Rows of a batch that go through the BCH chain (and its matmuls) at once.

@@ -243,6 +243,47 @@ def test_criterion_07_product_calls(monkeypatch):
     assert calls["witnesses"] == 9 and calls["value"] <= 431, calls
 
 
+def test_line_product_budget(monkeypatch):
+    # a host-independent work budget: h-convexity, directional derivatives
+    # and membership read their segments off one line per (point,
+    # direction), so the group product sees only the ends x h^{+-1}.  When
+    # they took the product on full grids, run_suite read 183,970 product
+    # points, criterion 7 57,320 (its lambda record's membership), criterion
+    # 8 52,400, and criterion 12 30 product calls on 11,520 points with 45
+    # value calls
+    work = {"product": 0, "points": 0, "value": 0}
+    per = {}
+    product, value = GroupDescriptor.product, ScalarField.value
+
+    def counting_product(self, x, y):
+        work["product"] += 1
+        work["points"] += int(np.prod(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1]))
+        return product(self, x, y)
+
+    def counting_value(self, pts):
+        work["value"] += 1
+        return value(self, pts)
+
+    def measured(fn):
+        def run(*args):
+            before = dict(work)
+            out = fn(*args)
+            per[fn.__name__] = {key: work[key] - before[key] for key in work}
+            return out
+
+        return run
+
+    monkeypatch.setattr(GroupDescriptor, "product", counting_product)
+    monkeypatch.setattr(ScalarField, "value", counting_value)
+    monkeypatch.setattr(suite_mod, "CRITERIA", tuple(measured(fn) for fn in suite_mod.CRITERIA))
+    run_suite(SEED)
+    assert work["points"] <= 120_130, work
+    assert per["mean_value_records"]["points"] <= 43_720, per
+    assert per["dermax_records"]["points"] <= 12_400, per
+    cert = per["registry_certificate_records"]
+    assert cert["product"] == 5 and cert["points"] <= 1_280 and cert["value"] == 5, cert
+
+
 @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
 def test_criterion_07_one_hull_draw_per_group(monkeypatch, analytic):
     # a host-independent work budget: the hulls of a descriptor read one

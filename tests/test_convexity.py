@@ -354,17 +354,21 @@ class TestMembership:
 
     @pytest.mark.parametrize("lam", [0.0, 0.1])
     @pytest.mark.parametrize("k", [None, 3], ids=["one-p", "k-p"])
-    def test_batch_matches_rows(self, quad_vert, one_norm_f, h1, plan, lam, k):
+    def test_batch_matches_rows(self, h1, eng, fs3, plan, lam, k):
         # each row of a batch reads what its own one-row call reads, bit for
-        # bit, with one subgradient (K, m1) or several (K, k, m1) per row
-        rng = np.random.default_rng(6)
-        xs = ball(h1, 0.5, 7, rng)
-        P = rng.uniform(-1.0, 1.0, (7, 2) if k is None else (7, k, 2))
-        for u in (quad_vert, one_norm_f):
-            batch = lambda_subdiff_membership(u, xs, P, lam, plan)
-            assert batch.shape == (7,)
-            for i in range(7):
-                assert batch[i] == lambda_subdiff_membership(u, xs[i : i + 1], P[i : i + 1], lam, plan)[0]
+        # bit, with one subgradient (K, m1) or several (K, k, m1) per row.
+        # affine and max_affine evaluate a matmul, which rounds by batch shape
+        cases = [(h1, ("quad_vertical", "one_norm", "affine", "max_affine"))]
+        cases += [(desc, ("affine", "max_affine")) for desc in (eng, fs3)]
+        for desc, names in cases:
+            rng = np.random.default_rng(6)
+            xs = ball(desc, 0.5, 7, rng)
+            P = rng.uniform(-1.0, 1.0, (7, desc.m1) if k is None else (7, k, desc.m1))
+            for u in (build_function(desc, name) for name in names):
+                batch = lambda_subdiff_membership(u, xs, P, lam, plan)
+                assert batch.shape == (7,)
+                for i in range(7):
+                    assert batch[i] == lambda_subdiff_membership(u, xs[i : i + 1], P[i : i + 1], lam, plan)[0]
 
     def test_nan_row_stays_in_its_row(self, quad_vert, h1, plan):
         # NaN only beyond x1 = 2, which only row 3's own offsets reach
@@ -476,8 +480,9 @@ def test_horizontal_lines_are_quadratic(request, spec):
     desc = request.getfixturevalue(spec)
     rng = np.random.default_rng(4)
     xs = rng.uniform(-1.0, 1.0, (20, desc.dim))
-    hfull = desc.embed_horizontal(rng.uniform(-1.0, 1.0, (20, desc.m1)))
-    line, xh = convexity._horizontal_lines(desc, xs, hfull)
+    hs = rng.uniform(-1.0, 1.0, (20, desc.m1))
+    hfull = desc.embed_horizontal(hs)
+    line, xh = convexity._horizontal_lines(desc, xs, hs)
     t = rng.uniform(0.0, 1.0, (20, 7))
     exact = desc.product(xs[:, None, :], t[..., None] * hfull[:, None, :])
     assert np.max(np.abs(convexity._on_lines(t, line) - exact)) <= 1e-14
@@ -485,6 +490,15 @@ def test_horizontal_lines_are_quadratic(request, spec):
     if spec == "filiform4":
         linear = xs[:, None, :] + t[..., None] * line[:, None, 1]
         assert np.max(np.abs(linear - exact)) > 1e-3
+    # xs[:, None, :] against a (D, m1) direction set gives one line per
+    # (row, direction), and one shared t (P,) reads every line at once
+    dirs = rng.uniform(-1.0, 1.0, (6, desc.m1))
+    line, xh = convexity._horizontal_lines(desc, xs[:, None, :], dirs)
+    assert line.shape == (20, 6, 3, desc.dim)
+    assert np.array_equal(xh, desc.product(xs[:, None, :], desc.embed_horizontal(dirs)[None]))
+    t = rng.uniform(0.0, 1.0, 7)
+    exact = desc.product(xs[:, None, None, :], t[:, None] * desc.embed_horizontal(dirs)[:, None, :])
+    assert np.max(np.abs(convexity._on_lines(t, line) - exact)) <= 1e-14
 
 
 class TestMeanValue:

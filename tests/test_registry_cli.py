@@ -364,6 +364,29 @@ class TestCli:
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.CLI_SHA256[case]
 
+    # sha256 of the stdout of `carnot hconvex-check` under the default plan
+    # (46,080 samples each) and its exit code; the last field, -x2^2, is
+    # concave along the x2 lines and fails
+    HCONVEX_SHA256 = {
+        ("heisenberg:1", "one_norm"): (0, "1b35e8616c4a773b6ba73143abd76088d7c9033d3075fbb70cf6e7c30b0c2088"),
+        ("engel", "quadratic"): (0, "19044c51dfa86b72580109e7282ca2def7174b83bd657bb37c90bc616330e3c4"),
+        ("free_step2:3", "max_affine"): (0, "202e5faa40e3b3644efa319b834550fec595884d6bc5059a944de0bfacc44209"),
+        ("heisenberg:2", "quad_vertical"): (0, "19044c51dfa86b72580109e7282ca2def7174b83bd657bb37c90bc616330e3c4"),
+        ("heisenberg:1", "-x2^2"): (1, "e1078de3d6c88e2a82c82519123dc66584f955cc81f4757b933a1cb0d975f2db"),
+    }
+
+    @pytest.mark.parametrize("case", HCONVEX_SHA256, ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_hconvex_check_stdout_pinned(self, tmp_path, capsys, case):
+        group, fn = case
+        if fn == "-x2^2":
+            path = tmp_path / "fn.json"
+            path.write_text(json.dumps({"polynomial": [{"exponents": [0, 2, 0], "coeff": -1.0}]}))
+            args = ["--fn-file", str(path)]
+        else:
+            args = ["--fn", fn]
+        code = main(["hconvex-check", "--group", group] + args)
+        assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == self.HCONVEX_SHA256[case]
+
     def test_second_order_check_has_four_verdicts(self, capsys):
         code = main(
             ["second-order-check", "--group", "heisenberg:1", "--fn", "quad_vertical", "--point", "0,0,0"]

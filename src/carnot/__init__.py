@@ -1,9 +1,9 @@
 """Computable calculus on stratified (Carnot) groups.
 
-Group arithmetic from structure constants (BCH product, dilations,
-homogeneous norms), polynomials as coefficient vectors over the monomials
-of bounded homogeneous degree with the left-invariant vector fields as
-matrices on them, and numerical first/second-order analysis of h-convex
+Group arithmetic from structure constants (BCH product, dilations),
+polynomials as coefficient vectors over the monomials of bounded
+homogeneous degree with the left-invariant vector fields as matrices on
+them, and numerical first/second-order analysis of h-convex
 functions: subdifferential hulls, mean-value witnesses, directional
 derivatives, second-order expansion fits and the extended differential of
 the horizontal gradient.
@@ -17,7 +17,6 @@ from .convexity import (
     hconvexity_check,
     lambda_subdiff_membership,
     mean_value_witnesses,
-    subdiff_membership,
     subdifferential_hulls,
 )
 from .errors import (

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import suite as suite_mod
-from .convexity import dermax_checks, hconvexity_check, mean_value_witnesses, subdiff_membership, subdifferential_hulls
+from .convexity import (
+    dermax_checks,
+    hconvexity_check,
+    lambda_subdiff_membership,
+    mean_value_witnesses,
+    subdifferential_hulls,
+)
 from .errors import CarnotError, DescriptorError, NonConvexSliceError, NonSingletonSubdifferential
 from .groups import validate_descriptor
 from .hull import diameters
@@ -197,7 +203,7 @@ def run_command(cfg):
             _out(f"{len(V)} distinct sampled gradients generating the hull:")
             _out(np.array2string(V, precision=6))
             _out(f"diameter: {diameters(V[None])[0]:.6g}")
-            worst = float(subdiff_membership(u, x[None], V[None], plan)[0])
+            worst = float(lambda_subdiff_membership(u, x[None], V[None], 0.0, plan)[0])
             inputs = {"group": desc.name, "fn": u.label, "point": cfg.point}
             records.append(
                 CheckRecord.bounded("subdiff/vertex-membership", inputs, worst, plan.tol.membership, inclusive=True)

@@ -33,7 +33,6 @@ __all__ = [
     "ScalarField",
     "hconvexity_check",
     "subdifferential_hulls",
-    "subdiff_membership",
     "lambda_subdiff_membership",
     "dermax_checks",
     "mean_value_witnesses",
@@ -268,11 +267,6 @@ def lambda_subdiff_membership(u, xs, P, lam, plan=None):
     return out
 
 
-def subdiff_membership(u, xs, P, plan=None):
-    """Max violation of the subgradient inequality at every row; <= tol means consistent."""
-    return lambda_subdiff_membership(u, xs, P, 0.0, plan)
-
-
 def subdifferential_hulls(u, xs, plan=None):
     """The subdifferential hull at every row of ``xs``, as the (K, count, m1)
     array of its generating points: the gradients sampled at
@@ -460,23 +454,20 @@ def first_order_residual_ladder(u, xs, P, plan=None):
     """sup_w |u(xw) - u(x) - <p, pi_1 w>| / ||w|| over shrinking spheres, for
     every row x of ``xs`` (K, n) with p the same row of ``P`` (K, m1).
 
-    Returns (K, len(plan.radii)).  One product and one value call per radius
-    serve all rows.  Every evaluation keeps a leading row axis, so a row's
+    Returns (K, len(plan.radii)).  One product and one value call serve all
+    rows and radii.  Every evaluation keeps a leading row axis, so a row's
     ladder does not depend on the other rows of the batch.
     """
     plan = plan or SamplingPlan()
     desc = u.desc
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    ws = quasi_sphere(desc, plan.directions, seed=11)
-    ux = u.value(xs[:, None, :])  # (K, 1)
-    out = np.empty((len(xs), len(plan.radii)))
-    for r, rho in enumerate(plan.radii):
-        w = desc.dilate(rho, ws)
-        pts = desc.product(xs[:, None, :], w[None, :, :])  # (K, W, n)
-        lin = np.sum(w[None, :, : desc.m1] * P[:, None, :], axis=-1)
-        out[:, r] = np.max(np.abs(u.value(pts) - ux - lin) / rho, axis=-1)
-    return out
+    rho = np.asarray(plan.radii, dtype=float)
+    w = desc.dilate(rho[:, None], quasi_sphere(desc, plan.directions, seed=11))  # (R, W, n)
+    pts = desc.product(xs[:, None, None, :], w)  # (K, R, W, n)
+    lin = np.sum(w[..., : desc.m1] * P[:, None, None, :], axis=-1)
+    ux = u.value(xs[:, None, :])[:, :, None]  # (K, 1, 1)
+    return np.max(np.abs(u.value(pts) - ux - lin) / rho[:, None], axis=-1)
 
 
 def first_order_characterizations(u, xs, plan=None):

@@ -53,8 +53,9 @@ def field_coefficients(desc):
     return alij
 
 
+@_per_descriptor
 def _field_matrices(desc, degree):
-    """Build ``field_matrices(desc, degree)`` from the bracket entries."""
+    """``field_matrices(desc, degree)``, built from the bracket entries."""
     _require_grading(desc)
     basis = monomials_up_to(desc, degree)
     index = {alpha: k for k, alpha in enumerate(basis)}
@@ -92,7 +93,4 @@ def field_matrices(desc, degree=2):
     of X_j applied to basis monomial k.  X comes from the bracket entries, not
     from ``field_coefficients``, and is built once per descriptor and degree.
     """
-    built = desc.__dict__.setdefault("_field_matrices", {})
-    if degree not in built:
-        built[degree] = _field_matrices(desc, degree)
-    return built[degree]
+    return _field_matrices(desc, degree)

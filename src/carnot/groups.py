@@ -171,10 +171,6 @@ class GroupDescriptor:
 
     # -- algebra and group operations --------------------------------------
 
-    def bracket(self, u, v):
-        """Lie bracket of algebra elements, batched over leading axes."""
-        return self._blocked(self._bracket, self._check_point(u), self._check_point(v))
-
     def product(self, x, y):
         """Group product in exponential coordinates (closed-form BCH).
 
@@ -182,30 +178,30 @@ class GroupDescriptor:
         truncated at the step, since brackets of more than ``step`` letters
         vanish.
         """
-        return self._blocked(self._bch, self._check_point(x), self._check_point(y))
+        return self._blocked(self._check_point(x), self._check_point(y))
 
-    def _blocked(self, fn, x, y):
-        """``fn(x, y)`` over the broadcast batch, at most ``_ROW_BLOCK`` rows
+    def _blocked(self, x, y):
+        """``_bch(x, y)`` over the broadcast batch, at most ``_ROW_BLOCK`` rows
         at a time: whole leading-axis slices per block, or one slice at a
-        time when a slice alone holds more rows.  ``fn`` sees equal-shape
+        time when a slice alone holds more rows.  ``_bch`` sees equal-shape
         1-D points or 2-D row blocks, and no input is expanded beyond one
         block."""
         if x.shape != y.shape:
             x, y = np.broadcast_arrays(x, y)
         if x.ndim == 1:
-            return fn(x, y)
+            return self._bch(x, y)
         rows = x.size // self.dim
         if rows <= _ROW_BLOCK:
-            return fn(x.reshape(-1, self.dim), y.reshape(-1, self.dim)).reshape(x.shape)
+            return self._bch(x.reshape(-1, self.dim), y.reshape(-1, self.dim)).reshape(x.shape)
         out = np.empty(x.shape)
         per_slice = rows // len(x)
         if per_slice > _ROW_BLOCK:
             for a in range(len(x)):
-                out[a] = self._blocked(fn, x[a], y[a])
+                out[a] = self._blocked(x[a], y[a])
         else:
             step = _ROW_BLOCK // per_slice
             for a in range(0, len(x), step):
-                out[a : a + step] = self._blocked(fn, x[a : a + step], y[a : a + step])
+                out[a : a + step] = self._blocked(x[a : a + step], y[a : a + step])
         return out
 
     def _bracket(self, u, v):
@@ -245,16 +241,6 @@ class GroupDescriptor:
             raise DescriptorError("dilation factor must be positive")
         x = self._check_point(x)
         return x * np.asarray(r)[..., None] ** self.dilation_exponents
-
-    def norm(self, x):
-        """Homogeneous norm sum_s |pi_s x|_2 ** (1/s); exactly 1-homogeneous."""
-        x = self._check_point(x)
-        total = 0.0
-        for s in range(1, self.step + 1):
-            block = x[..., self.layer_slice(s)]
-            r = np.sqrt(np.sum(block * block, axis=-1))
-            total = total + (r if s == 1 else r ** (1.0 / s))
-        return total
 
 
 # -- descriptor validation ---------------------------------------------------

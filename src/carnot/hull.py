@@ -22,13 +22,9 @@ __all__ = ["ConvexPolytope", "centroids", "diameters", "hausdorff_distance", "su
 
 @dataclass
 class ConvexPolytope:
-    """Convex hull of the rows of ``vertices``.
-
-    The rows are generating points, not necessarily extreme points and not
-    necessarily distinct; support values, the diameter and any maximum of a
-    convex function over the hull are read off them exactly.  ``centroid``
-    is the mean of the distinct generating points, a point of the hull.
-    """
+    """Convex hull of the rows of ``vertices``: generating points, not
+    necessarily extreme points and not necessarily distinct.  The batched
+    functions below answer its queries on ``vertices[None]``."""
 
     vertices: np.ndarray
     dim: int
@@ -37,19 +33,6 @@ class ConvexPolytope:
     def from_points(cls, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return cls(pts, pts.shape[1])
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def support(self, h):
-        """max over generating points of <v, h>; h may be a batch of directions."""
-        return supports(self.vertices[None], h)[0]
-
-    def centroid(self):
-        return centroids(self.vertices[None])[0]
-
-    def diameter(self):
-        return float(diameters(self.vertices[None])[0])
 
 
 def supports(V, h):
@@ -101,4 +84,5 @@ def hausdorff_distance(A, B):
     """Support-gap Hausdorff distance between two convex vertex sets, over
     ``_HAUSDORFF_DIRECTIONS`` unit directions."""
     dirs = unit_directions(A.dim, _HAUSDORFF_DIRECTIONS)
-    return float(np.max(np.abs(A.support(dirs) - B.support(dirs))))
+    gap = supports(A.vertices[None], dirs)[0] - supports(B.vertices[None], dirs)[0]
+    return float(np.max(np.abs(gap)))

@@ -101,11 +101,12 @@ def lambda_max(desc, c):
 
     Write the 2-homogeneous part as P^(2)(x) = x1^T S x1 / 2 + <v, x2>, with
     (S, v) = ``sym_hessian(desc, c)``.  On the unit sphere of the norm
-    sum_s |pi_s x|^(1/s) (``GroupDescriptor.norm``) with r = |x1|, the layers
-    above the second carry no weight at the peak, |x2| = (1 - r)^2, and the
-    largest |P^(2)| is r^2 rho(S)/2 + (1 - r)^2 |v|.  That is convex in r, so
-    the maximum is max(rho(S)/2, |v|_2), attained at r = 1 or r = 0.  The
-    formula depends on that norm; another homogeneous norm gives another peak.
+    sum_s |pi_s x|_2^(1/s), with pi_s x the layer-s block of x and r = |x1|,
+    the layers above the second carry no weight at the peak, |x2| =
+    (1 - r)^2, and the largest |P^(2)| is r^2 rho(S)/2 + (1 - r)^2 |v|.
+    That is convex in r, so the maximum is max(rho(S)/2, |v|_2), attained at
+    r = 1 or r = 0.  The formula depends on that norm; another homogeneous
+    norm gives another peak.
     """
     S, v = sym_hessian(desc, c)
     return float(np.max([np.max(np.abs(np.linalg.eigvalsh(S))) / 2.0, np.linalg.norm(v)]))

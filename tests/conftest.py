@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from carnot import GroupDescriptor, SamplingPlan, engel, euclidean, free_step2, heisenberg, registry
@@ -9,6 +10,24 @@ def fresh_builtin_groups():
     # across a process: a test that patches a builder behind those caches
     # must see its patch, so each test starts from freshly built descriptors
     registry._build_builtin.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def homogeneous_norm():
+    """The homogeneous norm sum_s |pi_s x|_2^(1/s) of points x (..., dim),
+    with pi_s x the layer-s block of x: exactly 1-homogeneous under the
+    dilations.  The samplers draw by it; no function of the package
+    evaluates it, so the tests keep it as their reference."""
+
+    def norm(desc, x):
+        x = np.asarray(x, dtype=float)
+        total = 0.0
+        for s in range(1, desc.step + 1):
+            r = np.sqrt(np.sum(x[..., desc.layer_slice(s)] ** 2, axis=-1))
+            total = total + (r if s == 1 else r ** (1.0 / s))
+        return total
+
+    return norm
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ success).  The checks themselves live in ``carnot.suite`` so the CLI
 """
 
 import functools
-import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -250,7 +250,9 @@ def test_line_product_budget(monkeypatch):
     # they took the product on full grids, run_suite read 183,970 product
     # points, criterion 7 57,320 (its lambda record's membership), criterion
     # 8 52,400, and criterion 12 30 product calls on 11,520 points with 45
-    # value calls
+    # value calls.  Criterion 6's residual ladders take all their radii in
+    # one product and one value call (18 product and 18 value calls when
+    # each radius had its own)
     work = {"product": 0, "points": 0, "value": 0}
     per = {}
     product, value = GroupDescriptor.product, ScalarField.value
@@ -280,6 +282,7 @@ def test_line_product_budget(monkeypatch):
     assert work["points"] <= 120_130, work
     assert per["mean_value_records"]["points"] <= 43_720, per
     assert per["dermax_records"]["points"] <= 12_400, per
+    assert per["first_order_records"]["product"] <= 4, per
     cert = per["registry_certificate_records"]
     assert cert["product"] == 5 and cert["points"] <= 1_280 and cert["value"] == 5, cert
 
@@ -543,11 +546,16 @@ def test_criterion_12_determinism():
     assert dt_single < 60.0
 
 
+def _env_with_sources(**extra):
+    """This environment, with this checkout's sources first on PYTHONPATH and ``extra`` set."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
+
+
 def test_reports_do_not_depend_on_cache_state():
     # descriptors and the tables cached on them outlive a run: the reports
     # of a fresh process equal those of one that ran other seeds and plans
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _env_with_sources()
     script = (
         "import sys; from carnot.suite import run_suite; from carnot.reports import render_csv, render_json; "
         "r, c = run_suite(0); sys.stdout.write(render_json(r) + '\\0' + render_csv(c))"
@@ -561,25 +569,42 @@ def test_reports_do_not_depend_on_cache_state():
 
 
 # sha256 of render_json + render_csv of run_suite(seed) under the default plan
-# and under FD gradients.  A change that moves a report byte, even at
-# round-off, updates the digest here and names the byte in CHANGES.md
+# and under FD gradients, computed with OpenBLAS's generic x86-64 kernel.
+# OpenBLAS picks its kernel per CPU, and the metrics that come from BLAS
+# products and LAPACK solves round differently under SkylakeX, Haswell and
+# Sandybridge; Prescott needs only SSE3, so any x86-64 host runs it, and it
+# gives Sandybridge's bytes, with one thread or two.  A change that moves a
+# report byte, even at round-off, updates the digest here and names the byte
+# in CHANGES.md
 REPORT_SHA256 = {
-    (True, 0): "698562c229ee75a8c89dfbca960b7e11f255261ff64d49ed54cbd121faea6a8c",
-    (True, 1): "96cb6b186d9031affba91f792822c7649566623aa049ffd5699eb1c9f644e68a",
-    (True, 2): "ab26ac512233f3392c59dada161d6ce790d3619f3d37c6459b44bd89ea0cfd20",
-    (False, 0): "6d84fd444988d56dfb12761f3eceb1ea9371edb57dce9e38aa2e4ad187b517a3",
-    (False, 1): "ebb4fe2126b4aa2d98228847884c2324732b0b9758d120ffe1c7f2b3cf980239",
-    (False, 2): "551dec90b4756e698aad8a91d27b4eaf8a8d6600b62a1d3d84cbf8844a7fbf72",
+    (True, 0): "ec7b4fed613c13f2d0b6abc595e7bb79ab1cff96b9c1ac8b88c5271317ca7c7c",
+    (True, 1): "be3fea7671923deb1dfdd67003235fac74f0165c67b80acb078f7a72ff528c24",
+    (True, 2): "2cfb5039c622fd52abfb49c77fb2e3b94fdc6cc1952630891a509e1da06acc90",
+    (False, 0): "69cccd1d32e6425e9692c05ed1aea5974f72eee88cf43dccdc172f1d7ffeeb18",
+    (False, 1): "f590288016dfec54263cb35f413c66b06ca7a29168eae74a1a9cef8e94b5a62c",
+    (False, 2): "a1c1b2f629565ae734184e5cf39f960c1616f56ee694501cad7d099f67a68dae",
 }
 
 
 def test_report_bytes_pinned():
-    digests = {}
-    for analytic, seed in REPORT_SHA256:
-        records, curves = run_suite(seed, SamplingPlan(seed=seed, use_analytic_gradient=analytic))
-        assert len(records) == 58 and all(r.passed for r in records)
-        digests[analytic, seed] = hashlib.sha256((render_json(records) + render_csv(curves)).encode()).hexdigest()
-    assert digests == REPORT_SHA256
+    script = (
+        "import hashlib, json, sys\n"
+        "from carnot import SamplingPlan\n"
+        "from carnot.reports import render_csv, render_json\n"
+        "from carnot.suite import run_suite\n"
+        "runs = []\n"
+        f"for analytic, seed in {list(REPORT_SHA256)!r}:\n"
+        "    records, curves = run_suite(seed, SamplingPlan(seed=seed, use_analytic_gradient=analytic))\n"
+        "    digest = hashlib.sha256((render_json(records) + render_csv(curves)).encode()).hexdigest()\n"
+        "    runs.append([analytic, seed, len(records), all(r.passed for r in records), digest])\n"
+        "json.dump(runs, sys.stdout)\n"
+    )
+    env = _env_with_sources(OPENBLAS_CORETYPE="Prescott")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert all(count == 58 and passed for _, _, count, passed, _ in runs), runs
+    assert {(analytic, seed): digest for analytic, seed, _, _, digest in runs} == REPORT_SHA256
 
 
 def test_one_build_per_group_spec(monkeypatch):

@@ -1,0 +1,79 @@
+"""Every public function, class and method of the package has a caller in
+the package itself.
+
+A public name that only tests reach is a second entry point to a
+computation that the package reaches some other way: the guard reads the
+sources with ``ast`` and lists each public definition (name not starting
+with ``_``) whose name no ``Name`` or ``Attribute`` node references outside
+the definition itself.  ``__init__.py`` only re-exports, so its references
+do not count.  The match is by name alone, so it misses a definition whose
+name another object shares; it never flags one that is in use.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "carnot"
+
+
+def _referenced(node):
+    """The names that ``Name`` and ``Attribute`` nodes under ``node`` read, with multiplicity."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+    return out
+
+
+def _public_definitions(tree):
+    """(qualified name, name, node) of each public top-level function or
+    class and each public method of a public class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def unreferenced_public_api(package=PACKAGE):
+    """The qualified names, per module, of public definitions that nothing
+    else in ``package`` references."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    trees.pop("__init__.py", None)
+    counts = {}
+    for tree in trees.values():
+        for name in _referenced(tree):
+            counts[name] = counts.get(name, 0) + 1
+    unused = []
+    for module, tree in trees.items():
+        for qualname, name, node in _public_definitions(tree):
+            if counts.get(name, 0) == _referenced(node).count(name):
+                unused.append(f"{module}:{qualname}")
+    return unused
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    assert unreferenced_public_api() == []
+
+
+def test_guard_sees_an_unused_method_and_a_self_call(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import Box, count\n")
+    (tmp_path / "a.py").write_text(
+        "class Box:\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def unused(self):\n"
+        "        return self.unused\n"
+        "\n"
+        "\n"
+        "def count(n):\n"
+        "    return count(n - 1) if n else Box().used()\n"
+    )
+    assert unreferenced_public_api(tmp_path) == ["a.py:Box.unused", "a.py:count"]

@@ -3,6 +3,7 @@ import pytest
 
 from carnot import DescriptorError, GroupDescriptor, validate_descriptor
 from carnot import groups as groups_mod
+from carnot.sampling import ball, quasi_sphere, sphere_shell
 
 GROUPS = ["h1", "h2", "fs3", "eng", "filiform4"]
 BLOCK = groups_mod._ROW_BLOCK
@@ -139,7 +140,7 @@ class TestProduct:
 
 
 class TestSparseBlockedLaw:
-    """The sparse, row-blocked product and bracket against the dense law."""
+    """The sparse, row-blocked product against the dense law."""
 
     @pytest.mark.parametrize("rows", [None, 1000, BLOCK, BLOCK + 1, 0], ids=["point", "1000", "block", "block+1", "empty"])
     @pytest.mark.parametrize("fixture", GROUPS)
@@ -147,12 +148,9 @@ class TestSparseBlockedLaw:
         desc = request.getfixturevalue(fixture)
         shape = (desc.dim,) if rows is None else (rows, desc.dim)
         x, y = np.random.default_rng(31).uniform(-1, 1, (2,) + shape)
-        for got, want in (
-            (desc.product(x, y), closed_form_product(desc, x, y)),
-            (desc.bracket(x, y), dense_bracket(desc, x, y)),
-        ):
-            assert got.shape == shape
-            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+        got = desc.product(x, y)
+        assert got.shape == shape
+        assert np.max(np.abs(got - closed_form_product(desc, x, y)), initial=0.0) <= 1e-15
 
     @pytest.mark.parametrize("b, d", [(97, 89), (3, BLOCK + 1)], ids=["slices-per-block", "slice-beyond-block"])
     @pytest.mark.parametrize("fixture", GROUPS)
@@ -162,19 +160,15 @@ class TestSparseBlockedLaw:
         x = rng.uniform(-1, 1, (b, 1, desc.dim))
         y = rng.uniform(-1, 1, (1, d, desc.dim))
         assert b * d > BLOCK
-        for got, want in (
-            (desc.product(x, y), closed_form_product(desc, x, y)),
-            (desc.bracket(x, y), dense_bracket(desc, x, y)),
-        ):
-            assert got.shape == (b, d, desc.dim)
-            assert np.max(np.abs(got - want)) <= 1e-15
+        got = desc.product(x, y)
+        assert got.shape == (b, d, desc.dim)
+        assert np.max(np.abs(got - closed_form_product(desc, x, y))) <= 1e-15
 
     def test_abelian_bracket_is_zero(self, r3):
         assert r3.bracket_entries == ()
         rng = np.random.default_rng(41)
         x = rng.uniform(-1, 1, (5, 1, 3))
         y = rng.uniform(-1, 1, (1, 4, 3))
-        assert np.array_equal(r3.bracket(x, y), np.zeros((5, 4, 3)))
         assert np.array_equal(r3.product(x, y), x + y)
 
     @pytest.mark.parametrize("fixture", GROUPS)
@@ -182,9 +176,9 @@ class TestSparseBlockedLaw:
         desc = request.getfixturevalue(fixture)
         x, y = np.random.default_rng(43).uniform(-1, 1, (2, 2 * BLOCK + 5, desc.dim))
         x[-1, 0] = np.nan
-        for out in (desc.product(x, y), desc.bracket(x, y)):
-            assert np.isnan(out[-1]).any()
-            assert np.isfinite(out[:-1]).all()
+        out = desc.product(x, y)
+        assert np.isnan(out[-1]).any()
+        assert np.isfinite(out[:-1]).all()
 
     @pytest.mark.parametrize(
         "xshape, yshape", [((100_000, 4), (100_000, 4)), ((300, 1, 4), (1, 333, 4)), ((2, 1, 4), (1, 50_000, 4))]
@@ -228,24 +222,36 @@ class TestDilationsAndNorm:
         rhs = desc.product(desc.dilate(r, x), desc.dilate(r, y))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    def test_norm_values(self, h1):
-        assert h1.norm(np.array([3.0, 4.0, 0.0])) == 5.0
-        assert h1.norm(np.array([0.0, 0.0, 4.0])) == 2.0
-        assert h1.norm(h1.identity()) == 0.0
+    def test_norm_values(self, h1, homogeneous_norm):
+        assert homogeneous_norm(h1, np.array([3.0, 4.0, 0.0])) == 5.0
+        assert homogeneous_norm(h1, np.array([0.0, 0.0, 4.0])) == 2.0
+        assert homogeneous_norm(h1, h1.identity()) == 0.0
 
-    def test_norm_homogeneity(self, eng):
+    def test_norm_homogeneity(self, eng, homogeneous_norm):
         rng = np.random.default_rng(23)
         x = rng.uniform(-1, 1, (300, eng.dim))
         r = rng.uniform(0.1, 3.0, 300)
-        assert np.max(np.abs(eng.norm(eng.dilate(r, x)) - r * eng.norm(x))) < 1e-13
+        assert np.max(np.abs(homogeneous_norm(eng, eng.dilate(r, x)) - r * homogeneous_norm(eng, x))) < 1e-13
 
-    def test_left_translation_isometry(self, eng):
+    def test_left_translation_isometry(self, eng, homogeneous_norm):
         rng = np.random.default_rng(29)
         x, y, u = rng.uniform(-1, 1, (3, 200, eng.dim))
-        distance = lambda a, b: eng.norm(eng.product(eng.inverse(a), b))  # ||a^-1 b||
+        distance = lambda a, b: homogeneous_norm(eng, eng.product(eng.inverse(a), b))  # ||a^-1 b||
         d1 = distance(x, y)
         d2 = distance(eng.product(u, x), eng.product(u, y))
         assert np.max(np.abs(d1 - d2)) < 1e-12
+
+    @pytest.mark.parametrize("fixture", GROUPS)
+    def test_samplers_draw_by_the_norm(self, fixture, request, homogeneous_norm):
+        # quasi_sphere on the unit sphere, sphere_shell on the sphere of
+        # radius r and ball inside it, as their docstrings state
+        desc = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(53)
+        assert np.max(np.abs(homogeneous_norm(desc, quasi_sphere(desc, 500, seed=3)) - 1.0)) < 1e-12
+        for r in (0.05, 0.6, 2.5):
+            assert np.max(np.abs(homogeneous_norm(desc, sphere_shell(desc, r, 500, rng)) - r)) < 1e-12 * r
+            norms = homogeneous_norm(desc, ball(desc, r, 500, rng))
+            assert np.all(norms <= r * (1.0 + 1e-12)) and np.max(norms) > 0.9 * r
 
 
 class TestProjections:

@@ -6,32 +6,32 @@ from carnot.hull import centroids, diameters, supports
 from carnot.sampling import unit_directions
 
 
-def _inside(hull, p, tol=1e-9):
-    """p lies in the hull when no direction's support value falls below <p, u>."""
-    dirs = unit_directions(hull.dim, 512)
-    return bool(np.max(dirs @ np.asarray(p, dtype=float) - hull.support(dirs)) <= tol)
+SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+def _inside(V, p, tol=1e-9):
+    """p lies in the hull of the rows V when no direction's support value falls below <p, u>."""
+    dirs = unit_directions(V.shape[1], 512)
+    return bool(np.max(dirs @ np.asarray(p, dtype=float) - supports(V[None], dirs)[0]) <= tol)
 
 
 class TestPolytope:
     def test_support_and_contains(self):
-        square = ConvexPolytope.from_points([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-        assert square.support(np.array([1.0, 0.0])) == 1.0
-        assert square.support(np.array([1.0, 1.0])) == 2.0
-        assert _inside(square, [0.3, -0.9])
-        assert not _inside(square, [1.2, 0.0], tol=1e-6)
+        assert supports(SQUARE[None], np.array([1.0, 0.0]))[0] == 1.0
+        assert supports(SQUARE[None], np.array([1.0, 1.0]))[0] == 2.0
+        assert _inside(SQUARE, [0.3, -0.9])
+        assert not _inside(SQUARE, [1.2, 0.0], tol=1e-6)
 
     def test_diameter(self):
-        square = ConvexPolytope.from_points([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-        assert abs(square.diameter() - 2 * np.sqrt(2)) < 1e-12
-        assert ConvexPolytope.from_points([[2.0, 3.0]]).diameter() == 0.0
+        assert abs(diameters(SQUARE[None])[0] - 2 * np.sqrt(2)) < 1e-12
+        assert diameters(np.array([[[2.0, 3.0]]]))[0] == 0.0
 
     def test_translate_scale(self):
-        square = ConvexPolytope.from_points([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-        moved = ConvexPolytope.from_points(2.0 * (square.vertices + [1.0, 0.0]))
-        assert moved.support(np.array([1.0, 0.0])) == 4.0
+        moved = 2.0 * (SQUARE + [1.0, 0.0])
+        assert supports(moved[None], np.array([1.0, 0.0]))[0] == 4.0
 
     def test_hausdorff(self):
-        A = ConvexPolytope.from_points([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+        A = ConvexPolytope.from_points(SQUARE)
         B = ConvexPolytope.from_points(1.1 * A.vertices)
         d = hausdorff_distance(A, B)
         # scaled square: support gap is 0.1 * max |support| over directions
@@ -41,12 +41,12 @@ class TestPolytope:
     def test_high_dim_cloud_support(self, dim):
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((40, dim))
-        cloud = ConvexPolytope.from_points(pts)
         h = rng.standard_normal(dim)
-        assert cloud.support(h) == cloud.support(h[None])[0]
-        assert cloud.support(h) == float(np.max(np.einsum("kd,d->k", pts, h)))
+        (support,) = supports(pts[None], h)
+        assert support == supports(pts[None], h[None])[0, 0]
+        assert support == float(np.max(np.einsum("kd,d->k", pts, h)))
         pairwise = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        assert cloud.diameter() == float(np.max(pairwise))
+        assert diameters(pts[None])[0] == float(np.max(pairwise))
 
     def test_raw_rows_answer_as_distinct_rows(self):
         # a hull keeps repeated rows: every query equals that of the
@@ -56,12 +56,12 @@ class TestPolytope:
             pts = rng.standard_normal((5, dim))
             dirs = unit_directions(dim, 64)
             for rows in (pts[:1], pts):
-                raw = ConvexPolytope(rows[rng.integers(0, len(rows), 48)], dim)
-                distinct = ConvexPolytope(np.unique(rows, axis=0), dim)
-                assert len(distinct) == len(rows) < len(raw)
-                assert raw.centroid().tolist() == distinct.centroid().tolist()
-                assert raw.diameter() == distinct.diameter()
-                assert raw.support(dirs).tolist() == distinct.support(dirs).tolist()
+                raw = rows[rng.integers(0, len(rows), 48)][None]
+                distinct = np.unique(rows, axis=0)[None]
+                assert distinct.shape[1] == len(rows) < raw.shape[1]
+                assert centroids(raw).tolist() == centroids(distinct).tolist()
+                assert diameters(raw).tolist() == diameters(distinct).tolist()
+                assert supports(raw, dirs).tolist() == supports(distinct, dirs).tolist()
 
 
 class TestDiameters:
@@ -72,7 +72,7 @@ class TestDiameters:
         V = rng.standard_normal((6, 48, m1)) * 10.0 ** rng.uniform(-9, 2, (6, 1, 1))
         want = [np.max(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)) for v in V]
         assert diameters(V).tolist() == want
-        assert [ConvexPolytope(v, m1).diameter() for v in V] == want
+        assert [diameters(v[None])[0] for v in V] == want
 
     def test_one_row_is_a_point(self):
         assert diameters(np.array([[[2.0, 3.0]], [[-1.0, 0.5]]])).tolist() == [0.0, 0.0]
@@ -80,7 +80,7 @@ class TestDiameters:
     def test_empty_hull_certifies_nothing(self):
         # no generating point is no singleton: NaN fails every `diam <= tol`
         assert np.isnan(diameters(np.empty((3, 0, 2)))).all()
-        diam = ConvexPolytope(np.empty((0, 2)), 2).diameter()
+        (diam,) = diameters(np.empty((1, 0, 2)))
         assert np.isnan(diam) and not diam <= 1e-3
 
     def test_nan_row_reads_nan_in_its_hull_only(self):
@@ -104,7 +104,7 @@ class TestBatchedQueries:
         for V in (pool, repeats, zeros, rng.standard_normal((4, 130, m1)), pool[:, :1]):
             want = np.stack([np.unique(v, axis=0).mean(axis=0) for v in V])
             assert centroids(V).tobytes() == want.tobytes()
-            assert [ConvexPolytope(v, m1).centroid().tobytes() for v in V] == [w.tobytes() for w in want]
+            assert [centroids(v[None])[0].tobytes() for v in V] == [w.tobytes() for w in want]
 
     @pytest.mark.parametrize("m1", [2, 3, 4])
     def test_supports_equal_per_hull_values(self, m1):

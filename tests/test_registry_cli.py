@@ -38,8 +38,8 @@ class TestGroupRegistry:
         assert desc.layer_dims == (4, 1)
         # [e1, e2] = e5 and [e3, e4] = e5
         e = np.eye(5)
-        assert np.allclose(desc.bracket(e[0], e[1]), e[4])
-        assert np.allclose(desc.bracket(e[2], e[3]), e[4])
+        assert np.allclose(desc.structure[0, 1], e[4])
+        assert np.allclose(desc.structure[2, 3], e[4])
 
     def test_free_step2_dims(self):
         desc = build_group("free_step2:4")

@@ -106,6 +106,8 @@ def _plan(cfg):
             data = json.load(fh)
         if not isinstance(data, dict):
             raise DescriptorError(f"plan file {cfg.plan_file} must hold a JSON object, got {type(data).__name__}")
+        if "seed" in data:
+            raise DescriptorError(f"plan file {cfg.plan_file} sets seed; the run's only seed is --seed")
         tol = data.pop("tol", None)
         try:
             for key in ("radii", "segment_scales"):
@@ -178,7 +180,7 @@ def run_command(cfg):
             desc = _group(cfg)
             if cfg.count < 1:
                 raise DescriptorError(f"--count must be a positive integer, got {cfg.count}")
-            C = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, (cfg.count, len(monomials_up_to(desc, 2))))
+            C = plan.rng("poly-alij").uniform(-1.0, 1.0, (cfg.count, len(monomials_up_to(desc, 2))))
             worst = float(np.max(check_alij(desc, C)))
             records.append(CheckRecord.bounded("poly-alij", {"group": desc.name, "count": cfg.count}, worst, 1e-10))
         elif cfg.operation == "hconvex-check":
@@ -248,8 +250,10 @@ def run_command(cfg):
             u = _function(cfg, desc)
             rep = characterize_second_order(u, _vec(cfg.point, desc.dim, "--point"), plan)
             base = {"group": desc.name, "fn": u.label, "point": cfg.point}
+            errors = (("expansion", rep.expansion_error), ("gradient", rep.extended_error))
+            detail = "; ".join([rep.equivalence] + [f"{name}: {err}" for name, err in errors if err])
             records.append(
-                CheckRecord("second-order/equivalence", base, None, None, rep.claims["equivalence"], detail=rep.equivalence)
+                CheckRecord("second-order/equivalence", base, None, None, rep.claims["equivalence"], detail=detail)
             )
             claim_metrics = (("c1_v2_stable", "v2_drift"), ("c3_identity", "claim3_residual"), ("psd", "min_eigenvalue"))
             for claim, metric in claim_metrics:

@@ -105,7 +105,7 @@ def _base_points(u, plan):
     return np.concatenate([u.desc.identity()[None], draw])[: plan.base_count]
 
 
-def hconvexity_check(u, plan=None):
+def hconvexity_check(u, plan):
     """Sampled violation of midpoint convexity along horizontal segments.
 
     For base points x, unit horizontal h, segment scales s and a grid of
@@ -116,7 +116,6 @@ def hconvexity_check(u, plan=None):
     ``RankDeficientDesign`` when the plan's directions do not span the
     horizontal layer, which would leave some segments untested.
     """
-    plan = plan or SamplingPlan()
     desc = u.desc
     xs = _base_points(u, plan)
     dirs = unit_directions(desc.m1, plan.directions)
@@ -232,7 +231,7 @@ def _shell_gradients(u, xs, radius, plan):
 _MEMBERSHIP_POINTS = 4096
 
 
-def lambda_subdiff_membership(u, xs, P, lam, plan=None):
+def lambda_subdiff_membership(u, xs, P, lam, plan):
     """Max violation of u(xh) >= u(x) + <p, h> - lam |h|^2 over sampled h, at
     every row x of ``xs`` (K, n): a (K,) array, from one product and two value
     calls per block of ``_MEMBERSHIP_POINTS`` offset points.
@@ -247,7 +246,6 @@ def lambda_subdiff_membership(u, xs, P, lam, plan=None):
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    plan = plan or SamplingPlan()
     desc = u.desc
     xs = np.asarray(xs, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -267,7 +265,7 @@ def lambda_subdiff_membership(u, xs, P, lam, plan=None):
     return out
 
 
-def subdifferential_hulls(u, xs, plan=None):
+def subdifferential_hulls(u, xs, plan):
     """The subdifferential hull at every row of ``xs``, as the (K, count, m1)
     array of its generating points: the gradients sampled at
     differentiability points of the finest shell around that row, from one
@@ -276,7 +274,6 @@ def subdifferential_hulls(u, xs, plan=None):
     Each hull is one row of the ``_shell_gradients`` array, repeats and
     all, and independent of the other rows of the batch.
     """
-    plan = plan or SamplingPlan()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     return _shell_gradients(u, xs, plan.radii[-1], plan)
 
@@ -305,7 +302,7 @@ def _directional_derivatives(u, xs, hs, plan):
     return 2 * Q[..., -1] - Q[..., -2]
 
 
-def dermax_checks(u, xs, plan=None, directions=None):
+def dermax_checks(u, xs, plan):
     """Compare directional derivatives with the hull support function at
     every row of ``xs``.
 
@@ -315,10 +312,8 @@ def dermax_checks(u, xs, plan=None, directions=None):
     The hulls of all rows come from one shared sample.  The batch raises
     the first error it meets for the whole batch.
     """
-    plan = plan or SamplingPlan()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    count = directions or plan.directions
-    dirs = unit_directions(u.desc.m1, count)
+    dirs = unit_directions(u.desc.m1, plan.directions)
     pair_sum = dirs + np.roll(dirs, 1, axis=0)
     V = _shell_gradients(u, xs, plan.radii[-1], plan)
     dd = _directional_derivatives(u, xs, dirs, plan)  # (K, D)
@@ -346,7 +341,7 @@ def _values(fields, fid, pts):
     return out
 
 
-def mean_value_witnesses(fields, xs, hs, plan=None):
+def mean_value_witnesses(fields, xs, hs, plan):
     """Mean-value witnesses for the segments x * [0, h] of the rows of
     ``xs`` (K, n) and ``hs`` (K, m1), row i on ``fields[i % len(fields)]``,
     a family of fields on one group, computed together.
@@ -383,7 +378,6 @@ def mean_value_witnesses(fields, xs, hs, plan=None):
     outside its hull's support range.  Call it per row where one failing
     segment must not stop the others.
     """
-    plan = plan or SamplingPlan()
     desc = fields[0].desc
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     hs = np.atleast_2d(np.asarray(hs, dtype=float))
@@ -450,7 +444,7 @@ def mean_value_witnesses(fields, xs, hs, plan=None):
 # -- first-order characterization ---------------------------------------------------
 
 
-def first_order_residual_ladder(u, xs, P, plan=None):
+def first_order_residual_ladder(u, xs, P, plan):
     """sup_w |u(xw) - u(x) - <p, pi_1 w>| / ||w|| over shrinking spheres, for
     every row x of ``xs`` (K, n) with p the same row of ``P`` (K, m1).
 
@@ -458,7 +452,6 @@ def first_order_residual_ladder(u, xs, P, plan=None):
     rows and radii.  Every evaluation keeps a leading row axis, so a row's
     ladder does not depend on the other rows of the batch.
     """
-    plan = plan or SamplingPlan()
     desc = u.desc
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -470,7 +463,7 @@ def first_order_residual_ladder(u, xs, P, plan=None):
     return np.max(np.abs(u.value(pts) - ux - lin) / rho[:, None], axis=-1)
 
 
-def first_order_characterizations(u, xs, plan=None):
+def first_order_characterizations(u, xs, plan):
     """Singleton subdifferential versus vanishing first-order residual, at
     every row of ``xs``.
 
@@ -482,7 +475,6 @@ def first_order_characterizations(u, xs, plan=None):
     one shared sample.  The batch raises the first error it meets for the
     whole batch.
     """
-    plan = plan or SamplingPlan()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     V = _shell_gradients(u, xs, plan.radii[-1], plan)
     diams = diameters(V)

@@ -246,12 +246,13 @@ class GroupDescriptor:
 # -- descriptor validation ---------------------------------------------------
 
 
-def validate_descriptor(desc, tol=1e-10):
+def validate_descriptor(desc):
     """Check antisymmetry, grading, the Jacobi identity and the
     layer-generation (stratification) condition.
 
     Violations are collected and reported, never raised.
     """
+    tol = 1e-10  # antisymmetry and Jacobi defects, and singular values, up to this read as zero
     C = desc.structure
     d = desc.dilation_exponents
     violations = []
@@ -282,7 +283,7 @@ def validate_descriptor(desc, tol=1e-10):
         for i in range(desc.m1):
             for b in range(prev.start, prev.stop):
                 rows.append(C[i, b, cur])
-        rank = np.linalg.matrix_rank(np.asarray(rows), tol=1e-10) if rows else 0
+        rank = np.linalg.matrix_rank(np.asarray(rows), tol=tol) if rows else 0
         want = desc.layer_dims[s - 1]
         if rank < want:
             violations.append(Violation("stratification", (s,), float(want - rank)))

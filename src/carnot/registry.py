@@ -89,9 +89,7 @@ GROUPS = {
 def build_group(spec):
     """The built-in group of a spec string like ``heisenberg:1``, built and
     validated once per process: descriptors are immutable, so one is shared."""
-    if isinstance(spec, GroupDescriptor):
-        return spec
-    return _build_builtin(str(spec))
+    return _build_builtin(spec)
 
 
 @functools.cache

@@ -31,7 +31,7 @@ from .hull import diameters
 from .jets import horizontal_words, identity_residual, sym_hessian
 from .polynomials import monomials_up_to
 from .reports import curve_converged
-from .sampling import SamplingPlan, quasi_sphere, sphere_shell
+from .sampling import quasi_sphere, sphere_shell
 
 __all__ = [
     "gradient_with_certificate",
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-def gradient_with_certificate(u, x, plan=None):
+def gradient_with_certificate(u, x, plan):
     """Horizontal gradient at x, certified by a singleton hull.
 
     The hull certificate is always computed, even when an analytic gradient
@@ -55,7 +55,6 @@ def gradient_with_certificate(u, x, plan=None):
     Raises ``NonSingletonSubdifferential`` when the hull is not a singleton,
     or when the finite-difference gradient at x itself is unstable.
     """
-    plan = plan or SamplingPlan()
     x = np.asarray(x, dtype=float)
     diam = float(diameters(subdifferential_hulls(u, x[None], plan))[0])
     if not diam <= plan.tol.singleton_diameter:  # a NaN diameter certifies nothing
@@ -108,7 +107,7 @@ class ExpansionFit:
     converged: bool
 
 
-def fit_expansion(u, x, grad, plan=None):
+def fit_expansion(u, x, grad, plan):
     """Least-squares fit of the second quotients against the degree <= 2 model.
 
     The quotients at the certified gradient ``grad`` are tabulated over the
@@ -119,7 +118,6 @@ def fit_expansion(u, x, grad, plan=None):
     residual curve tracks that fit's sup-norm misfit per scale, and it
     converges below the fit tolerance by ``curve_converged``.
     """
-    plan = plan or SamplingPlan()
     desc = u.desc
     W = _direction_set(desc, plan.so_directions)
     E = np.array(monomials_up_to(desc, 2))
@@ -148,7 +146,7 @@ class ExtendedDiffFit:
     converged: bool
 
 
-def fit_extended_differential(u, x, grad, plan=None):
+def fit_extended_differential(u, x, grad, plan):
     """Fit the h-linear expansion of the horizontal gradient at x.
 
     Minimizes |grad u(xw) - grad - A pi_1 w| over samples in shrinking
@@ -156,7 +154,6 @@ def fit_extended_differential(u, x, grad, plan=None):
     sup residuals normalized by the shell radius converges below the fit
     tolerance by ``curve_converged``.  One gradient call serves every shell.
     """
-    plan = plan or SamplingPlan()
     desc = u.desc
     x = np.asarray(x, dtype=float)
     grad = np.asarray(grad)
@@ -186,7 +183,7 @@ def fit_extended_differential(u, x, grad, plan=None):
     return ExtendedDiffFit(A, grad, tuple(plan.radii), residuals, curve_converged(residuals, plan.tol.fit))
 
 
-def mignot_check(u, x, grad, A, plan=None):
+def mignot_check(u, x, grad, A, plan):
     """The set-valued inclusion check of the extended differential ``A`` at x.
 
     The quotient hulls (hull at x delta_tau w - grad)/tau must collapse onto
@@ -197,7 +194,6 @@ def mignot_check(u, x, grad, A, plan=None):
     quotient hull row from A pi_1 w per scale, and whether that curve
     converges below the Mignot tolerance by ``curve_converged``.
     """
-    plan = plan or SamplingPlan()
     desc = u.desc
     dirs = np.concatenate([quasi_sphere(desc, 6, seed=31), np.eye(desc.dim)[desc.m1 : desc.m2]])
     taus = plan.taus()
@@ -227,7 +223,7 @@ class SecondOrderReport:
         return self.equivalence == "consistent: neither" or all(self.claims.values())
 
 
-def characterize_second_order(u, x, plan=None):
+def characterize_second_order(u, x, plan):
     """Run both second-order estimators independently and cross-check them.
 
     Verdicts: existence of the quadratic expansion must coincide with
@@ -239,7 +235,6 @@ def characterize_second_order(u, x, plan=None):
     certified once and shared by both estimators; a failed certification
     fails both.
     """
-    plan = plan or SamplingPlan()
     desc = u.desc
     expansion = extended = None
     err_e = err_g = None
@@ -296,14 +291,14 @@ def characterize_second_order(u, x, plan=None):
     return SecondOrderReport(expansion, extended, err_e, err_g, equivalence, claims, metrics)
 
 
-def psd_check(H, skew_tol=1e-12):
+def psd_check(H):
     """Minimum eigenvalue of a symmetric matrix (numpy's ``eigvalsh``).
 
-    Raises on input whose skew part exceeds ``skew_tol`` (relative).  The
+    Raises on input whose skew part exceeds 1e-12 (relative).  The
     caller's positive-semidefiniteness criterion is min_eig >= -tol.
     """
     H = np.asarray(H, dtype=float)
     scale = max(1.0, float(np.max(np.abs(H))))
-    if float(np.max(np.abs(H - H.T))) > skew_tol * scale:
+    if float(np.max(np.abs(H - H.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     return float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])

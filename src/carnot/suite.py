@@ -1,6 +1,8 @@
 """The verification battery: one function per acceptance criterion.
 
-Each function returns (records, curves); ``run_suite`` chains them all.
+Each function takes one sampling plan, whose seed is the run's only seed
+and whose ``rng`` streams every draw, and returns (records, curves);
+``run_suite`` chains them all under one plan.
 Records carry only deterministically reproducible numbers (runtime budgets
 are asserted by the test harness, not stored in reports, so that identical
 seeds produce byte-identical report files).
@@ -8,7 +10,7 @@ seeds produce byte-identical report files).
 
 from __future__ import annotations
 
-import zlib
+import dataclasses
 
 import numpy as np
 
@@ -40,16 +42,12 @@ from .second_order import characterize_second_order, fit_extended_differential, 
 BUILTINS = ("heisenberg:1", "heisenberg:2", "free_step2:3", "engel")
 
 
-def _rng(seed, tag):
-    return np.random.default_rng((seed, zlib.crc32(tag.encode())))
-
-
-def group_law_records(seed=0, plan=None):
+def group_law_records(plan):
     """Criterion 1: associativity, identity/inverse, dilation homomorphism."""
     records = []
     for spec in BUILTINS:
         desc = build_group(spec)
-        rng = _rng(seed, f"group-law/{spec}")
+        rng = plan.rng(f"group-law/{spec}")
         x, y, z = rng.uniform(-1.0, 1.0, (3, 1000, desc.dim))
         assoc = float(np.max(np.abs(desc.product(desc.product(x, y), z) - desc.product(x, desc.product(y, z)))))
         ident = float(np.max(np.abs(desc.product(x, np.zeros(desc.dim)) - x)))
@@ -58,7 +56,7 @@ def group_law_records(seed=0, plan=None):
         hom = float(
             np.max(np.abs(desc.dilate(rs, desc.product(x, y)) - desc.product(desc.dilate(rs, x), desc.dilate(rs, y))))
         )
-        inputs = {"group": spec, "seed": seed}
+        inputs = {"group": spec, "seed": plan.seed}
         records += [
             CheckRecord.bounded(f"group-law/{spec}/associativity", inputs, assoc, 1e-12),
             CheckRecord.bounded(f"group-law/{spec}/identity", inputs, ident, 1e-14, inclusive=True),
@@ -68,10 +66,10 @@ def group_law_records(seed=0, plan=None):
     return records, []
 
 
-def heisenberg_closed_form_records(seed=0, plan=None):
+def heisenberg_closed_form_records(plan):
     """Criterion 2: the hand product formula on the first Heisenberg group."""
     desc = build_group("heisenberg:1")
-    rng = _rng(seed, "closed-form")
+    rng = plan.rng("closed-form")
     x, y = rng.uniform(-1.0, 1.0, (2, 1000, 3))
     hand = np.stack(
         [
@@ -82,10 +80,10 @@ def heisenberg_closed_form_records(seed=0, plan=None):
         axis=-1,
     )
     err = float(np.max(np.abs(desc.product(x, y) - hand)))
-    return [CheckRecord.bounded("closed-form/heisenberg1", {"seed": seed}, err, 1e-14, inclusive=True)], []
+    return [CheckRecord.bounded("closed-form/heisenberg1", {"seed": plan.seed}, err, 1e-14, inclusive=True)], []
 
 
-def structure_constant_records(seed=0, plan=None):
+def structure_constant_records(plan):
     """Criterion 3: the rotational constants and their antisymmetry."""
     records = []
     alij = field_coefficients(build_group("heisenberg:1"))
@@ -100,44 +98,42 @@ def structure_constant_records(seed=0, plan=None):
     return records, []
 
 
-def field_identity_records(seed=0, plan=None):
+def field_identity_records(plan):
     """Criterion 4: the second-derivative structure identity on random
     degree <= 2 polynomials: 100 coefficient rows over the degree <= 2 basis."""
     records = []
     for spec in BUILTINS:
         desc = build_group(spec)
-        C = _rng(seed, f"alij/{spec}").uniform(-1.0, 1.0, (100, len(monomials_up_to(desc, 2))))
+        C = plan.rng(f"alij/{spec}").uniform(-1.0, 1.0, (100, len(monomials_up_to(desc, 2))))
         worst = float(np.max(check_alij(desc, C)))
-        records.append(CheckRecord.bounded(f"field-identity/{spec}", {"group": spec, "seed": seed}, worst, 1e-10))
+        records.append(CheckRecord.bounded(f"field-identity/{spec}", {"group": spec, "seed": plan.seed}, worst, 1e-10))
     return records, []
 
 
-def hull_records(seed=0, plan=None):
+def hull_records(plan):
     """Criterion 5: the kink hull is the unit square; smooth hulls are points."""
-    plan = plan or SamplingPlan(seed=seed)
     desc = build_group("heisenberg:1")
     records = []
 
     square = ConvexPolytope.from_points([[1, 1], [1, -1], [-1, 1], [-1, -1]])
     (V,) = subdifferential_hulls(build_function(desc, "one_norm"), desc.identity()[None], plan)
     dist = hausdorff_distance(ConvexPolytope(V, desc.m1), square)
-    records.append(CheckRecord.bounded("hull/one-norm-square", {"seed": seed}, dist, 0.05))
+    records.append(CheckRecord.bounded("hull/one-norm-square", {"seed": plan.seed}, dist, 0.05))
 
-    rng = _rng(seed, "hull-points")
+    rng = plan.rng("hull-points")
     pts = ball(desc, plan.base_radius, 20, rng)
     worst = float(np.max([diameters(subdifferential_hulls(u, pts, plan)) for u in smooth_suite(desc)]))
-    inputs = {"seed": seed, "points": 20}
+    inputs = {"seed": plan.seed, "points": 20}
     records.append(CheckRecord.bounded("hull/smooth-singleton", inputs, worst, plan.tol.singleton_diameter))
     return records, []
 
 
-def first_order_records(seed=0, plan=None):
+def first_order_records(plan):
     """Criterion 6: singleton hull iff the first-order residual ladder drops."""
-    plan = plan or SamplingPlan(seed=seed)
     desc = build_group("heisenberg:1")
     records = []
     u = build_function(desc, "quad_vertical")
-    rng = _rng(seed, "first-order-points")
+    rng = plan.rng("first-order-points")
     pts = ball(desc, plan.base_radius, 20, rng)
     diams, _, singleton, converges = first_order_characterizations(u, pts, plan)
     stalled = np.flatnonzero(singleton & ~converges).tolist()
@@ -148,7 +144,7 @@ def first_order_records(seed=0, plan=None):
     records.append(
         CheckRecord(
             "first-order/smooth",
-            {"seed": seed, "fn": u.label},
+            {"seed": plan.seed, "fn": u.label},
             worst_diam,
             plan.tol.singleton_diameter,
             not detail,
@@ -179,16 +175,15 @@ def _worst_residual(family, xs, hs, plan):
     return float(np.max(residuals)), ""
 
 
-def mean_value_records(seed=0, plan=None):
+def mean_value_records(plan):
     """Criterion 7: mean-value witnesses on smooth and polyhedral functions,
     plus the lambda-relaxed version for convex + quadratic sums."""
-    plan = plan or SamplingPlan(seed=seed)
     records = []
     for spec in BUILTINS:
         desc = build_group(spec)
-        rng = _rng(seed, f"mvt/{spec}")
+        rng = plan.rng(f"mvt/{spec}")
         xs = ball(desc, 0.6, 100, rng)
-        dirs = unit_directions(desc.m1, 100, seed=seed + 1)
+        dirs = unit_directions(desc.m1, 100, seed=plan.seed + 1)
         scales = rng.uniform(0.3, 1.0, 100)
         hs = dirs * scales[:, None]
         for kind, family, tol in (
@@ -196,7 +191,7 @@ def mean_value_records(seed=0, plan=None):
             ("polyhedral", polyhedral_suite(desc), plan.tol.mvt_polyhedral),
         ):
             worst, detail = _worst_residual(family, xs, hs, plan)
-            inputs = {"group": spec, "seed": seed}
+            inputs = {"group": spec, "seed": plan.seed}
             records.append(CheckRecord.bounded(f"mvt/{spec}/{kind}", inputs, worst, tol, detail=detail))
 
     desc = build_group("heisenberg:1")
@@ -208,38 +203,38 @@ def mean_value_records(seed=0, plan=None):
     spec = {"composition": {"op": "sum", "terms": [{"builtin": "one_norm"}, {"polynomial": terms}]}}
     u = function_from_spec(desc, spec)
     lam = lambda_max(desc, parse_polynomial(desc, terms))
-    rng = _rng(seed, "mvt/lambda")
+    rng = plan.rng("mvt/lambda")
     xs = ball(desc, 0.5, 20, rng)
-    hs = unit_directions(desc.m1, 20, seed=seed + 2) * rng.uniform(0.3, 0.8, 20)[:, None]
+    hs = unit_directions(desc.m1, 20, seed=plan.seed + 2) * rng.uniform(0.3, 0.8, 20)[:, None]
     try:
         _, p, _, points = mean_value_witnesses([u], xs, hs, plan)
         viol = lambda_subdiff_membership(u, points, p, lam, plan)
         worst, detail = float(np.maximum(0.0, np.max(viol))), ""  # NaN-safe, unlike max(0.0, nan)
     except BracketingError as err:
         worst, detail = np.inf, str(err)
-    inputs = {"lambda": lam, "seed": seed}
+    inputs = {"lambda": lam, "seed": plan.seed}
     records.append(CheckRecord.bounded("mvt/lambda-relaxed", inputs, worst, plan.tol.mvt_lambda, detail=detail))
     return records, []
 
 
-def dermax_records(seed=0, plan=None):
+def dermax_records(plan):
     """Criterion 8: directional derivatives equal the hull support function
     and are subadditive."""
-    plan = plan or SamplingPlan(seed=seed)
     desc = build_group("heisenberg:1")
     records = []
-    rng = _rng(seed, "dermax-points")
+    rng = plan.rng("dermax-points")
     fns = smooth_suite(desc) + polyhedral_suite(desc)
+    plan50 = dataclasses.replace(plan, directions=50)  # the same hull stream: it is keyed by seed and shell_samples
     for u in fns:
         pts = ball(desc, plan.base_radius, 10, rng)
-        metric = float(np.max(dermax_checks(u, pts, plan, directions=50)))
-        records.append(CheckRecord.bounded(f"dermax/{u.label}", {"fn": u.label, "seed": seed}, metric, plan.tol.dermax))
+        metric = float(np.max(dermax_checks(u, pts, plan50)))
+        inputs = {"fn": u.label, "seed": plan.seed}
+        records.append(CheckRecord.bounded(f"dermax/{u.label}", inputs, metric, plan.tol.dermax))
     return records, []
 
 
-def second_order_records(seed=0, plan=None):
+def second_order_records(plan):
     """Criterion 9: the full second-order characterization at the model point."""
-    plan = plan or SamplingPlan(seed=seed)
     desc = build_group("heisenberg:1")
     u = build_function(desc, "quad_vertical", alpha=1.0)
     rep = characterize_second_order(u, desc.identity(), plan)
@@ -295,10 +290,9 @@ def second_order_records(seed=0, plan=None):
     return records, curves
 
 
-def euclidean_degeneration_records(seed=0, plan=None):
+def euclidean_degeneration_records(plan):
     """Criterion 10: on abelian R^2 the extended differential is the
     quadratic form matrix and is symmetric."""
-    plan = plan or SamplingPlan(seed=seed)
     desc = build_group("euclidean:2")
     S = np.array([[1.3, 0.4], [0.4, 0.9]])
     u = build_function(desc, "euclidean_quadratic", S=S)
@@ -315,9 +309,8 @@ def euclidean_degeneration_records(seed=0, plan=None):
     ], []
 
 
-def mignot_records(seed=0, plan=None):
+def mignot_records(plan):
     """Criterion 11: quotient hulls collapse onto the linearized gradient."""
-    plan = plan or SamplingPlan(seed=seed)
     desc = build_group("heisenberg:1")
     records, curves = [], []
     x = desc.identity()
@@ -343,10 +336,10 @@ _CERT_PLAN = SamplingPlan(
 )
 
 
-def registry_certificate_records(seed=0, plan=None):
+def registry_certificate_records(plan):
     """Criterion 12: every built-in function is h-convex on the segments
     that ``_CERT_PLAN`` samples, within the plan's h-convexity tolerance."""
-    tol = (plan or SamplingPlan(seed=seed)).tol.hconvexity
+    tol = plan.tol.hconvexity
     records = []
     desc = build_group("heisenberg:1")
     for name in ("affine", "quadratic", "quad_vertical", "max_affine", "one_norm"):
@@ -372,10 +365,15 @@ CRITERIA = (
 
 
 def run_suite(seed=0, plan=None):
-    """Run the whole battery; returns (records, curves)."""
+    """Run the whole battery under ``plan``, the default plan of ``seed``
+    when None; returns (records, curves).  Raises ``ValueError`` when the
+    plan's seed is not ``seed``."""
+    plan = SamplingPlan(seed=seed) if plan is None else plan
+    if plan.seed != seed:
+        raise ValueError(f"the plan's seed {plan.seed} is not the run's seed {seed}")
     records, curves = [], []
     for fn in CRITERIA:
-        r, c = fn(seed, plan)
+        r, c = fn(plan)
         records += r
         curves += c
     return records, curves

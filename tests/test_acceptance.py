@@ -40,6 +40,7 @@ from carnot.suite import (
 )
 
 SEED = 0
+PLAN = SamplingPlan(seed=SEED)
 
 
 def _report(name, records, elapsed=None, budget=None):
@@ -54,9 +55,9 @@ def _report(name, records, elapsed=None, budget=None):
     return ok
 
 
-def _run(fn, plan=None):
+def _run(fn, plan=PLAN):
     t0 = time.perf_counter()
-    records, curves = fn(SEED, plan)
+    records, curves = fn(plan)
     return records, curves, time.perf_counter() - t0
 
 
@@ -236,10 +237,10 @@ def test_criterion_07_product_calls(monkeypatch):
     monkeypatch.setattr(GroupDescriptor, "product", counting("product", product))
     monkeypatch.setattr(ScalarField, "value", counting("value", value))
     monkeypatch.setattr(suite_mod, "mean_value_witnesses", counting("witnesses", witnesses))
-    mean_value_records(SEED)
+    mean_value_records(PLAN)
     assert calls["witnesses"] == 9 and 0 < calls["product"] <= 34 and calls["value"] <= 397, calls
     calls.clear()
-    mean_value_records(SEED, SamplingPlan(seed=SEED, use_analytic_gradient=False))
+    mean_value_records(SamplingPlan(seed=SEED, use_analytic_gradient=False))
     assert calls["witnesses"] == 9 and calls["value"] <= 431, calls
 
 
@@ -301,7 +302,7 @@ def test_criterion_07_one_hull_draw_per_group(monkeypatch, analytic):
         return unit_ball(desc, *args)
 
     monkeypatch.setattr(convexity, "unit_ball", counting)
-    mean_value_records(SEED, SamplingPlan(seed=SEED, use_analytic_gradient=analytic))
+    mean_value_records(SamplingPlan(seed=SEED, use_analytic_gradient=analytic))
     assert len(draws) == 4 and max(draws.values()) <= (1 if analytic else 4), draws
 
 
@@ -517,9 +518,9 @@ def test_hull_builds_per_criterion(monkeypatch):
         return from_points(cls, points)
 
     def tagged(k, fn):
-        def run(seed, plan):
+        def run(plan):
             current[0] = k
-            return fn(seed, plan)
+            return fn(plan)
 
         return run
 
@@ -544,6 +545,12 @@ def test_criterion_12_determinism():
     assert same, "suite reports differ between identical runs"
     assert all(r.passed for r in r1)
     assert dt_single < 60.0
+
+
+def test_run_suite_refuses_a_plan_of_another_seed():
+    # the plan carries the run's only seed: every draw of the suite reads it
+    with pytest.raises(ValueError, match="seed"):
+        run_suite(0, SamplingPlan(seed=1))
 
 
 def _env_with_sources(**extra):

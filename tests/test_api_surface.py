@@ -1,5 +1,6 @@
 """Every public function, class and method of the package has a caller in
-the package itself.
+the package itself, and every function but ``run_suite`` takes its sampling
+plan from its caller.
 
 A public name that only tests reach is a second entry point to a
 computation that the package reaches some other way: the guard reads the
@@ -8,6 +9,11 @@ with ``_``) whose name no ``Name`` or ``Attribute`` node references outside
 the definition itself.  ``__init__.py`` only re-exports, so its references
 do not count.  The match is by name alone, so it misses a definition whose
 name another object shares; it never flags one that is in use.
+
+A default plan is a second carrier of the run's seed and settings: the
+second guard lists every function that gives a parameter named ``plan`` a
+default.  ``run_suite(seed=0, plan=None)`` alone may, since it builds the
+plan of its seed once and refuses a plan of another seed.
 """
 
 import ast
@@ -77,3 +83,34 @@ def test_guard_sees_an_unused_method_and_a_self_call(tmp_path):
         "    return count(n - 1) if n else Box().used()\n"
     )
     assert unreferenced_public_api(tmp_path) == ["a.py:Box.unused", "a.py:count"]
+
+
+def plan_defaults(package=PACKAGE):
+    """The functions, per module, that give a parameter named ``plan`` a
+    default, ``run_suite`` aside."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name == "run_suite":
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted = positional[len(positional) - len(a.defaults) :]
+            defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if any(arg.arg == "plan" for arg in defaulted):
+                out.append(f"{path.name}:{node.name}")
+    return out
+
+
+def test_only_run_suite_defaults_its_plan():
+    assert plan_defaults() == []
+
+
+def test_plan_guard_sees_positional_and_keyword_defaults(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def positional(u, plan=None):\n    pass\n"
+        "def keyword(u, *, plan=None):\n    pass\n"
+        "def required(u, plan, seed=0):\n    pass\n"
+        "def run_suite(seed=0, plan=None):\n    pass\n"
+    )
+    assert plan_defaults(tmp_path) == ["a.py:positional", "a.py:keyword"]

@@ -58,7 +58,7 @@ class TestGroupRegistry:
         # one descriptor per spec serves the whole process, so no caller may
         # change it for the next
         desc = build_group(spec)
-        assert build_group(spec) is desc and build_group(desc) is desc
+        assert build_group(spec) is desc
         arrays = {name: a for name, a in vars(desc).items() if isinstance(a, np.ndarray)}
         assert {"structure", "dilation_exponents", "_left", "_right", "_scatter"} <= set(arrays)
         for name, a in arrays.items():
@@ -399,6 +399,15 @@ class TestCli:
         # fit tolerance, so a claim of that could never fail
         assert "c2_expansion" not in out
 
+    def test_second_order_check_names_estimator_errors(self, capsys):
+        # no gradient is certified at the kink of max_affine, so both
+        # estimators fail, and the equivalence record says why
+        code = main(["second-order-check", "--group", "heisenberg:1", "--fn", "max_affine", "--point", "0,0,0"])
+        assert code == 0
+        (line,) = [s for s in capsys.readouterr().out.splitlines() if "second-order/equivalence" in s]
+        why = "NonSingletonSubdifferential: subdifferential diameter 2 exceeds singleton tolerance"
+        assert f"(consistent: neither; expansion: {why}; gradient: {why})" in line
+
     def test_poly_commands(self, capsys):
         terms = json.dumps([{"exponents": [2, 0, 0], "coeff": 1.0}])
         assert main(["poly-hess", "--group", "heisenberg:1", "--poly", terms]) == 0
@@ -561,6 +570,9 @@ class TestCli:
             ),
             (["second-order-check", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"tau_count": 2.5}, "tau_count"),
             (["second-order-check", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"seed": 1.5}, "seed"),
+            # --seed is the run's only seed: a suite run under a plan file
+            # that held another one drew from both and exited 0
+            (["suite", "--seed", "0"], {"seed": 1}, "--seed"),
             (["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"use_analytic_gradient": "no"}, "use_analytic"),
             (["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"radii": [float("nan")]}, "radii"),
             (["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"tol": {"membership": True}}, "membership"),
@@ -575,6 +587,7 @@ class TestCli:
             "shell_samples_fraction",
             "tau_count_fraction",
             "seed_fraction",
+            "suite_seed_of_plan_file",
             "use_analytic_gradient_string",
             "radii_nan",
             "tolerance_bool",

@@ -7,14 +7,16 @@ formula written out in closed form through four letters, which is exact for
 every step up to ``MAX_STEP`` = 4, and dilations scale layer-s coordinates
 by r^s.
 
-The bracket contracts only the nonzero structure constants: with entries
-e = (i_e, j_e, k_e, c_e), [u, v] is the row of products u_{i_e} v_{j_e}
-times a (nnz, dim) scatter matrix holding c_e at (e, k_e).  A batch runs
-through the BCH chain ``_ROW_BLOCK`` rows at a time, into one preallocated
-output.  That bounds every temporary of the chain, and it keeps each matmul
-small.  On a 2-CPU Xeon host with OpenBLAS 0.3.31, 200 repeats of a
-(10^5, 4) @ (4, 5) matmul took 0.6 ms in the median but stalled up to 40 ms
-(27 ms at the 90th percentile); on 8,192 rows it took 26 us, at most 0.16 ms.
+The product works on coordinate columns and sums only the bracket terms
+that grading leaves nonzero: [x, y] has no layer-1 part, [x, [x, y]]
+starts at layer 3, and [y, [x, [x, y]]] lives in layer 4 only.  Output
+column k adds c u_i v_j over its terms in entry order, with no multiply for
+a unit constant and no BLAS call, so a row's product has the same bits
+alone, in any batch and under any BLAS kernel.  One point runs on Python
+floats; a batch runs ``_ROW_BLOCK`` rows at a time on views of the operands
+(broadcast ones are not copied), into one preallocated output.  A column
+temporary of 8,192 rows is 64 KB; on a 2-CPU Xeon host, 10^5-row products
+took as long in 4,096-row blocks and longer in 16,384-row ones.
 
 All point operations accept numpy arrays with an arbitrary batch shape and a
 trailing axis of length ``dim``.
@@ -39,7 +41,7 @@ __all__ = [
 # than twice, so x (t y) is quadratic in t (convexity._horizontal_lines and its users rely on it).
 MAX_STEP = 4
 
-# Rows of a batch that go through the BCH chain (and its matmuls) at once.
+# Rows of a batch that go through the BCH chain (and its column temporaries) at once.
 _ROW_BLOCK = 8192
 
 
@@ -118,13 +120,18 @@ class GroupDescriptor:
         C.setflags(write=False)
         self.structure = C
         self.bracket_entries = tuple(sorted(entries))
-        table = np.array(self.bracket_entries, dtype=float).reshape(-1, 4)
-        self._left = table[:, 0].astype(np.intp)
-        self._right = table[:, 1].astype(np.intp)
-        self._scatter = np.zeros((len(table), self.dim))
-        self._scatter[np.arange(len(table)), table[:, 2].astype(np.intp)] = table[:, 3]
-        for a in (self._left, self._right, self._scatter):
-            a.setflags(write=False)
+        # Term tables of the nesting levels [x, y], [x or y, xy] and [y, xxy] up to
+        # the step: per output column k, (k, first (i, j, c), the others) of the
+        # entries whose right operand column j the level before can reach.
+        reach, terms = range(self.dim), []
+        for _ in range(self.step - 1):
+            cols = {}
+            for i, j, k, c in self.bracket_entries:
+                if j in reach:
+                    cols.setdefault(k, []).append((i, j, c))
+            terms.append(tuple((k, t[0], tuple(t[1:])) for k, t in sorted(cols.items())))
+            reach = cols
+        self._terms = tuple(terms)
 
     # -- basic structure ---------------------------------------------------
 
@@ -178,58 +185,81 @@ class GroupDescriptor:
         truncated at the step, since brackets of more than ``step`` letters
         vanish.
         """
-        return self._blocked(self._check_point(x), self._check_point(y))
+        x, y = self._check_point(x), self._check_point(y)
+        if x.shape == y.shape and x.ndim == 1:
+            x, y = x.tolist(), y.tolist()
+            z = [a + b + 0.0 for a, b in zip(x, y)] if self.step > 1 else [a + b for a, b in zip(x, y)]
+            self._bch(x, y, z)
+            return np.array(z)
+        out = np.empty(x.shape if x.shape == y.shape else np.broadcast(x, y).shape)
+        self._blocked(x, y, out)
+        return out
 
-    def _blocked(self, x, y):
-        """``_bch(x, y)`` over the broadcast batch, at most ``_ROW_BLOCK`` rows
-        at a time: whole leading-axis slices per block, or one slice at a
-        time when a slice alone holds more rows.  ``_bch`` sees equal-shape
-        1-D points or 2-D row blocks, and no input is expanded beyond one
-        block."""
+    def _blocked(self, x, y, out):
+        """``out = x y`` over a batch that ``x`` and ``y`` broadcast to, at
+        most ``_ROW_BLOCK`` rows per ``_bch`` call: whole leading-axis slices
+        per block, or one slice at a time when a slice alone holds more rows.
+        Operands pass as views; only ``out`` is written."""
+        if out.size // self.dim <= _ROW_BLOCK:
+            np.add(x, y, out=out)
+            if self.step > 1:
+                out += 0.0
+            cols = lambda a: a.T if a.ndim == 2 else a.transpose(-1, *range(a.ndim - 1))
+            self._bch(cols(x), cols(y), list(cols(out)))
+            return
         if x.shape != y.shape:
             x, y = np.broadcast_arrays(x, y)
-        if x.ndim == 1:
-            return self._bch(x, y)
-        rows = x.size // self.dim
-        if rows <= _ROW_BLOCK:
-            return self._bch(x.reshape(-1, self.dim), y.reshape(-1, self.dim)).reshape(x.shape)
-        out = np.empty(x.shape)
-        per_slice = rows // len(x)
+        per_slice = out.size // self.dim // len(out)
         if per_slice > _ROW_BLOCK:
-            for a in range(len(x)):
-                out[a] = self._blocked(x[a], y[a])
+            for a in range(len(out)):
+                self._blocked(x[a], y[a], out[a])
         else:
             step = _ROW_BLOCK // per_slice
-            for a in range(0, len(x), step):
-                out[a : a + step] = self._blocked(x[a : a + step], y[a : a + step])
+            for a in range(0, len(out), step):
+                self._blocked(x[a : a + step], y[a : a + step], out[a : a + step])
+
+    @staticmethod
+    def _bracket(terms, u, v):
+        """{k: [u, v]_k} over one level's term table, each column summed in
+        entry order from its first term."""
+        out = {}
+        for k, (i, j, c), rest in terms:
+            s = u[i] * v[j] if c == 1.0 else u[i] * v[j] * c
+            for i, j, c in rest:
+                if c == 1.0:
+                    s += u[i] * v[j]
+                elif c == -1.0:
+                    s -= u[i] * v[j]
+                else:
+                    s += u[i] * v[j] * c
+            out[k] = s
         return out
 
-    def _bracket(self, u, v):
-        """Unchecked bracket of equal-shape points or row blocks, through the
-        nonzero structure constants only.  (On one point ``u[idx]`` is
-        several times cheaper than ``u[..., idx]``.)"""
-        if u.ndim == 1:
-            g = u[self._left]
-            g *= v[self._right]
-        else:
-            g = u[:, self._left]
-            g *= v[:, self._right]
-        return g.dot(self._scatter)
+    def _bch(self, x, y, z):
+        """Add the bracket terms of the product to ``z`` in place.
 
-    def _bch(self, x, y):
-        out = x + y
+        ``x[k]``, ``y[k]`` and ``z[k]`` are coordinate k: floats of one
+        point, or arrays of one block that broadcast to ``z[k]``, a view of
+        the output.  ``z`` enters as x + y + 0.0 when brackets follow.  With
+        no -0 in ``z``, a bracket summed from its first term adds the same
+        bits as a dense contraction's sum from +0 over every entry: the two
+        differ only in the sign of a zero."""
         if self.step < 2:
-            return out
-        xy = self._bracket(x, y)
-        out += 0.5 * xy
+            return
+        xy = self._bracket(self._terms[0], x, y)
+        for k, s in xy.items():
+            z[k] += 0.5 * s
         if self.step < 3:
-            return out
-        xxy = self._bracket(x, xy)
-        out += (xxy - self._bracket(y, xy)) / 12.0
+            return
+        xxy = self._bracket(self._terms[1], x, xy)
+        yxy = self._bracket(self._terms[1], y, xy)
+        for k in xxy:
+            z[k] += (xxy[k] - yxy[k]) / 12.0
         if self.step < 4:
-            return out
-        out -= self._bracket(y, xxy) / 24.0
-        return out
+            return
+        yxxy = self._bracket(self._terms[2], y, xxy)
+        for k in yxxy:
+            z[k] -= yxxy[k] / 24.0
 
     def inverse(self, x):
         """Group inverse; in exponential coordinates this is negation."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,29 @@ def closed_form_product(desc, x, y):
     z = x + y + 0.5 * b(x, y)
     z = z + (1.0 / 12.0) * (b(x, b(x, y)) + b(y, b(y, x)))
     return z - (1.0 / 24.0) * b(y, b(x, b(x, y)))
+
+
+def entry_order_product(desc, x, y):
+    """The BCH chain on full arrays, each bracket column summed in entry order
+    from +0: the bits of a (nnz, dim) scatter matmul without fused
+    multiply-adds."""
+
+    def b(u, v):
+        out = np.zeros(np.broadcast(u, v).shape)
+        for i, j, k, c in desc.bracket_entries:
+            out[..., k] += u[..., i] * v[..., j] * c
+        return out
+
+    z = x + y
+    if desc.step >= 2:
+        xy = b(x, y)
+        z += 0.5 * xy
+    if desc.step >= 3:
+        xxy = b(x, xy)
+        z += (xxy - b(y, xy)) / 12.0
+    if desc.step >= 4:
+        z -= b(y, xxy) / 24.0
+    return z
 
 
 class TestValidation:
@@ -187,17 +212,73 @@ class TestSparseBlockedLaw:
         seen = []
         bch = GroupDescriptor._bch
 
-        def spy(self, x, y):
-            seen.append(x.shape)
-            return bch(self, x, y)
+        def spy(self, x, y, z):
+            seen.append(np.size(z[0]))  # the block's rows: the size of one coordinate column
+            return bch(self, x, y, z)
 
         monkeypatch.setattr(GroupDescriptor, "_bch", spy)
         rng = np.random.default_rng(47)
         x, y = rng.uniform(-1, 1, xshape), rng.uniform(-1, 1, yshape)
         out = eng.product(x, y)
         rows = out.size // eng.dim
-        assert all(len(s) == 2 and s[0] <= BLOCK for s in seen) and sum(s[0] for s in seen) == rows
+        assert max(seen) <= BLOCK and sum(seen) == rows
         assert np.max(np.abs(out - closed_form_product(eng, x, y))) <= 1e-15
+
+    @pytest.mark.parametrize("fixture", GROUPS)
+    def test_row_does_not_depend_on_its_batch(self, fixture, request):
+        # the bit-level invariant the report pins rely on: one point's product
+        # is the same alone, at any row of any batch, and inside a broadcast
+        desc = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(53)
+        n = desc.dim
+        x, y = rng.uniform(-1, 1, (2, 2 * BLOCK + 5, n))
+        for a in (x, y):
+            mask = rng.random(a.shape)
+            a[mask < 0.1] = 0.0
+            a[mask > 0.9] = -0.0
+        x[3:6, : desc.m1] = -0.0  # rows whose x + y starts from signed zeros
+        y[4:6, : desc.m1] = -0.0
+        alone = np.stack([desc.product(x[r], y[r]) for r in range(1000)])
+        for rows in (2, 3, 7, 20, 40, 1000):
+            got = np.concatenate([desc.product(x[a : a + rows], y[a : a + rows]) for a in range(0, 1000, rows)])
+            assert got[:1000].tobytes() == alone.tobytes()
+        got = desc.product(x, y)
+        assert got[:1000].tobytes() == alone.tobytes()
+        for r in (BLOCK - 1, BLOCK, 2 * BLOCK + 4):  # rows past the first block
+            assert got[r].tobytes() == desc.product(x[r], y[r]).tobytes()
+        K, M = 7, 40
+        got = desc.product(x[:K, None, :], y[None, :M, :])
+        assert all(got[i, j].tobytes() == desc.product(x[i], y[j]).tobytes() for i in range(K) for j in range(M))
+        assert got[np.arange(K), np.arange(K)].tobytes() == alone[:K].tobytes()
+
+    @pytest.mark.parametrize("fixture", ["r3", *GROUPS, "filiform_scaled"])
+    def test_bits_of_entry_order_sums(self, fixture, request):
+        # no BLAS: the same bits under every kernel, signed zeros included
+        if fixture == "filiform_scaled":
+            br = {(0, 1, 2): 0.7, (0, 2, 3): 1.3, (0, 3, 4): 0.9}
+            desc = GroupDescriptor("filiform_scaled", (2, 1, 1, 1), {**br, **{(j, i, k): -c for (i, j, k), c in br.items()}})
+        else:
+            desc = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(61)
+        x, y = rng.choice([0.0, -0.0, 0.5, -1.0, 0.3, -0.7, 1e-3], (2, 500, desc.dim))
+        expected = entry_order_product(desc, x, y)
+        assert desc.product(x, y).tobytes() == expected.tobytes()
+        assert desc.product(x[:50, None], y[None, :10])[7, 7].tobytes() == expected[7].tobytes()
+        assert all(desc.product(x[r], y[r]).tobytes() == expected[r].tobytes() for r in range(50))
+
+    @pytest.mark.parametrize("fixture", GROUPS)
+    def test_broadcast_operands_are_not_copied(self, fixture, request):
+        desc = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(59)
+        x = rng.uniform(-1, 1, (50, 1, desc.dim))
+        y = rng.uniform(-1, 1, (1, 48, desc.dim))
+        tracemalloc.start()
+        try:
+            out = desc.product(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * out.nbytes
 
 
 class TestDilationsAndNorm:

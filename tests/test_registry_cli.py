@@ -60,7 +60,10 @@ class TestGroupRegistry:
         desc = build_group(spec)
         assert build_group(spec) is desc
         arrays = {name: a for name, a in vars(desc).items() if isinstance(a, np.ndarray)}
-        assert {"structure", "dilation_exponents", "_left", "_right", "_scatter"} <= set(arrays)
+        assert {"structure", "dilation_exponents"} <= set(arrays)
+        # the group law's term tables are tuples all the way down
+        assert isinstance(desc._terms, tuple)
+        assert all(isinstance(level, tuple) and all(isinstance(t, tuple) for t in level) for level in desc._terms)
         for name, a in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
                 a.reshape(-1)[:1] = 0

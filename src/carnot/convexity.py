@@ -227,14 +227,10 @@ def _shell_gradients(u, xs, radius, plan):
 # -- subdifferential hulls and membership ---------------------------------------
 
 
-# Offset points per block of membership rows, which bounds the batch's arrays.
-_MEMBERSHIP_POINTS = 4096
-
-
 def lambda_subdiff_membership(u, xs, P, lam, plan):
     """Max violation of u(xh) >= u(x) + <p, h> - lam |h|^2 over sampled h, at
     every row x of ``xs`` (K, n): a (K,) array, from one product and two value
-    calls per block of ``_MEMBERSHIP_POINTS`` offset points.
+    calls over all rows.
 
     Each row of ``P`` (K, m1) is one subgradient, of ``P`` (K, k, m1) k of
     them, whose largest violation counts; over the generating points of a hull it
@@ -253,16 +249,10 @@ def lambda_subdiff_membership(u, xs, P, lam, plan):
     dirs = np.concatenate([unit_directions(desc.m1, plan.directions), np.eye(desc.m1), -np.eye(desc.m1)])
     scales = np.asarray(tuple(plan.segment_scales) + tuple(plan.radii))
     hs = (dirs[:, None, :] * scales[:, None]).reshape(-1, desc.m1)  # direction-major, as the lines' points
-    slack = lam * np.sum(hs * hs, axis=-1)
-    out = np.empty(len(xs))
-    step = max(1, _MEMBERSHIP_POINTS // len(hs))
-    for a in range(0, len(xs), step):
-        x = xs[a : a + step]
-        line, _ = _horizontal_lines(desc, x[:, None, :], dirs)  # (rows, D, 3, n)
-        uxh = u.value(_on_lines(scales, line)).reshape(len(x), -1)  # (rows, H)
-        viol = u.value(x[:, None, :])[:, :, None] + P[a : a + step] @ hs.T - slack - uxh[:, None, :]
-        out[a : a + step] = np.max(viol, axis=(1, 2))
-    return out
+    line, _ = _horizontal_lines(desc, xs[:, None, :], dirs)  # (K, D, 3, n)
+    uxh = u.value(_on_lines(scales, line)).reshape(len(xs), -1)  # (K, H)
+    viol = u.value(xs[:, None, :])[:, :, None] + P @ hs.T - lam * np.sum(hs * hs, axis=-1) - uxh[:, None, :]
+    return np.max(viol, axis=(1, 2))
 
 
 def subdifferential_hulls(u, xs, plan):

@@ -24,6 +24,7 @@ trailing axis of length ``dim``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,11 @@ MAX_STEP = 4
 
 # Rows of a batch that go through the BCH chain (and its column temporaries) at once.
 _ROW_BLOCK = 8192
+
+
+def _is_int(v):
+    """Whether ``v`` is an integer and not a bool (JSON ``true`` is no index)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -81,14 +87,18 @@ class GroupDescriptor:
         in (i, j); ``validate_descriptor`` reports violations rather than
         raising.
 
+    Layer dimensions and indices that are not integers, and constants that
+    are not finite reals, raise ``DescriptorError`` (bools are neither).
+
     Instances are immutable (every array read-only) and hash by identity, so
     derived tables may be cached on them safely and one instance shared.
     """
 
     def __init__(self, name, layer_dims, brackets):
+        layer_dims = tuple(layer_dims)
+        if not layer_dims or not all(_is_int(m) and m > 0 for m in layer_dims):
+            raise DescriptorError(f"layer dimensions must be positive integers, got {list(layer_dims)}")
         layer_dims = tuple(int(m) for m in layer_dims)
-        if not layer_dims or any(m <= 0 for m in layer_dims):
-            raise DescriptorError("layer dimensions must be positive integers")
         if len(layer_dims) > MAX_STEP:
             raise DescriptorError(f"step {len(layer_dims)} exceeds supported maximum {MAX_STEP}")
         self.name = str(name)
@@ -109,10 +119,15 @@ class GroupDescriptor:
 
         C = np.zeros((self.dim, self.dim, self.dim))
         entries = []
-        for (i, j, k), c in dict(brackets).items():
+        for n, ((i, j, k), c) in enumerate(dict(brackets).items(), 1):
             for idx in (i, j, k):
+                if not _is_int(idx):
+                    raise DescriptorError(f"bracket record {n}: index {idx!r} is not an integer")
                 if not 0 <= idx < self.dim:
-                    raise DescriptorError(f"bracket index {idx} out of range for dim {self.dim}")
+                    raise DescriptorError(f"bracket record {n}: 0-based index {idx} out of range for dim {self.dim}")
+            real = isinstance(c, (int, float, np.integer, np.floating)) and not isinstance(c, bool)
+            if not (real and abs(c) <= sys.float_info.max):  # false for NaN, and for ints float() cannot hold
+                raise DescriptorError(f"bracket record {n}: constant {c!r} is not a finite real")
             c = float(c)
             if c != 0.0:
                 C[i, j, k] = c

@@ -116,17 +116,21 @@ def load_descriptor(path, force=False):
         name = data.get("name", "descriptor")
     except (KeyError, TypeError) as exc:
         raise DescriptorError(f"malformed descriptor file {path}: {exc}") from exc
-    try:
-        entries = [(int(r["i"]) - 1, int(r["j"]) - 1, int(r["k"]) - 1, float(r["c"])) for r in records]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DescriptorError(f"malformed bracket record in {path} (expected objects with keys i, j, k, c): {exc}") from exc
+    if not isinstance(layers, list):
+        raise DescriptorError(f"malformed descriptor file {path}: layers must be a list, got {layers!r}")
     brackets = {}
-    for i, j, k, c in entries:
-        if (i, j, k) in brackets and brackets[(i, j, k)] != c:
-            raise DescriptorError(f"conflicting bracket entries for ({i + 1},{j + 1},{k + 1})")
-        brackets[(i, j, k)] = c
-    for (i, j, k), c in list(brackets.items()):
-        brackets.setdefault((j, i, k), -c)
+    try:
+        for r in records:
+            ijk, c = (r["i"], r["j"], r["k"]), r["c"]
+            # integers shift to 0-based; GroupDescriptor refuses anything else as written
+            key = tuple(v - 1 if type(v) is int else v for v in ijk)
+            if key in brackets and brackets[key] != c:
+                raise DescriptorError("conflicting bracket entries for ({},{},{})".format(*ijk))
+            brackets[key] = c
+        for (i, j, k), c in list(brackets.items()):
+            brackets.setdefault((j, i, k), -c)
+    except (KeyError, TypeError) as exc:
+        raise DescriptorError(f"malformed bracket record in {path} (expected objects with keys i, j, k, c): {exc}") from exc
     desc = GroupDescriptor(name, layers, brackets)
     report = validate_descriptor(desc)
     if not report.ok and not force:

@@ -14,6 +14,10 @@ A default plan is a second carrier of the run's seed and settings: the
 second guard lists every function that gives a parameter named ``plan`` a
 default.  ``run_suite(seed=0, plan=None)`` alone may, since it builds the
 plan of its seed once and refuses a plan of another seed.
+
+A dataclass field that nothing reads is computed for no one: the third
+guard lists each annotated field of a ``@dataclass`` class whose name no
+``Attribute`` node in the package loads.
 """
 
 import ast
@@ -114,3 +118,61 @@ def test_plan_guard_sees_positional_and_keyword_defaults(tmp_path):
         "def run_suite(seed=0, plan=None):\n    pass\n"
     )
     assert plan_defaults(tmp_path) == ["a.py:positional", "a.py:keyword"]
+
+
+def _is_dataclass_decorator(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass"
+
+
+def unread_dataclass_fields(package=PACKAGE):
+    """The qualified names, per module, of dataclass fields that no attribute
+    read in ``package`` names."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = {
+        sub.attr
+        for tree in trees.values()
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    unread = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator, node.decorator_list)):
+                fields = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+                unread += [f"{module}:{node.name}.{field}" for field in fields if field not in read]
+    return unread
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    assert unread_dataclass_fields() == []
+
+
+def test_field_guard_sees_written_and_unread_fields(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    read: int\n"
+        "    unread: int\n"
+        "\n"
+        "\n"
+        "@dataclasses.dataclass\n"
+        "class Store:\n"
+        "    written: int = 0\n"
+        "\n"
+        "    def set(self):\n"
+        "        self.written = 1\n"
+        "\n"
+        "\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+        "\n"
+        "\n"
+        "def use(r):\n"
+        "    return r.read\n"
+    )
+    assert unread_dataclass_fields(tmp_path) == ["a.py:Report.unread", "a.py:Store.written"]

@@ -20,7 +20,7 @@ from carnot import (
     load_function,
     validate_descriptor,
 )
-from carnot.cli import RunConfig, main, run_command
+from carnot.cli import OPS, _parser, main
 from carnot.convexity import ScalarField, hconvexity_check
 from carnot import registry
 from carnot.registry import function_from_spec, polyhedral_suite, smooth_suite
@@ -369,13 +369,13 @@ class TestCli:
 
     # sha256 of the stdout of `carnot hconvex-check` under the default plan
     # (46,080 samples each) and its exit code; the last field, -x2^2, is
-    # concave along the x2 lines and fails
+    # concave along the x2 lines, fails, and names its worst segment
     HCONVEX_SHA256 = {
         ("heisenberg:1", "one_norm"): (0, "1b35e8616c4a773b6ba73143abd76088d7c9033d3075fbb70cf6e7c30b0c2088"),
         ("engel", "quadratic"): (0, "19044c51dfa86b72580109e7282ca2def7174b83bd657bb37c90bc616330e3c4"),
         ("free_step2:3", "max_affine"): (0, "202e5faa40e3b3644efa319b834550fec595884d6bc5059a944de0bfacc44209"),
         ("heisenberg:2", "quad_vertical"): (0, "19044c51dfa86b72580109e7282ca2def7174b83bd657bb37c90bc616330e3c4"),
-        ("heisenberg:1", "-x2^2"): (1, "e1078de3d6c88e2a82c82519123dc66584f955cc81f4757b933a1cb0d975f2db"),
+        ("heisenberg:1", "-x2^2"): (1, "d300f9d0709cb6f9a652bb69b34681b45fc12772a3d2960f6259613ad46a4ece"),
     }
 
     @pytest.mark.parametrize("case", HCONVEX_SHA256, ids=lambda c: f"{c[0]}-{c[1]}")
@@ -599,7 +599,8 @@ class TestCli:
     def test_degenerate_plan_exit_2(self, tmp_path, capsys, args, overrides, field):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(overrides))
-        assert main(args + ["--group", "heisenberg:1", "--plan-file", str(plan)]) == 2
+        group = [] if args[0] == "suite" else ["--group", "heisenberg:1"]
+        assert main(args + group + ["--plan-file", str(plan)]) == 2
         assert field in capsys.readouterr().err
 
     def test_plan_file_value_of_wrong_type_exit_2(self, tmp_path, capsys):
@@ -629,6 +630,47 @@ class TestCli:
         path.write_text(json.dumps({"layers": [2, 1], "brackets": [[1, 2, 3, 1.0]]}))
         assert main(["group-validate", "--descriptor", str(path)]) == 2
         assert "malformed bracket record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "layers, record, named",
+        [
+            ([2.9, 1], {}, "layer dimensions must be positive integers"),
+            (2, {}, "layers must be a list"),
+            ([2, 1], {"i": 1.7, "j": 2.2, "k": 3.9}, "bracket record 1: index 1.7 is not an integer"),
+            ([2, 1], {"i": True}, "bracket record 1: index True is not an integer"),
+            ([2, 1], {"k": 4}, "bracket record 1: 0-based index 3 out of range for dim 3"),
+            ([2, 1], {"c": True}, "bracket record 1: constant True is not a finite real"),
+            ([2, 1], {"c": float("inf")}, "bracket record 1: constant inf is not a finite real"),
+            ([2, 1], {"c": float("nan")}, "bracket record 1: constant nan is not a finite real"),
+            ([2, 1], {"c": 10**400}, "bracket record 1: constant 1000"),
+            ([2, 1], {"c": "1"}, "malformed bracket record"),
+        ],
+        ids=[
+            "fractional-layer",
+            "layers-not-a-list",
+            "fractional-indices",
+            "bool-index",
+            "index-out-of-range",
+            "bool-constant",
+            "inf-constant",
+            "nan-constant",
+            "huge-int-constant",
+            "string-constant",
+        ],
+    )
+    def test_descriptor_values_of_the_wrong_type_exit_2(self, tmp_path, capsys, layers, record, named):
+        # each was coerced or let through: 2.9 read as 2, 1.7 as 1, true as
+        # 1.0, and an infinite constant gave a NaN product that exited 0
+        path = tmp_path / "desc.json"
+        path.write_text(json.dumps({"layers": layers, "brackets": [{"i": 1, "j": 2, "k": 3, "c": 1.0, **record}]}))
+        for args in (["group-validate"], ["group-product", "--force", "--x", "1,0,0", "--y", "0,1,0"]):
+            assert main(args + ["--descriptor", str(path)]) == 2
+            assert named in capsys.readouterr().err
+
+    def test_group_validate_without_a_group_exit_2(self, capsys):
+        assert main(["group-validate"]) == 2
+        err = capsys.readouterr().err
+        assert "either --group or --descriptor is required" in err and "Traceback" not in err
 
     def test_ungraded_forced_descriptor_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ungraded.json"
@@ -758,9 +800,23 @@ class TestCli:
         fn.write_text(json.dumps({"builtin": "one_norm"}))
         assert main(["hconvex-check", "--group", "heisenberg:1", "--fn-file", str(fn)]) == 0
 
-    def test_run_config_dataclass(self):
-        cfg = RunConfig(operation="group-product", group="heisenberg:1", x="1,0,0", y="0,0,0")
-        assert run_command(cfg) == 0
+
+ALL_FLAGS = sorted({flag for flags in OPS.values() for flag in flags})
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_each_operation_takes_only_its_flags(op, capsys):
+    # a flag the operation does not read is refused, not dropped; no
+    # abbreviation stands in for one either (--h is not --help)
+    for flag in ALL_FLAGS:
+        argv = [op, f"--{flag}"] + ([] if flag == "force" else ["1"])
+        if flag in OPS[op]:
+            assert _parser().parse_args(argv).operation == op
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
 
 
 EXPORTING = sorted(

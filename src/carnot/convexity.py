@@ -317,7 +317,15 @@ def dermax_checks(u, xs, plan):
 
 
 _SECTION_PROBES = 16  # interior probes per step of the section search
-_SECTION_STEPS = 17  # final bracket (2/17)^17 ~ 1.6e-16 wide
+
+
+def _section_steps(plan):
+    """The section search's step count: each step keeps 2 of the 17 cells of
+    its bracket, so the least k >= 1 with (2/17)^k <= plan.radii[-1] / 50."""
+    shrink, k = 2 / (_SECTION_PROBES + 1), 1
+    while shrink**k > plan.radii[-1] / 50:
+        k += 1
+    return k
 
 
 def _values(fields, fid, pts):
@@ -348,9 +356,13 @@ def mean_value_witnesses(fields, xs, hs, plan):
     bracket with one value call per field and keeps the two cells around
     the best probe (two probes make it a ternary search).  The first step's
     probes, k/17 of [0, 1], give each row its sign (the probe of largest
-    |psi|) and its starting bracket.  For h-convex u, psi is convex with
-    zero ends, so its extremum is its minimum, and psi vanishing at all
-    first probes makes it vanish everywhere: such a flat row keeps t* = 1/2.
+    |psi|) and its starting bracket.  The search runs ``_section_steps(plan)``
+    steps, the least k with (2/17)^k <= plan.radii[-1] / 50, so the final
+    bracket is fifty times finer than the shell the witness hull is sampled
+    on: 7 steps under the default plan, more on a finer shell.  For h-convex
+    u, psi is convex with zero ends, so its extremum is its minimum, and psi
+    vanishing at all first probes makes it vanish everywhere: such a flat
+    row keeps t* = 1/2.
     The hull at x * delta_{t*} h is intersected with the hyperplane
     <., h> = sigma (nearest vertex if sigma falls just outside the sampled
     support range).  The rows are held field-major, so each field evaluates
@@ -384,7 +396,7 @@ def mean_value_witnesses(fields, xs, hs, plan):
     # the search runs on compact copies of its rows, gathered again only when a row leaves
     rows = np.flatnonzero(~bad)
     L, f, u0, s, lo, hi = line[rows], fid[rows], ux[rows], sigma[rows], np.zeros(len(rows)), np.ones(len(rows))
-    for step in range(_SECTION_STEPS):
+    for step in range(_section_steps(plan)):
         if len(rows) == 0:
             break
         probes = lo[:, None] + (hi - lo)[:, None] * frac

@@ -128,7 +128,8 @@ def load_descriptor(path, force=False):
                 raise DescriptorError("conflicting bracket entries for ({},{},{})".format(*ijk))
             brackets[key] = c
         for (i, j, k), c in list(brackets.items()):
-            brackets.setdefault((j, i, k), -c)
+            if isinstance(c, (int, float)) and not isinstance(c, bool):  # GroupDescriptor names any other constant
+                brackets.setdefault((j, i, k), -c)
     except (KeyError, TypeError) as exc:
         raise DescriptorError(f"malformed bracket record in {path} (expected objects with keys i, j, k, c): {exc}") from exc
     desc = GroupDescriptor(name, layers, brackets)

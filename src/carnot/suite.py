@@ -328,22 +328,22 @@ def mignot_records(plan):
     return records, curves
 
 
-_CERT_PLAN = SamplingPlan(
-    directions=16,
-    base_count=8,
-    lambda_grid=5,
-    segment_scales=(1.0, 0.3, 0.1),
-)
+def _cert_plan(plan):
+    """``plan`` with criterion 12's coarser segment sample: its seed, base
+    radius and tolerances stay the run's."""
+    return dataclasses.replace(plan, directions=16, base_count=8, lambda_grid=5, segment_scales=(1.0, 0.3, 0.1))
 
 
 def registry_certificate_records(plan):
     """Criterion 12: every built-in function is h-convex on the segments
-    that ``_CERT_PLAN`` samples, within the plan's h-convexity tolerance."""
+    that ``_cert_plan(plan)`` samples, within the plan's h-convexity
+    tolerance."""
     tol = plan.tol.hconvexity
+    cert_plan = _cert_plan(plan)
     records = []
     desc = build_group("heisenberg:1")
     for name in ("affine", "quadratic", "quad_vertical", "max_affine", "one_norm"):
-        worst = hconvexity_check(build_function(desc, name), _CERT_PLAN).max_violation
+        worst = hconvexity_check(build_function(desc, name), cert_plan).max_violation
         records.append(CheckRecord.bounded(f"registry/certificate/{name}", {"fn": name}, worst, tol, inclusive=True))
     return records, []
 

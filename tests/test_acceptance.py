@@ -222,8 +222,10 @@ def test_criterion_07_product_calls(monkeypatch):
     # segment's line x + t b1 + t^2 b2, one product call per witness batch;
     # 46 with a witness call per field, 34 with one per field family: 4
     # groups x 2 families, plus the lambda record).  A family's lockstep
-    # evaluates each field once per step, so the value calls stay at 397
-    # (analytic) and 431 (FD)
+    # evaluates each field once per step: 379 value calls (analytic) and 413
+    # (FD) with 17 steps, 189 and 223 since the search stops at the depth
+    # the plan's finest shell resolves (7 steps); the budgets keep 18 calls
+    # of headroom
     calls = {}
     product, value, witnesses = GroupDescriptor.product, ScalarField.value, suite_mod.mean_value_witnesses
 
@@ -238,10 +240,10 @@ def test_criterion_07_product_calls(monkeypatch):
     monkeypatch.setattr(ScalarField, "value", counting("value", value))
     monkeypatch.setattr(suite_mod, "mean_value_witnesses", counting("witnesses", witnesses))
     mean_value_records(PLAN)
-    assert calls["witnesses"] == 9 and 0 < calls["product"] <= 34 and calls["value"] <= 397, calls
+    assert calls["witnesses"] == 9 and 0 < calls["product"] <= 34 and calls["value"] <= 207, calls
     calls.clear()
     mean_value_records(SamplingPlan(seed=SEED, use_analytic_gradient=False))
-    assert calls["witnesses"] == 9 and calls["value"] <= 431, calls
+    assert calls["witnesses"] == 9 and calls["value"] <= 241, calls
 
 
 def test_line_product_budget(monkeypatch):
@@ -584,12 +586,12 @@ def test_reports_do_not_depend_on_cache_state():
 # report byte, even at round-off, updates the digest here and names the byte
 # in CHANGES.md
 REPORT_SHA256 = {
-    (True, 0): "ec7b4fed613c13f2d0b6abc595e7bb79ab1cff96b9c1ac8b88c5271317ca7c7c",
+    (True, 0): "976939c5ced9351507ffbba2a0b632189f04713c7b10eacd23412dd0e31a2eb9",
     (True, 1): "be3fea7671923deb1dfdd67003235fac74f0165c67b80acb078f7a72ff528c24",
-    (True, 2): "2cfb5039c622fd52abfb49c77fb2e3b94fdc6cc1952630891a509e1da06acc90",
+    (True, 2): "56a9ef52dc553e164d1fedb6e30895a0ab624ac7ea274053d165e71e00b88e5a",
     (False, 0): "69cccd1d32e6425e9692c05ed1aea5974f72eee88cf43dccdc172f1d7ffeeb18",
     (False, 1): "f590288016dfec54263cb35f413c66b06ca7a29168eae74a1a9cef8e94b5a62c",
-    (False, 2): "a1c1b2f629565ae734184e5cf39f960c1616f56ee694501cad7d099f67a68dae",
+    (False, 2): "333c8eee5106dce22158117739ad9465b7170c4790c1f33d84fbaad6feaac5ea",
 }
 
 
@@ -678,6 +680,17 @@ def test_criterion_12_reads_plan_tolerance():
     (affine,) = [r for r in records if r.check_id == "registry/certificate/affine"]
     assert affine.tolerance == 1e-30 and not affine.passed
     assert affine.line().startswith("FAIL") and "tol=1e-30" in affine.line()
+
+
+def test_criterion_12_samples_under_the_run_plan(monkeypatch):
+    # the certificates take the run's seed and base radius, with their own
+    # coarser segment sample, so --seed and a plan file reach them
+    plans = []
+    check = suite_mod.hconvexity_check
+    monkeypatch.setattr(suite_mod, "hconvexity_check", lambda u, plan: plans.append(plan) or check(u, plan))
+    records, _, _ = _run(registry_certificate_records, SamplingPlan(seed=2, base_radius=0.5))
+    assert len(plans) == len(records) == 5 and all(r.passed for r in records)
+    assert {(p.seed, p.base_radius, p.directions, p.base_count, p.lambda_grid) for p in plans} == {(2, 0.5, 16, 8, 5)}
 
 
 def test_criterion_12_nan_certificate_fails(monkeypatch):

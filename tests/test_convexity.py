@@ -525,10 +525,32 @@ class TestMeanValue:
     def test_kink_location(self, h1, plan):
         # |x1| from x1 = -0.3 along e1: psi's extremum is the kink at t = 0.3,
         # which falls between grid points, so the section search must find it
+        # to the resolution of the plan's finest shell (a 3-step search,
+        # 1e-3 wide, does not)
         u = build_function(h1, "max_affine")
         (t,), _, (residual,), _ = mean_value_witnesses([u], np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)
+        assert abs(t - 0.3) <= plan.radii[-1] / 100
+        assert residual < 1e-12
+
+    def test_kink_location_on_a_finer_shell(self, h1, plan):
+        # a finer last shell deepens the search (13 steps at 5e-11)
+        fine = replace(plan, radii=plan.radii + (5e-11,))
+        u = build_function(h1, "max_affine")
+        (t,), _, (residual,), _ = mean_value_witnesses([u], np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), fine)
         assert abs(t - 0.3) <= 1e-12
         assert residual < 1e-12
+
+    def test_section_steps_follow_the_finest_shell(self, plan):
+        # the least k with (2/17)^k <= radii[-1] / 50: 7 under the default plan,
+        # and never fewer as the finest shell shrinks
+        assert convexity._section_steps(plan) == 7
+        assert convexity._section_steps(replace(plan, radii=plan.radii + (5e-11,))) == 13
+        steps = []
+        for r in 0.25 * 10.0 ** -np.arange(16):
+            k = convexity._section_steps(replace(plan, radii=(0.3, r)))
+            assert k >= 1 and (2 / 17) ** k <= r / 50 and (k == 1 or (2 / 17) ** (k - 1) > r / 50)
+            steps.append(k)
+        assert steps == sorted(steps) and steps[0] < steps[-1]
 
     def test_bracketing_failure_on_jump(self, h1, plan):
         # a discontinuous step is not h-convex: the secant slope cannot be

@@ -21,8 +21,9 @@ MVT_RECORDS = {
 
 
 def _short_section_search(monkeypatch):
-    # 3 steps leave a bracket of (2/17)^3 ~ 1.6e-3 around the extremum
-    monkeypatch.setattr(convexity, "_SECTION_STEPS", 3)
+    # 3 steps, whatever the plan, leave a bracket of (2/17)^3 ~ 1.6e-3
+    # around the extremum
+    monkeypatch.setattr(convexity, "_section_steps", lambda plan: 3)
 
 
 def _unzoomed_mignot_shells(monkeypatch):

@@ -25,7 +25,7 @@ from carnot.convexity import ScalarField, hconvexity_check
 from carnot import registry
 from carnot.registry import function_from_spec, polyhedral_suite, smooth_suite
 from carnot.reports import CheckRecord, CurvePoint, curve_converged, emit_report, render_csv
-from carnot.suite import _CERT_PLAN
+from carnot.suite import _cert_plan
 
 
 class TestGroupRegistry:
@@ -189,12 +189,12 @@ class TestDescriptorFiles:
 
 
 class TestFunctionFiles:
-    def test_builtin_spec(self, h1, tmp_path):
+    def test_builtin_spec(self, h1, plan, tmp_path):
         path = tmp_path / "fn.json"
         path.write_text(json.dumps({"builtin": "quad_vertical", "params": {"alpha": 2.0}}))
         u = load_function(h1, path)
         assert "alpha=2" in u.label
-        assert hconvexity_check(u, _CERT_PLAN).max_violation <= 1e-10
+        assert hconvexity_check(u, _cert_plan(plan)).max_violation <= 1e-10
 
     def test_polynomial_spec(self, h1):
         u = function_from_spec(
@@ -207,7 +207,7 @@ class TestFunctionFiles:
         g = u.gradient(x[None])[0]
         assert g[0] == pytest.approx(2 * 0.5 + 0.5 * (-x[1] / 2))
 
-    def test_composition_max(self, h1):
+    def test_composition_max(self, h1, plan):
         spec = {
             "composition": {
                 "op": "max",
@@ -218,7 +218,7 @@ class TestFunctionFiles:
             }
         }
         u = function_from_spec(h1, spec)
-        assert hconvexity_check(u, _CERT_PLAN).max_violation <= 1e-10
+        assert hconvexity_check(u, _cert_plan(plan)).max_violation <= 1e-10
         pts = np.array([[0.5, 0, 0], [-0.5, 0, 0]])
         assert np.allclose(u.value(pts), [0.5, 0.5])
         assert np.allclose(u.gradient(pts), [[1, 0], [-1, 0]])
@@ -353,7 +353,7 @@ class TestCli:
             "c3b9ca729065f6410ed550da2ec9cc09b4f9cb1e886f88fc1e3b0f3d16fe4b9f"
         ),
         ("mvt", "engel", "quad_vertical", "0.1,0.2,-0.1,0.05", "0.5,-0.3"): (
-            "d75b968f1bcef6382a16847b19e278b9c73497f54ca40416bed7f09e806beb57"
+            "b755ccf7163fb16bd403cd55d1e19c7e4558918add41efa728a20271c2b04f09"
         ),
         ("dermax", "heisenberg:1", "one_norm", "0.1,0,0", None): (
             "9e1e2b74c7f95711362c1f413409afa7d29cdc75b41a496f512415711886a22b"
@@ -643,7 +643,9 @@ class TestCli:
             ([2, 1], {"c": float("inf")}, "bracket record 1: constant inf is not a finite real"),
             ([2, 1], {"c": float("nan")}, "bracket record 1: constant nan is not a finite real"),
             ([2, 1], {"c": 10**400}, "bracket record 1: constant 1000"),
-            ([2, 1], {"c": "1"}, "malformed bracket record"),
+            ([2, 1], {"c": "1"}, "bracket record 1: constant '1' is not a finite real"),
+            ([2, 1], {"c": [1]}, "bracket record 1: constant [1] is not a finite real"),
+            ([2, 1], {"c": None}, "bracket record 1: constant None is not a finite real"),
         ],
         ids=[
             "fractional-layer",
@@ -656,6 +658,8 @@ class TestCli:
             "nan-constant",
             "huge-int-constant",
             "string-constant",
+            "list-constant",
+            "null-constant",
         ],
     )
     def test_descriptor_values_of_the_wrong_type_exit_2(self, tmp_path, capsys, layers, record, named):

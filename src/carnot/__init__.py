@@ -20,7 +20,6 @@ from .convexity import (
     subdifferential_hulls,
 )
 from .errors import (
-    BracketingError,
     CarnotError,
     DescriptorError,
     NonConvexSliceError,

@@ -225,10 +225,10 @@ def run_command(args):
         elif op == "mvt":
             h = _vec(args.h, desc.m1, "--h")
             inputs["h"] = args.h
-            (t,), (p,), (residual,), _ = mean_value_witnesses([u], x[None], h[None], plan)
-            _out(f"t = {t:.6g}")
-            _out("p =", np.array2string(p, precision=10))
-            records.append(CheckRecord.bounded("mvt", inputs, residual, plan.tol.mvt_polyhedral))
+            (w,) = mean_value_witnesses([(u, x[None], h[None])], plan)
+            _out(f"t = {w.t[0]:.6g}")
+            _out("p =", np.array2string(w.p[0], precision=10))
+            records.append(CheckRecord.bounded("mvt", inputs, w.residual[0], plan.tol.mvt_polyhedral, detail=w.detail))
         elif op == "second-fit":
             try:
                 grad, _ = gradient_with_certificate(u, x, plan)

@@ -13,11 +13,12 @@ secant slope.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError, NonConvexSliceError, RankDeficientDesign, SamplingError
+from .errors import NonConvexSliceError, RankDeficientDesign, SamplingError
 from .hull import centroids, diameters, supports
 from .polynomials import _per_descriptor
 from .reports import curve_converged
@@ -36,6 +37,7 @@ __all__ = [
     "lambda_subdiff_membership",
     "dermax_checks",
     "mean_value_witnesses",
+    "MeanValueWitness",
     "first_order_residual_ladder",
     "first_order_characterizations",
 ]
@@ -176,11 +178,14 @@ def _hull_stream(desc, seed, count):
     return SamplingPlan(seed=seed).rng("subdiff-hull"), []
 
 
-def _shell_gradients(u, xs, radius, plan):
+def _shell_gradients(runs, xs, radius, plan):
     """Horizontal gradients at ``plan.shell_samples`` sampled
     differentiability points of B(x, r) for every row x of ``xs``, as one
     (K, count, m1) array; ``radius`` is one r for all rows (dilating the
-    draw once) or one per row.
+    draw once) or one per row.  ``runs`` lists (field, row count) pairs of
+    fields on one group that cover the rows in order (``[(u, len(xs))]``
+    for one field): each round takes one product for all rows and one
+    gradient sample per field on its run.
 
     Every centre sees the same draws: retry round k takes the k-th ball
     sample of a fresh ``plan.rng("subdiff-hull")``, read from the stream
@@ -191,7 +196,8 @@ def _shell_gradients(u, xs, radius, plan):
     order; a row that ends short repeats its last stable gradient, which
     changes no support value, diameter or centroid.
     """
-    desc = u.desc
+    desc = runs[0][0].desc
+    stops = list(itertools.accumulate((n for _, n in runs), initial=0))  # run j holds rows stops[j]:stops[j + 1]
     xs = np.asarray(xs, dtype=float)
     radius = np.asarray(radius, dtype=float)
     count = plan.shell_samples
@@ -206,19 +212,26 @@ def _shell_gradients(u, xs, radius, plan):
             draws.append(unit_ball(desc, count, rng))
         unit, radial = draws[k]
         r = radius if radius.ndim == 0 else radius[todo, None]
-        pts = desc.product(xs[todo, None, :], desc.dilate(r * radial, unit))  # (T, count, n)
+        pts = desc.product(xs[todo, None, :], desc.dilate(r * radial, unit)).reshape(-1, desc.dim)  # (T count, n)
         r = radius if radius.ndim == 0 else np.repeat(radius[todo], count)
-        g, ok = _sampled_gradients(u, pts.reshape(-1, desc.dim), r, plan)
-        g, ok = g.reshape(len(todo), count, -1), ok.reshape(len(todo), count)
-        if k == 0 and ok.all():  # every draw stable, as analytic gradients are: no slots to find
-            out[:], have[:] = g, count
-            continue
-        slot = have[todo, None] + np.cumsum(ok, axis=1) - 1
-        i, j = np.nonzero(ok & (slot < count))
-        out[todo[i], slot[i, j]] = g[i, j]
-        have[todo] = np.minimum(slot[:, -1] + 1, count)
+        cut = np.searchsorted(todo, stops).tolist()  # run j's centres are todo[cut[j]:cut[j + 1]]
+        for (f, _), a, b in zip(runs, cut[:-1], cut[1:]):
+            if b == a:
+                continue
+            part = slice(a * count, b * count)
+            g, ok = _sampled_gradients(f, pts[part], r if r.ndim == 0 else r[part], plan)
+            g, ok = g.reshape(b - a, count, -1), ok.reshape(b - a, count)
+            if k == 0 and ok.all():  # every draw stable, as analytic gradients are: no slots to find
+                out[a:b], have[a:b] = g, count  # round 0 takes every centre, in order
+                continue
+            rows = todo[a:b]
+            slot = have[rows, None] + np.cumsum(ok, axis=1) - 1
+            i, j = np.nonzero(ok & (slot < count))
+            out[rows[i], slot[i, j]] = g[i, j]
+            have[rows] = np.minimum(slot[:, -1] + 1, count)
     if np.any(have == 0):
-        raise SamplingError(f"no stable gradient samples near the given point of {u.label!r}")
+        f, _ = runs[int(np.searchsorted(stops, np.argmin(have), side="right")) - 1]
+        raise SamplingError(f"no stable gradient samples near the given point of {f.label!r}")
     short = np.flatnonzero(have < count)
     out[short] = out[short[:, None], np.minimum(np.arange(count), have[short, None] - 1)]
     return out
@@ -236,9 +249,10 @@ def lambda_subdiff_membership(u, xs, P, lam, plan):
     them, whose largest violation counts; over the generating points of a hull it
     is the maximum over the hull, since the violation is convex in p.  The
     offsets h are the plan's directions and coordinate axes at every segment
-    scale and shell radius.  Each row has its own evaluations and its own
-    BLAS product (a stacked matmul, which rounds as a field's ``@`` does,
-    unlike ``einsum``), so its violation does not depend on the other rows.
+    scale and shell radius.  Each row has its own evaluations, and <p, h>
+    is summed coordinate by coordinate in index order, as the built-in
+    fields sum theirs, so a row's violation does not depend on the other
+    rows, and an affine field meets its own gradient with no round-off.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -251,7 +265,10 @@ def lambda_subdiff_membership(u, xs, P, lam, plan):
     hs = (dirs[:, None, :] * scales[:, None]).reshape(-1, desc.m1)  # direction-major, as the lines' points
     line, _ = _horizontal_lines(desc, xs[:, None, :], dirs)  # (K, D, 3, n)
     uxh = u.value(_on_lines(scales, line)).reshape(len(xs), -1)  # (K, H)
-    viol = u.value(xs[:, None, :])[:, :, None] + P @ hs.T - lam * np.sum(hs * hs, axis=-1) - uxh[:, None, :]
+    ph = P[..., 0, None] * hs[:, 0]  # <p, h> (K, k, H)
+    for i in range(1, desc.m1):
+        ph = ph + P[..., i, None] * hs[:, i]
+    viol = u.value(xs[:, None, :])[:, :, None] + ph - lam * np.sum(hs * hs, axis=-1) - uxh[:, None, :]
     return np.max(viol, axis=(1, 2))
 
 
@@ -265,7 +282,7 @@ def subdifferential_hulls(u, xs, plan):
     all, and independent of the other rows of the batch.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    return _shell_gradients(u, xs, plan.radii[-1], plan)
+    return _shell_gradients([(u, len(xs))], xs, plan.radii[-1], plan)
 
 
 # -- directional derivatives -----------------------------------------------------
@@ -305,7 +322,7 @@ def dermax_checks(u, xs, plan):
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     dirs = unit_directions(u.desc.m1, plan.directions)
     pair_sum = dirs + np.roll(dirs, 1, axis=0)
-    V = _shell_gradients(u, xs, plan.radii[-1], plan)
+    V = _shell_gradients([(u, len(xs))], xs, plan.radii[-1], plan)
     dd = _directional_derivatives(u, xs, dirs, plan)  # (K, D)
     dd_sum = _directional_derivatives(u, xs, pair_sum, plan)
     gaps = np.max(np.abs(dd - supports(V, dirs)), axis=-1)
@@ -328,79 +345,101 @@ def _section_steps(plan):
     return k
 
 
-def _values(fields, fid, pts):
-    """The value of every row of ``pts`` under its field ``fields[fid]``, the
-    rows sorted by field: one value call per field on its run of rows."""
-    out = np.empty(pts.shape[:-1])
-    cut = np.searchsorted(fid, np.arange(len(fields) + 1))
-    for u, a, b in zip(fields, cut[:-1], cut[1:]):
-        if b > a:
-            out[a:b] = u.value(pts[a:b])
-    return out
+@dataclass(frozen=True)
+class MeanValueWitness:
+    """The witnesses of one job's K segments, and the message of the first
+    row whose secant slope left its sampled support range ('' if none)."""
+
+    t: np.ndarray
+    p: np.ndarray
+    residual: np.ndarray
+    point: np.ndarray
+    detail: str
 
 
-def mean_value_witnesses(fields, xs, hs, plan):
-    """Mean-value witnesses for the segments x * [0, h] of the rows of
-    ``xs`` (K, n) and ``hs`` (K, m1), row i on ``fields[i % len(fields)]``,
-    a family of fields on one group, computed together.
+def mean_value_witnesses(jobs, plan):
+    """Mean-value witnesses for the segments x * [0, h] of every job
+    ``(u, xs, hs)``: one field u with its rows ``xs`` (K, n) and ``hs``
+    (K, m1).  Jobs may lie on different groups.  Returns one
+    ``MeanValueWitness`` per job, in job order: t (K,), p (K, m1), residual
+    (K,), point (K, n) and detail.
 
-    Returns (t, p, residual, point), of shapes (K,), (K, m1), (K,) and
-    (K, n), in caller order.  For each row: a parameter t* in [0, 1] and p
-    in the subdifferential hull at the point x * delta_{t*} h with <p, h>
-    equal to the secant slope
+    For each row: a parameter t* in [0, 1] and p in the subdifferential
+    hull at the point x * delta_{t*} h with <p, h> equal to the secant slope
     sigma = u(xh) - u(x).  The deviation psi(t) = u(x (t h)) - u(x) - t sigma
     vanishes at both ends, so it has an interior extremum; there the
     one-sided derivatives bracket sigma.  A section search locates it for
-    all rows in lockstep on the segments' lines x + t b1 + t^2 b2: each step
-    evaluates ``_SECTION_PROBES`` equally spaced interior probes of every
-    bracket with one value call per field and keeps the two cells around
-    the best probe (two probes make it a ternary search).  The first step's
-    probes, k/17 of [0, 1], give each row its sign (the probe of largest
-    |psi|) and its starting bracket.  The search runs ``_section_steps(plan)``
-    steps, the least k with (2/17)^k <= plan.radii[-1] / 50, so the final
-    bracket is fifty times finer than the shell the witness hull is sampled
-    on: 7 steps under the default plan, more on a finer shell.  For h-convex
-    u, psi is convex with zero ends, so its extremum is its minimum, and psi
-    vanishing at all first probes makes it vanish everywhere: such a flat
-    row keeps t* = 1/2.
+    all rows of all jobs in lockstep on the segments' lines x + t b1 + t^2
+    b2: each step evaluates ``_SECTION_PROBES`` equally spaced interior
+    probes of every bracket, with one ``_on_lines`` per group and one value
+    call per job, and keeps the two cells around the best probe (two probes
+    make it a ternary search).  The first step's probes, k/17 of [0, 1],
+    give each row its sign (the probe of largest |psi|) and its starting
+    bracket.  The search runs ``_section_steps(plan)`` steps, the least k
+    with (2/17)^k <= plan.radii[-1] / 50, so the final bracket is fifty
+    times finer than the shell the witness hull is sampled on: 7 steps under
+    the default plan, more on a finer shell.  For h-convex u, psi is convex
+    with zero ends, so its extremum is its minimum, and psi vanishing at all
+    first probes makes it vanish everywhere: such a flat row keeps t* = 1/2.
     The hull at x * delta_{t*} h is intersected with the hyperplane
     <., h> = sigma (nearest vertex if sigma falls just outside the sampled
-    support range).  The rows are held field-major, so each field evaluates
-    one run of rows, and its witnesses do not depend on the other fields.
+    support range).
 
-    For a u that is not h-convex (a user field through CLI ``mvt``) the
-    search may stop at a local extremum; the support-range check then turns
-    a wrong witness into a ``BracketingError`` or a residual.
+    The rows are held group by group (``build_group`` shares descriptors,
+    so a group is one descriptor object), each job one run of rows: a group
+    takes one product for its lines and, per retry round of its hulls, one
+    for the shells around all its rows, and each field samples its
+    gradients on its own run.  Every row keeps its own draws and
+    evaluations, so its witness does not depend on the other rows or jobs.
 
-    A non-finite secant slope, psi value at any probe or hull gradient
-    gives residual +inf (and p = NaN) instead of an error.  The hull stage
-    runs field by field, and the batch raises the first error it meets for
-    the whole batch: ``SamplingError`` if a hull gets no gradient samples,
-    and ``BracketingError`` at the first row whose secant slope falls
-    outside its hull's support range.  Call it per row where one failing
-    segment must not stop the others.
+    Failures are data.  A non-finite secant slope, psi value at any probe
+    or hull gradient, and a secant slope outside the row's sampled support
+    range by more than ``plan.tol.support_gap`` give residual +inf and p =
+    NaN; the last also sets the job's ``detail``.  For a u that is not
+    h-convex (a user field through CLI ``mvt``) the search may stop at a
+    local extremum; the support-range check then turns a wrong witness into
+    a failed row or a residual.  Only ``SamplingError``, when a hull gets
+    no gradient samples, ends the call.
     """
-    desc = fields[0].desc
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    hs = np.atleast_2d(np.asarray(hs, dtype=float))
-    fid = np.arange(len(xs)) % len(fields)
-    order = np.argsort(fid, kind="stable")  # field-major
-    xs, hs, fid = xs[order], hs[order], fid[order]
+    by_desc = {}
+    for j, (u, _, _) in enumerate(jobs):
+        by_desc.setdefault(id(u.desc), []).append(j)
+    order = [j for js in by_desc.values() for j in js]  # group-major: each group and each job is one run of rows
+    fields, xs, hs = zip(*(jobs[j] for j in order))
+    stops = np.cumsum([0] + [len(x) for x in xs])  # run q holds rows stops[q]:stops[q + 1]
+    ux, sigma = np.empty(stops[-1]), np.empty(stops[-1])
+    groups, q0 = [], 0  # (descriptor, its runs q0:q1, their lines and hs)
+    for js in by_desc.values():
+        q1, desc = q0 + len(js), fields[q0].desc
+        H = np.concatenate(hs[q0:q1])
+        line, xh = _horizontal_lines(desc, np.concatenate(xs[q0:q1]), H)
+        for q in range(q0, q1):
+            a, b = stops[q], stops[q + 1]
+            ux[a:b] = fields[q].value(xs[q])
+            sigma[a:b] = fields[q].value(xh[a - stops[q0] : b - stops[q0]]) - ux[a:b]
+        groups.append((desc, q0, q1, line, H))
+        q0 = q1
 
-    line, xh = _horizontal_lines(desc, xs, hs)
-    ux = _values(fields, fid, xs)
-    sigma = _values(fields, fid, xh) - ux
     bad = ~np.isfinite(sigma)
-    t_star = np.full(len(xs), 0.5)
+    t_star = np.full(stops[-1], 0.5)
     frac = np.arange(1, _SECTION_PROBES + 1) / (_SECTION_PROBES + 1)
     # the search runs on compact copies of its rows, gathered again only when a row leaves
     rows = np.flatnonzero(~bad)
-    L, f, u0, s, lo, hi = line[rows], fid[rows], ux[rows], sigma[rows], np.zeros(len(rows)), np.ones(len(rows))
+    cut = np.searchsorted(rows, stops)  # run q holds compact rows cut[q]:cut[q + 1]
+    Ls = [line[rows[cut[q0] : cut[q1]] - stops[q0]] for _, q0, q1, line, _ in groups]
+    u0, s, lo, hi = ux[rows], sigma[rows], np.zeros(len(rows)), np.ones(len(rows))
     for step in range(_section_steps(plan)):
         if len(rows) == 0:
             break
         probes = lo[:, None] + (hi - lo)[:, None] * frac
-        psi = _values(fields, f, _on_lines(probes, L)) - u0[:, None] - s[:, None] * probes
+        vals = np.empty_like(probes)
+        for (_, q0, q1, _, _), L in zip(groups, Ls):
+            if cut[q1] > cut[q0]:
+                pts = _on_lines(probes[cut[q0] : cut[q1]], L)
+                for q in range(q0, q1):
+                    if cut[q + 1] > cut[q]:
+                        vals[cut[q] : cut[q + 1]] = fields[q].value(pts[cut[q] - cut[q0] : cut[q + 1] - cut[q0]])
+        psi = vals - u0[:, None] - s[:, None] * probes
         r = np.arange(len(rows))
         leave = ~np.isfinite(psi).all(axis=-1)
         bad[rows[leave]] = True
@@ -412,35 +451,48 @@ def mean_value_witnesses(fields, xs, hs, plan):
         edges = np.concatenate([lo[:, None], probes, hi[:, None]], axis=1)
         lo, hi = edges[r, j], edges[r, j + 2]
         if leave.any():
-            rows, L, f, u0, s, lo, hi, sign = (a[~leave] for a in (rows, L, f, u0, s, lo, hi, sign))
+            keep = ~leave
+            Ls = [L[keep[cut[q0] : cut[q1]]] for (_, q0, q1, _, _), L in zip(groups, Ls)]
+            rows, u0, s, lo, hi, sign = (a[keep] for a in (rows, u0, s, lo, hi, sign))
+            cut = np.searchsorted(rows, stops)
     t_star[rows] = 0.5 * (lo + hi)
 
-    ys = _on_lines(t_star[:, None], line)[:, 0]
-    p = np.full((len(xs), desc.m1), np.nan)
-    residual = np.full(len(xs), np.inf)
-    for k, u in enumerate(fields):
-        good = np.flatnonzero(~bad & (fid == k))
-        V = _shell_gradients(u, ys[good], plan.radii[-1], plan)
+    residual = np.full(stops[-1], np.inf)
+    detail = [""] * len(order)
+    points, ps = [], []  # per run
+    for desc, q0, q1, line, H in groups:
+        g0, g1 = stops[q0], stops[q1]
+        ys = _on_lines(t_star[g0:g1, None], line)[:, 0]
+        p = np.full((g1 - g0, desc.m1), np.nan)
+        good = np.flatnonzero(~bad[g0:g1])
+        runs = [(fields[q], np.count_nonzero(~bad[stops[q] : stops[q + 1]])) for q in range(q0, q1)]
+        V = _shell_gradients(runs, ys[good], plan.radii[-1], plan)
         finite = np.all(np.isfinite(V), axis=(1, 2))
-        h, s = hs[good], sigma[good]
+        h, s = H[good], sigma[g0 + good]
         support_vals = np.einsum("krm,km->kr", V, h)
         smin, smax = np.min(support_vals, axis=-1), np.max(support_vals, axis=-1)
         outside = finite & ((s < smin - plan.tol.support_gap) | (s > smax + plan.tol.support_gap))
-        if np.any(outside):
-            i = int(np.argmax(outside))
-            raise BracketingError(
-                f"secant slope {s[i]:.4g} outside sampled support range [{smin[i]:.4g}, {smax[i]:.4g}]"
-            )
+        run = np.searchsorted(stops, g0 + good, side="right") - 1
+        for i in np.flatnonzero(outside):
+            if not detail[run[i]]:
+                bounds = f"[{smin[i]:.4g}, {smax[i]:.4g}]"
+                detail[run[i]] = f"secant slope {s[i]:.4g} outside sampled support range {bounds}"
         r = np.arange(len(good))
         v_lo = V[r, np.argmin(support_vals, axis=-1)]
         v_hi = V[r, np.argmax(support_vals, axis=-1)]
         span = np.where(smax > smin, smax - smin, 1.0)
         inner = v_lo + ((s - smin) / span)[:, None] * (v_hi - v_lo)
         pg = np.where((s <= smin)[:, None], v_lo, np.where((s >= smax)[:, None], v_hi, inner))
-        p[good[finite]] = pg[finite]
-        residual[good[finite]] = np.abs(s - np.einsum("km,km->k", pg, h))[finite]
-    back = np.argsort(order)  # caller order
-    return t_star[back], p[back], residual[back], ys[back]
+        ok = finite & ~outside
+        p[good[ok]] = pg[ok]
+        residual[g0 + good[ok]] = np.abs(s - np.einsum("km,km->k", pg, h))[ok]
+        points += [ys[stops[q] - g0 : stops[q + 1] - g0] for q in range(q0, q1)]
+        ps += [p[stops[q] - g0 : stops[q + 1] - g0] for q in range(q0, q1)]
+    out = [None] * len(jobs)
+    for q, j in enumerate(order):
+        a, b = stops[q], stops[q + 1]
+        out[j] = MeanValueWitness(t_star[a:b], ps[q], residual[a:b], points[q], detail[q])
+    return out
 
 
 # -- first-order characterization ---------------------------------------------------
@@ -478,7 +530,7 @@ def first_order_characterizations(u, xs, plan):
     whole batch.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    V = _shell_gradients(u, xs, plan.radii[-1], plan)
+    V = _shell_gradients([(u, len(xs))], xs, plan.radii[-1], plan)
     diams = diameters(V)
     ladders = first_order_residual_ladder(u, xs, centroids(V), plan)
     converges = np.array([curve_converged(ladder, max(1e-9, 0.05 * ladder[0])) for ladder in ladders], dtype=bool)

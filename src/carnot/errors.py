@@ -29,8 +29,3 @@ class NonConvexSliceError(CarnotError, RuntimeError):
 
 class RankDeficientDesign(CarnotError, RuntimeError):
     """The direction set does not identify all fit parameters."""
-
-
-class BracketingError(CarnotError, RuntimeError):
-    """The secant slope falls outside the sampled support range by more
-    than the allowed gap."""

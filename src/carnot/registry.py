@@ -120,10 +120,12 @@ def load_descriptor(path, force=False):
         raise DescriptorError(f"malformed descriptor file {path}: layers must be a list, got {layers!r}")
     brackets = {}
     try:
-        for r in records:
+        for n, r in enumerate(records, 1):
             ijk, c = (r["i"], r["j"], r["k"]), r["c"]
-            # integers shift to 0-based; GroupDescriptor refuses anything else as written
-            key = tuple(v - 1 if type(v) is int else v for v in ijk)
+            for v in ijk:  # refused here, before a list or object index becomes a dict key
+                if type(v) is not int:
+                    raise DescriptorError(f"bracket record {n}: index {v!r} is not an integer")
+            key = tuple(v - 1 for v in ijk)  # 0-based
             if key in brackets and brackets[key] != c:
                 raise DescriptorError("conflicting bracket entries for ({},{},{})".format(*ijk))
             brackets[key] = c
@@ -161,12 +163,22 @@ def _poly_field(desc, c, degree, label):
     return ScalarField(desc, fn, label=label, grad_h=grad_h)
 
 
+def _horizontal_sum(pts, m1, term):
+    """sum_i term(i, x_i) over the horizontal coordinates x_i of ``pts``,
+    added column by column in index order with no matmul, so a row's value
+    does not depend on the batch it comes in."""
+    total = term(0, pts[..., 0])
+    for i in range(1, m1):
+        total = total + term(i, pts[..., i])
+    return total
+
+
 def horizontal_affine(desc, q=None, c=0.0):
     q = np.asarray(q, dtype=float) if q is not None else _default_direction(desc.m1)
     c = float(c)
 
     def fn(pts):
-        return pts[..., : desc.m1] @ q + c
+        return c + _horizontal_sum(pts, desc.m1, lambda i, x: q[i] * x)
 
     def grad_h(pts):
         return np.broadcast_to(q, pts.shape[:-1] + (desc.m1,)).copy()
@@ -179,7 +191,7 @@ def horizontal_quadratic(desc):
     m1 = desc.m1
 
     def fn(pts):
-        return np.sum(pts[..., :m1] ** 2, axis=-1)
+        return _horizontal_sum(pts, m1, lambda i, x: x * x)
 
     def grad_h(pts):
         return 2.0 * pts[..., :m1]
@@ -212,16 +224,19 @@ def max_affine(desc, Q=None, b=None):
         Q = np.zeros((2, m1))
         Q[0, 0], Q[1, 0] = 1.0, -1.0
     Q = np.asarray(Q, dtype=float)
-    b = np.zeros(len(Q)) if b is None else np.asarray(b, dtype=float)
+    b = np.broadcast_to(0.0 if b is None else np.asarray(b, dtype=float), (len(Q),))  # scalar or (k,)
 
     def branches(pts):
-        return pts[..., :m1] @ Q.T + b
+        return [b[k] + _horizontal_sum(pts, m1, lambda i, x: Q[k, i] * x) for k in range(len(Q))]
 
     def fn(pts):
-        return np.max(branches(pts), axis=-1)
+        return functools.reduce(np.maximum, branches(pts))
 
     def grad_h(pts):
-        idx = np.argmax(branches(pts), axis=-1)
+        first, *rest = branches(pts)
+        idx, best = np.zeros(first.shape, dtype=int), first
+        for k, v in enumerate(rest, 1):  # the first arg-max branch
+            idx, best = np.where(v > best, k, idx), np.maximum(best, v)
         return Q[idx]
 
     return ScalarField(desc, fn, label="max_affine", grad_h=grad_h)
@@ -232,7 +247,7 @@ def one_norm(desc):
     m1 = desc.m1
 
     def fn(pts):
-        return np.sum(np.abs(pts[..., :m1]), axis=-1)
+        return _horizontal_sum(pts, m1, lambda i, x: np.abs(x))
 
     def grad_h(pts):
         return np.sign(pts[..., :m1])

@@ -199,7 +199,7 @@ def mignot_check(u, x, grad, A, plan):
     taus = plan.taus()
     tau = np.repeat(taus, len(dirs))  # one row per (tau, w)
     ys = desc.product(x, desc.dilate(tau, np.tile(dirs, (len(taus), 1))))
-    G = _shell_gradients(u, ys, plan.radii[-1] * tau, plan)
+    G = _shell_gradients([(u, len(ys))], ys, plan.radii[-1] * tau, plan)
     quotients = ((G - grad) * (1.0 / tau)[:, None, None]).reshape(len(taus), len(dirs), -1, desc.m1)
     dists = np.linalg.norm(quotients - (dirs[:, : desc.m1] @ A.T)[:, None, :], axis=-1)
     excess = np.max(dists, axis=(1, 2))  # NaN-safe, unlike a max() fold

@@ -22,7 +22,7 @@ from .convexity import (
     mean_value_witnesses,
     subdifferential_hulls,
 )
-from .errors import BracketingError, NonSingletonSubdifferential
+from .errors import NonSingletonSubdifferential
 from .fields import field_coefficients
 from .hull import ConvexPolytope, diameters, hausdorff_distance
 from .jets import check_alij, lambda_max
@@ -160,25 +160,16 @@ def first_order_records(plan):
     return records, curves
 
 
-def _worst_residual(family, xs, hs, plan):
-    """Largest witness residual over the rows, row i taking field i % len(family),
-    and a detail that is empty unless a witness failed.
-
-    NaN propagates, so a non-finite residual can never fold into a pass; a
-    secant slope that no sampled subgradient brackets reads inf, with the
-    error message as detail.
-    """
-    try:
-        _, _, residuals, _ = mean_value_witnesses(family, xs, hs, plan)
-    except BracketingError as err:
-        return np.inf, str(err)
-    return float(np.max(residuals)), ""
-
-
 def mean_value_records(plan):
     """Criterion 7: mean-value witnesses on smooth and polyhedral functions,
-    plus the lambda-relaxed version for convex + quadratic sums."""
-    records = []
+    plus the lambda-relaxed version for convex + quadratic sums, from one
+    witness call: field j of a k-field family takes rows j::k.
+
+    A record reads the largest residual over its family's fields (NaN
+    propagates, so a non-finite residual can never fold into a pass; a
+    secant slope that no sampled subgradient brackets reads inf) and the
+    first non-empty witness detail in field order."""
+    families, jobs = [], []
     for spec in BUILTINS:
         desc = build_group(spec)
         rng = plan.rng(f"mvt/{spec}")
@@ -190,9 +181,9 @@ def mean_value_records(plan):
             ("smooth", smooth_suite(desc), plan.tol.mvt_smooth),
             ("polyhedral", polyhedral_suite(desc), plan.tol.mvt_polyhedral),
         ):
-            worst, detail = _worst_residual(family, xs, hs, plan)
-            inputs = {"group": spec, "seed": plan.seed}
-            records.append(CheckRecord.bounded(f"mvt/{spec}/{kind}", inputs, worst, tol, detail=detail))
+            k = len(family)
+            families.append((f"mvt/{spec}/{kind}", {"group": spec, "seed": plan.seed}, tol, len(jobs), len(jobs) + k))
+            jobs += [(u, xs[j::k], hs[j::k]) for j, u in enumerate(family)]
 
     desc = build_group("heisenberg:1")
     terms = [
@@ -206,14 +197,17 @@ def mean_value_records(plan):
     rng = plan.rng("mvt/lambda")
     xs = ball(desc, 0.5, 20, rng)
     hs = unit_directions(desc.m1, 20, seed=plan.seed + 2) * rng.uniform(0.3, 0.8, 20)[:, None]
-    try:
-        _, p, _, points = mean_value_witnesses([u], xs, hs, plan)
-        viol = lambda_subdiff_membership(u, points, p, lam, plan)
-        worst, detail = float(np.maximum(0.0, np.max(viol))), ""  # NaN-safe, unlike max(0.0, nan)
-    except BracketingError as err:
-        worst, detail = np.inf, str(err)
+    *witnesses, relaxed = mean_value_witnesses(jobs + [(u, xs, hs)], plan)
+
+    records = []
+    for check_id, inputs, tol, a, b in families:
+        worst = float(np.max(np.concatenate([w.residual for w in witnesses[a:b]])))
+        detail = next((w.detail for w in witnesses[a:b] if w.detail), "")
+        records.append(CheckRecord.bounded(check_id, inputs, worst, tol, detail=detail))
+    viol = lambda_subdiff_membership(u, relaxed.point, relaxed.p, lam, plan)
+    worst = np.inf if relaxed.detail else float(np.maximum(0.0, np.max(viol)))  # NaN-safe, unlike max(0.0, nan)
     inputs = {"lambda": lam, "seed": plan.seed}
-    records.append(CheckRecord.bounded("mvt/lambda-relaxed", inputs, worst, plan.tol.mvt_lambda, detail=detail))
+    records.append(CheckRecord.bounded("mvt/lambda-relaxed", inputs, worst, plan.tol.mvt_lambda, detail=relaxed.detail))
     return records, []
 
 

@@ -221,11 +221,13 @@ def test_criterion_07_product_calls(monkeypatch):
     # 376 with a product call per search step; the search now runs on each
     # segment's line x + t b1 + t^2 b2, one product call per witness batch;
     # 46 with a witness call per field, 34 with one per field family: 4
-    # groups x 2 families, plus the lambda record).  A family's lockstep
-    # evaluates each field once per step: 379 value calls (analytic) and 413
-    # (FD) with 17 steps, 189 and 223 since the search stops at the depth
-    # the plan's finest shell resolves (7 steps); the budgets keep 18 calls
-    # of headroom
+    # groups x 2 families, plus the lambda record; one witness call for all
+    # 21 fields now takes one line product and one shell product per retry
+    # round for each group: 9 calls with analytic gradients, 43 with FD
+    # stencils).  The lockstep evaluates each field once per step: 379
+    # value calls (analytic) and 413 (FD) with 17 steps, 189 and 223 since
+    # the search stops at the depth the plan's finest shell resolves (7
+    # steps); the budgets keep 18 calls of headroom, the product budgets 3
     calls = {}
     product, value, witnesses = GroupDescriptor.product, ScalarField.value, suite_mod.mean_value_witnesses
 
@@ -240,10 +242,10 @@ def test_criterion_07_product_calls(monkeypatch):
     monkeypatch.setattr(ScalarField, "value", counting("value", value))
     monkeypatch.setattr(suite_mod, "mean_value_witnesses", counting("witnesses", witnesses))
     mean_value_records(PLAN)
-    assert calls["witnesses"] == 9 and 0 < calls["product"] <= 34 and calls["value"] <= 207, calls
+    assert calls["witnesses"] == 1 and 0 < calls["product"] <= 12 and calls["value"] <= 207, calls
     calls.clear()
     mean_value_records(SamplingPlan(seed=SEED, use_analytic_gradient=False))
-    assert calls["witnesses"] == 9 and calls["value"] <= 241, calls
+    assert calls["witnesses"] == 1 and calls["product"] <= 46 and calls["value"] <= 241, calls
 
 
 def test_line_product_budget(monkeypatch):
@@ -503,10 +505,12 @@ def test_fd_plan_suite_passes(seed):
 
 def test_hull_builds_per_criterion(monkeypatch):
     # a host-independent work budget: every internal hull loop makes one
-    # batched gradient sample per field, and a Mignot check one for all its
-    # scales (61 / 21 / 21 / 50 / 65 / 1 / 192 samples for criteria 5-11,
-    # and 1,211 ``from_points`` hulls, when most hulls were built one centre
-    # at a time; 11 and 30 samples for criteria 9 and 11 with one per scale)
+    # batched gradient sample per field, criterion 7 one per group for all
+    # its fields, and a Mignot check one for all its scales (61 / 21 / 21 /
+    # 50 / 65 / 1 / 192 samples for criteria 5-11, and 1,211
+    # ``from_points`` hulls, when most hulls were built one centre at a
+    # time; 11 and 30 samples for criteria 9 and 11 with one per scale; 21
+    # for criterion 7 with one per field)
     builds, from_points_calls, current = {}, [], [None]
     shell_gradients = convexity._shell_gradients
     from_points = ConvexPolytope.from_points.__func__
@@ -532,7 +536,7 @@ def test_hull_builds_per_criterion(monkeypatch):
     monkeypatch.setattr(suite_mod, "CRITERIA", tuple(tagged(k, fn) for k, fn in enumerate(suite_mod.CRITERIA, 1)))
     records, _ = run_suite(SEED)
     assert len(records) == 58 and all(r.passed for r in records)
-    assert builds == {5: 4, 6: 2, 7: 21, 8: 5, 9: 3, 10: 1, 11: 6}
+    assert builds == {5: 4, 6: 2, 7: 4, 8: 5, 9: 3, 10: 1, 11: 6}
     assert len(from_points_calls) <= 2, from_points_calls
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from carnot import (
-    BracketingError,
     NonConvexSliceError,
     ScalarField,
     SamplingPlan,
@@ -37,7 +36,7 @@ def _shells(u, x, plan):
     """The reachable-gradient sample of every shell radius of the plan around
     x, each radius k from its own draw (the plan with seed k)."""
     x = np.asarray(x, dtype=float)[None]
-    return [_shell_gradients(u, x, r, replace(plan, seed=k))[0] for k, r in enumerate(plan.radii)]
+    return [_shell_gradients([(u, 1)], x, r, replace(plan, seed=k))[0] for k, r in enumerate(plan.radii)]
 
 
 def _limit_violation(u, x, plan):
@@ -151,9 +150,9 @@ class TestReachableGradients:
         first_round = h1.product(xs[1], ball(h1, r, count, plan.rng("subdiff-hull")))
         _, stable = _sampled_gradients(u, first_round, r, plan)
         assert (np.sum(stable) < count) == (not analytic)
-        batched = _shell_gradients(u, xs, r, plan)
+        batched = _shell_gradients([(u, len(xs))], xs, r, plan)
         for x, grads in zip(xs, batched):
-            (single,) = _shell_gradients(u, x[None], r, plan)
+            (single,) = _shell_gradients([(u, 1)], x[None], r, plan)
             assert np.array_equal(grads, single)
             assert len(grads) == count
 
@@ -178,9 +177,9 @@ class TestReachableGradients:
 
         if reject:
             monkeypatch.setattr(convexity, "_sampled_gradients", rejecting)
-        one = _shell_gradients(quad_vert, xs, r, plan)
+        one = _shell_gradients([(quad_vert, len(xs))], xs, r, plan)
         assert one.shape == (len(xs), count, desc.m1)
-        assert np.array_equal(one, _shell_gradients(quad_vert, xs, np.full(len(xs), r), plan))
+        assert np.array_equal(one, _shell_gradients([(quad_vert, len(xs))], xs, np.full(len(xs), r), plan))
         for i, grads in enumerate(one):
             have = count - 7 * (i % 3) if reject else count
             assert np.array_equal(grads[have:], np.repeat(grads[have - 1 : have], count - have, axis=0))
@@ -195,7 +194,7 @@ class TestHullStream:
         plan = SamplingPlan(seed=5, shell_samples=12)
         xs = np.array([[0.1, -0.2, 0.3], [0.4, 0.0, -0.1]])
         r = 0.01
-        _shell_gradients(quad_vert, xs, r, plan)  # one round into the stream
+        _shell_gradients([(quad_vert, len(xs))], xs, r, plan)  # one round into the stream
         seen = []
         sampled_gradients = convexity._sampled_gradients
 
@@ -205,7 +204,7 @@ class TestHullStream:
             return g, ok & (len(seen) == 4)
 
         monkeypatch.setattr(convexity, "_sampled_gradients", late_stable)
-        _shell_gradients(quad_vert, xs, r, plan)
+        _shell_gradients([(quad_vert, len(xs))], xs, r, plan)
         rng = plan.rng("subdiff-hull")
         assert len(seen) == 4
         for pts in seen:
@@ -215,15 +214,15 @@ class TestHullStream:
         desc = quad_vert.desc
         x = np.array([[0.1, -0.2, 0.3]])
         plan = SamplingPlan(seed=0, shell_samples=12)
-        grads = _shell_gradients(quad_vert, x, 0.3, plan)
-        assert not np.array_equal(grads, _shell_gradients(quad_vert, x, 0.3, replace(plan, seed=1)))
-        wider = _shell_gradients(quad_vert, x, 0.3, replace(plan, shell_samples=13))
+        grads = _shell_gradients([(quad_vert, 1)], x, 0.3, plan)
+        assert not np.array_equal(grads, _shell_gradients([(quad_vert, 1)], x, 0.3, replace(plan, seed=1)))
+        wider = _shell_gradients([(quad_vert, 1)], x, 0.3, replace(plan, shell_samples=13))
         assert not np.array_equal(grads, wider[:, :12])
         streams = {id(convexity._hull_stream(desc, seed, count)[1]) for seed, count in ((0, 12), (1, 12), (0, 13))}
         assert len(streams) == 3
         twin = build_function(heisenberg(1), "quad_vertical")
         assert convexity._hull_stream(twin.desc, 0, 12) is not convexity._hull_stream(desc, 0, 12)
-        assert np.array_equal(_shell_gradients(twin, x, 0.3, plan), grads)
+        assert np.array_equal(_shell_gradients([(twin, 1)], x, 0.3, plan), grads)
 
 
 class TestSubdifferentialHull:
@@ -504,23 +503,23 @@ def test_horizontal_lines_are_quadratic(request, spec):
 class TestMeanValue:
     def test_affine_any_t(self, affine_f, h1, plan):
         h = np.array([0.8, -0.4])
-        _, (p,), (residual,), _ = mean_value_witnesses([affine_f], h1.identity()[None], h[None], plan)
+        (w,) = mean_value_witnesses([(affine_f, h1.identity()[None], h[None])], plan)
         q = affine_f.gradient(h1.identity()[None])[0]
-        assert residual < 1e-12
-        assert abs(p @ h - q @ h) < 1e-9
+        assert w.residual[0] < 1e-12
+        assert abs(w.p[0] @ h - q @ h) < 1e-9
 
     def test_quadratic_midpoint(self, quad_vert, h1, plan):
-        (t,), (p,), (residual,), _ = mean_value_witnesses([quad_vert], h1.identity()[None], np.array([[1.0, 0.0]]), plan)
-        assert t == pytest.approx(0.5, abs=1e-6)
-        assert p[0] == pytest.approx(1.0, abs=1e-6)
-        assert residual < 1e-10
+        (w,) = mean_value_witnesses([(quad_vert, h1.identity()[None], np.array([[1.0, 0.0]]))], plan)
+        assert w.t[0] == pytest.approx(0.5, abs=1e-6)
+        assert w.p[0, 0] == pytest.approx(1.0, abs=1e-6)
+        assert w.residual[0] < 1e-10
 
     def test_abs_across_kink(self, h1, plan):
         u = build_function(h1, "max_affine")  # |x1|
-        (t,), (p,), (residual,), _ = mean_value_witnesses([u], np.array([[-1.0, 0.0, 0.0]]), np.array([[2.0, 0.0]]), plan)
-        assert t == pytest.approx(0.5, abs=1e-6)
-        assert abs(p[0]) < 1e-9
-        assert residual < 1e-12
+        (w,) = mean_value_witnesses([(u, np.array([[-1.0, 0.0, 0.0]]), np.array([[2.0, 0.0]]))], plan)
+        assert w.t[0] == pytest.approx(0.5, abs=1e-6)
+        assert abs(w.p[0, 0]) < 1e-9
+        assert w.residual[0] < 1e-12
 
     def test_kink_location(self, h1, plan):
         # |x1| from x1 = -0.3 along e1: psi's extremum is the kink at t = 0.3,
@@ -528,17 +527,17 @@ class TestMeanValue:
         # to the resolution of the plan's finest shell (a 3-step search,
         # 1e-3 wide, does not)
         u = build_function(h1, "max_affine")
-        (t,), _, (residual,), _ = mean_value_witnesses([u], np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)
-        assert abs(t - 0.3) <= plan.radii[-1] / 100
-        assert residual < 1e-12
+        (w,) = mean_value_witnesses([(u, np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]))], plan)
+        assert abs(w.t[0] - 0.3) <= plan.radii[-1] / 100
+        assert w.residual[0] < 1e-12
 
     def test_kink_location_on_a_finer_shell(self, h1, plan):
         # a finer last shell deepens the search (13 steps at 5e-11)
         fine = replace(plan, radii=plan.radii + (5e-11,))
         u = build_function(h1, "max_affine")
-        (t,), _, (residual,), _ = mean_value_witnesses([u], np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), fine)
-        assert abs(t - 0.3) <= 1e-12
-        assert residual < 1e-12
+        (w,) = mean_value_witnesses([(u, np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]))], fine)
+        assert abs(w.t[0] - 0.3) <= 1e-12
+        assert w.residual[0] < 1e-12
 
     def test_section_steps_follow_the_finest_shell(self, plan):
         # the least k with (2/17)^k <= radii[-1] / 50: 7 under the default plan,
@@ -554,32 +553,33 @@ class TestMeanValue:
 
     def test_bracketing_failure_on_jump(self, h1, plan):
         # a discontinuous step is not h-convex: the secant slope cannot be
-        # bracketed by sampled subgradients anywhere on the segment
-        from carnot import BracketingError
-
+        # bracketed by sampled subgradients anywhere on the segment, which
+        # fails the row and names its slope and support range
         u = ScalarField(h1, lambda p: (p[..., 0] >= 0.5).astype(float), label="step")
-        with pytest.raises(BracketingError):
-            mean_value_witnesses([u], h1.identity()[None], np.array([[1.0, 0.0]]), plan)[0]
+        (w,) = mean_value_witnesses([(u, h1.identity()[None], np.array([[1.0, 0.0]]))], plan)
+        assert w.residual[0] == np.inf and np.all(np.isnan(w.p))
+        assert w.detail == "secant slope 1 outside sampled support range [0, 0]"
 
     def test_random_pairs_small_residual(self, quad_vert, one_norm_f, plan, h1):
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.uniform(-0.5, 0.5, 3)
             h = rng.uniform(-0.8, 0.8, 2)
-            assert mean_value_witnesses([quad_vert], x[None], h[None], plan)[2][0] < 1e-8
-            assert mean_value_witnesses([one_norm_f], x[None], h[None], plan)[2][0] < 1e-4
+            smooth, kink = mean_value_witnesses([(quad_vert, x[None], h[None]), (one_norm_f, x[None], h[None])], plan)
+            assert smooth.residual[0] < 1e-8 and kink.residual[0] < 1e-4
 
     def test_nan_field_gives_failing_witness(self, h1, plan):
         # NaN where x1 > 0.5: the secant slope along e1 is NaN, along e2 finite
         u = ScalarField(
             h1, lambda p: np.where(p[..., 0] > 0.5, np.nan, np.sum(p[..., :2] ** 2, axis=-1)), label="nan-right"
         )
-        _, _, (residual,), _ = mean_value_witnesses([u], h1.identity()[None], np.array([[1.0, 0.0]]), plan)
-        assert residual == np.inf
-        assert not residual < plan.tol.mvt_smooth
-        _, _, residuals, _ = mean_value_witnesses([u], np.zeros((2, 3)), np.array([[1.0, 0.0], [0.0, 1.0]]), plan)
-        assert residuals[0] == np.inf
-        assert residuals[1] < plan.tol.mvt_smooth
+        (w,) = mean_value_witnesses([(u, h1.identity()[None], np.array([[1.0, 0.0]]))], plan)
+        assert w.residual[0] == np.inf
+        assert not w.residual[0] < plan.tol.mvt_smooth
+        (w,) = mean_value_witnesses([(u, np.zeros((2, 3)), np.array([[1.0, 0.0], [0.0, 1.0]]))], plan)
+        assert w.residual[0] == np.inf
+        assert w.residual[1] < plan.tol.mvt_smooth
+        assert w.detail == ""
 
     def test_nan_met_only_by_the_search_fails(self, h1, plan):
         # |x1| made NaN within 1e-6 of its kink: from x1 = -0.3 along e1 the
@@ -588,9 +588,9 @@ class TestMeanValue:
         u = build_function(h1, "max_affine")
         fn = lambda p: np.where(np.abs(p[..., 0]) < 1e-6, np.nan, u.value(p))
         nan_kink = ScalarField(h1, fn, label="nan-kink", grad_h=u.grad_h)
-        _, (p,), (residual,), _ = mean_value_witnesses([nan_kink], np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]), plan)
-        assert np.all(np.isnan(p))
-        assert residual == np.inf
+        (w,) = mean_value_witnesses([(nan_kink, np.array([[-0.3, 0.0, 0.0]]), np.array([[1.0, 0.0]]))], plan)
+        assert np.all(np.isnan(w.p))
+        assert w.residual[0] == np.inf
 
     def test_nan_gradient_gives_failing_witness(self, h1, plan):
         u = ScalarField(
@@ -598,67 +598,96 @@ class TestMeanValue:
             lambda p: np.sum(p[..., :2] ** 2, axis=-1),
             grad_h=lambda p: np.where(p[..., :1] > 0.4, np.nan, 2.0 * p[..., :2]),
         )
-        assert mean_value_witnesses([u], h1.identity()[None], np.array([[1.0, 0.0]]), plan)[2][0] == np.inf
+        (w,) = mean_value_witnesses([(u, h1.identity()[None], np.array([[1.0, 0.0]]))], plan)
+        assert w.residual[0] == np.inf
 
     @pytest.mark.parametrize("spec", ["h1", "h2", "fs3", "eng"])
     def test_batch_matches_rows(self, request, spec, plan):
+        # every row's witness is the one it gets alone, bit for bit: the
+        # fields sum coordinate columns, so a row's values do not depend on
+        # the batch
         desc = request.getfixturevalue(spec)
         rng = np.random.default_rng(7)
         xs = ball(desc, 0.6, 8, rng)
         hs = unit_directions(desc.m1, 8, seed=1) * rng.uniform(0.3, 1.0, 8)[:, None]
         for u in smooth_suite(desc) + polyhedral_suite(desc):
-            t, p, residual, _ = mean_value_witnesses([u], xs, hs, plan)
+            (w,) = mean_value_witnesses([(u, xs, hs)], plan)
             for i, (x, h) in enumerate(zip(xs, hs)):
-                (t1,), (p1,), (r1,), _ = mean_value_witnesses([u], x[None], h[None], plan)
-                assert t[i] == t1
-                assert np.max(np.abs(p[i] - p1)) <= 1e-15
-                assert abs(residual[i] - r1) <= 1e-15
+                (w1,) = mean_value_witnesses([(u, x[None], h[None])], plan)
+                assert w.t[i] == w1.t[0]
+                assert np.array_equal(w.p[i], w1.p[0])
+                assert w.residual[i] == w1.residual[0]
+
+
+def _assert_same_witness(w, solo):
+    assert np.array_equal(w.t, solo.t) and np.array_equal(w.p, solo.p)
+    assert np.array_equal(w.residual, solo.residual) and np.array_equal(w.point, solo.point)
+    assert w.detail == solo.detail
 
 
 @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
 @pytest.mark.parametrize("spec", ["h1", "h2", "fs3", "eng"])
 def test_family_matches_fields(request, spec, analytic):
-    # row i of a family call runs on fields[i % k] in one lockstep with the
-    # other fields' rows: its witness is the one its field gives on rows
-    # j::k alone, bit for bit, and the one of its row alone.  Against the
-    # row alone, p and the residual may move at round-off: the affine field
-    # is a matmul, which rounds one row otherwise than many
-    desc = request.getfixturevalue(spec)
+    # one call takes every field of every group, as criterion 7 does, field
+    # j of a k-field family on rows j::k: the jobs share one search and one
+    # line and shell product per group, yet each job of ``spec``'s families
+    # gets the witnesses of its own call, bit for bit, and each row the
+    # ones it gets alone
     plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
     rng = np.random.default_rng(7)
-    xs = ball(desc, 0.6, 7, rng)
-    hs = unit_directions(desc.m1, 7, seed=1) * rng.uniform(0.3, 1.0, 7)[:, None]
-    for family in (smooth_suite(desc), polyhedral_suite(desc)):
-        k = len(family)
-        t, p, residual, point = mean_value_witnesses(family, xs, hs, plan)
-        assert len(t) == len(p) == len(residual) == len(point) == len(xs)
-        for j, u in enumerate(family):
-            at, ap, ar, ay = mean_value_witnesses([u], xs[j::k], hs[j::k], plan)
-            assert np.array_equal(t[j::k], at) and np.array_equal(residual[j::k], ar)
-            assert np.array_equal(p[j::k], ap) and np.array_equal(point[j::k], ay)
-            for i in range(j, len(xs), k):
-                (rt,), (rp,), (rr,), (ry,) = mean_value_witnesses([u], xs[i : i + 1], hs[i : i + 1], plan)
-                assert t[i] == rt and np.array_equal(point[i], ry)
-                assert np.max(np.abs(p[i] - rp)) <= 1e-15 and abs(residual[i] - rr) <= 1e-15
+    jobs, checked = [], []
+    for name in ("h1", "h2", "fs3", "eng"):
+        desc = request.getfixturevalue(name)
+        xs = ball(desc, 0.6, 7, rng)
+        hs = unit_directions(desc.m1, 7, seed=1) * rng.uniform(0.3, 1.0, 7)[:, None]
+        for family in (smooth_suite(desc), polyhedral_suite(desc)):
+            k = len(family)
+            checked += [name == spec] * k
+            jobs += [(u, xs[j::k], hs[j::k]) for j, u in enumerate(family)]
+    jobs, checked = jobs[1::2] + jobs[::2], checked[1::2] + checked[::2]  # the groups interleaved
+    witnesses = mean_value_witnesses(jobs, plan)
+    assert len(witnesses) == len(jobs) and sum(checked) == len(smooth_suite(request.getfixturevalue(spec))) + 2
+    for (u, xs, hs), w, check in zip(jobs, witnesses, checked):
+        assert w.t.shape == (len(xs),) and w.p.shape == hs.shape and w.point.shape == xs.shape
+        if not check:
+            continue
+        (solo,) = mean_value_witnesses([(u, xs, hs)], plan)
+        _assert_same_witness(w, solo)
+        for i in range(len(xs)):
+            (row,) = mean_value_witnesses([(u, xs[i : i + 1], hs[i : i + 1])], plan)
+            assert w.t[i] == row.t[0] and np.array_equal(w.point[i], row.point[0])
+            assert np.array_equal(w.p[i], row.p[0]) and w.residual[i] == row.residual[0]
 
 
-def test_family_raises_the_first_fields_error(h1, plan):
-    # the hull stage runs field by field: a family whose second and third
-    # fields cannot bracket their secant slopes raises the error that the
-    # loop over the fields meets first
-    good, *rest = smooth_suite(h1)
-    scaled = [ScalarField(h1, u.fn, label=u.label, grad_h=lambda p, u=u: 1.2 * u.gradient(p)) for u in rest]
-    family = [good] + scaled
+def test_a_failing_job_fails_alone(h1, eng, plan):
+    # gradients scaled by 1.2 cannot bracket the secant slope: that job's
+    # rows read inf, its detail names its first such row, and the jobs
+    # around it, on its group and on another, keep their solo witnesses
+    good = smooth_suite(h1)[1]
+    scaled = ScalarField(h1, good.fn, label=good.label, grad_h=lambda p: 1.2 * good.gradient(p))
+    other = polyhedral_suite(eng)[0]
     rng = np.random.default_rng(3)
     xs = ball(h1, 0.6, 9, rng)
     hs = unit_directions(h1.m1, 9, seed=2) * rng.uniform(0.3, 1.0, 9)[:, None]
-    with pytest.raises(BracketingError) as err:
-        mean_value_witnesses(family, xs, hs, plan)
-    k = len(family)
-    mean_value_witnesses([good], xs[0::k], hs[0::k], plan)
-    with pytest.raises(BracketingError) as first:
-        mean_value_witnesses([scaled[0]], xs[1::k], hs[1::k], plan)
-    assert str(err.value) == str(first.value)
+    xe = ball(eng, 0.6, 5, rng)
+    he = unit_directions(eng.m1, 5, seed=2) * rng.uniform(0.3, 1.0, 5)[:, None]
+    jobs = [(good, xs[:4], hs[:4]), (scaled, xs, hs), (other, xe, he), (good, xs[4:], hs[4:])]
+    witnesses = mean_value_witnesses(jobs, plan)
+    failed = witnesses[1]
+    sigma = scaled.value(h1.product(xs, h1.embed_horizontal(hs))) - scaled.value(xs)
+    vals = np.einsum("krm,km->kr", subdifferential_hulls(scaled, failed.point, plan), hs)
+    smin, smax = np.min(vals, axis=-1), np.max(vals, axis=-1)
+    outside = (sigma < smin - plan.tol.support_gap) | (sigma > smax + plan.tol.support_gap)
+    assert outside.any()
+    assert np.all(failed.residual[outside] == np.inf) and np.all(np.isnan(failed.p[outside]))
+    assert np.all(np.isfinite(failed.residual[~outside]))
+    i = int(np.argmax(outside))
+    assert failed.detail == f"secant slope {sigma[i]:.4g} outside sampled support range [{smin[i]:.4g}, {smax[i]:.4g}]"
+    for job, w in zip(jobs, witnesses):
+        if job[0] is not scaled:
+            (solo,) = mean_value_witnesses([job], plan)
+            assert w.detail == "" and np.all(np.isfinite(w.residual))
+            _assert_same_witness(w, solo)
 
 
 def test_residual_ladder_batch_matches_rows(h1, plan):
@@ -727,7 +756,8 @@ def test_bracketing_matches_row_loop(request, spec, plan, monkeypatch):
     hs = unit_directions(desc.m1, 9, seed=2) * rng.uniform(0.3, 1.0, 9)[:, None]
     hfull = desc.embed_horizontal(hs)
     for u in smooth_suite(desc) + polyhedral_suite(desc):
-        _, ps, residuals, _ = mean_value_witnesses([u], xs, hs, plan)
+        (w,) = mean_value_witnesses([(u, xs, hs)], plan)
+        ps, residuals = w.p, w.residual
         sigma = u.value(desc.product(xs, hfull)) - u.value(xs)
         assert len(rounds) == 4 and {len(g) for g in rows} == {count, count - 7, count - 14}
         for g, h, s, pw, rw in zip(rows, hs, sigma, ps, residuals):

@@ -31,8 +31,8 @@ def _unzoomed_mignot_shells(monkeypatch):
     # shrunk by tau, so their resolution no longer follows the zoom
     shell_gradients = second_order_mod._shell_gradients
 
-    def unzoomed(u, xs, radius, plan):
-        return shell_gradients(u, xs, plan.radii[-1], plan)
+    def unzoomed(runs, xs, radius, plan):
+        return shell_gradients(runs, xs, plan.radii[-1], plan)
 
     monkeypatch.setattr(second_order_mod, "_shell_gradients", unzoomed)
 

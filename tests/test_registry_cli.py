@@ -20,6 +20,7 @@ from carnot import (
     load_function,
     validate_descriptor,
 )
+from carnot import cli as cli_mod
 from carnot.cli import OPS, _parser, main
 from carnot.convexity import ScalarField, hconvexity_check
 from carnot import registry
@@ -222,6 +223,21 @@ class TestFunctionFiles:
         pts = np.array([[0.5, 0, 0], [-0.5, 0, 0]])
         assert np.allclose(u.value(pts), [0.5, 0.5])
         assert np.allclose(u.gradient(pts), [[1, 0], [-1, 0]])
+
+    def test_max_affine_scalar_offset(self, h1, capsys):
+        # a scalar b is every branch's offset, as the shape table allows
+        x = np.array([[0.3, -0.2, 0.1], [-0.7, 0.4, 2.0], [0.0, 0.0, 0.0]])
+        Q = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        expected = np.max(x[:, :2] @ Q.T, axis=-1) + 0.5
+        for u in (
+            build_function(h1, "max_affine", b=0.5),
+            function_from_spec(h1, {"builtin": "max_affine", "params": {"b": 0.5}}),
+        ):
+            assert np.allclose(u.value(x), expected, rtol=0, atol=1e-15)
+            assert np.array_equal(u.gradient(x), [[1, 0], [-1, 0], [1, 0]])
+        assert np.array_equal(build_function(h1, "max_affine", b=[0.5, 0.5]).value(x), u.value(x))
+        assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", 'max_affine:{"b":0.5}']) == 0
+        assert "1/1 checks passed" in capsys.readouterr().out
 
     def test_composition_sum(self, h1):
         spec = {"composition": {"op": "sum", "terms": [{"builtin": "quadratic"}, {"builtin": "affine"}]}}
@@ -471,6 +487,19 @@ class TestCli:
         assert str(record["metric"]) == metric
         assert detail in record["detail"]
 
+    def test_mvt_unbracketed_slope_is_a_fail_record(self, tmp_path, capsys, monkeypatch):
+        # a step is not h-convex: no sampled subgradient brackets its secant
+        # slope, which is a FAIL (exit 1) that names the slope, not a
+        # configuration error
+        step = lambda desc: ScalarField(desc, lambda p: (p[..., 0] >= 0.5).astype(float), label="step")
+        monkeypatch.setattr(cli_mod, "_function", lambda args, desc: step(desc))
+        args = ["mvt", "--group", "heisenberg:1", "--fn", "step", "--point", "0,0,0", "--h", "1,0"]
+        assert main(args + ["--out", str(tmp_path)]) == 1
+        assert "configuration error" not in capsys.readouterr().err
+        (record,) = json.loads((tmp_path / "report.json").read_text())["records"]
+        assert record["verdict"] == "fail" and str(record["metric"]) == "inf"
+        assert record["detail"] == "secant slope 1 outside sampled support range [0, 0]"
+
     def test_report_bytes_deterministic(self, tmp_path):
         args = ["subdiff", "--group", "heisenberg:1", "--fn", "one_norm", "--point", "0,0,0", "--seed", "7"]
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
@@ -646,6 +675,8 @@ class TestCli:
             ([2, 1], {"c": "1"}, "bracket record 1: constant '1' is not a finite real"),
             ([2, 1], {"c": [1]}, "bracket record 1: constant [1] is not a finite real"),
             ([2, 1], {"c": None}, "bracket record 1: constant None is not a finite real"),
+            ([2, 1], {"i": [1]}, "bracket record 1: index [1] is not an integer"),
+            ([2, 1], {"i": {"a": 1}}, "bracket record 1: index {'a': 1} is not an integer"),
         ],
         ids=[
             "fractional-layer",
@@ -660,6 +691,8 @@ class TestCli:
             "string-constant",
             "list-constant",
             "null-constant",
+            "list-index",
+            "object-index",
         ],
     )
     def test_descriptor_values_of_the_wrong_type_exit_2(self, tmp_path, capsys, layers, record, named):

@@ -114,7 +114,9 @@ def _plan(args):
             raise DescriptorError(f"plan file {plan_file} must hold a JSON object, got {type(data).__name__}")
         if "seed" in data:
             raise DescriptorError(f"plan file {plan_file} sets seed; the run's only seed is --seed")
-        tol = data.pop("tol", None)
+        tol = data.pop("tol", {})
+        if not isinstance(tol, dict):
+            raise DescriptorError(f"plan file {plan_file}: tol must be a JSON object, got {type(tol).__name__}")
         try:
             for key in ("radii", "segment_scales"):
                 if key in data:
@@ -125,9 +127,19 @@ def _plan(args):
         except TypeError as exc:  # a value of the wrong JSON type
             raise DescriptorError(f"malformed plan file {plan_file}: {exc}") from exc
     if opts.get("tol"):
-        kv = dict(item.split("=", 1) for item in args.tol)
-        plan = dataclasses.replace(plan, tol=_replace(plan.tol, {k: float(v) for k, v in kv.items()}))
+        plan = dataclasses.replace(plan, tol=_replace(plan.tol, dict(_tol_item(item) for item in args.tol)))
     return plan
+
+
+def _tol_item(item):
+    """The (key, value) pair of one ``--tol KEY=VALUE``."""
+    key, eq, value = item.partition("=")
+    if not eq:
+        raise DescriptorError(f"--tol expects KEY=VALUE, got {item!r}")
+    try:
+        return key, float(value)
+    except ValueError:
+        raise DescriptorError(f"--tol {item}: not a number") from None
 
 
 def _group(args):
@@ -217,7 +229,7 @@ def run_command(args):
             )
         elif op == "dermax":
             try:
-                (gap,), (subadd,) = dermax_checks(u, x[None], plan)
+                [((gap,), (subadd,))] = dermax_checks([(u, x[None])], plan)
                 metric, detail = float(np.maximum(gap, subadd)), ""
             except NonConvexSliceError as exc:  # the function is not convex along a line: a failed check
                 metric, detail = np.inf, str(exc)

@@ -101,10 +101,20 @@ def _on_lines(t, line):
 # -- h-convexity ---------------------------------------------------------------
 
 
-def _base_points(u, plan):
-    """The identity, then one ball draw, cut to ``plan.base_count`` rows."""
-    draw = ball(u.desc, plan.base_radius, plan.base_count, plan.rng("hconvexity-base"))
-    return np.concatenate([u.desc.identity()[None], draw])[: plan.base_count]
+@_per_descriptor
+def _hconvexity_segments(desc, seed, count, radius, directions):
+    """The segments' plan-fixed parts for ``hconvexity_check`` under the
+    plans with this seed, base count, base radius and direction count: the
+    base points (the identity, then one ``plan.rng("hconvexity-base")``
+    ball draw, cut to ``count`` rows), the unit directions, and the lines
+    (count, D, 3, n) of every (point, direction) pair."""
+    draw = ball(desc, radius, count, SamplingPlan(seed=seed).rng("hconvexity-base"))
+    xs = np.concatenate([desc.identity()[None], draw])[:count]
+    dirs = unit_directions(desc.m1, directions)
+    if np.linalg.matrix_rank(dirs) < desc.m1:
+        raise RankDeficientDesign(f"{directions} directions do not span the {desc.m1}-dim horizontal layer")
+    line, _ = _horizontal_lines(desc, xs[:, None, :], dirs)
+    return xs, dirs, line
 
 
 def hconvexity_check(u, plan):
@@ -116,16 +126,13 @@ def hconvexity_check(u, plan):
     positive value, ``worst`` the first in (x, h, s, lambda) order.
     Non-finite values count as violations of +inf.  Raises
     ``RankDeficientDesign`` when the plan's directions do not span the
-    horizontal layer, which would leave some segments untested.
+    horizontal layer, which would leave some segments untested.  The
+    points, directions and lines come from ``_hconvexity_segments``, cached
+    per descriptor, so only the evaluations are the field's own.
     """
-    desc = u.desc
-    xs = _base_points(u, plan)
-    dirs = unit_directions(desc.m1, plan.directions)
-    if np.linalg.matrix_rank(dirs) < desc.m1:
-        raise RankDeficientDesign(f"{plan.directions} directions do not span the {desc.m1}-dim horizontal layer")
+    xs, dirs, line = _hconvexity_segments(u.desc, plan.seed, plan.base_count, plan.base_radius, plan.directions)
     lams = np.linspace(0.0, 1.0, plan.lambda_grid)
     scales = np.asarray(plan.segment_scales)
-    line, _ = _horizontal_lines(desc, xs[:, None, :], dirs)  # (B, D, 3, n)
     vals = u.value(_on_lines((scales[:, None] * lams).ravel(), line)).reshape(len(xs), len(dirs), len(scales), -1)
     viol = vals - (lams * vals[..., -1:] + (1 - lams) * vals[..., :1])  # lambda = 0 and 1 are the ends
     viol = np.where(np.isfinite(viol), viol, np.inf)
@@ -288,46 +295,62 @@ def subdifferential_hulls(u, xs, plan):
 # -- directional derivatives -----------------------------------------------------
 
 
-def _directional_derivatives(u, xs, hs, plan):
+def _directional_derivatives(u, xs, line, plan):
     """One-sided derivatives of t -> u(x delta_t h) at t = 0+, for every row
-    x of ``xs`` (K, n) and h of ``hs`` (D, m1), as a (K, D) array.
+    x of ``xs`` (K, n) along its lines ``line`` (K, ..., D, 3, n) from
+    ``_horizontal_lines``, one per h, as a (K, ..., D) array.
 
     The difference quotients (u(x (lam h)) - u(x)) / lam on the lambda
     ladder of a convex slice are nonincreasing (within a slack scaled per
-    row) as lambda decreases, else the function is flagged as not h-convex
-    along h.  Each limit is Richardson-extrapolated from the two finest
-    quotients.  Every evaluation keeps a leading row axis, so a row's
-    derivatives do not depend on the other rows of the batch.
+    row and per block of D lines) as lambda decreases, else the function is
+    flagged as not h-convex along h.  Each limit is Richardson-extrapolated
+    from the two finest quotients.  Every evaluation keeps a leading row
+    axis, so a row's derivatives do not depend on the other rows of the
+    batch.
     """
-    desc = u.desc
     lams = plan.dd_lambda0 * 2.0 ** -np.arange(plan.dd_steps)
-    line, _ = _horizontal_lines(desc, xs[:, None, :], hs)  # (K, D, 3, n)
-    Q = (u.value(_on_lines(lams, line)) - u.value(xs[:, None, None, :])) / lams  # (K, D, S)
-    slack = plan.tol.monotone_slack * (1.0 + np.max(np.abs(Q), axis=(1, 2)))
-    if np.any(np.diff(Q, axis=-1) > slack[:, None, None]):
+    vals = u.value(_on_lines(lams, line))  # (K, ..., D, S)
+    Q = (vals - u.value(xs).reshape((len(xs),) + (1,) * (vals.ndim - 1))) / lams
+    slack = plan.tol.monotone_slack * (1.0 + np.max(np.abs(Q), axis=(-2, -1)))
+    if np.any(np.diff(Q, axis=-1) > slack[..., None, None]):
         raise NonConvexSliceError("difference quotients increase along the ladder")
     return 2 * Q[..., -1] - Q[..., -2]
 
 
-def dermax_checks(u, xs, plan):
+def dermax_checks(jobs, plan):
     """Compare directional derivatives with the hull support function at
-    every row of ``xs``.
+    every row x of every job ``(u, xs)``: one field u with its rows ``xs``
+    (K, n).  All jobs lie on one group, else ``ValueError``.
 
     Also verifies subadditivity of h -> u'(x, h) on sampled direction pairs.
-    Returns (gaps, subadd), each (K,): the largest derivative/support gap
-    and the largest subadditivity violation (clamped at zero) of each row.
-    The hulls of all rows come from one shared sample.  The batch raises
-    the first error it meets for the whole batch.
+    Returns one (gaps, subadd) per job, in job order, each (K,): the
+    largest derivative/support gap and the largest subadditivity violation
+    (clamped at zero) of each row.  The hulls of all rows of all jobs come
+    from one shared sample, and the lines of every row along the directions
+    and their pair sums from one product; each job evaluates its field on
+    its own rows, with the monotone slack of the directions and of the pair
+    sums scaled apart, so a row's results do not depend on the other rows
+    or jobs.  The batch raises the first error it meets for the whole batch.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    dirs = unit_directions(u.desc.m1, plan.directions)
+    desc = jobs[0][0].desc
+    if any(u.desc is not desc for u, _ in jobs):
+        raise ValueError("dermax_checks takes jobs on one group")
+    xs = [np.atleast_2d(np.asarray(x, dtype=float)) for _, x in jobs]
+    X = np.concatenate(xs)
+    dirs = unit_directions(desc.m1, plan.directions)
+    V = _shell_gradients([(u, len(x)) for (u, _), x in zip(jobs, xs)], X, plan.radii[-1], plan)
     pair_sum = dirs + np.roll(dirs, 1, axis=0)
-    V = _shell_gradients([(u, len(xs))], xs, plan.radii[-1], plan)
-    dd = _directional_derivatives(u, xs, dirs, plan)  # (K, D)
-    dd_sum = _directional_derivatives(u, xs, pair_sum, plan)
-    gaps = np.max(np.abs(dd - supports(V, dirs)), axis=-1)
-    subadd = np.maximum(0.0, np.max(dd_sum - (dd + np.roll(dd, 1, axis=-1)), axis=-1))  # NaN-safe
-    return gaps, subadd
+    line, _ = _horizontal_lines(desc, X[:, None, None, :], np.stack([dirs, pair_sum]))  # (K, 2, D, 3, n)
+    out, stop = [], 0
+    for (u, _), x in zip(jobs, xs):
+        rows = slice(stop, stop + len(x))
+        stop += len(x)
+        d = _directional_derivatives(u, x, line[rows], plan)
+        dd, dd_sum = d[:, 0], d[:, 1]  # (K, D) each
+        gaps = np.max(np.abs(dd - supports(V[rows], dirs)), axis=-1)
+        subadd = np.maximum(0.0, np.max(dd_sum - (dd + np.roll(dd, 1, axis=-1)), axis=-1))  # NaN-safe
+        out.append((gaps, subadd))
+    return out
 
 
 # -- mean value witnesses ----------------------------------------------------------
@@ -498,19 +521,27 @@ def mean_value_witnesses(jobs, plan):
 # -- first-order characterization ---------------------------------------------------
 
 
+@_per_descriptor
+def _ladder_offsets(desc, directions, radii):
+    """The offsets w (R, W, n) of ``first_order_residual_ladder``: the unit
+    quasi-sphere of ``directions`` points dilated to every radius."""
+    return desc.dilate(np.asarray(radii, dtype=float)[:, None], quasi_sphere(desc, directions, seed=11))
+
+
 def first_order_residual_ladder(u, xs, P, plan):
     """sup_w |u(xw) - u(x) - <p, pi_1 w>| / ||w|| over shrinking spheres, for
     every row x of ``xs`` (K, n) with p the same row of ``P`` (K, m1).
 
     Returns (K, len(plan.radii)).  One product and one value call serve all
-    rows and radii.  Every evaluation keeps a leading row axis, so a row's
+    rows and radii, on the offsets of ``_ladder_offsets``, cached per
+    descriptor.  Every evaluation keeps a leading row axis, so a row's
     ladder does not depend on the other rows of the batch.
     """
     desc = u.desc
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
     rho = np.asarray(plan.radii, dtype=float)
-    w = desc.dilate(rho[:, None], quasi_sphere(desc, plan.directions, seed=11))  # (R, W, n)
+    w = _ladder_offsets(desc, plan.directions, plan.radii)  # (R, W, n)
     pts = desc.product(xs[:, None, None, :], w)  # (K, R, W, n)
     lin = np.sum(w[..., : desc.m1] * P[:, None, None, :], axis=-1)
     ux = u.value(xs[:, None, :])[:, :, None]  # (K, 1, 1)

@@ -48,9 +48,7 @@ def field_coefficients(desc):
     fields, antisymmetric in (i, j)."""
     _require_grading(desc)
     m1, m2 = desc.m1, desc.m2
-    alij = 0.5 * np.moveaxis(desc.structure[:m1, :m1, m1:m2], 2, 0)
-    alij.setflags(write=False)
-    return alij
+    return 0.5 * np.moveaxis(desc.structure[:m1, :m1, m1:m2], 2, 0)
 
 
 @_per_descriptor
@@ -78,8 +76,6 @@ def _field_matrices(desc, degree):
                 if a[l]:
                     X[j, index[tuple(a - eye[l] + shift)], k] += coef * a[l]
     X += D
-    X.setflags(write=False)
-    D.setflags(write=False)
     return X, D
 
 

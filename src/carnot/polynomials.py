@@ -22,14 +22,20 @@ def _per_descriptor(fn):
     """Cache ``fn(desc, *args)`` on the descriptor itself, so that the result
     lives as long as the descriptor does.  (A global cache keyed on
     descriptors, which hash by identity, would keep every descriptor ever
-    built.)"""
+    built.)  A result that is an array, or a tuple holding arrays, is
+    shared by every later call, so those arrays are made read-only; an
+    exception is not cached, and every call raises it again."""
 
     @wraps(fn)
     def cached(desc, *args):
         cache = desc.__dict__.setdefault("_per_descriptor", {})
         key = (fn.__name__, *args)
         if key not in cache:
-            cache[key] = fn(desc, *args)
+            out = fn(desc, *args)
+            for a in out if isinstance(out, tuple) else (out,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            cache[key] = out
         return cache[key]
 
     return cached

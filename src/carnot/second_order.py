@@ -29,9 +29,9 @@ from .errors import (
 )
 from .hull import diameters
 from .jets import horizontal_words, identity_residual, sym_hessian
-from .polynomials import monomials_up_to
+from .polynomials import _per_descriptor, monomials_up_to
 from .reports import curve_converged
-from .sampling import quasi_sphere, sphere_shell
+from .sampling import SamplingPlan, quasi_sphere, sphere_shell
 
 __all__ = [
     "gradient_with_certificate",
@@ -96,6 +96,21 @@ def _direction_set(desc, count):
     return np.concatenate(base)
 
 
+@_per_descriptor
+def _expansion_design(desc, count):
+    """The design of ``fit_expansion`` for ``count`` spread directions: the
+    directions W of ``_direction_set``, the mask of the basis monomials of
+    degree exactly 2, and their values Phi at W.  Raises
+    ``RankDeficientDesign`` when Phi has not full column rank."""
+    W = _direction_set(desc, count)
+    E = np.array(monomials_up_to(desc, 2))
+    top = E @ desc.dilation_exponents == 2
+    Phi = np.prod(W[:, None, :] ** E[top], axis=-1)
+    if np.linalg.matrix_rank(Phi) < Phi.shape[1]:
+        raise RankDeficientDesign("direction set does not span the degree-2 model")
+    return W, top, Phi
+
+
 @dataclass
 class ExpansionFit:
     coeffs: np.ndarray  # finest-scale coefficient row over monomials_up_to(desc, 2)
@@ -116,18 +131,15 @@ def fit_expansion(u, x, grad, plan):
     degree exactly 2; their coefficients, fitted per scale, give (H, v2)
     through ``sym_hessian``, and the finest scale is the fit's answer.  The
     residual curve tracks that fit's sup-norm misfit per scale, and it
-    converges below the fit tolerance by ``curve_converged``.
+    converges below the fit tolerance by ``curve_converged``.  The
+    directions and the model's values at them come from
+    ``_expansion_design``, cached per descriptor.
     """
     desc = u.desc
-    W = _direction_set(desc, plan.so_directions)
-    E = np.array(monomials_up_to(desc, 2))
-    top = E @ desc.dilation_exponents == 2
-    Phi = np.prod(W[:, None, :] ** E[top], axis=-1)
-    if np.linalg.matrix_rank(Phi) < Phi.shape[1]:
-        raise RankDeficientDesign("direction set does not span the degree-2 model")
+    W, top, Phi = _expansion_design(desc, plan.so_directions)
     taus = plan.taus()
     values = second_quotient(u, x, np.asarray(taus)[:, None], W, grad)
-    C = np.zeros((len(taus), len(E)))
+    C = np.zeros((len(taus), len(top)))
     C[:, top] = np.linalg.lstsq(Phi, values.T, rcond=None)[0].T
     H, v2 = sym_hessian(desc, C)
     residuals = np.max(np.abs(values - Phi @ C[-1, top]), axis=1)
@@ -146,20 +158,29 @@ class ExtendedDiffFit:
     converged: bool
 
 
+@_per_descriptor
+def _extdiff_shells(desc, seed, count, radii):
+    """The samples of ``fit_extended_differential`` under the plans with this
+    seed, shell count and radii: ``count`` points on each shell, drawn
+    shell by shell from ``plan.rng("extdiff-shells")``, as (R, count, n)."""
+    rng = SamplingPlan(seed=seed).rng("extdiff-shells")
+    return np.stack([sphere_shell(desc, r, count, rng) for r in radii])
+
+
 def fit_extended_differential(u, x, grad, plan):
     """Fit the h-linear expansion of the horizontal gradient at x.
 
     Minimizes |grad u(xw) - grad - A pi_1 w| over samples in shrinking
     shells, for the certified gradient ``grad`` at x; the curve of per-shell
     sup residuals normalized by the shell radius converges below the fit
-    tolerance by ``curve_converged``.  One gradient call serves every shell.
+    tolerance by ``curve_converged``.  One gradient call serves every shell;
+    the shell samples come from ``_extdiff_shells``, cached per descriptor.
     """
     desc = u.desc
     x = np.asarray(x, dtype=float)
     grad = np.asarray(grad)
 
-    rng = plan.rng("extdiff-shells")
-    ws = np.stack([sphere_shell(desc, r, plan.shell_samples, rng) for r in plan.radii])  # (R, S, n)
+    ws = _extdiff_shells(desc, plan.seed, plan.shell_samples, plan.radii)  # (R, S, n)
     grads, stable = _sampled_gradients(
         u, desc.product(x, ws).reshape(-1, desc.dim), np.repeat(plan.radii, plan.shell_samples), plan
     )
@@ -183,6 +204,13 @@ def fit_extended_differential(u, x, grad, plan):
     return ExtendedDiffFit(A, grad, tuple(plan.radii), residuals, curve_converged(residuals, plan.tol.fit))
 
 
+@_per_descriptor
+def _mignot_directions(desc):
+    """The directions w of ``mignot_check``: six spread on the unit
+    quasi-sphere, then the second-layer basis vectors."""
+    return np.concatenate([quasi_sphere(desc, 6, seed=31), np.eye(desc.dim)[desc.m1 : desc.m2]])
+
+
 def mignot_check(u, x, grad, A, plan):
     """The set-valued inclusion check of the extended differential ``A`` at x.
 
@@ -195,7 +223,7 @@ def mignot_check(u, x, grad, A, plan):
     converges below the Mignot tolerance by ``curve_converged``.
     """
     desc = u.desc
-    dirs = np.concatenate([quasi_sphere(desc, 6, seed=31), np.eye(desc.dim)[desc.m1 : desc.m2]])
+    dirs = _mignot_directions(desc)
     taus = plan.taus()
     tau = np.repeat(taus, len(dirs))  # one row per (tau, w)
     ys = desc.product(x, desc.dilate(tau, np.tile(dirs, (len(taus), 1))))

@@ -12,10 +12,13 @@ from carnot import (
     dermax_checks,
     first_order_characterizations,
     first_order_residual_ladder,
+    fit_expansion,
+    fit_extended_differential,
     hconvexity_check,
     heisenberg,
     lambda_subdiff_membership,
     mean_value_witnesses,
+    mignot_check,
     subdifferential_hulls,
 )
 from carnot import convexity
@@ -30,6 +33,19 @@ def _fd_gradient(u, x, step=1e-6):
     """The batched central-difference gradient at the single point x."""
     g, _ = _fd_gradients_batch(u, np.asarray(x, dtype=float)[None], step, 1e-3)
     return g[0]
+
+
+def _derivatives(u, xs, hs, plan):
+    """``_directional_derivatives`` at the rows of ``xs`` along every row of
+    ``hs``, on the lines of ``_horizontal_lines``."""
+    line, _ = convexity._horizontal_lines(u.desc, xs[:, None, :], hs)
+    return _directional_derivatives(u, xs, line, plan)
+
+
+def _dermax(u, xs, plan):
+    """The (gaps, subadd) of the one job (u, xs)."""
+    [checks] = dermax_checks([(u, xs)], plan)
+    return checks
 
 
 def _shells(u, x, plan):
@@ -301,11 +317,11 @@ class TestBatchedHulls:
     def test_reports_equal_per_point_reports(self, h1, family, analytic):
         plan = SamplingPlan(seed=0, use_analytic_gradient=analytic)
         xs = _batch_points(h1, plan)
-        plan50 = replace(replace(plan, directions=50))
+        plan50 = replace(plan, directions=50)
         for u in _FAMILIES[family](h1):
-            gaps, subadd = dermax_checks(u, xs, plan50)
+            gaps, subadd = _dermax(u, xs, plan50)
             for x, gap, sub in zip(xs, gaps, subadd):
-                assert (gap, sub) == tuple(a[0] for a in dermax_checks(u, x[None], plan50))
+                assert (gap, sub) == tuple(a[0] for a in _dermax(u, x[None], plan50))
             diams, ladders, singleton, converges = first_order_characterizations(u, xs, plan)
             for i, x in enumerate(xs):
                 (d1,), (l1,), (s1,), (c1,) = first_order_characterizations(u, x[None], plan)
@@ -411,26 +427,24 @@ class TestDirectionalDerivative:
         x = np.array([0.2, -0.3, 0.4])
         g = quad_vert.gradient(x[None])[0]
         for h in (np.array([1.0, 0.0]), np.array([0.6, -0.8])):
-            d = _directional_derivatives(quad_vert, x[None], h[None], plan)[0, 0]
+            d = _derivatives(quad_vert, x[None], h[None], plan)[0, 0]
             assert abs(d - g @ h) / (1 + abs(g @ h)) < 1e-6
 
     def test_abs_both_sides(self, h1, plan):
         u = build_function(h1, "max_affine")  # |x1|
-        d = _directional_derivatives(u, h1.identity()[None], np.array([[1.0, 0.0], [-1.0, 0.0]]), plan)[0]
+        d = _derivatives(u, h1.identity()[None], np.array([[1.0, 0.0], [-1.0, 0.0]]), plan)[0]
         assert d[0] == pytest.approx(1.0)
         assert d[1] == pytest.approx(1.0)
 
     def test_affine_exact(self, affine_f, h1, plan):
         q = affine_f.gradient(h1.identity()[None])[0]
         h = np.array([0.3, 0.7])
-        assert _directional_derivatives(affine_f, h1.identity()[None], h[None], plan)[0, 0] == pytest.approx(
-            q @ h, abs=1e-12
-        )
+        assert _derivatives(affine_f, h1.identity()[None], h[None], plan)[0, 0] == pytest.approx(q @ h, abs=1e-12)
 
     def test_nonconvex_flagged(self, h1, plan):
         neg = ScalarField(h1, lambda p: -p[..., 0] ** 2, label="-x1^2")
         with pytest.raises(NonConvexSliceError):
-            _directional_derivatives(neg, h1.identity()[None], np.array([[1.0, 0.0]]), plan)
+            _derivatives(neg, h1.identity()[None], np.array([[1.0, 0.0]]), plan)
 
     @pytest.mark.parametrize("spec", ["h1", "eng"])
     def test_batch_matches_rows(self, request, spec, plan):
@@ -439,10 +453,10 @@ class TestDirectionalDerivative:
         xs = ball(desc, 0.6, 8, np.random.default_rng(4))
         dirs = unit_directions(desc.m1, 16)
         for u in smooth_suite(desc) + polyhedral_suite(desc):
-            batched = _directional_derivatives(u, xs, dirs, plan)
+            batched = _derivatives(u, xs, dirs, plan)
             assert batched.shape == (8, 16)
             for x, row in zip(xs, batched):
-                np.testing.assert_array_equal(row, _directional_derivatives(u, x[None], dirs, plan)[0])
+                np.testing.assert_array_equal(row, _derivatives(u, x[None], dirs, plan)[0])
 
     def test_slack_per_row(self, h1, plan):
         # a row's monotone slack scales with its own quotients only: a large
@@ -450,26 +464,121 @@ class TestDirectionalDerivative:
         u = ScalarField(h1, lambda p: np.where(p[..., 2] > 0.5, 1e9 * p[..., 0] ** 2, -p[..., 0] ** 2))
         xs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         h = np.array([[1.0, 0.0]])
-        _directional_derivatives(u, xs[:1], h, plan)
+        _derivatives(u, xs[:1], h, plan)
         with pytest.raises(NonConvexSliceError):
-            _directional_derivatives(u, xs, h, plan)
+            _derivatives(u, xs, h, plan)
+
+    def test_slack_per_block(self, h1, plan):
+        # each block of lines scales its own slack: the large quotients of
+        # x1 hide the increase along x2 in one block, not in two
+        u = ScalarField(h1, lambda p: 1e9 * p[..., 0] ** 2 - p[..., 1] ** 2)
+        x = h1.identity()[None]
+        one_block, _ = convexity._horizontal_lines(h1, x[:, None, :], np.eye(2))
+        assert _directional_derivatives(u, x, one_block, plan).shape == (1, 2)
+        two_blocks, _ = convexity._horizontal_lines(h1, x[:, None, None, :], np.eye(2)[:, None, :])
+        with pytest.raises(NonConvexSliceError):
+            _directional_derivatives(u, x, two_blocks, plan)
 
 
 class TestDermax:
     def test_smooth(self, quad_vert, plan):
-        (gap,), (subadd,) = dermax_checks(quad_vert, np.array([[0.3, 0.1, -0.2]]), replace(plan, directions=50))
+        (gap,), (subadd,) = _dermax(quad_vert, np.array([[0.3, 0.1, -0.2]]), replace(plan, directions=50))
         assert gap < 1e-4
         assert subadd < 1e-8
 
     def test_one_norm_at_kink(self, one_norm_f, h1, plan):
         # support of the square is |h1| + |h2|
-        (gap,), (subadd,) = dermax_checks(one_norm_f, h1.identity()[None], replace(plan, directions=50))
+        (gap,), (subadd,) = _dermax(one_norm_f, h1.identity()[None], replace(plan, directions=50))
         assert gap < 2e-2
         assert subadd < 1e-8
 
     def test_affine_zero(self, affine_f, h1, plan):
-        (gap,), _ = dermax_checks(affine_f, h1.identity()[None], replace(plan, directions=20))
+        (gap,), _ = _dermax(affine_f, h1.identity()[None], replace(plan, directions=20))
         assert gap < 1e-10
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    def test_jobs_equal_solo_calls(self, h1, analytic):
+        # one call for the fields of both families gives each job exactly
+        # its solo call
+        plan = SamplingPlan(seed=0, directions=50, use_analytic_gradient=analytic)
+        rng = np.random.default_rng(6)
+        jobs = [(u, ball(h1, 0.75, 4, rng)) for u in smooth_suite(h1) + polyhedral_suite(h1)]
+        jobs[0] = (jobs[0][0], _batch_points(h1, plan))
+        batch = dermax_checks(jobs, plan)
+        assert len(batch) == len(jobs)
+        for (u, xs), (gaps, subadd) in zip(jobs, batch):
+            solo_gaps, solo_subadd = _dermax(u, xs, plan)
+            assert gaps.shape == (len(xs),)
+            assert np.array_equal(gaps, solo_gaps) and np.array_equal(subadd, solo_subadd)
+
+    def test_nonconvex_job_fails_the_batch(self, quad_vert, h1, plan):
+        neg = ScalarField(h1, lambda p: -p[..., 0] ** 2, label="-x1^2", grad_h=lambda p: -2 * p[..., :2] * [1, 0])
+        x = np.array([[0.1, 0.2, 0.0]])
+        _dermax(quad_vert, x, plan)
+        with pytest.raises(NonConvexSliceError):
+            dermax_checks([(quad_vert, x), (neg, x)], plan)
+
+    def test_jobs_on_two_groups_refused(self, quad_vert, h1):
+        other = build_function(heisenberg(1), "quad_vertical")  # an equal group, but another descriptor
+        x = h1.identity()[None]
+        with pytest.raises(ValueError, match="one group"):
+            dermax_checks([(quad_vert, x), (other, x)], SamplingPlan(seed=0))
+
+
+class TestPlanTables:
+    """The samples that depend only on the descriptor and the plan are
+    drawn once per descriptor, in tables keyed on the plan fields they read."""
+
+    def test_tables_are_read_only(self):
+        desc = heisenberg(1)
+        u = build_function(desc, "quad_vertical")
+        plan = SamplingPlan(seed=0)
+        x = desc.identity()
+        grad = u.gradient(x[None])[0]
+        hconvexity_check(u, plan)
+        first_order_residual_ladder(u, x[None], grad[None], plan)
+        fit = fit_extended_differential(u, x, grad, plan)
+        fit_expansion(u, x, grad, plan)
+        mignot_check(u, x, grad, fit.A, plan)
+        tables = desc.__dict__["_per_descriptor"]
+        names = {key[0] for key in tables}
+        assert {"_hconvexity_segments", "_ladder_offsets", "_extdiff_shells"} <= names
+        assert {"_expansion_design", "_mignot_directions"} <= names
+        entries = [a for t in tables.values() for a in (t if isinstance(t, tuple) else (t,))]
+        arrays = [a for a in entries if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 8 and not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"seed": 1},
+            {"base_count": 7},
+            {"base_radius": 0.5},
+            {"directions": 24},
+            {"shell_samples": 40},
+            {"radii": tuple(0.2 * 0.25**k for k in range(8))},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_plans_do_not_share_tables(self, change, analytic):
+        # plan A, then B, then A again on one descriptor: B equals B on a
+        # fresh descriptor, and the second A call equals the first
+        x = np.array([0.1, -0.2, 0.05])
+        plan_a = SamplingPlan(seed=0, use_analytic_gradient=analytic)
+        plan_b = replace(plan_a, **change)
+
+        def run(desc, plan):
+            u = build_function(desc, "quadratic")
+            # a concave field, whose worst segment moves with the sample
+            rep = hconvexity_check(ScalarField(desc, lambda p: -u.value(p)), plan)
+            fit = fit_extended_differential(u, x, u.gradient(x[None])[0], plan)
+            return rep.max_violation, rep.samples, rep.worst, fit.A.tolist(), fit.residuals.tolist()
+
+        desc = heisenberg(1)
+        first = run(desc, plan_a)
+        assert run(desc, plan_b) == run(heisenberg(1), plan_b) != first
+        assert run(desc, plan_a) == first
 
 
 @pytest.mark.parametrize("spec", ["r3", "h1", "h2", "fs3", "eng", "filiform4"])

@@ -569,6 +569,16 @@ class TestCli:
             assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", "one_norm", "--tol", f"{key}=1"]) == 2
             assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "item, message",
+        [("fit", "--tol expects KEY=VALUE, got 'fit'"), ("fit=abc", "--tol fit=abc: not a number")],
+        ids=["no_value", "not_a_number"],
+    )
+    def test_malformed_tol_exit_2(self, capsys, item, message):
+        # the errors name the flag, not the Python call that failed on it
+        assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", "one_norm", "--tol", item]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_plan_file_key_exit_2(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"directions": 16, "bogus": 1}))
@@ -608,6 +618,11 @@ class TestCli:
             (["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"use_analytic_gradient": "no"}, "use_analytic"),
             (["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"radii": [float("nan")]}, "radii"),
             (["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"tol": {"membership": True}}, "membership"),
+            # a tol that is no JSON object was ignored (the run read PASS
+            # under the default tolerances) or named a Python error
+            (["hconvex-check", "--fn", "quadratic"], {"tol": []}, "tol must be a JSON object, got list"),
+            (["hconvex-check", "--fn", "quadratic"], {"tol": 0}, "tol must be a JSON object, got int"),
+            (["hconvex-check", "--fn", "quadratic"], {"tol": "x"}, "tol must be a JSON object, got str"),
         ],
         ids=[
             "dd_steps",
@@ -623,6 +638,9 @@ class TestCli:
             "use_analytic_gradient_string",
             "radii_nan",
             "tolerance_bool",
+            "tol_list",
+            "tol_zero",
+            "tol_string",
         ],
     )
     def test_degenerate_plan_exit_2(self, tmp_path, capsys, args, overrides, field):

@@ -23,7 +23,7 @@ from carnot import (
 )
 from carnot import second_order as so
 from carnot.hull import centroids, diameters
-from carnot.registry import euclidean, polyhedral_suite, smooth_suite
+from carnot.registry import euclidean, heisenberg, polyhedral_suite, smooth_suite
 from carnot.sampling import quasi_sphere
 
 
@@ -220,13 +220,34 @@ class TestExtendedDifferential:
         with pytest.raises(SamplingError):
             _fit_extended_differential(u, np.array([0.5, 0.2, 0.0]), plan_fd)
 
-    def test_rank_deficient_directions(self, quad_vert, h1, plan, monkeypatch):
+    def test_rank_deficient_directions(self, plan, monkeypatch):
         from carnot import RankDeficientDesign
 
+        # a fresh descriptor: the design is cached per descriptor, and a
+        # failed design is not, so every call raises again
+        desc = heisenberg(1)
+        u = build_function(desc, "quad_vertical")
         W = np.array([[1.0, 0, 0], [0.5, 0, 0], [0.25, 0, 0], [2.0, 0, 0]])
         monkeypatch.setattr(so, "_direction_set", lambda desc, count: W)
-        with pytest.raises(RankDeficientDesign):
-            fit_expansion(quad_vert, h1.identity(), np.zeros(2), plan)
+        for _ in range(2):
+            with pytest.raises(RankDeficientDesign):
+                fit_expansion(u, desc.identity(), np.zeros(2), plan)
+
+    def test_shells_drawn_once(self, plan, monkeypatch):
+        # a host-independent work budget: a second fit on the same
+        # descriptor and plan reads its shells from the per-descriptor
+        # table and draws none (one draw per radius on every fit before)
+        draws = []
+        sphere_shell = so.sphere_shell
+        monkeypatch.setattr(so, "sphere_shell", lambda *args: draws.append(args[1]) or sphere_shell(*args))
+        desc = heisenberg(1)
+        u = build_function(desc, "quad_vertical")
+        x = np.array([0.1, 0.2, -0.1])
+        first = fit_extended_differential(u, x, u.gradient(x[None])[0], plan)
+        assert draws == list(plan.radii)
+        again = fit_extended_differential(u, x, u.gradient(x[None])[0], plan)
+        assert len(draws) == len(plan.radii)
+        assert np.array_equal(first.A, again.A) and np.array_equal(first.residuals, again.residuals)
 
 
 class TestCharacterization:

@@ -102,6 +102,15 @@ def _on_lines(t, line):
 
 
 @_per_descriptor
+def _spanning_directions(desc, count):
+    """``unit_directions(desc.m1, count)``; ``RankDeficientDesign`` unless they span the horizontal layer."""
+    dirs = unit_directions(desc.m1, count)
+    if np.linalg.matrix_rank(dirs) < desc.m1:
+        raise RankDeficientDesign(f"{count} directions do not span the {desc.m1}-dim horizontal layer")
+    return dirs
+
+
+@_per_descriptor
 def _hconvexity_segments(desc, seed, count, radius, directions):
     """The segments' plan-fixed parts for ``hconvexity_check`` under the
     plans with this seed, base count, base radius and direction count: the
@@ -110,9 +119,7 @@ def _hconvexity_segments(desc, seed, count, radius, directions):
     (count, D, 3, n) of every (point, direction) pair."""
     draw = ball(desc, radius, count, SamplingPlan(seed=seed).rng("hconvexity-base"))
     xs = np.concatenate([desc.identity()[None], draw])[:count]
-    dirs = unit_directions(desc.m1, directions)
-    if np.linalg.matrix_rank(dirs) < desc.m1:
-        raise RankDeficientDesign(f"{directions} directions do not span the {desc.m1}-dim horizontal layer")
+    dirs = _spanning_directions(desc, directions)
     line, _ = _horizontal_lines(desc, xs[:, None, :], dirs)
     return xs, dirs, line
 
@@ -330,14 +337,15 @@ def dermax_checks(jobs, plan):
     and their pair sums from one product; each job evaluates its field on
     its own rows, with the monotone slack of the directions and of the pair
     sums scaled apart, so a row's results do not depend on the other rows
-    or jobs.  The batch raises the first error it meets for the whole batch.
+    or jobs.  The batch raises the first error it meets for the whole batch,
+    ``RankDeficientDesign`` for directions that do not span the layer.
     """
     desc = jobs[0][0].desc
     if any(u.desc is not desc for u, _ in jobs):
         raise ValueError("dermax_checks takes jobs on one group")
     xs = [np.atleast_2d(np.asarray(x, dtype=float)) for _, x in jobs]
     X = np.concatenate(xs)
-    dirs = unit_directions(desc.m1, plan.directions)
+    dirs = _spanning_directions(desc, plan.directions)
     V = _shell_gradients([(u, len(x)) for (u, _), x in zip(jobs, xs)], X, plan.radii[-1], plan)
     pair_sum = dirs + np.roll(dirs, 1, axis=0)
     line, _ = _horizontal_lines(desc, X[:, None, None, :], np.stack([dirs, pair_sum]))  # (K, 2, D, 3, n)

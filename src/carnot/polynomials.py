@@ -84,20 +84,23 @@ def _powers(desc, n):
 
 def evaluate(desc, c, pts):
     """Value at points with trailing axis of length dim (batched) of the
-    polynomial with coefficient vector ``c``.  Only the monomials with a
-    nonzero coefficient are evaluated, with integer powers, and summed from
-    the last basis monomial to the first (report metrics depend on that order
-    at round-off)."""
+    polynomial with coefficient vector ``c``, as a new array.  Only the
+    monomials with a nonzero coefficient are evaluated, with integer powers
+    but no ``** 1`` or unit coefficient, and summed from the last basis
+    monomial to the first (report metrics depend on that order at round-off)."""
     pts = np.asarray(pts, dtype=float)
     if pts.shape[-1] != desc.dim:
         raise DescriptorError(f"points have trailing length {pts.shape[-1]}, expected {desc.dim}")
     coeffs = np.asarray(c, dtype=float).tolist()
     powers = _powers(desc, len(coeffs))
-    out = np.zeros(pts.shape[:-1])
+    out, count = None, 0
     for k in range(len(coeffs) - 1, -1, -1):
         if coeffs[k]:
-            term = coeffs[k]
+            term = None if coeffs[k] == 1.0 and powers[k] else coeffs[k]
             for i, a in powers[k]:
-                term = term * pts[..., i] ** a
-            out = out + term
+                x = pts[..., i] if a == 1 else pts[..., i] ** a
+                term = x if term is None else term * x
+            out, count = (term if out is None else out + term), count + 1
+    if count < 2:  # a lone term is added to zeros, so no view of pts is returned
+        out = np.zeros(pts.shape[:-1]) + (out if count else 0.0)
     return out

@@ -142,10 +142,19 @@ def load_descriptor(path, force=False):
 
 
 # -- built-in h-convex functions --------------------------------------------------
+# affine, quadratic, quad_vertical and euclidean_quadratic are coefficient vectors over
+# monomials_up_to(desc, 2), read by ``_poly_field``; max_affine and one_norm sum the horizontal
+# columns in index order, with no matmul, so a point's value does not depend on its batch.
 
 
-def _default_direction(m1):
-    return np.array([0.9 * (-0.75) ** i for i in range(m1)])
+def _coefficients(desc, terms, degree):
+    """The coefficient vector over ``monomials_up_to(desc, degree)`` of the
+    (exponent tuple, coefficient) pairs ``terms``; repeated exponents add up."""
+    basis = monomials_up_to(desc, degree)
+    vec = np.zeros(len(basis))
+    for alpha, c in terms:
+        vec[basis.index(tuple(alpha))] += c
+    return vec
 
 
 def _poly_field(desc, c, degree, label):
@@ -163,6 +172,13 @@ def _poly_field(desc, c, degree, label):
     return ScalarField(desc, fn, label=label, grad_h=grad_h)
 
 
+def _degree2_field(desc, terms, label):
+    """``_poly_field`` of degree 2 with coefficient c on the monomial
+    prod_{k in ks} x_k of each pair (ks, c) of ``terms``."""
+    pairs = [(np.bincount(ks, minlength=desc.dim), c) for ks, c in terms]
+    return _poly_field(desc, _coefficients(desc, pairs, 2), 2, label)
+
+
 def _horizontal_sum(pts, m1, term):
     """sum_i term(i, x_i) over the horizontal coordinates x_i of ``pts``,
     added column by column in index order with no matmul, so a row's value
@@ -174,29 +190,14 @@ def _horizontal_sum(pts, m1, term):
 
 
 def horizontal_affine(desc, q=None, c=0.0):
-    q = np.asarray(q, dtype=float) if q is not None else _default_direction(desc.m1)
-    c = float(c)
-
-    def fn(pts):
-        return c + _horizontal_sum(pts, desc.m1, lambda i, x: q[i] * x)
-
-    def grad_h(pts):
-        return np.broadcast_to(q, pts.shape[:-1] + (desc.m1,)).copy()
-
-    return ScalarField(desc, fn, label="affine", grad_h=grad_h)
+    """c + <q, pi_1 x>."""
+    q = np.asarray(q, dtype=float) if q is not None else np.array([0.9 * (-0.75) ** i for i in range(desc.m1)])
+    return _degree2_field(desc, [((i,), q[i]) for i in range(desc.m1)] + [((), c)], "affine")
 
 
 def horizontal_quadratic(desc):
     """|pi_1 x|^2; convex along every horizontal line."""
-    m1 = desc.m1
-
-    def fn(pts):
-        return _horizontal_sum(pts, m1, lambda i, x: x * x)
-
-    def grad_h(pts):
-        return 2.0 * pts[..., :m1]
-
-    return ScalarField(desc, fn, label="quadratic", grad_h=grad_h)
+    return _degree2_field(desc, [((i, i), 1.0) for i in range(desc.m1)], "quadratic")
 
 
 def quad_vertical(desc, alpha=1.0):
@@ -208,13 +209,8 @@ def quad_vertical(desc, alpha=1.0):
     """
     if desc.step < 2:
         raise DescriptorError("quad_vertical needs a group of step >= 2")
-    basis = monomials_up_to(desc, 2)
-    eye = np.eye(desc.dim, dtype=np.int64)
-    c = np.zeros(len(basis))
-    for k in range(desc.m1):
-        c[basis.index(tuple(2 * eye[k]))] = 1.0
-    c[basis.index(tuple(eye[desc.m1]))] = float(alpha)
-    return _poly_field(desc, c, 2, label=f"quad_vertical(alpha={alpha:g})")
+    terms = [((i, i), 1.0) for i in range(desc.m1)] + [((desc.m1,), alpha)]
+    return _degree2_field(desc, terms, f"quad_vertical(alpha={alpha:g})")
 
 
 def max_affine(desc, Q=None, b=None):
@@ -256,21 +252,16 @@ def one_norm(desc):
 
 
 def euclidean_quadratic(desc, S=None):
-    """(1/2) <S x, x> on a step-1 group (the classical convex oracle)."""
+    """(1/2) <S x, x> on a step-1 group (the classical convex oracle); only
+    the symmetric part of S enters."""
     if desc.step != 1:
         raise DescriptorError("euclidean_quadratic is a step-1 wrapper")
     if S is None:
         S = np.eye(desc.dim) + 0.25 * (np.arange(desc.dim)[:, None] == np.arange(desc.dim)[None, :] - 1)
         S = 0.5 * (S + S.T) + np.eye(desc.dim)
     S = np.asarray(S, dtype=float)
-
-    def fn(pts):
-        return 0.5 * np.einsum("...i,ij,...j->...", pts, S, pts)
-
-    def grad_h(pts):
-        return pts @ S.T
-
-    return ScalarField(desc, fn, label="euclidean_quadratic", grad_h=grad_h)
+    terms = [((i, j), 0.5 * S[i, j]) for i in range(desc.dim) for j in range(desc.dim)]
+    return _degree2_field(desc, terms, "euclidean_quadratic")
 
 
 FUNCTIONS = {
@@ -345,11 +336,7 @@ def _parse(desc, terms):
         raise DescriptorError(
             f"a polynomial of homogeneous degree {degree} on {desc.name} spans more than {_MAX_MONOMIALS} monomials"
         )
-    basis = monomials_up_to(desc, degree)
-    vec = np.zeros(len(basis))
-    for alpha, c in out:
-        vec[basis.index(alpha)] += c
-    return vec, degree
+    return _coefficients(desc, out, degree), degree
 
 
 def parse_polynomial(desc, terms):
@@ -370,7 +357,7 @@ def _combine(desc, op, fields):
             def grad(pts):
                 return sum(f.gradient(pts) for f in fields)
         label = "+".join(f.label for f in fields)
-    elif op == "max":
+    else:  # "max"
         def fn(pts):
             return np.max(np.stack([f.value(pts) for f in fields]), axis=0)
 
@@ -382,8 +369,6 @@ def _combine(desc, op, fields):
                 gs = np.stack([f.gradient(pts) for f in fields])
                 return np.take_along_axis(gs, idx[None, ..., None], axis=0)[0]
         label = "max(" + ",".join(f.label for f in fields) + ")"
-    else:
-        raise ValueError(f"unknown composition op {op!r}")
     return ScalarField(desc, fn, label=label, grad_h=grad)
 
 
@@ -400,8 +385,10 @@ def function_from_spec(desc, spec):
         return _poly_field(desc, *_parse(desc, spec["polynomial"]), "polynomial")
     if "composition" in spec:
         comp = spec["composition"]
-        if not (isinstance(comp, dict) and isinstance(comp.get("terms"), list)):
-            raise DescriptorError(f"a composition must be a JSON object with a list of terms, got {comp!r}")
+        if not (isinstance(comp, dict) and comp.get("op") in ("sum", "max") and isinstance(comp.get("terms"), list) and comp["terms"]):
+            raise DescriptorError(
+                f"a composition must be a JSON object with an op of sum or max and a list of at least one term, got {comp!r}"
+            )
         return _combine(desc, comp["op"], [function_from_spec(desc, s) for s in comp["terms"]])
     raise ValueError("function spec needs one of: builtin, polynomial, composition")
 

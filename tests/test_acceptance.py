@@ -595,9 +595,9 @@ REPORT_SHA256 = {
     (True, 0): "976939c5ced9351507ffbba2a0b632189f04713c7b10eacd23412dd0e31a2eb9",
     (True, 1): "be3fea7671923deb1dfdd67003235fac74f0165c67b80acb078f7a72ff528c24",
     (True, 2): "56a9ef52dc553e164d1fedb6e30895a0ab624ac7ea274053d165e71e00b88e5a",
-    (False, 0): "69cccd1d32e6425e9692c05ed1aea5974f72eee88cf43dccdc172f1d7ffeeb18",
-    (False, 1): "f590288016dfec54263cb35f413c66b06ca7a29168eae74a1a9cef8e94b5a62c",
-    (False, 2): "333c8eee5106dce22158117739ad9465b7170c4790c1f33d84fbaad6feaac5ea",
+    (False, 0): "8c882725685dcd0a1fcd5fd9babac6de5d6dad979a5067d1273008b662d2e7e0",
+    (False, 1): "6fbe6311b1fecddcbf042b65eb7ba4652cab637a90e3701c9a44d639d6da0ca4",
+    (False, 2): "6557f50433a31d4eac95a192ca38452cb3c5f87ddededc8cce65ecfa58c9b9fd",
 }
 
 

@@ -1,14 +1,16 @@
-"""Every public function, class and method of the package has a caller in
-the package itself, and every function but ``run_suite`` takes its sampling
-plan from its caller.
+"""Every public function, class and method of the package, and every
+private top-level function and class, has a caller in the package itself,
+and every function but ``run_suite`` takes its sampling plan from its
+caller.
 
 A public name that only tests reach is a second entry point to a
-computation that the package reaches some other way: the guard reads the
-sources with ``ast`` and lists each public definition (name not starting
-with ``_``) whose name no ``Name`` or ``Attribute`` node references outside
-the definition itself.  ``__init__.py`` only re-exports, so its references
-do not count.  The match is by name alone, so it misses a definition whose
-name another object shares; it never flags one that is in use.
+computation that the package reaches some other way, and a private helper
+that nothing calls is dead code: the guard reads the sources with ``ast``
+and lists each such definition whose name no ``Name`` or ``Attribute`` node
+references outside the definition itself.  ``__init__.py`` only
+re-exports, so its references do not count.  The match is by name alone,
+so it misses a definition whose name another object shares; it never flags
+one that is in use.
 
 A default plan is a second carrier of the run's seed and settings: the
 second guard lists every function that gives a parameter named ``plan`` a
@@ -37,23 +39,24 @@ def _referenced(node):
     return out
 
 
-def _public_definitions(tree):
-    """(qualified name, name, node) of each public top-level function or
-    class and each public method of a public class."""
+def _checked_definitions(tree):
+    """(qualified name, name, node) of each top-level function or class,
+    dunders aside, and each public method of a public class."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if not isinstance(node, defs) or node.name.startswith("_"):
+        if not isinstance(node, defs) or node.name.startswith("__"):
             continue
         yield node.name, node.name, node
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
                 if isinstance(item, defs) and not item.name.startswith("_"):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
-def unreferenced_public_api(package=PACKAGE):
-    """The qualified names, per module, of public definitions that nothing
-    else in ``package`` references."""
+def unreferenced_definitions(package=PACKAGE):
+    """The qualified names, per module, of the checked definitions (public
+    ones and private top-level ones) that nothing else in ``package``
+    references."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     trees.pop("__init__.py", None)
     counts = {}
@@ -62,14 +65,14 @@ def unreferenced_public_api(package=PACKAGE):
             counts[name] = counts.get(name, 0) + 1
     unused = []
     for module, tree in trees.items():
-        for qualname, name, node in _public_definitions(tree):
+        for qualname, name, node in _checked_definitions(tree):
             if counts.get(name, 0) == _referenced(node).count(name):
                 unused.append(f"{module}:{qualname}")
     return unused
 
 
 def test_every_public_definition_has_a_caller_in_the_package():
-    assert unreferenced_public_api() == []
+    assert unreferenced_definitions() == []
 
 
 def test_guard_sees_an_unused_method_and_a_self_call(tmp_path):
@@ -86,7 +89,33 @@ def test_guard_sees_an_unused_method_and_a_self_call(tmp_path):
         "def count(n):\n"
         "    return count(n - 1) if n else Box().used()\n"
     )
-    assert unreferenced_public_api(tmp_path) == ["a.py:Box.unused", "a.py:count"]
+    assert unreferenced_definitions(tmp_path) == ["a.py:Box.unused", "a.py:count"]
+
+
+def test_guard_sees_an_unused_private_helper(tmp_path):
+    # a private helper whose last caller went is listed; one called from
+    # another module, or used as a decorator, is not
+    (tmp_path / "__init__.py").write_text("from .a import run\n")
+    (tmp_path / "a.py").write_text(
+        "from .b import _shared, _wrap\n"
+        "\n"
+        "\n"
+        "def _orphan(n):\n"
+        "    return _orphan(n - 1) if n else 0\n"
+        "\n"
+        "\n"
+        "class _Unused:\n"
+        "    def _method(self):\n"
+        "        return 1\n"
+        "\n"
+        "\n"
+        "@_wrap\n"
+        "def run():\n"
+        "    return _shared()\n"
+    )
+    (tmp_path / "b.py").write_text("def _shared():\n    return 1\n\n\ndef _wrap(fn):\n    return fn\n")
+    (tmp_path / "c.py").write_text("from .a import run\n\nrun()\n")
+    assert unreferenced_definitions(tmp_path) == ["a.py:_orphan", "a.py:_Unused"]
 
 
 def plan_defaults(package=PACKAGE):

@@ -109,6 +109,59 @@ class TestEvaluate:
         assert np.max(np.abs(evaluate(eng, c, x) - want)) < 1e-15
 
 
+def reference_evaluate(desc, c, pts):
+    """The sum of c_k x^alpha_k from the last basis monomial to the first,
+    started from zero, each term c_k times its powers ``x_i ** a`` in
+    coordinate order."""
+    basis = next(b for d in range(len(c)) if len(b := monomials_up_to(desc, d)) >= len(c))
+    out = np.zeros(pts.shape[:-1])
+    for k in range(len(c) - 1, -1, -1):
+        if c[k]:
+            term = c[k]
+            for i, a in enumerate(basis[k]):
+                if a:
+                    term = term * pts[..., i] ** a
+            out = out + term
+    return out
+
+
+class TestEvaluateBits:
+    @pytest.mark.parametrize("spec", ["euclidean:2", "heisenberg:1", "heisenberg:2", "free_step2:3", "engel"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_matches_the_reference_sum(self, spec, degree):
+        # starting from the first term, and skipping a unit coefficient and
+        # ** 1, moves no bit but the sign of a zero
+        from carnot import build_group
+
+        desc = build_group(spec)
+        rng = np.random.default_rng(degree)
+        n = len(monomials_up_to(desc, degree))
+        choices = np.array([0.0, 0.0, 1.0, -1.0, 2.5, -0.3])
+        pts = rng.uniform(-1.5, 1.5, (16, desc.dim))
+        pts[0] = 0.0
+        for _ in range(6):
+            c = np.where(rng.random(n) < 0.3, rng.normal(size=n), rng.choice(choices, n))
+            c[0] = rng.choice([0.0, 1.0, -2.0])  # the constant
+            assert np.array_equal(evaluate(desc, c, pts) + 0.0, reference_evaluate(desc, c, pts) + 0.0)
+        for k in range(n):  # each lone monomial, with a unit coefficient
+            c = np.eye(n)[k]
+            assert np.array_equal(evaluate(desc, c, pts) + 0.0, reference_evaluate(desc, c, pts) + 0.0)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[((1, 0, 0), 1.0)], [((0, 0, 1), 1.0)], [((0, 0, 0), 1.0)], [], [((1, 0, 0), 1.0), ((0, 1, 0), 1.0)]],
+        ids=["x1", "x3", "constant", "zero", "x1+x2"],
+    )
+    def test_result_is_a_new_array(self, h1, terms):
+        # the lone monomial x1 is the column pts[..., 0] itself: writing into
+        # the result must not reach the points
+        pts = np.random.default_rng(4).uniform(-1, 1, (5, 3))
+        before = pts.copy()
+        out = evaluate(h1, vector(h1, terms), pts)
+        out[...] = 7.0
+        assert np.array_equal(pts, before)
+
+
 class TestMonomialBasis:
     def test_h1_degree2_basis(self, h1):
         basis = monomials_up_to(h1, 2)

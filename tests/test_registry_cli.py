@@ -129,6 +129,48 @@ class TestFunctionRegistry:
         assert sum(points) == 0
 
 
+def _fd_gradient_gap(u, seed):
+    """The largest gap between the analytic horizontal gradient of ``u`` and
+    central differences of its value along each e_i, X_i u(x) = d/dt u(x (t e_i)),
+    at seeded points whose horizontal coordinates stay 0.05 off zero (the
+    kinks of one_norm and of the default max_affine)."""
+    desc, eps = u.desc, 1e-5
+    x = np.random.default_rng(seed).uniform(-0.8, 0.8, (60, desc.dim))
+    x = x[np.min(np.abs(x[:, : desc.m1]), axis=1) > 0.05][:12]
+    steps = desc.embed_horizontal(eps * np.eye(desc.m1))
+    fd = np.stack([(u.value(desc.product(x, e)) - u.value(desc.product(x, -e))) / (2 * eps) for e in steps], axis=-1)
+    return float(np.max(np.abs(u.gradient(x) - fd)))
+
+
+class TestGradients:
+    @pytest.mark.parametrize("spec", ["euclidean:2", "euclidean:3", "heisenberg:1", "heisenberg:2", "free_step2:3", "engel"])
+    def test_every_builtin_gradient_agrees_with_its_value(self, spec):
+        desc = build_group(spec)
+        built = 0
+        for name in registry.FUNCTIONS:
+            try:
+                u = build_function(desc, name)
+            except DescriptorError:  # quad_vertical needs step >= 2, euclidean_quadratic step 1
+                continue
+            built += 1
+            assert _fd_gradient_gap(u, seed=len(name)) < 1e-8, name
+        assert built == 5
+
+    def test_nonsymmetric_S(self):
+        # only the symmetric part of S enters 0.5 <S x, x>; S x is not its gradient
+        u = build_function(build_group("euclidean:2"), "euclidean_quadratic", S=[[1.0, 1.0], [0.0, 1.0]])
+        assert _fd_gradient_gap(u, seed=0) < 1e-8
+
+    @pytest.mark.parametrize(
+        "op", [["second-order-check"], ["mvt", "--h", "0.5,-0.3"], ["dermax"]], ids=["second-order-check", "mvt", "dermax"]
+    )
+    def test_nonsymmetric_S_passes_the_checks(self, capsys, op):
+        fn = 'euclidean_quadratic:{"S":[[1,1],[0,1]]}'
+        assert main(op + ["--group", "euclidean:2", "--fn", fn, "--point", "0.1,0.2"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "PASS" in out
+
+
 class TestDescriptorFiles:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "h1.json"
@@ -666,6 +708,15 @@ class TestCli:
         assert main(["hconvex-check", "--group", "heisenberg:1", "--fn-file", str(fn), "--plan-file", str(plan)]) == 2
         assert "do not span" in capsys.readouterr().err
 
+    def test_rank_deficient_dermax_directions_exit_2(self, tmp_path, capsys):
+        # two directions span half of heisenberg:2's horizontal layer, and
+        # dermax read PASS on the directions it never tried
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"directions": 2}))
+        args = ["dermax", "--group", "heisenberg:2", "--fn", "one_norm", "--point", "0,0,0,0,0"]
+        assert main(args + ["--plan-file", str(plan)]) == 2
+        assert "2 directions do not span the 4-dim horizontal layer" in capsys.readouterr().err
+
     def test_negative_tolerance_exit_2(self, capsys):
         # a negative fit tolerance would turn a smooth point into "consistent: neither"
         args = ["second-order-check", "--group", "heisenberg:1", "--fn", "quadratic", "--point", "0.1,0.1,0"]
@@ -798,6 +849,10 @@ class TestCli:
             ('affine:{"q":[1,2,3]}', None, "'q' of 'affine' must have shape (2,)"),
             ('quad_vertical:{"alpha":[1,2]}', None, "'alpha' of 'quad_vertical' must have shape ()"),
             ('max_affine:{"Q":[1,0],"b":0}', None, "'Q' of 'max_affine' must have shape (2, 2)"),
+            # checked where they enter, not by numpy during evaluation
+            (None, {"composition": {"op": "sum", "terms": []}}, "composition must be"),
+            (None, {"composition": {"op": "max", "terms": []}}, "composition must be"),
+            (None, {"composition": {"terms": [{"builtin": "one_norm"}]}}, "composition must be"),
         ],
         ids=[
             "params-list",
@@ -809,6 +864,9 @@ class TestCli:
             "long-q",
             "vector-alpha",
             "one-row-Q",
+            "composition-empty-sum",
+            "composition-empty-max",
+            "composition-no-op",
         ],
     )
     def test_bad_function_parameters_exit_2(self, tmp_path, capsys, fn, spec, named):

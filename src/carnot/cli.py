@@ -243,7 +243,7 @@ def run_command(args):
             records.append(CheckRecord.bounded("mvt", inputs, w.residual[0], plan.tol.mvt_polyhedral, detail=w.detail))
         elif op == "second-fit":
             try:
-                grad, _ = gradient_with_certificate(u, x, plan)
+                grad = gradient_with_certificate(u, x, plan)
             except NonSingletonSubdifferential as exc:  # no gradient at x: a failed check
                 records.append(CheckRecord.bounded("second-fit", inputs, np.nan, plan.tol.fit, detail=str(exc)))
             else:

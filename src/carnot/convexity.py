@@ -151,6 +151,10 @@ def hconvexity_check(u, plan):
 # -- gradients -----------------------------------------------------------------
 
 
+_FD_STEP = 1e-6  # the central-difference step where no shell bounds it
+_FD_STABILITY_RTOL = 1e-3  # the full and the halved step agree within this
+
+
 def _fd_gradients_batch(u, pts, step, rtol):
     """Two-step central differences for a batch of points, with one step
     for all points or one per point.
@@ -179,10 +183,10 @@ def _sampled_gradients(u, pts, radius, plan):
     (one for all points or one per point), with the flags of the stable
     ones: analytic when the plan allows and u has them (all stable), else
     central differences with a step no larger than a tenth of the radius
-    (an infinite radius keeps ``plan.fd_step``)."""
+    (an infinite radius keeps ``_FD_STEP``)."""
     if plan.use_analytic_gradient and u.grad_h is not None:
         return u.gradient(pts), np.ones(len(pts), dtype=bool)
-    return _fd_gradients_batch(u, pts, np.minimum(plan.fd_step, radius / 10.0), plan.fd_stability_rtol)
+    return _fd_gradients_batch(u, pts, np.minimum(_FD_STEP, radius / 10.0), _FD_STABILITY_RTOL)
 
 
 @_per_descriptor
@@ -302,7 +306,11 @@ def subdifferential_hulls(u, xs, plan):
 # -- directional derivatives -----------------------------------------------------
 
 
-def _directional_derivatives(u, xs, line, plan):
+_DD_LAMBDAS = 1e-2 * 2.0 ** -np.arange(10)  # the lambda ladder of the difference quotients
+_MONOTONE_SLACK = 1e-9  # relative slack of the ladder's monotonicity
+
+
+def _directional_derivatives(u, xs, line):
     """One-sided derivatives of t -> u(x delta_t h) at t = 0+, for every row
     x of ``xs`` (K, n) along its lines ``line`` (K, ..., D, 3, n) from
     ``_horizontal_lines``, one per h, as a (K, ..., D) array.
@@ -315,10 +323,9 @@ def _directional_derivatives(u, xs, line, plan):
     axis, so a row's derivatives do not depend on the other rows of the
     batch.
     """
-    lams = plan.dd_lambda0 * 2.0 ** -np.arange(plan.dd_steps)
-    vals = u.value(_on_lines(lams, line))  # (K, ..., D, S)
-    Q = (vals - u.value(xs).reshape((len(xs),) + (1,) * (vals.ndim - 1))) / lams
-    slack = plan.tol.monotone_slack * (1.0 + np.max(np.abs(Q), axis=(-2, -1)))
+    vals = u.value(_on_lines(_DD_LAMBDAS, line))  # (K, ..., D, S)
+    Q = (vals - u.value(xs).reshape((len(xs),) + (1,) * (vals.ndim - 1))) / _DD_LAMBDAS
+    slack = _MONOTONE_SLACK * (1.0 + np.max(np.abs(Q), axis=(-2, -1)))
     if np.any(np.diff(Q, axis=-1) > slack[..., None, None]):
         raise NonConvexSliceError("difference quotients increase along the ladder")
     return 2 * Q[..., -1] - Q[..., -2]
@@ -353,7 +360,7 @@ def dermax_checks(jobs, plan):
     for (u, _), x in zip(jobs, xs):
         rows = slice(stop, stop + len(x))
         stop += len(x)
-        d = _directional_derivatives(u, x, line[rows], plan)
+        d = _directional_derivatives(u, x, line[rows])
         dd, dd_sum = d[:, 0], d[:, 1]  # (K, D) each
         gaps = np.max(np.abs(dd - supports(V[rows], dirs)), axis=-1)
         subadd = np.maximum(0.0, np.max(dd_sum - (dd + np.roll(dd, 1, axis=-1)), axis=-1))  # NaN-safe
@@ -365,6 +372,7 @@ def dermax_checks(jobs, plan):
 
 
 _SECTION_PROBES = 16  # interior probes per step of the section search
+_SUPPORT_GAP = 1e-2  # how far a secant slope may lie outside the sampled support range
 
 
 def _section_steps(plan):
@@ -425,7 +433,7 @@ def mean_value_witnesses(jobs, plan):
 
     Failures are data.  A non-finite secant slope, psi value at any probe
     or hull gradient, and a secant slope outside the row's sampled support
-    range by more than ``plan.tol.support_gap`` give residual +inf and p =
+    range by more than ``_SUPPORT_GAP`` give residual +inf and p =
     NaN; the last also sets the job's ``detail``.  For a u that is not
     h-convex (a user field through CLI ``mvt``) the search may stop at a
     local extremum; the support-range check then turns a wrong witness into
@@ -502,7 +510,7 @@ def mean_value_witnesses(jobs, plan):
         h, s = H[good], sigma[g0 + good]
         support_vals = np.einsum("krm,km->kr", V, h)
         smin, smax = np.min(support_vals, axis=-1), np.max(support_vals, axis=-1)
-        outside = finite & ((s < smin - plan.tol.support_gap) | (s > smax + plan.tol.support_gap))
+        outside = finite & ((s < smin - _SUPPORT_GAP) | (s > smax + _SUPPORT_GAP))
         run = np.searchsorted(stops, g0 + good, side="right") - 1
         for i in np.flatnonzero(outside):
             if not detail[run[i]]:

@@ -275,12 +275,13 @@ FUNCTIONS = {
 
 
 def build_function(desc, name, **params):
-    """Instantiate a registered function.  ``DescriptorError`` unless each
-    parameter is one the function takes, with finite numbers of its shape
-    for its value: ``c`` and ``alpha`` scalar, ``q`` (m1,), ``Q`` (k, m1)
-    with k >= 1 pieces (2 by default), ``b`` scalar or (k,), ``S`` (dim, dim)."""
+    """Instantiate a registered function.  ``DescriptorError`` unless the
+    name is registered and each parameter is one the function takes, with
+    finite numbers of its shape for its value: ``c`` and ``alpha`` scalar,
+    ``q`` (m1,), ``Q`` (k, m1) with k >= 1 pieces (2 by default), ``b``
+    scalar or (k,), ``S`` (dim, dim)."""
     if name not in FUNCTIONS:
-        raise KeyError(f"unknown function {name!r}; available: {sorted(FUNCTIONS)}")
+        raise DescriptorError(f"unknown function {name!r}; available: {sorted(FUNCTIONS)}")
     known = list(inspect.signature(FUNCTIONS[name]).parameters)[1:] if params else []
     for key, value in params.items():
         if key not in known:
@@ -296,7 +297,7 @@ def build_function(desc, name, **params):
     shapes = {"c": [()], "alpha": [()], "q": [(m1,)], "Q": [(k, m1)], "b": [(), (k,)], "S": [(n, n)]}
     for key, value in params.items():
         if np.shape(value) not in shapes[key]:
-            want = " or ".join(map(str, shapes[key]))
+            want = f"(k, {m1}) with k >= 1" if key == "Q" else " or ".join(map(str, shapes[key]))
             raise DescriptorError(f"parameter {key!r} of {name!r} must have shape {want}, got {value!r} on {desc.name}")
     return FUNCTIONS[name](desc, **params)
 

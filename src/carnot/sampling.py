@@ -17,19 +17,9 @@ import numpy as np
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # The least value of every integer field of a sampling plan.  A midpoint
-# test needs a lambda strictly inside (0, 1), and a derivative extrapolates
-# from the two finest quotients.
-_PLAN_COUNTS = {
-    "shell_samples": 1,
-    "directions": 1,
-    "seed": 0,
-    "base_count": 1,
-    "lambda_grid": 3,
-    "dd_steps": 2,
-    "tau_count": 1,
-    "so_directions": 1,
-}
-_PLAN_REALS = ("fd_step", "base_radius", "dd_lambda0", "tau0", "fd_stability_rtol")
+# test needs a lambda strictly inside (0, 1).
+_PLAN_COUNTS = {"shell_samples": 1, "directions": 1, "seed": 0, "base_count": 1, "lambda_grid": 3}
+_PLAN_REALS = ("base_radius",)
 
 
 def _positive_finite(v):
@@ -126,7 +116,7 @@ def ball(desc, radius, count, rng):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Pinned tolerances used by the verification procedures."""
+    """The thresholds that the records compare their metrics with."""
 
     membership: float = 1e-3
     singleton_diameter: float = 1e-3
@@ -138,8 +128,6 @@ class Tolerances:
     mvt_smooth: float = 1e-8
     mvt_polyhedral: float = 1e-4
     mvt_lambda: float = 1e-3
-    support_gap: float = 1e-2
-    monotone_slack: float = 1e-9
 
     def __post_init__(self):
         for f in fields(self):
@@ -149,24 +137,20 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Radii schedules, sample counts, steps and seeds for all estimators."""
+    """What a run varies: the scales, sample counts, sampling region and
+    seed of the estimators, and the tolerances.  A method's fixed numerical
+    parameters are module constants beside the one function that reads
+    them."""
 
     radii: tuple = tuple(0.3 * 0.25**k for k in range(8))
     shell_samples: int = 48
-    fd_step: float = 1e-6
     directions: int = 64
     seed: int = 0
     base_count: int = 20
     base_radius: float = 0.75
     segment_scales: tuple = (1.0, 0.4, 0.15, 0.05)
     lambda_grid: int = 9
-    dd_lambda0: float = 1e-2
-    dd_steps: int = 10
-    tau0: float = 0.5
-    tau_count: int = 9
-    so_directions: int = 48
     use_analytic_gradient: bool = True
-    fd_stability_rtol: float = 1e-3
     tol: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
@@ -189,6 +173,3 @@ class SamplingPlan:
     def rng(self, tag):
         """Deterministic per-task generator derived from the plan seed."""
         return np.random.default_rng((self.seed, zlib.crc32(tag.encode())))
-
-    def taus(self):
-        return tuple(self.tau0 * 2.0**-k for k in range(self.tau_count))

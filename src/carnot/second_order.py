@@ -52,8 +52,9 @@ def gradient_with_certificate(u, x, plan):
 
     The hull certificate is always computed, even when an analytic gradient
     is available: a pointwise formula may silently be wrong at a kink.
-    Raises ``NonSingletonSubdifferential`` when the hull is not a singleton,
-    or when the finite-difference gradient at x itself is unstable.
+    Raises ``NonSingletonSubdifferential``, which carries the hull's
+    diameter, when the hull is not a singleton, or when the
+    finite-difference gradient at x itself is unstable.
     """
     x = np.asarray(x, dtype=float)
     diam = float(diameters(subdifferential_hulls(u, x[None], plan))[0])
@@ -65,7 +66,7 @@ def gradient_with_certificate(u, x, plan):
     g, stable = _sampled_gradients(u, x[None], np.inf, plan)
     if not stable[0]:
         raise NonSingletonSubdifferential(diam, "finite-difference gradient at the point is unstable")
-    return g[0], diam
+    return g[0]
 
 
 def second_quotient(u, x, tau, w, grad):
@@ -80,7 +81,13 @@ def second_quotient(u, x, tau, w, grad):
     return (u.value(pts) - ux - tau * lin) / tau**2
 
 
+_TAUS = tuple(0.5 * 2.0**-k for k in range(9))  # the scale ladder of the second-order quotients
+
+
 # -- the expansion fit -------------------------------------------------------------
+
+
+_SO_DIRECTIONS = 48  # spread directions of the expansion fit
 
 
 def _direction_set(desc, count):
@@ -97,12 +104,12 @@ def _direction_set(desc, count):
 
 
 @_per_descriptor
-def _expansion_design(desc, count):
-    """The design of ``fit_expansion`` for ``count`` spread directions: the
-    directions W of ``_direction_set``, the mask of the basis monomials of
-    degree exactly 2, and their values Phi at W.  Raises
+def _expansion_design(desc):
+    """The design of ``fit_expansion``: the directions W of
+    ``_direction_set`` with ``_SO_DIRECTIONS`` spread ones, the mask of the
+    basis monomials of degree exactly 2, and their values Phi at W.  Raises
     ``RankDeficientDesign`` when Phi has not full column rank."""
-    W = _direction_set(desc, count)
+    W = _direction_set(desc, _SO_DIRECTIONS)
     E = np.array(monomials_up_to(desc, 2))
     top = E @ desc.dilation_exponents == 2
     Phi = np.prod(W[:, None, :] ** E[top], axis=-1)
@@ -126,7 +133,7 @@ def fit_expansion(u, x, grad, plan):
     """Least-squares fit of the second quotients against the degree <= 2 model.
 
     The quotients at the certified gradient ``grad`` are tabulated over the
-    plan's scales and the unit directions of ``_direction_set``.  The model
+    scales ``_TAUS`` and the unit directions of ``_direction_set``.  The model
     <v2, pi_2 w> + (1/2) <H pi_1 w, pi_1 w> spans the basis monomials of
     degree exactly 2; their coefficients, fitted per scale, give (H, v2)
     through ``sym_hessian``, and the finest scale is the fit's answer.  The
@@ -136,14 +143,13 @@ def fit_expansion(u, x, grad, plan):
     ``_expansion_design``, cached per descriptor.
     """
     desc = u.desc
-    W, top, Phi = _expansion_design(desc, plan.so_directions)
-    taus = plan.taus()
-    values = second_quotient(u, x, np.asarray(taus)[:, None], W, grad)
-    C = np.zeros((len(taus), len(top)))
+    W, top, Phi = _expansion_design(desc)
+    values = second_quotient(u, x, np.asarray(_TAUS)[:, None], W, grad)
+    C = np.zeros((len(_TAUS), len(top)))
     C[:, top] = np.linalg.lstsq(Phi, values.T, rcond=None)[0].T
     H, v2 = sym_hessian(desc, C)
     residuals = np.max(np.abs(values - Phi @ C[-1, top]), axis=1)
-    return ExpansionFit(C[-1], H[-1], v2[-1], taus, residuals, v2, curve_converged(residuals, plan.tol.fit))
+    return ExpansionFit(C[-1], H[-1], v2[-1], _TAUS, residuals, v2, curve_converged(residuals, plan.tol.fit))
 
 
 # -- extended differential and the Mignot inclusion ------------------------------------
@@ -224,14 +230,13 @@ def mignot_check(u, x, grad, A, plan):
     """
     desc = u.desc
     dirs = _mignot_directions(desc)
-    taus = plan.taus()
-    tau = np.repeat(taus, len(dirs))  # one row per (tau, w)
-    ys = desc.product(x, desc.dilate(tau, np.tile(dirs, (len(taus), 1))))
+    tau = np.repeat(_TAUS, len(dirs))  # one row per (tau, w)
+    ys = desc.product(x, desc.dilate(tau, np.tile(dirs, (len(_TAUS), 1))))
     G = _shell_gradients([(u, len(ys))], ys, plan.radii[-1] * tau, plan)
-    quotients = ((G - grad) * (1.0 / tau)[:, None, None]).reshape(len(taus), len(dirs), -1, desc.m1)
+    quotients = ((G - grad) * (1.0 / tau)[:, None, None]).reshape(len(_TAUS), len(dirs), -1, desc.m1)
     dists = np.linalg.norm(quotients - (dirs[:, : desc.m1] @ A.T)[:, None, :], axis=-1)
     excess = np.max(dists, axis=(1, 2))  # NaN-safe, unlike a max() fold
-    return taus, excess, curve_converged(excess, plan.tol.mignot)
+    return _TAUS, excess, curve_converged(excess, plan.tol.mignot)
 
 
 # -- the full characterization -------------------------------------------------------
@@ -267,7 +272,7 @@ def characterize_second_order(u, x, plan):
     expansion = extended = None
     err_e = err_g = None
     try:
-        grad, _ = gradient_with_certificate(u, x, plan)
+        grad = gradient_with_certificate(u, x, plan)
     except (CarnotError, np.linalg.LinAlgError) as exc:
         err_e = err_g = f"{type(exc).__name__}: {exc}"
     else:

@@ -290,7 +290,7 @@ def euclidean_degeneration_records(plan):
     S = np.array([[1.3, 0.4], [0.4, 0.9]])
     u = build_function(desc, "euclidean_quadratic", S=S)
     try:
-        grad, _ = gradient_with_certificate(u, desc.identity(), plan)
+        grad = gradient_with_certificate(u, desc.identity(), plan)
         A, detail = fit_extended_differential(u, desc.identity(), grad, plan).A, ""
     except NonSingletonSubdifferential as exc:  # no certified gradient at x: a failed check
         A, detail = np.full_like(S, np.nan), str(exc)
@@ -310,7 +310,7 @@ def mignot_records(plan):
     for u in smooth_suite(desc):
         inputs = {"fn": u.label}
         try:
-            grad, _ = gradient_with_certificate(u, x, plan)
+            grad = gradient_with_certificate(u, x, plan)
         except NonSingletonSubdifferential as exc:  # no certified gradient at x: a failed check
             records.append(CheckRecord.bounded(f"mignot/{u.label}", inputs, np.nan, plan.tol.mignot, detail=str(exc)))
             continue

@@ -20,12 +20,22 @@ plan of its seed once and refuses a plan of another seed.
 A dataclass field that nothing reads is computed for no one: the third
 guard lists each annotated field of a ``@dataclass`` class whose name no
 ``Attribute`` node in the package loads.
+
+A plan holds only what a run varies.  The configuration surface, the fields
+of ``SamplingPlan`` and ``Tolerances``, is pinned by name, so a new knob is
+an edit of this file; the README's plan-file and tolerance key lists must
+name the same fields.
 """
 
 import ast
+import re
+from dataclasses import fields
 from pathlib import Path
 
+from carnot.sampling import SamplingPlan, Tolerances
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "carnot"
+README = PACKAGE.parents[1] / "README.md"
 
 
 def _referenced(node):
@@ -205,3 +215,25 @@ def test_field_guard_sees_written_and_unread_fields(tmp_path):
         "    return r.read\n"
     )
     assert unread_dataclass_fields(tmp_path) == ["a.py:Report.unread", "a.py:Store.written"]
+
+
+def test_configuration_surface_is_pinned():
+    plan = ("radii", "shell_samples", "directions", "seed", "base_count", "base_radius")
+    plan += ("segment_scales", "lambda_grid", "use_analytic_gradient", "tol")
+    assert tuple(f.name for f in fields(SamplingPlan)) == plan
+    tolerances = ("membership", "singleton_diameter", "fit", "mignot", "dermax", "hconvexity", "psd")
+    tolerances += ("mvt_smooth", "mvt_polyhedral", "mvt_lambda")
+    assert tuple(f.name for f in fields(Tolerances)) == tolerances
+
+
+def _readme_keys(label):
+    """The backquoted names of the README paragraph that opens with ``label:``."""
+    paragraph = re.search(rf"^{label}:(.*?)(?:\n\n|\Z)", README.read_text(), re.M | re.S)
+    assert paragraph, label
+    return re.findall(r"`(\w+)`", paragraph.group(1))
+
+
+def test_readme_key_lists_match_the_fields():
+    # a plan file may not set seed: --seed is the run's only seed
+    assert _readme_keys("Plan-file keys") == [f.name for f in fields(SamplingPlan) if f.name != "seed"]
+    assert _readme_keys("Tolerance keys") == [f.name for f in fields(Tolerances)]

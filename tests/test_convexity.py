@@ -35,11 +35,11 @@ def _fd_gradient(u, x, step=1e-6):
     return g[0]
 
 
-def _derivatives(u, xs, hs, plan):
+def _derivatives(u, xs, hs):
     """``_directional_derivatives`` at the rows of ``xs`` along every row of
     ``hs``, on the lines of ``_horizontal_lines``."""
     line, _ = convexity._horizontal_lines(u.desc, xs[:, None, :], hs)
-    return _directional_derivatives(u, xs, line, plan)
+    return _directional_derivatives(u, xs, line)
 
 
 def _dermax(u, xs, plan):
@@ -427,24 +427,24 @@ class TestDirectionalDerivative:
         x = np.array([0.2, -0.3, 0.4])
         g = quad_vert.gradient(x[None])[0]
         for h in (np.array([1.0, 0.0]), np.array([0.6, -0.8])):
-            d = _derivatives(quad_vert, x[None], h[None], plan)[0, 0]
+            d = _derivatives(quad_vert, x[None], h[None])[0, 0]
             assert abs(d - g @ h) / (1 + abs(g @ h)) < 1e-6
 
     def test_abs_both_sides(self, h1, plan):
         u = build_function(h1, "max_affine")  # |x1|
-        d = _derivatives(u, h1.identity()[None], np.array([[1.0, 0.0], [-1.0, 0.0]]), plan)[0]
+        d = _derivatives(u, h1.identity()[None], np.array([[1.0, 0.0], [-1.0, 0.0]]))[0]
         assert d[0] == pytest.approx(1.0)
         assert d[1] == pytest.approx(1.0)
 
     def test_affine_exact(self, affine_f, h1, plan):
         q = affine_f.gradient(h1.identity()[None])[0]
         h = np.array([0.3, 0.7])
-        assert _derivatives(affine_f, h1.identity()[None], h[None], plan)[0, 0] == pytest.approx(q @ h, abs=1e-12)
+        assert _derivatives(affine_f, h1.identity()[None], h[None])[0, 0] == pytest.approx(q @ h, abs=1e-12)
 
     def test_nonconvex_flagged(self, h1, plan):
         neg = ScalarField(h1, lambda p: -p[..., 0] ** 2, label="-x1^2")
         with pytest.raises(NonConvexSliceError):
-            _derivatives(neg, h1.identity()[None], np.array([[1.0, 0.0]]), plan)
+            _derivatives(neg, h1.identity()[None], np.array([[1.0, 0.0]]))
 
     @pytest.mark.parametrize("spec", ["h1", "eng"])
     def test_batch_matches_rows(self, request, spec, plan):
@@ -453,10 +453,10 @@ class TestDirectionalDerivative:
         xs = ball(desc, 0.6, 8, np.random.default_rng(4))
         dirs = unit_directions(desc.m1, 16)
         for u in smooth_suite(desc) + polyhedral_suite(desc):
-            batched = _derivatives(u, xs, dirs, plan)
+            batched = _derivatives(u, xs, dirs)
             assert batched.shape == (8, 16)
             for x, row in zip(xs, batched):
-                np.testing.assert_array_equal(row, _derivatives(u, x[None], dirs, plan)[0])
+                np.testing.assert_array_equal(row, _derivatives(u, x[None], dirs)[0])
 
     def test_slack_per_row(self, h1, plan):
         # a row's monotone slack scales with its own quotients only: a large
@@ -464,9 +464,9 @@ class TestDirectionalDerivative:
         u = ScalarField(h1, lambda p: np.where(p[..., 2] > 0.5, 1e9 * p[..., 0] ** 2, -p[..., 0] ** 2))
         xs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         h = np.array([[1.0, 0.0]])
-        _derivatives(u, xs[:1], h, plan)
+        _derivatives(u, xs[:1], h)
         with pytest.raises(NonConvexSliceError):
-            _derivatives(u, xs, h, plan)
+            _derivatives(u, xs, h)
 
     def test_slack_per_block(self, h1, plan):
         # each block of lines scales its own slack: the large quotients of
@@ -474,10 +474,10 @@ class TestDirectionalDerivative:
         u = ScalarField(h1, lambda p: 1e9 * p[..., 0] ** 2 - p[..., 1] ** 2)
         x = h1.identity()[None]
         one_block, _ = convexity._horizontal_lines(h1, x[:, None, :], np.eye(2))
-        assert _directional_derivatives(u, x, one_block, plan).shape == (1, 2)
+        assert _directional_derivatives(u, x, one_block).shape == (1, 2)
         two_blocks, _ = convexity._horizontal_lines(h1, x[:, None, None, :], np.eye(2)[:, None, :])
         with pytest.raises(NonConvexSliceError):
-            _directional_derivatives(u, x, two_blocks, plan)
+            _directional_derivatives(u, x, two_blocks)
 
 
 class TestDermax:
@@ -786,7 +786,7 @@ def test_a_failing_job_fails_alone(h1, eng, plan):
     sigma = scaled.value(h1.product(xs, h1.embed_horizontal(hs))) - scaled.value(xs)
     vals = np.einsum("krm,km->kr", subdifferential_hulls(scaled, failed.point, plan), hs)
     smin, smax = np.min(vals, axis=-1), np.max(vals, axis=-1)
-    outside = (sigma < smin - plan.tol.support_gap) | (sigma > smax + plan.tol.support_gap)
+    outside = (sigma < smin - convexity._SUPPORT_GAP) | (sigma > smax + convexity._SUPPORT_GAP)
     assert outside.any()
     assert np.all(failed.residual[outside] == np.inf) and np.all(np.isnan(failed.p[outside]))
     assert np.all(np.isfinite(failed.residual[~outside]))
@@ -870,7 +870,7 @@ def test_bracketing_matches_row_loop(request, spec, plan, monkeypatch):
         sigma = u.value(desc.product(xs, hfull)) - u.value(xs)
         assert len(rounds) == 4 and {len(g) for g in rows} == {count, count - 7, count - 14}
         for g, h, s, pw, rw in zip(rows, hs, sigma, ps, residuals):
-            p = _bracket_row(g, h, s, plan.tol.support_gap)
+            p = _bracket_row(g, h, s, convexity._SUPPORT_GAP)
             assert np.max(np.abs(pw - p)) <= 1e-15
             assert abs(rw - abs(s - p @ h)) <= 1e-15
 

@@ -81,7 +81,7 @@ class TestFunctionRegistry:
             build_function(r3, "quad_vertical")
 
     def test_unknown_function(self, h1):
-        with pytest.raises(KeyError):
+        with pytest.raises(DescriptorError):
             build_function(h1, "nope")
 
     def test_unknown_parameter_names_the_ones_taken(self, h1, capsys, monkeypatch):
@@ -499,9 +499,9 @@ class TestCli:
         text = (tmp_path / "curves.csv").read_text()
         assert text.startswith("check_id,tau,residual")
         # one CSV row per ladder scale per emitted curve, plus the header
-        from carnot import SamplingPlan
+        from carnot.second_order import _TAUS
 
-        assert len(text.splitlines()) == 1 + SamplingPlan().tau_count
+        assert len(text.splitlines()) == 1 + len(_TAUS)
 
     @pytest.mark.parametrize(
         "args, spec, metric, detail",
@@ -606,8 +606,9 @@ class TestCli:
         assert failed == {r["id"] for r in smooth} | {"mignot/quadratic", "mignot/quad_vertical(alpha=1)"}
 
     def test_unknown_tol_key_exit_2(self, capsys):
-        # an unknown key, and the former name of the membership tolerance
-        for key in ("bogus", "hull_vertex"):
+        # an unknown key, the former name of the membership tolerance, and two
+        # former tolerances that are now constants of ``convexity``
+        for key in ("bogus", "hull_vertex", "support_gap", "monotone_slack"):
             assert main(["hconvex-check", "--group", "heisenberg:1", "--fn", "one_norm", "--tol", f"{key}=1"]) == 2
             assert key in capsys.readouterr().err
 
@@ -653,6 +654,15 @@ class TestCli:
                 "shell_samples",
             ),
             (["second-order-check", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"tau_count": 2.5}, "tau_count"),
+            # the fixed parameters of a method are constants, not plan keys
+            (["dermax", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"dd_lambda0": 1e-3}, "dd_lambda0"),
+            (["second-order-check", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"tau0": 0.25}, "tau0"),
+            (["second-fit", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"so_directions": 24}, "so_directions"),
+            (
+                ["subdiff", "--fn", "quadratic", "--point", "0.1,0.1,0"],
+                {"fd_stability_rtol": 1e-2, "use_analytic_gradient": False},
+                "fd_stability_rtol",
+            ),
             (["second-order-check", "--fn", "quadratic", "--point", "0.1,0.1,0"], {"seed": 1.5}, "seed"),
             # --seed is the run's only seed: a suite run under a plan file
             # that held another one drew from both and exited 0
@@ -675,6 +685,10 @@ class TestCli:
             "lambda_grid_2",
             "shell_samples_fraction",
             "tau_count_fraction",
+            "dd_lambda0",
+            "tau0",
+            "so_directions",
+            "fd_stability_rtol",
             "seed_fraction",
             "suite_seed_of_plan_file",
             "use_analytic_gradient_string",
@@ -848,7 +862,12 @@ class TestCli:
             ('affine:{"c":[1,2]}', None, "'c' of 'affine' must have shape ()"),
             ('affine:{"q":[1,2,3]}', None, "'q' of 'affine' must have shape (2,)"),
             ('quad_vertical:{"alpha":[1,2]}', None, "'alpha' of 'quad_vertical' must have shape ()"),
-            ('max_affine:{"Q":[1,0],"b":0}', None, "'Q' of 'max_affine' must have shape (2, 2)"),
+            ('max_affine:{"Q":[1,0],"b":0}', None, "'Q' of 'max_affine' must have shape (k, 2) with k >= 1, got [1, 0]"),
+            ('max_affine:{"Q":[]}', None, "'Q' of 'max_affine' must have shape (k, 2) with k >= 1, got []"),
+            ('max_affine:{"Q":[[1,0,0]]}', None, "'Q' of 'max_affine' must have shape (k, 2) with k >= 1"),
+            # the message of an unknown function is not wrapped in quotes
+            ("nope", None, "configuration error: unknown function 'nope'; available: ["),
+            (None, {"builtin": "nope"}, "configuration error: unknown function 'nope'; available: ["),
             # checked where they enter, not by numpy during evaluation
             (None, {"composition": {"op": "sum", "terms": []}}, "composition must be"),
             (None, {"composition": {"op": "max", "terms": []}}, "composition must be"),
@@ -864,6 +883,10 @@ class TestCli:
             "long-q",
             "vector-alpha",
             "one-row-Q",
+            "empty-Q",
+            "three-column-Q",
+            "unknown-function",
+            "spec-unknown-function",
             "composition-empty-sum",
             "composition-empty-max",
             "composition-no-op",
